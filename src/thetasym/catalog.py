@@ -532,6 +532,8 @@ def parse_label(text: str, eps_minus_one: Sign = PLUS) -> RepLabel:
     except ValueError:
         raise ParseError(f"bad rho rank {rho_bits[1]!r}", 0) from None
     rho = RhoDescriptor(rho_rank, rho_bits[2] == "reg", rho_bits[0])
+    if eps_text not in (None, "+", "-"):
+        raise ParseError(f"bad eps flag {eps_text!r}", 0)
     eps_flag = parse_sign(eps_text) if eps_text is not None else None
     return make_label(
         group,

@@ -2,7 +2,7 @@
 
 Verbs:
 
-* ``symbols-enumerate`` - symbol tables by rank and family (disk cached);
+* ``symbols-enumerate`` - symbol tables by rank and family;
 * ``theta-fiber`` - pairing partners of a symbol at a target rank;
 * ``theta-first`` - closed-form first occurrence of a unipotent symbol;
 * ``theta-cuspidal`` - the cuspidal chain at a given index;
@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
-import os
 import sys
-import tempfile
 
 from . import __version__
 from .catalog import (
@@ -38,7 +35,6 @@ from .catalog import (
     parse_sign,
 )
 from .core import (
-    Symbol,
     SymbolFamily,
     enumerate_symbols,
     format_bipartition,
@@ -64,8 +60,6 @@ from .theta import (
     first_occurrence_unipotent,
     theta_fiber,
 )
-
-CACHE_ENV_VAR = "THETASYM_CACHE_DIR"
 
 _FAMILIES = {
     "sp": SymbolFamily.SP_UNIPOTENT,
@@ -106,58 +100,6 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration cache
-# ---------------------------------------------------------------------------
-
-
-def _payload_checksum(symbols: list[str]) -> str:
-    return hashlib.sha256(json.dumps(symbols).encode()).hexdigest()
-
-
-def cached_enumerate(rank: int, family: SymbolFamily, cache_dir: str | None) -> list[Symbol]:
-    """Enumerate with a per-(family, rank) JSON cache, when a cache dir is set.
-
-    Entries carry the library version and a payload checksum; stale or
-    corrupt files are ignored and rewritten.  Writes go through a temporary
-    file and an atomic rename.
-    """
-    if cache_dir is None:
-        return enumerate_symbols(rank, family)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"{family.value.replace('+', 'p').replace('-', 'm')}-{rank}.json")
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                entry = json.load(handle)
-            if (
-                entry.get("version") == __version__
-                and entry.get("checksum") == _payload_checksum(entry["symbols"])
-            ):
-                return [parse_symbol(text) for text in entry["symbols"]]
-        except (ValueError, KeyError, OSError):
-            pass
-    symbols = enumerate_symbols(rank, family)
-    texts = [format_symbol(s) for s in symbols]
-    entry = {
-        "family": family.value,
-        "rank": rank,
-        "version": __version__,
-        "checksum": _payload_checksum(texts),
-        "symbols": texts,
-    }
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(entry, handle, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return symbols
-
-
-# ---------------------------------------------------------------------------
 # Shared option handling
 # ---------------------------------------------------------------------------
 
@@ -179,6 +121,15 @@ def _add_eps(parser) -> None:
 def _add_orientations(parser) -> None:
     for name in ("--orient-left", "--orient-right", "--orient-left-alt", "--orient-right-alt"):
         parser.add_argument(name, choices=("+", "-"), default=None)
+
+
+def _check_ranks(args) -> None:
+    """Refuse a negative rank option before any work starts."""
+    for name in ("rank", "max_rank", "target_rank"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise ThetasymError(f"{flag} must be nonnegative, got {value}")
 
 
 def _resolve_eps(args) -> Sign:
@@ -217,9 +168,7 @@ def _mult_row(label_text: str, value) -> dict:
 
 
 def _cmd_symbols_enumerate(args, out) -> int:
-    family = _FAMILIES[args.family]
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
-    symbols = cached_enumerate(args.rank, family, cache_dir)
+    symbols = enumerate_symbols(args.rank, _FAMILIES[args.family])
     rows = [
         {
             "symbol": format_symbol(s),
@@ -333,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symbols-enumerate", help="list symbols of a rank and family")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
-    p.add_argument("--cache-dir", default=None, help=f"cache directory (or ${CACHE_ENV_VAR})")
     _add_format(p)
     p.set_defaults(func=_cmd_symbols_enumerate)
 
@@ -387,6 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranks(args)
         return args.func(args, sys.stdout)
     except ThetasymError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -161,7 +161,14 @@ class Symbol:
     strictly decreasing, not both containing 0); use :func:`symbol_normalize`
     to reduce raw row data.  Equality, hashing and ordering are structural
     on the reduced form, so symbols can live in sets and sorted tables.
+
+    Data derived from the rows - :func:`upsilon`, :func:`transposed_upsilon`
+    and :func:`symbol_transpose` - is computed at most once per instance and
+    kept in the private slots below.  It takes no part in equality, hashing,
+    ordering, ``repr`` or pickling.
     """
+
+    __slots__ = ("row_a", "row_b", "_upsilon", "_transposed_upsilon", "_transpose")
 
     row_a: tuple[int, ...]
     row_b: tuple[int, ...]
@@ -176,6 +183,15 @@ class Symbol:
 
     def __repr__(self):
         return f"Symbol({format_symbol(self)!r})"
+
+    def __reduce__(self):
+        return (Symbol, (self.row_a, self.row_b))
+
+
+def _keep(s: Symbol, slot: str, value):
+    """Store derived data on a (frozen) symbol and return it."""
+    object.__setattr__(s, slot, value)
+    return value
 
 
 EMPTY_SYMBOL = Symbol((), ())
@@ -209,20 +225,51 @@ def symbol_defect(s: Symbol) -> int:
 
 
 def symbol_transpose(s: Symbol) -> Symbol:
-    """Swap the two rows; rank is preserved, defect is negated."""
-    return Symbol(s.row_b, s.row_a)
+    """Swap the two rows; rank is preserved, defect is negated.
+
+    The partner is built once and the two symbols keep each other, so
+    transposing twice returns ``s`` itself.
+    """
+    try:
+        return s._transpose
+    except AttributeError:
+        pass
+    t = _keep(s, "_transpose", Symbol(s.row_b, s.row_a))
+    _keep(t, "_transpose", s)
+    return t
 
 
 def upsilon(s: Symbol) -> Bipartition:
     """Subtract the staircase from each row and trim zeros.
 
     Entry ``a_i`` (1-indexed) maps to ``a_i - (m - i)`` where m is the row
-    length, so the bottom entry is kept as is.
+    length, so the bottom entry is kept as is.  Computed once per symbol.
     """
+    try:
+        return s._upsilon
+    except AttributeError:
+        pass
     m1, m2 = len(s.row_a), len(s.row_b)
     up = partition(a - (m1 - 1 - i) for i, a in enumerate(s.row_a))
     lo = partition(b - (m2 - 1 - i) for i, b in enumerate(s.row_b))
-    return Bipartition(up, lo)
+    return _keep(s, "_upsilon", Bipartition(up, lo))
+
+
+def transposed_upsilon(s: Symbol) -> Bipartition:
+    """:func:`upsilon` with both partitions transposed; computed once per symbol.
+
+    These are the rows the oscillator pair condition compares.
+    """
+    try:
+        return s._transposed_upsilon
+    except AttributeError:
+        pass
+    up, lo = upsilon(s)
+    return _keep(
+        s,
+        "_transposed_upsilon",
+        Bipartition(partition_transpose(up), partition_transpose(lo)),
+    )
 
 
 def defect_rank_offset(defect: int) -> int:
@@ -236,14 +283,17 @@ def upsilon_inverse(bp: Bipartition | tuple[Partition, Partition], defect: int) 
     """The unique reduced symbol with the given defect mapping to ``bp``.
 
     Row lengths are the minimal ones compatible with the defect, which is
-    exactly what reducedness requires.
+    exactly what reducedness requires.  The validated bipartition is kept on
+    the new symbol as its :func:`upsilon`.
     """
     up, lo = partition(bp[0]), partition(bp[1])
     m2 = max(0, len(lo), len(up) - defect, -defect)
     m1 = m2 + defect
     row_a = tuple((up[i] if i < len(up) else 0) + (m1 - 1 - i) for i in range(m1))
     row_b = tuple((lo[i] if i < len(lo) else 0) + (m2 - 1 - i) for i in range(m2))
-    return Symbol(row_a, row_b)
+    s = Symbol(row_a, row_b)
+    _keep(s, "_upsilon", Bipartition(up, lo))
+    return s
 
 
 class SymbolFamily(Enum):
@@ -301,21 +351,35 @@ def symbols_with_defect(rank: int, defect: int) -> list[Symbol]:
     return syms
 
 
+@cache
+def _rank_layer(rank: int, family: SymbolFamily) -> tuple[Symbol, ...]:
+    return tuple(
+        s
+        for defect in admissible_defects(rank, family)
+        for s in symbols_with_defect(rank, defect)
+    )
+
+
 def enumerate_symbols(rank: int, family: SymbolFamily) -> list[Symbol]:
     """All reduced symbols of this rank in the family's defect classes.
 
     Deterministic order: defect ascending by absolute value (positive before
     negative at ties), then lexicographic on rows.  For ``O_ODD`` this is
     the same symbol set as ``SP_UNIPOTENT``; the extra sign lives on labels.
+
+    Each rank layer is built once and kept, as an immutable tuple, for the
+    life of the process, together with whatever derived data its symbols
+    accumulate; ``O_ODD`` and ``SP_UNIPOTENT`` share one layer.  Memory
+    therefore grows with the largest layers enumerated.  The result is a
+    fresh list, which the caller may mutate.
     """
     if rank > MAX_ENUMERATION_RANK:
         raise ValueError(
             f"rank {rank} exceeds enumeration bound {MAX_ENUMERATION_RANK}"
         )
-    out: list[Symbol] = []
-    for defect in admissible_defects(rank, family):
-        out.extend(symbols_with_defect(rank, defect))
-    return out
+    if family is SymbolFamily.O_ODD:
+        family = SymbolFamily.SP_UNIPOTENT
+    return list(_rank_layer(rank, family))
 
 
 def count_symbols(rank: int, family: SymbolFamily) -> int:
@@ -351,7 +415,7 @@ def _parse_row(text: str, base: int) -> tuple[int, ...]:
     pos = 0
     for piece in text.split(","):
         stripped = piece.strip()
-        if not stripped or not all(c.isdigit() for c in stripped):
+        if not stripped or not all("0" <= c <= "9" for c in stripped):
             raise ParseError(f"bad row entry {piece!r}", base + pos)
         entries.append(int(stripped))
         pos += len(piece) + 1

@@ -57,7 +57,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """No failures over at least one check; an empty run does not pass."""
+        return self.checked > 0 and not self.failures
 
     def record(self, ok: bool, input_repr: str, expected, actual) -> None:
         self.checked += 1

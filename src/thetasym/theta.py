@@ -48,10 +48,10 @@ from .core import (
     SymbolFamily,
     close_dominates,
     enumerate_symbols,
-    partition_transpose,
     symbol_defect,
     symbol_rank,
     symbol_transpose,
+    transposed_upsilon,
     upsilon,
     upsilon_inverse,
 )
@@ -155,19 +155,13 @@ def in_B(lam: Symbol, lam_prime: Symbol, sign: Sign) -> bool:
     d2 = symbol_defect(lam_prime)
     if d2 % 2 != 0:
         raise DefectClassMismatch(f"second symbol defect {d2} must be even")
-    up, lo = upsilon(lam)
-    up2, lo2 = upsilon(lam_prime)
+    if d2 != (-d + 1 if sign == PLUS else -d - 1):
+        return False
+    up, lo = transposed_upsilon(lam)
+    up2, lo2 = transposed_upsilon(lam_prime)
     if sign == PLUS:
-        return (
-            d2 == -d + 1
-            and close_dominates(partition_transpose(lo2), partition_transpose(up))
-            and close_dominates(partition_transpose(lo), partition_transpose(up2))
-        )
-    return (
-        d2 == -d - 1
-        and close_dominates(partition_transpose(up2), partition_transpose(lo))
-        and close_dominates(partition_transpose(up), partition_transpose(lo2))
-    )
+        return close_dominates(lo2, up) and close_dominates(lo, up2)
+    return close_dominates(up2, lo) and close_dominates(up, lo2)
 
 
 class GVariant(Enum):

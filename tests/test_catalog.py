@@ -239,6 +239,11 @@ def test_label_grammar_errors():
         parse_group("u(3)")
 
 
+def test_label_bad_eps_flag_is_parse_error():
+    with pytest.raises(ParseError):
+        parse_label("o+(3): rho=trivial:0:reg ; L=[1|] ; L'=[0|] ; eps=x")
+
+
 def test_parse_group():
     assert parse_group("sp(4)") == sp(2)
     assert parse_group("o+(3)") == o_odd(1, PLUS)

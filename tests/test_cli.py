@@ -2,7 +2,9 @@ import io
 import json
 from contextlib import redirect_stdout
 
+import pytest
 
+import thetasym.cli as cli
 from thetasym.cli import main
 
 
@@ -171,28 +173,22 @@ def test_output_byte_identical():
     assert run_cli(args) == run_cli(args)
 
 
-def test_cache_roundtrip(tmp_path):
-    args = ["symbols-enumerate", "--rank", "3", "--family", "sp", "--format", "json"]
-    cold = run_cli(args + ["--cache-dir", str(tmp_path)])
-    warm = run_cli(args + ["--cache-dir", str(tmp_path)])
-    plain = run_cli(args)
-    assert cold == warm == plain
-    assert list(tmp_path.glob("*.json"))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "f1", "--max-rank", "-3"],
+        ["verify", "--suite", "counts", "--max-rank", "-1"],
+        ["symbols-enumerate", "--rank", "-1", "--family", "sp"],
+        ["theta-fiber", "--symbol", "[1,0|1]", "--sign", "+", "--target-rank", "-2"],
+    ],
+)
+def test_negative_rank_refused_before_work(argv, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started for a refused rank")
 
-
-def test_cache_ignores_corrupt_entries(tmp_path):
-    args = [
-        "symbols-enumerate",
-        "--rank",
-        "2",
-        "--family",
-        "o+",
-        "--format",
-        "json",
-        "--cache-dir",
-        str(tmp_path),
-    ]
-    first = run_cli(args)
-    entry = next(tmp_path.glob("*.json"))
-    entry.write_text('{"version": "0.0.0", "symbols": ["[|]"], "checksum": "bad"}')
-    assert run_cli(args) == first
+    for name in ("verify_f1", "verify_counts", "enumerate_symbols", "theta_fiber"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    code, out = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: --")

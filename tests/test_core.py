@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -30,6 +32,7 @@ from thetasym.core import (
     symbol_rank,
     symbol_transpose,
     symbols_with_defect,
+    transposed_upsilon,
     upsilon,
     upsilon_inverse,
 )
@@ -180,6 +183,69 @@ def test_normalize_idempotent_random():
 
 
 # ---------------------------------------------------------------------------
+# derived data kept on symbols, against a reference written from the rows
+# ---------------------------------------------------------------------------
+
+
+def _reference_upsilon(row_a, row_b):
+    """Subtract the staircase (m-1, ..., 0) from each row, then trim zeros."""
+
+    def strip(row):
+        parts = [x - (len(row) - 1 - i) for i, x in enumerate(row)]
+        while parts and parts[-1] == 0:
+            parts.pop()
+        return tuple(parts)
+
+    return strip(row_a), strip(row_b)
+
+
+def _reference_conjugate(p):
+    """Transpose of a partition: the j-th part counts the parts >= j."""
+    largest = p[0] if p else 0
+    return tuple(len([x for x in p if x >= j]) for j in range(1, largest + 1))
+
+
+def _check_derived_data(s):
+    up, lo = _reference_upsilon(s.row_a, s.row_b)
+    conj = (_reference_conjugate(up), _reference_conjugate(lo))
+    for _ in range(2):  # the second read comes from the symbol's own cache
+        assert upsilon(s) == (up, lo)
+        assert transposed_upsilon(s) == conj
+        t = symbol_transpose(s)
+        assert (t.row_a, t.row_b) == (s.row_b, s.row_a)
+        assert symbol_transpose(t) == s
+        assert upsilon(t) == (lo, up)
+        assert transposed_upsilon(t) == conj[::-1]
+
+
+def test_derived_data_matches_reference_exhaustive():
+    for family in SymbolFamily:
+        for rank in range(9):
+            for warm in enumerate_symbols(rank, family):
+                _check_derived_data(warm)
+                _check_derived_data(Symbol(warm.row_a, warm.row_b))
+                _check_derived_data(parse_symbol(format_symbol(warm)))
+
+
+@settings(max_examples=300)
+@given(st.randoms(use_true_random=False))
+def test_derived_data_matches_reference_random(rng):
+    _check_derived_data(random_symbol(rng))
+
+
+def test_derived_data_is_not_structural():
+    warm = enumerate_symbols(3, SymbolFamily.SP_UNIPOTENT)[1]
+    cold = Symbol(warm.row_a, warm.row_b)
+    upsilon(warm), transposed_upsilon(warm), symbol_transpose(warm)
+    assert cold == warm and hash(cold) == hash(warm)
+    assert not (cold < warm) and not (warm < cold)
+    assert repr(cold) == repr(warm)
+    assert format_symbol(cold) == format_symbol(warm)
+    assert pickle.loads(pickle.dumps(warm)) == warm
+    assert copy.deepcopy(warm) == warm
+
+
+# ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
@@ -213,6 +279,21 @@ def test_enumerate_is_deterministic():
     assert a == b
 
 
+def test_enumerate_returns_fresh_list():
+    expected = list(enumerate_symbols(4, SymbolFamily.O_EVEN_PLUS))
+    first = enumerate_symbols(4, SymbolFamily.O_EVEN_PLUS)
+    first.reverse()
+    first.append(EMPTY_SYMBOL)
+    assert enumerate_symbols(4, SymbolFamily.O_EVEN_PLUS) == expected
+    first.clear()
+    assert enumerate_symbols(4, SymbolFamily.O_EVEN_PLUS) == expected
+    sp_layer = enumerate_symbols(3, SymbolFamily.SP_UNIPOTENT)
+    sp_layer.clear()
+    assert enumerate_symbols(3, SymbolFamily.O_ODD) == enumerate_symbols(
+        3, SymbolFamily.SP_UNIPOTENT
+    ) != []
+
+
 def test_o_odd_enumerates_same_symbols_as_sp():
     for rank in range(5):
         assert enumerate_symbols(rank, SymbolFamily.O_ODD) == enumerate_symbols(
@@ -240,6 +321,19 @@ def test_parse_errors_carry_offsets():
         parse_symbol("[2,x|1]")
     with pytest.raises(NormalizationError):
         parse_symbol("[1,1|]")
+
+
+def test_parse_rejects_superscript_digits():
+    with pytest.raises(ParseError) as err:
+        parse_symbol("[²|]")
+    assert err.value.offset == 1
+
+
+def test_parse_rejects_non_ascii_digits():
+    with pytest.raises(ParseError):
+        parse_symbol("[١|]")
+    with pytest.raises(ParseError):
+        parse_bipartition("([١],[])")
 
 
 def test_parse_bipartition():

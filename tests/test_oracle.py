@@ -70,3 +70,9 @@ def test_report_json_shape():
     assert data["failures"] == [{"input": "y", "expected": "2", "actual": "3"}]
     assert data["elapsed_ms"] == 500.0
     assert not report.passed
+
+
+def test_report_over_zero_checks_does_not_pass():
+    report = VerificationReport()
+    assert report.checked == 0 and not report.failures
+    assert not report.passed
