@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from math import isqrt
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -66,10 +67,31 @@ def parse_sign(text: str) -> Sign:
     raise ValueError(f"bad sign {text!r}")
 
 
+#: Largest field size :func:`eps_minus_one_from_q` accepts, which keeps its
+#: trial division below 2**15 steps.  Only q mod 4 enters a computation, so a
+#: larger field is named by its square class of -1 instead.
+MAX_Q = 2**32
+
+
+def _is_prime_power(q: int) -> bool:
+    """Whether an odd q > 1 is a power of a single prime, by trial division."""
+    p = next((d for d in range(3, isqrt(q) + 1, 2) if q % d == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 def eps_minus_one_from_q(q: int) -> Sign:
-    """Square class of -1 in F_q: + iff q = 1 mod 4."""
+    """Square class of -1 in F_q: + iff q = 1 mod 4.
+
+    ``q`` must be an odd prime power, at most :data:`MAX_Q`.
+    """
     if q % 2 == 0 or q < 3:
         raise ValueError(f"q must be an odd prime power > 2, got {q}")
+    if q > MAX_Q:
+        raise ValueError(f"q = {q} exceeds {MAX_Q}; give the square class of -1 directly")
+    if not _is_prime_power(q):
+        raise ValueError(f"q must be an odd prime power, got {q}")
     return PLUS if q % 4 == 1 else MINUS
 
 
@@ -513,7 +535,10 @@ def parse_label(text: str, eps_minus_one: Sign = PLUS) -> RepLabel:
         key, eq, value = chunk.partition("=")
         if not eq:
             raise ParseError(f"bad label field {chunk.strip()!r}", offset)
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ParseError(f"repeated label field {key!r}", offset)
+        fields[key] = value.strip()
         offset += len(chunk) + 1
     try:
         rho_text = fields.pop("rho")

@@ -123,13 +123,16 @@ def _add_orientations(parser) -> None:
         parser.add_argument(name, choices=("+", "-"), default=None)
 
 
-def _check_ranks(args) -> None:
-    """Refuse a negative rank option before any work starts."""
+def _check_args(args) -> None:
+    """Refuse a negative rank option or a --q that is no odd prime power
+    before any work starts."""
     for name in ("rank", "max_rank", "target_rank"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             flag = "--" + name.replace("_", "-")
             raise ThetasymError(f"{flag} must be nonnegative, got {value}")
+    if getattr(args, "q", None) is not None:
+        eps_minus_one_from_q(args.q)
 
 
 def _resolve_eps(args) -> Sign:
@@ -335,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_ranks(args)
+        _check_args(args)
         return args.func(args, sys.stdout)
     except ThetasymError as err:
         print(f"error: {err}", file=sys.stderr)

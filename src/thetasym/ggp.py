@@ -32,9 +32,9 @@ unipotent side additionally forces the opposite slot symbol to be regular
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .catalog import (
     KH,
@@ -52,10 +52,9 @@ from .catalog import (
 )
 from .core import Symbol, symbol_defect, symbol_transpose
 from .errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch, RankOrder
-from .theta import TowerContext, default_orientation, in_G
+from .theta import TowerContext, default_orientation_kh, in_G
 
 RegularPredicate = Callable[[Symbol], bool]
-OrientationResolver = Callable[[RepLabel], tuple[Sign | None, Sign | None]]
 
 
 class GGPKind(Enum):
@@ -206,39 +205,49 @@ def _match_bit(a: Sign | None, b: Sign | None, twist: Sign = PLUS) -> bool | Non
 Bits = tuple[Sign | None, Sign | None]
 
 
-def _resolve_bits(
-    label: RepLabel,
-    supplied: Bits,
-    ctx: TowerContext,
-    resolver: OrientationResolver | None,
-) -> Bits:
+class _Side(NamedTuple):
+    """One label of a pair, ready for evaluation.
+
+    ``kh`` is the label's (k, h) and ``bits`` its resolved orientation
+    bits.  ``key`` names the slots a transpose variant has transposed with
+    nonzero defect.  A defect-0 slot and its transpose pass exactly the
+    same gates (the band uses the absolute slot parameter and the pair
+    condition searches both transposes), so variants with equal keys form
+    one variant class.
+    """
+
+    label: RepLabel
+    kh: KH
+    bits: Bits
+    key: tuple[str, ...] = ()
+
+
+def _resolve_bits(label: RepLabel, kh: KH, supplied: Bits) -> Bits:
+    """Supplied orientation bits, with the cuspidal-chain defaults for gaps."""
     primary, secondary = supplied
-    if resolver is not None and (primary is None or secondary is None):
-        rp, rs = resolver(label)
-        primary = primary if primary is not None else rp
-        secondary = secondary if secondary is not None else rs
-    dp, ds = default_orientation(label, ctx.eps_minus_one)
+    if primary is not None and secondary is not None:
+        return supplied
+    dp, ds = default_orientation_kh(label, kh.k, kh.h)
     return (
         primary if primary is not None else dp,
         secondary if secondary is not None else ds,
     )
 
 
-def _strong_relevance(
-    left: RepLabel,
-    right: RepLabel,
-    bits_left: Bits,
-    bits_right: Bits,
-    kind: GGPKind,
-    eps_zero: Sign,
-    eps_minus_one: Sign,
-) -> bool | None:
-    kl, hl = kh_of(left)
-    kr, hr = kh_of(right)
-    if kind is GGPKind.FOURIER_JACOBI:
+def _strong_relevance(left: _Side, right: _Side, case: GGPCase, ctx: TowerContext) -> bool | None:
+    """Bands and tower match of a normalized pair; None when a needed bit is open.
+
+    The one-sided conditions contain the bands of :func:`relevance_necessary`
+    (the distances on the picked sides are never negative), so a pair
+    outside the bands is False here.
+    """
+    (kl, hl), bits_left = left.kh, left.bits
+    (kr, hr), bits_right = right.kh, right.bits
+    if case.kind is GGPKind.FOURIER_JACOBI:
+        eps_zero = case.eps_zero if case.eps_zero is not None else ctx.eps_minus_one
         c1 = _one_sided(kl, abs(hr), _match_bit(bits_left[0], bits_right[1], eps_zero))
         c2 = _one_sided(
-            kr, abs(hl), _match_bit(bits_right[0], bits_left[1], eps_minus_one * eps_zero)
+            kr, abs(hl), _match_bit(bits_right[0], bits_left[1], ctx.eps_minus_one * eps_zero)
         )
     else:
         c1 = _one_sided(kl, abs(kr), _match_bit(bits_left[0], bits_right[0]))
@@ -260,6 +269,13 @@ def _label_key(label: RepLabel):
     )
 
 
+def _fj_swapped(left: RepLabel, right: RepLabel) -> bool:
+    """Whether a symplectic pair is out of order (larger rank first, key at ties)."""
+    if left.group.rank != right.group.rank:
+        return left.group.rank < right.group.rank
+    return _label_key(left) > _label_key(right)
+
+
 def _validate_pair(left: RepLabel, right: RepLabel, case: GGPCase) -> bool:
     """Whether the pair must be swapped into normalized order.
 
@@ -270,12 +286,35 @@ def _validate_pair(left: RepLabel, right: RepLabel, case: GGPCase) -> bool:
     if case.kind is GGPKind.FOURIER_JACOBI:
         if fl is not GroupFamily.SP or fr is not GroupFamily.SP:
             raise CaseMismatch("Fourier-Jacobi needs two symplectic labels")
-        if left.group.rank != right.group.rank:
-            return left.group.rank < right.group.rank
-        return _label_key(left) > _label_key(right)
+        return _fj_swapped(left, right)
     if {fl, fr} != {GroupFamily.O_ODD, GroupFamily.O_EVEN}:
         raise CaseMismatch("Bessel needs one odd and one even orthogonal label")
     return fl is GroupFamily.O_EVEN
+
+
+def _side(label: RepLabel, supplied: Bits) -> _Side:
+    kh = kh_of(label)
+    return _Side(label, kh, _resolve_bits(label, kh, supplied))
+
+
+def _normalize(
+    left: RepLabel, right: RepLabel, case: GGPCase, ctx: TowerContext, symmetrize: bool = True
+) -> tuple[_Side, _Side]:
+    """Validate the pair and put it in normalized order, ready for evaluation.
+
+    Each label keeps its own orientation slots through the swap.
+    """
+    swap = _validate_pair(left, right, case)
+    bits_left: Bits = (ctx.orient_left, ctx.orient_left_alt)
+    bits_right: Bits = (ctx.orient_right, ctx.orient_right_alt)
+    if swap:
+        if not symmetrize and case.kind is GGPKind.FOURIER_JACOBI and (
+            left.group.rank < right.group.rank
+        ):
+            raise RankOrder("left label has smaller rank; pass symmetrize=True")
+        left, right = right, left
+        bits_left, bits_right = bits_right, bits_left
+    return _side(left, bits_left), _side(right, bits_right)
 
 
 def is_strongly_relevant(
@@ -283,37 +322,22 @@ def is_strongly_relevant(
     right: RepLabel,
     case: GGPCase,
     ctx: TowerContext,
-    orientation_resolver: OrientationResolver | None = None,
 ) -> bool | Undetermined:
     """Two-sided relevance of the pair's cuspidal supports.
 
     False is definitive; ``Undetermined`` means the bands hold but a needed
     tower-orientation bit is absent.  Implied by (and implying nothing
     beyond) the distance comparison of the supports' first occurrences.
+    This is the first gate of :func:`ggp_multiplicity`.
     """
-    swap = _validate_pair(left, right, case)
-    bits_left: Bits = (ctx.orient_left, ctx.orient_left_alt)
-    bits_right: Bits = (ctx.orient_right, ctx.orient_right_alt)
-    if swap:
-        left, right = right, left
-        bits_left, bits_right = bits_right, bits_left
-    eps_zero = case.eps_zero if case.eps_zero is not None else ctx.eps_minus_one
-    result = _strong_relevance(
-        left,
-        right,
-        _resolve_bits(left, bits_left, ctx, orientation_resolver),
-        _resolve_bits(right, bits_right, ctx, orientation_resolver),
-        case.kind,
-        eps_zero,
-        ctx.eps_minus_one,
-    )
+    result = _strong_relevance(*_normalize(left, right, case, ctx), case, ctx)
     if result is None:
         return Undetermined("orientation")
     return result
 
 
 # ---------------------------------------------------------------------------
-# Pair-condition gate and base factor
+# Pair-condition gate, base factor and the evaluator
 # ---------------------------------------------------------------------------
 
 
@@ -325,6 +349,12 @@ def _g_gate(first: Symbol, varied: Symbol) -> bool:
 
 
 def _pair_gate(left: RepLabel, right: RepLabel, kind: GGPKind) -> bool:
+    """The pair-condition gate of a normalized pair.
+
+    Each varied slot is tried in both transposes, and the Fourier-Jacobi
+    form is symmetric under swapping the pair, so all members of a
+    transpose-variant family share one value.
+    """
     if kind is GGPKind.FOURIER_JACOBI:
         return _g_gate(left.lam, right.lam_prime) and _g_gate(right.lam, left.lam_prime)
     return _g_gate(left.lam, right.lam) and _g_gate(left.lam_prime, right.lam_prime)
@@ -366,6 +396,32 @@ def _unipotent_slot_gates(
     return all(regular(s) for s in checks)
 
 
+def _evaluate(
+    left: _Side,
+    right: _Side,
+    case: GGPCase,
+    ctx: TowerContext,
+    pair_gate: Callable[[], bool],
+    regular: RegularPredicate,
+    rho_disjoint: bool,
+) -> Multiplicity:
+    """The gate sequence of :func:`ggp_multiplicity` on a normalized pair.
+
+    ``pair_gate`` computes the pair-condition gate of the pair; it is
+    called only when relevance is not definitely false, so a caller can
+    share one value between pairs.
+    """
+    strong = _strong_relevance(left, right, case, ctx)
+    if strong is False or not pair_gate():
+        return Multiplicity.zero()
+    if strong is None:
+        return Multiplicity.undetermined("orientation")
+    base = _base_multiplicity(left.label, right.label, rho_disjoint)
+    if base.is_zero or _unipotent_slot_gates(left.label, right.label, case.kind, regular):
+        return base
+    return Multiplicity.zero()
+
+
 def ggp_multiplicity(
     left: RepLabel,
     right: RepLabel,
@@ -373,7 +429,6 @@ def ggp_multiplicity(
     ctx: TowerContext,
     regular: RegularPredicate = symbol_regular_by_convention,
     rho_disjoint: bool = True,
-    orientation_resolver: OrientationResolver | None = None,
     symmetrize: bool = True,
 ) -> Multiplicity:
     """Multiplicity of the pair under the restriction named by ``case``.
@@ -389,52 +444,15 @@ def ggp_multiplicity(
     base factor and the unipotent-side regularity gates decide between One,
     Zero and a symbolic base.
     """
-    swap = _validate_pair(left, right, case)
-    bits_left: Bits = (ctx.orient_left, ctx.orient_left_alt)
-    bits_right: Bits = (ctx.orient_right, ctx.orient_right_alt)
-    if swap:
-        if not symmetrize and case.kind is GGPKind.FOURIER_JACOBI and (
-            left.group.rank < right.group.rank
-        ):
-            raise RankOrder("left label has smaller rank; pass symmetrize=True")
-        left, right = right, left
-        bits_left, bits_right = bits_right, bits_left
-    eps_zero = case.eps_zero if case.eps_zero is not None else ctx.eps_minus_one
-
-    if not relevance_necessary(kh_of(left), kh_of(right), case):
-        return Multiplicity.zero()
-    strong = _strong_relevance(
-        left,
-        right,
-        _resolve_bits(left, bits_left, ctx, orientation_resolver),
-        _resolve_bits(right, bits_right, ctx, orientation_resolver),
-        case.kind,
-        eps_zero,
-        ctx.eps_minus_one,
+    a, b = _normalize(left, right, case, ctx, symmetrize)
+    return _evaluate(
+        a, b, case, ctx, lambda: _pair_gate(a.label, b.label, case.kind), regular, rho_disjoint
     )
-    if strong is False:
-        return Multiplicity.zero()
-    if not _pair_gate(left, right, case.kind):
-        return Multiplicity.zero()
-    if strong is None:
-        return Multiplicity.undetermined("orientation")
-    base = _base_multiplicity(left, right, rho_disjoint)
-    if base.is_zero:
-        return base
-    if not _unipotent_slot_gates(left, right, case.kind, regular):
-        return Multiplicity.zero()
-    return base
 
 
 # ---------------------------------------------------------------------------
 # Variant selection
 # ---------------------------------------------------------------------------
-
-
-def _transpose_slot(label: RepLabel, slot: str) -> RepLabel:
-    if slot == "lam":
-        return replace(label, lam=symbol_transpose(label.lam))
-    return replace(label, lam_prime=symbol_transpose(label.lam_prime))
 
 
 def _flip(bits: Bits, primary: bool, secondary: bool) -> Bits:
@@ -446,21 +464,29 @@ def _flip(bits: Bits, primary: bool, secondary: bool) -> Bits:
     return (p, s)
 
 
-def _variant_class_key(label: RepLabel, varied_slots: Iterable[str]):
-    """Collapse transpose variants of defect-0 slots.
+def _variants(label: RepLabel, supplied: Bits, slots: tuple[str, ...]) -> list[_Side]:
+    """``label`` and its transposes in the varied slots, in family order.
 
-    A defect-0 slot and its transpose pass exactly the same gates (the band
-    uses the absolute slot parameter and the pair condition searches both
-    transposes), so the selection statements treat them as one variant.
+    Transposing a slot negates its (k, h) parameter and flips its supplied
+    orientation bit (``lam`` the primary, ``lam_prime`` the secondary); only
+    even-type slots are varied, so the negation is exact.  A slot equal to
+    its own transpose gives no new variant.  Bits are resolved last.
     """
-    parts = []
-    for slot in ("lam", "lam_prime"):
+    out = [(label, kh_of(label), supplied, ())]
+    for slot in slots:
         s = getattr(label, slot)
-        if slot in varied_slots and symbol_defect(s) == 0:
-            parts.append(min((s.row_a, s.row_b), (s.row_b, s.row_a)))
-        else:
-            parts.append((s.row_a, s.row_b))
-    return tuple(parts)
+        t = symbol_transpose(s)
+        if t == s:
+            continue
+        key = (slot,) if symbol_defect(s) else ()
+        for v, (k, h), bits, vkey in list(out):
+            if slot == "lam":
+                v = RepLabel(v.group, v.rho, t, v.lam_prime, v.eps_flag)
+                out.append((v, KH(-k, h), _flip(bits, True, False), vkey + key))
+            else:
+                v = RepLabel(v.group, v.rho, v.lam, t, v.eps_flag)
+                out.append((v, KH(k, -h), _flip(bits, False, True), vkey + key))
+    return [_Side(v, kh, _resolve_bits(v, kh, bits), key) for v, kh, bits, key in out]
 
 
 @dataclass(frozen=True)
@@ -494,9 +520,13 @@ def select_nonzero_variant(
 
     Fourier-Jacobi varies the second slot on both sides (four pairs);
     Bessel varies both slots of the even orthogonal label (four pairs, the
-    odd label fixed).  At most one variant class may come out nonzero;
-    more than one raises :class:`MultipleNonzero`, which would be an
-    implementation bug, not a data condition.
+    odd label fixed).  A slot equal to its own transpose gives one variant,
+    not two.  At most one variant class may come out nonzero; more than one
+    raises :class:`MultipleNonzero`, which would be an implementation bug,
+    not a data condition.
+
+    The pair is validated once per family, and the pair-condition gate,
+    which all variants share, is evaluated at most once.
     """
     for rho in (left.rho, right.rho):
         if not (rho.is_trivial or rho.regular):
@@ -504,69 +534,46 @@ def select_nonzero_variant(
                 "variant selection expects a definite base factor "
                 "(trivial or regular descriptors)"
             )
-    base_bits_left: Bits = (ctx.orient_left, ctx.orient_left_alt)
-    base_bits_right: Bits = (ctx.orient_right, ctx.orient_right_alt)
-
-    if case.kind is GGPKind.FOURIER_JACOBI:
-        left_variants = [
-            (left, base_bits_left, ()),
-            (_transpose_slot(left, "lam_prime"), _flip(base_bits_left, False, True), ("lam_prime",)),
-        ]
-        right_variants = [
-            (right, base_bits_right, ()),
-            (_transpose_slot(right, "lam_prime"), _flip(base_bits_right, False, True), ("lam_prime",)),
-        ]
+    swap = _validate_pair(left, right, case)
+    bits_left: Bits = (ctx.orient_left, ctx.orient_left_alt)
+    bits_right: Bits = (ctx.orient_right, ctx.orient_right_alt)
+    fourier_jacobi = case.kind is GGPKind.FOURIER_JACOBI
+    if fourier_jacobi:
+        first, second = left, right
+        right_variants = _variants(right, bits_right, ("lam_prime",))
         pairs = [
-            (lv, rv) for lv in left_variants for rv in right_variants
+            (lv, rv)
+            for lv in _variants(left, bits_left, ("lam_prime",))
+            for rv in right_variants
         ]
-        varied = ("lam_prime",)
-        varied_left = True
     else:
-        swap_roles = left.group.family is GroupFamily.O_EVEN
-        odd, odd_bits = (right, base_bits_right) if swap_roles else (left, base_bits_left)
-        even, even_bits = (left, base_bits_left) if swap_roles else (right, base_bits_right)
-        even_variants = [
-            (even, even_bits, ()),
-            (_transpose_slot(even, "lam"), _flip(even_bits, True, False), ("lam",)),
-            (_transpose_slot(even, "lam_prime"), _flip(even_bits, False, True), ("lam_prime",)),
-            (
-                _transpose_slot(_transpose_slot(even, "lam"), "lam_prime"),
-                _flip(even_bits, True, True),
-                ("lam", "lam_prime"),
-            ),
-        ]
-        pairs = [((odd, odd_bits, ()), ev) for ev in even_variants]
-        varied = ("lam", "lam_prime")
-        varied_left = False
+        first, second = (right, left) if swap else (left, right)
+        odd_bits, even_bits = (bits_right, bits_left) if swap else (bits_left, bits_right)
+        odd = _side(first, odd_bits)
+        pairs = [(odd, ev) for ev in _variants(second, even_bits, ("lam", "lam_prime"))]
 
-    entries = []
-    seen = set()
-    for (lv, lbits, _), (rv, rbits, _) in pairs:
-        if (lv, rv) in seen:
-            continue
-        seen.add((lv, rv))
-        sub_ctx = replace(
-            ctx,
-            orient_left=lbits[0],
-            orient_left_alt=lbits[1],
-            orient_right=rbits[0],
-            orient_right_alt=rbits[1],
-        )
-        value = ggp_multiplicity(
-            lv, rv, case, sub_ctx, regular=regular, rho_disjoint=rho_disjoint
-        )
-        entries.append((lv, rv, value))
+    gate = None
 
-    nonzero = tuple(e for e in entries if e[2].is_nonzero)
-    undetermined = tuple(e for e in entries if e[2].is_undetermined)
+    def pair_gate() -> bool:
+        nonlocal gate
+        if gate is None:
+            gate = _pair_gate(first, second, case.kind)
+        return gate
 
-    classes = {}
-    for lv, rv, value in entries:
-        if not value.is_nonzero:
-            continue
-        left_key = _variant_class_key(lv, varied if varied_left else ())
-        right_key = _variant_class_key(rv, varied)
-        classes.setdefault((left_key, right_key), []).append(value)
+    entries, nonzero, undetermined = [], [], []
+    classes: dict = {}
+    for lv, rv in pairs:
+        # the Fourier-Jacobi order can differ between variants at equal rank
+        a, b = (rv, lv) if fourier_jacobi and _fj_swapped(lv.label, rv.label) else (lv, rv)
+        value = _evaluate(a, b, case, ctx, pair_gate, regular, rho_disjoint)
+        entry = (lv.label, rv.label, value)
+        entries.append(entry)
+        if value.is_nonzero:
+            nonzero.append(entry)
+            classes.setdefault((lv.key, rv.key), []).append(value)
+        elif value.is_undetermined:
+            undetermined.append(entry)
+
     if len(classes) > 1:
         raise MultipleNonzero(
             f"{len(classes)} variant classes nonzero for {left} / {right}"
@@ -574,7 +581,7 @@ def select_nonzero_variant(
     for values in classes.values():
         if any(v != values[0] for v in values):
             raise MultipleNonzero("variant class with inconsistent values")
-    return VariantReport(tuple(entries), nonzero, undetermined)
+    return VariantReport(tuple(entries), tuple(nonzero), tuple(undetermined))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import chain, product
+from typing import Callable
 
 from .catalog import (
     MINUS,
@@ -66,6 +68,13 @@ class VerificationReport:
             self.failures.append(
                 {"input": input_repr, "expected": str(expected), "actual": str(actual)}
             )
+
+    def check(self, ok: bool, describe: Callable[[], tuple[str, object, object]]) -> None:
+        """:meth:`record`, building the (input, expected, actual) text only on failure."""
+        if ok:
+            self.checked += 1
+        else:
+            self.record(False, *describe())
 
     def to_json(self) -> str:
         return json.dumps(
@@ -138,11 +147,13 @@ def verify_f1(max_rank: int, index_offset: int = 0) -> VerificationReport:
                     and len(fiber) == 1
                     and fiber[0] == closed.lift
                 )
-                report.record(
+                report.check(
                     ok,
-                    f"{format_symbol(lam)} sign {format_sign(sign)} sp-to-o",
-                    f"index {index}, lift {format_symbol(closed.lift)}",
-                    f"index {brute}, fiber {[format_symbol(s) for s in fiber]}",
+                    lambda: (
+                        f"{format_symbol(lam)} sign {format_sign(sign)} sp-to-o",
+                        f"index {index}, lift {format_symbol(closed.lift)}",
+                        f"index {brute}, fiber {[format_symbol(s) for s in fiber]}",
+                    ),
                 )
         for family, sign in (
             (SymbolFamily.O_EVEN_PLUS, PLUS),
@@ -156,11 +167,13 @@ def verify_f1(max_rank: int, index_offset: int = 0) -> VerificationReport:
                 bound = default_scan_bound(lam_prime)
                 brute, fiber = _brute_first_occurrence_to_sp(lam_prime, sign, bound)
                 ok = brute == index and len(fiber) == 1 and fiber[0] == closed.lift
-                report.record(
+                report.check(
                     ok,
-                    f"{format_symbol(lam_prime)} sign {format_sign(sign)} o-to-sp",
-                    f"index {index}, lift {format_symbol(closed.lift)}",
-                    f"index {brute}, fiber {[format_symbol(s) for s in fiber]}",
+                    lambda: (
+                        f"{format_symbol(lam_prime)} sign {format_sign(sign)} o-to-sp",
+                        f"index {index}, lift {format_symbol(closed.lift)}",
+                        f"index {brute}, fiber {[format_symbol(s) for s in fiber]}",
+                    ),
                 )
     report.elapsed = time.monotonic() - start
     return report
@@ -186,11 +199,9 @@ def verify_counts(max_rank: int) -> VerificationReport:
                 bipartition_count(rank - defect_rank_offset(d))
                 for d in admissible_defects(rank, family)
             )
-            report.record(
+            report.check(
                 len(symbols) == expected,
-                f"count {family.value} rank {rank}",
-                expected,
-                len(symbols),
+                lambda: (f"count {family.value} rank {rank}", expected, len(symbols)),
             )
             for defect in admissible_defects(rank, family):
                 cuspidals = [
@@ -200,32 +211,35 @@ def verify_counts(max_rank: int) -> VerificationReport:
                 ]
                 cusp_rank = defect_rank_offset(defect)
                 expected_count = 1 if rank == cusp_rank else 0
-                report.record(
+                report.check(
                     len(cuspidals) == expected_count,
-                    f"cuspidal pattern {family.value} rank {rank} defect {defect}",
-                    expected_count,
-                    len(cuspidals),
+                    lambda: (
+                        f"cuspidal pattern {family.value} rank {rank} defect {defect}",
+                        expected_count,
+                        len(cuspidals),
+                    ),
                 )
     report.elapsed = time.monotonic() - start
     return report
 
 
 def _fj_pairs(max_rank: int):
+    labels = [list(enumerate_labels(sp(n))) for n in range(max_rank + 1)]
     for n in range(max_rank + 1):
         for m in range(n + 1):
-            for left in enumerate_labels(sp(n)):
-                for right in enumerate_labels(sp(m)):
+            for left in labels[n]:
+                for right in labels[m]:
                     yield left, right, FOURIER_JACOBI
 
 
 def _bessel_pairs(max_rank: int, eps_minus_one: Sign):
-    for n in range(max_rank + 1):
-        for m in range(max_rank + 1):
-            for eps in (PLUS, MINUS):
-                for eps2 in (PLUS, MINUS):
-                    for left in enumerate_labels(o_odd(n, eps), eps_minus_one):
-                        for right in enumerate_labels(o_even(m, eps2), eps_minus_one):
-                            yield left, right, BESSEL
+    ranks, signs = range(max_rank + 1), (PLUS, MINUS)
+    odd = {(n, e): list(enumerate_labels(o_odd(n, e), eps_minus_one)) for n in ranks for e in signs}
+    even = {(m, e): list(enumerate_labels(o_even(m, e), eps_minus_one)) for m in ranks for e in signs}
+    for n, m, eps, eps2 in product(ranks, ranks, signs, signs):
+        for left in odd[n, eps]:
+            for right in even[m, eps2]:
+                yield left, right, BESSEL
 
 
 def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationReport:
@@ -240,13 +254,13 @@ def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationR
 
     report = VerificationReport()
     start = time.monotonic()
-    pairs = list(_fj_pairs(max_rank)) + list(_bessel_pairs(max_rank, ctx.eps_minus_one))
+    pairs = chain(_fj_pairs(max_rank), _bessel_pairs(max_rank, ctx.eps_minus_one))
     for left, right, case in pairs:
         try:
-            outcome = select_nonzero_variant(left, right, case, ctx)
+            select_nonzero_variant(left, right, case, ctx)
+            error = None
         except MultipleNonzero as err:
-            report.record(False, f"{left} / {right}", "<=1 class", str(err))
-            continue
-        report.record(True, f"{left} / {right}", "<=1 class", len(outcome.nonzero))
+            error = str(err)
+        report.check(error is None, lambda: (f"{left} / {right}", "<=1 class", error))
     report.elapsed = time.monotonic() - start
     return report

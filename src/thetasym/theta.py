@@ -353,9 +353,13 @@ def default_orientation(label: RepLabel, eps_minus_one: Sign) -> tuple[Sign | No
     * everything else (odd orthogonal sign pairs, swapped-slot data, theta
       shapes with h != 0, nontrivial descriptors): no default.
     """
+    return default_orientation_kh(label, *kh_of(label))
+
+
+def default_orientation_kh(label: RepLabel, k: int, h: int) -> tuple[Sign | None, Sign | None]:
+    """:func:`default_orientation` for a caller that already has the label's (k, h)."""
     if not label.rho.is_trivial:
         return (None, None)
-    k, h = kh_of(label)
     fam = label.group.family
     if fam is GroupFamily.SP and h == 0:
         return (sign_pow(k), None)

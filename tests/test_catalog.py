@@ -204,8 +204,12 @@ def test_eps_minus_one_from_q():
     assert eps_minus_one_from_q(5) == PLUS
     assert eps_minus_one_from_q(3) == MINUS
     assert eps_minus_one_from_q(9) == PLUS
-    with pytest.raises(ValueError):
-        eps_minus_one_from_q(4)
+    assert eps_minus_one_from_q(25) == PLUS
+    assert eps_minus_one_from_q(27) == MINUS
+    assert eps_minus_one_from_q(65521) == PLUS  # prime, 65521 = 1 mod 4
+    for bad in (4, 1, 15, 21, 45, 3 * 65521, 2**32 + 1):
+        with pytest.raises(ValueError):
+            eps_minus_one_from_q(bad)
 
 
 def test_label_grammar_roundtrip():
@@ -237,6 +241,20 @@ def test_label_grammar_errors():
         parse_label("sp(2): rho=trivial:0 ; L=[1|] ; L'=[|]")
     with pytest.raises(ParseError):
         parse_group("u(3)")
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("sp(2): rho=trivial:0:reg ; L=[1|] ; L'=[|] ; L=[|]", "L"),
+        ("sp(2): rho=trivial:0:reg ; L=[1|] ; rho=trivial:0:reg ; L'=[|]", "rho"),
+        ("o+(3): rho=trivial:0:reg ; L=[1|] ; L'=[0|] ; eps=+ ; eps=-", "eps"),
+    ],
+    ids=["L", "rho", "eps"],
+)
+def test_label_repeated_field_is_parse_error(text, field):
+    with pytest.raises(ParseError, match=f"repeated label field '{field}'"):
+        parse_label(text)
 
 
 def test_label_bad_eps_flag_is_parse_error():

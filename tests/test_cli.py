@@ -143,6 +143,29 @@ def test_q_sets_eps():
     assert code == 0
 
 
+@pytest.mark.parametrize("q, code", [("9", 0), ("25", 0), ("15", 1), ("21", 1)])
+def test_q_must_be_odd_prime_power(q, code, monkeypatch, capsys):
+    if code:
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started for a refused --q")
+
+        monkeypatch.setattr(cli, "parse_label", must_not_run)
+    argv = [
+        "ggp-mult",
+        "--left",
+        "sp(2): rho=trivial:0:reg ; L=[1,0|1] ; L'=[|]",
+        "--right",
+        "sp(2): rho=trivial:0:reg ; L=[0|] ; L'=[1|0]",
+        "--case",
+        "fj",
+        "--q",
+        q,
+    ]
+    assert run_cli(argv)[0] == code
+    if code:
+        assert capsys.readouterr().err == f"error: q must be an odd prime power, got {q}\n"
+
+
 def test_domain_error_exit_code():
     code, _ = run_cli(["theta-first", "--symbol", "[1,1|]", "--sign", "+", "--direction", "sp-to-o"])
     assert code == 1

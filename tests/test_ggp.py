@@ -1,3 +1,6 @@
+import collections
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -6,6 +9,7 @@ from thetasym.catalog import (
     KH,
     MINUS,
     PLUS,
+    GroupFamily,
     RhoDescriptor,
     TRIVIAL_RHO,
     Twist,
@@ -17,13 +21,15 @@ from thetasym.catalog import (
     twist_label,
     unipotent_label,
 )
-from thetasym.core import EMPTY_SYMBOL, parse_symbol
-from thetasym.errors import CaseMismatch, NotUnipotent, RankMismatch, RankOrder
+from thetasym.core import EMPTY_SYMBOL, parse_symbol, symbol_defect, symbol_transpose
+from thetasym.errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch, RankOrder
 from thetasym.ggp import (
     BESSEL,
     FOURIER_JACOBI,
+    GGPKind,
     MultKind,
     Undetermined,
+    VariantReport,
     branch_decomposition,
     default_rho_catalog,
     ggp_multiplicity,
@@ -31,6 +37,7 @@ from thetasym.ggp import (
     relevance_necessary,
     select_nonzero_variant,
 )
+from thetasym.oracle import _bessel_pairs, _fj_pairs
 from thetasym.theta import TowerContext
 
 CTX = TowerContext(eps_minus_one=PLUS)
@@ -239,6 +246,128 @@ def test_select_uniqueness_with_supplied_orientations():
     # exactly one of the two transpose variants of the theta slot survives
     assert len(report.nonzero) == 1
     assert not report.undetermined
+
+
+def _reference_select(left, right, case, ctx):
+    """Variant selection written out the direct way, as the reference.
+
+    Every variant label is rebuilt with ``dataclasses.replace``, every pair
+    goes through the public ``ggp_multiplicity`` with its own sub-context,
+    repeated pairs are dropped by label equality, and the class check keys
+    each nonzero entry by its rows, with defect-0 varied slots taken up to
+    transpose.
+    """
+    for rho in (left.rho, right.rho):
+        if not (rho.is_trivial or rho.regular):
+            raise ValueError("definite base factor expected")
+
+    def variant(label, bits, slots):
+        for slot in slots:
+            label = dataclasses.replace(label, **{slot: symbol_transpose(getattr(label, slot))})
+            i = 0 if slot == "lam" else 1
+            if bits[i] is not None:
+                bits = tuple(-b if j == i else b for j, b in enumerate(bits))
+        return label, bits
+
+    bits_left = (ctx.orient_left, ctx.orient_left_alt)
+    bits_right = (ctx.orient_right, ctx.orient_right_alt)
+    if case.kind is GGPKind.FOURIER_JACOBI:
+        lefts = [variant(left, bits_left, s) for s in ((), ("lam_prime",))]
+        rights = [variant(right, bits_right, s) for s in ((), ("lam_prime",))]
+        pairs = [(lv, rv) for lv in lefts for rv in rights]
+        varied_left = varied_right = ("lam_prime",)
+    else:
+        odd, even = (right, left) if left.group.family is GroupFamily.O_EVEN else (left, right)
+        odd_bits, even_bits = (bits_right, bits_left) if odd is right else (bits_left, bits_right)
+        slot_sets = ((), ("lam",), ("lam_prime",), ("lam", "lam_prime"))
+        pairs = [((odd, odd_bits), variant(even, even_bits, s)) for s in slot_sets]
+        varied_left, varied_right = (), ("lam", "lam_prime")
+
+    entries, seen = [], set()
+    for (lv, lbits), (rv, rbits) in pairs:
+        if (lv, rv) in seen:
+            continue
+        seen.add((lv, rv))
+        sub = dataclasses.replace(
+            ctx,
+            orient_left=lbits[0],
+            orient_left_alt=lbits[1],
+            orient_right=rbits[0],
+            orient_right_alt=rbits[1],
+        )
+        entries.append((lv, rv, ggp_multiplicity(lv, rv, case, sub)))
+
+    def class_key(label, varied):
+        key = []
+        for slot in ("lam", "lam_prime"):
+            sym = getattr(label, slot)
+            rows = (sym.row_a, sym.row_b)
+            if slot in varied and symbol_defect(sym) == 0:
+                rows = min(rows, rows[::-1])
+            key.append(rows)
+        return tuple(key)
+
+    classes = {}
+    for lv, rv, value in entries:
+        if value.is_nonzero:
+            key = (class_key(lv, varied_left), class_key(rv, varied_right))
+            classes.setdefault(key, []).append(value)
+    if len(classes) > 1:
+        raise MultipleNonzero(f"{len(classes)} variant classes nonzero for {left} / {right}")
+    for values in classes.values():
+        if any(v != values[0] for v in values):
+            raise MultipleNonzero("variant class with inconsistent values")
+    return (
+        tuple(entries),
+        tuple(e for e in entries if e[2].is_nonzero),
+        tuple(e for e in entries if e[2].is_undetermined),
+    )
+
+
+def _outcome(select, left, right, case, ctx):
+    try:
+        report = select(left, right, case, ctx)
+    except MultipleNonzero as err:
+        return ("MultipleNonzero", str(err))
+    if isinstance(report, VariantReport):
+        return (report.entries, report.nonzero, report.undetermined)
+    return report
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        TowerContext(eps_minus_one=PLUS),
+        TowerContext(eps_minus_one=MINUS),
+        TowerContext(eps_minus_one=PLUS, orient_left=MINUS, orient_right_alt=PLUS),
+        TowerContext(eps_minus_one=MINUS, orient_left_alt=PLUS, orient_right=MINUS),
+        TowerContext(
+            eps_minus_one=PLUS,
+            orient_left=PLUS,
+            orient_left_alt=MINUS,
+            orient_right=MINUS,
+            orient_right_alt=PLUS,
+        ),
+    ],
+    ids=["eps+", "eps-", "some-bits+", "some-bits-", "all-bits"],
+)
+def test_select_matches_reference(ctx):
+    """Every rank <= 2 family of the uniqueness sweep, in both argument orders."""
+    families = itertools.chain(_fj_pairs(2), _bessel_pairs(2, ctx.eps_minus_one))
+    for left, right, case in families:
+        for a, b in ((left, right), (right, left)):
+            assert _outcome(select_nonzero_variant, a, b, case, ctx) == _outcome(
+                _reference_select, a, b, case, ctx
+            ), f"{a} / {b}"
+
+
+def test_select_entry_kinds_rank_2():
+    """Entry kinds over the rank-2 uniqueness sweep at eps_{-1} = + (an invariant)."""
+    tally = collections.Counter()
+    for left, right, case in itertools.chain(_fj_pairs(2), _bessel_pairs(2, PLUS)):
+        report = select_nonzero_variant(left, right, case, CTX)
+        tally.update(value.kind for _, _, value in report.entries)
+    assert tally == {MultKind.ZERO: 6468, MultKind.ONE: 1977, MultKind.UNDETERMINED: 3276}
 
 
 def test_select_requires_definite_base():

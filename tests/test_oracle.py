@@ -37,6 +37,52 @@ def test_verify_f1_detects_injected_failure():
     assert report.failures
 
 
+def test_failure_text_in_every_verifier(monkeypatch):
+    """Failure text is built only for failing checks, and reads as before."""
+    from thetasym import oracle
+    from thetasym.errors import MultipleNonzero
+
+    report = verify_f1(1, index_offset=1)
+    assert report.checked == 11 and len(report.failures) == 11
+    assert report.failures[:3] == [
+        {"input": "[0|] sign + sp-to-o", "expected": "index 1, lift [|]",
+         "actual": "index 0, fiber ['[|]']"},
+        {"input": "[0|] sign - sp-to-o", "expected": "index 2, lift [|1,0]",
+         "actual": "index 1, fiber ['[|1,0]']"},
+        {"input": "[|] sign + o-to-sp", "expected": "index 1, lift [0|]",
+         "actual": "index 0, fiber ['[0|]']"},
+    ]
+
+    monkeypatch.setattr(oracle, "bipartition_count", lambda n: 0)
+    report = verify_counts(0)
+    assert report.checked == 5
+    assert report.failures == [
+        {"input": "count sp rank 0", "expected": "0", "actual": "1"},
+        {"input": "count o+ rank 0", "expected": "0", "actual": "1"},
+    ]
+
+    real = oracle.select_nonzero_variant
+    calls = []
+
+    def second_raises(left, right, case, ctx):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MultipleNonzero("boom")
+        return real(left, right, case, ctx)
+
+    monkeypatch.setattr(oracle, "select_nonzero_variant", second_raises)
+    report = verify_variant_uniqueness(0, TowerContext(eps_minus_one=PLUS))
+    assert report.checked == 5
+    assert report.failures == [
+        {
+            "input": "o+(1): rho=trivial:0:reg ; L=[0|] ; L'=[0|] ; eps=+ / "
+            "o+(0): rho=trivial:0:reg ; L=[|] ; L'=[|]",
+            "expected": "<=1 class",
+            "actual": "boom",
+        }
+    ]
+
+
 def test_verify_counts():
     report = verify_counts(6)
     assert report.passed
