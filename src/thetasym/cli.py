@@ -118,8 +118,11 @@ def _add_eps(parser) -> None:
     parser.add_argument("--q", type=int, default=None, help="odd prime power; sets eps-minus-one by q mod 4")
 
 
+_ORIENT_FLAGS = ("--orient-left", "--orient-right", "--orient-left-alt", "--orient-right-alt")
+
+
 def _add_orientations(parser) -> None:
-    for name in ("--orient-left", "--orient-right", "--orient-left-alt", "--orient-right-alt"):
+    for name in _ORIENT_FLAGS:
         parser.add_argument(name, choices=("+", "-"), default=None)
 
 
@@ -255,6 +258,10 @@ def _cmd_ggp_branch(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    if args.suite != "variants":
+        for flag in ("--eps-minus-one", "--q", *_ORIENT_FLAGS):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ThetasymError(f"{flag} applies only to --suite variants")
     if args.suite == "f1":
         report = verify_f1(args.max_rank)
     elif args.suite == "counts":

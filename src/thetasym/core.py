@@ -68,14 +68,18 @@ def partition_transpose(p: Partition) -> Partition:
 
 
 def close_dominates(lam: Partition, mu: Partition) -> bool:
-    """Band relation: mu_i - 1 <= lam_i <= mu_i for every i (zero padded)."""
-    n = max(len(lam), len(mu))
-    for i in range(n):
-        li = lam[i] if i < len(lam) else 0
-        mi = mu[i] if i < len(mu) else 0
+    """Band relation: mu_i - 1 <= lam_i <= mu_i for every i (zero padded).
+
+    A part of ``lam`` beyond the length of ``mu`` would face a 0, and the
+    parts of ``mu`` beyond the length of ``lam`` face a 0 and so must be at
+    most 1; as ``mu`` is weakly decreasing its first such part decides.
+    """
+    if len(lam) > len(mu):
+        return False
+    for li, mi in zip(lam, mu):
         if not (mi - 1 <= li <= mi):
             return False
-    return True
+    return len(mu) == len(lam) or mu[len(lam)] <= 1
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -341,14 +345,34 @@ def admissible_defects(rank: int, family: SymbolFamily) -> list[int]:
     return out
 
 
-def symbols_with_defect(rank: int, defect: int) -> list[Symbol]:
-    """All reduced symbols of the given rank and defect, sorted on rows."""
+@cache
+def _defect_layer(rank: int, defect: int) -> tuple[Symbol, ...]:
+    """Reduced symbols of this rank and defect, sorted on rows; built once.
+
+    The one place that refuses ranks above :data:`MAX_ENUMERATION_RANK`,
+    before anything is built.
+    """
+    if rank > MAX_ENUMERATION_RANK:
+        raise ValueError(
+            f"rank {rank} exceeds enumeration bound {MAX_ENUMERATION_RANK}"
+        )
     residual = rank - defect_rank_offset(defect)
     if residual < 0:
-        return []
+        return ()
     syms = [upsilon_inverse(bp, defect) for bp in bipartitions_of(residual)]
     syms.sort(key=lambda s: (s.row_a, s.row_b))
-    return syms
+    return tuple(syms)
+
+
+def symbols_with_defect(rank: int, defect: int) -> list[Symbol]:
+    """All reduced symbols of the given rank and defect, sorted on rows.
+
+    Each (rank, defect) layer is built once and kept for the life of the
+    process, and the rank layers of :func:`enumerate_symbols` are made of
+    these same symbols.  The result is a fresh list, which the caller may
+    mutate.
+    """
+    return list(_defect_layer(rank, defect))
 
 
 @cache
@@ -356,7 +380,7 @@ def _rank_layer(rank: int, family: SymbolFamily) -> tuple[Symbol, ...]:
     return tuple(
         s
         for defect in admissible_defects(rank, family)
-        for s in symbols_with_defect(rank, defect)
+        for s in _defect_layer(rank, defect)
     )
 
 
@@ -367,16 +391,15 @@ def enumerate_symbols(rank: int, family: SymbolFamily) -> list[Symbol]:
     negative at ties), then lexicographic on rows.  For ``O_ODD`` this is
     the same symbol set as ``SP_UNIPOTENT``; the extra sign lives on labels.
 
-    Each rank layer is built once and kept, as an immutable tuple, for the
-    life of the process, together with whatever derived data its symbols
-    accumulate; ``O_ODD`` and ``SP_UNIPOTENT`` share one layer.  Memory
-    therefore grows with the largest layers enumerated.  The result is a
-    fresh list, which the caller may mutate.
+    A rank layer is the concatenation of the per-defect layers of
+    :func:`symbols_with_defect`, kept as immutable tuples for the life of
+    the process together with whatever derived data their symbols
+    accumulate; the two views share the same symbols, and ``O_ODD`` and
+    ``SP_UNIPOTENT`` share one layer.  Memory therefore grows with the
+    largest layers enumerated.  The result is a fresh list, which the
+    caller may mutate.  Ranks above :data:`MAX_ENUMERATION_RANK` raise
+    ``ValueError``.
     """
-    if rank > MAX_ENUMERATION_RANK:
-        raise ValueError(
-            f"rank {rank} exceeds enumeration bound {MAX_ENUMERATION_RANK}"
-        )
     if family is SymbolFamily.O_ODD:
         family = SymbolFamily.SP_UNIPOTENT
     return list(_rank_layer(rank, family))

@@ -64,14 +64,13 @@ class GGPKind(Enum):
 
 @dataclass(frozen=True)
 class GGPCase:
-    """Which restriction problem, plus the oscillator twist for Fourier-Jacobi.
+    """Which restriction problem.
 
-    ``eps_zero`` defaults to the square class of -1 from the evaluation
-    context, which is the twist appearing in the restriction pairing.
+    The oscillator twist of the Fourier-Jacobi case is the square class of
+    -1 from the evaluation context.
     """
 
     kind: GGPKind
-    eps_zero: Sign | None = None
 
 
 BESSEL = GGPCase(GGPKind.BESSEL)
@@ -244,11 +243,9 @@ def _strong_relevance(left: _Side, right: _Side, case: GGPCase, ctx: TowerContex
     (kl, hl), bits_left = left.kh, left.bits
     (kr, hr), bits_right = right.kh, right.bits
     if case.kind is GGPKind.FOURIER_JACOBI:
-        eps_zero = case.eps_zero if case.eps_zero is not None else ctx.eps_minus_one
-        c1 = _one_sided(kl, abs(hr), _match_bit(bits_left[0], bits_right[1], eps_zero))
-        c2 = _one_sided(
-            kr, abs(hl), _match_bit(bits_right[0], bits_left[1], ctx.eps_minus_one * eps_zero)
-        )
+        # the second side's twist is eps(-1) times the oscillator twist eps(-1): always +
+        c1 = _one_sided(kl, abs(hr), _match_bit(bits_left[0], bits_right[1], ctx.eps_minus_one))
+        c2 = _one_sided(kr, abs(hl), _match_bit(bits_right[0], bits_left[1]))
     else:
         c1 = _one_sided(kl, abs(kr), _match_bit(bits_left[0], bits_right[0]))
         c2 = _one_sided(hl, abs(hr), _match_bit(bits_left[1], bits_right[1]))

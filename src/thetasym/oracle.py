@@ -32,6 +32,7 @@ from .catalog import (
 from .core import (
     Symbol,
     SymbolFamily,
+    _defect_layer,
     admissible_defects,
     bipartition_count,
     defect_rank_offset,
@@ -45,6 +46,7 @@ from .theta import (
     ThetaDirection,
     TowerContext,
     first_occurrence_unipotent,
+    in_B,
     theta_fiber,
 )
 
@@ -102,22 +104,32 @@ def default_scan_bound(lam: Symbol) -> int:
 
 def brute_first_occurrence(lam: Symbol, sign: Sign, max_rank: int) -> int | None:
     """Smallest target rank with a nonempty pairing fiber, scanning upward."""
+    return _first_fiber(lam, sign, ThetaDirection.SP_TO_O, max_rank)[0]
+
+
+def _fiber_to_sp(lam_prime: Symbol, sign: Sign, rank: int) -> list[Symbol]:
+    """Symplectic-type symbols of the rank pairing with an even-type symbol.
+
+    Like :func:`theta_fiber` in the other direction, only the one defect
+    layer that the defect equation of :func:`in_B` allows is filtered.
+    """
+    defect = -symbol_defect(lam_prime) + (1 if sign == PLUS else -1)
+    if defect % 4 != 1:
+        return []
+    return [s for s in _defect_layer(rank, defect) if in_B(s, lam_prime, sign)]
+
+
+def _first_fiber(
+    lam: Symbol, sign: Sign, direction: ThetaDirection, max_rank: int
+) -> tuple[int | None, list[Symbol]]:
+    """First target rank with a nonempty pairing fiber, plus that fiber.
+
+    Scans upward from rank 0; ``(None, [])`` when no rank up to
+    ``max_rank`` pairs.
+    """
+    fiber_at = theta_fiber if direction is ThetaDirection.SP_TO_O else _fiber_to_sp
     for rank in range(max_rank + 1):
-        if theta_fiber(lam, sign, rank):
-            return rank
-    return None
-
-
-def _brute_first_occurrence_to_sp(lam_prime: Symbol, sign: Sign, max_rank: int):
-    """First symplectic rank pairing with an even-type symbol, plus the fiber."""
-    from .theta import in_B
-
-    for rank in range(max_rank + 1):
-        fiber = [
-            s
-            for s in enumerate_symbols(rank, SymbolFamily.SP_UNIPOTENT)
-            if in_B(s, lam_prime, sign)
-        ]
+        fiber = fiber_at(lam, sign, rank)
         if fiber:
             return rank, fiber
     return None, []
@@ -139,14 +151,10 @@ def verify_f1(max_rank: int, index_offset: int = 0) -> VerificationReport:
             for sign in (PLUS, MINUS):
                 closed = first_occurrence_unipotent(lam, sign, ThetaDirection.SP_TO_O)
                 index = closed.index + index_offset
-                bound = default_scan_bound(lam)
-                brute = brute_first_occurrence(lam, sign, bound)
-                fiber = theta_fiber(lam, sign, brute) if brute is not None else []
-                ok = (
-                    brute == index
-                    and len(fiber) == 1
-                    and fiber[0] == closed.lift
+                brute, fiber = _first_fiber(
+                    lam, sign, ThetaDirection.SP_TO_O, default_scan_bound(lam)
                 )
+                ok = brute == index and len(fiber) == 1 and fiber[0] == closed.lift
                 report.check(
                     ok,
                     lambda: (
@@ -164,8 +172,9 @@ def verify_f1(max_rank: int, index_offset: int = 0) -> VerificationReport:
                     lam_prime, sign, ThetaDirection.O_TO_SP
                 )
                 index = closed.index + index_offset
-                bound = default_scan_bound(lam_prime)
-                brute, fiber = _brute_first_occurrence_to_sp(lam_prime, sign, bound)
+                brute, fiber = _first_fiber(
+                    lam_prime, sign, ThetaDirection.O_TO_SP, default_scan_bound(lam_prime)
+                )
                 ok = brute == index and len(fiber) == 1 and fiber[0] == closed.lift
                 report.check(
                     ok,

@@ -24,7 +24,7 @@ unresolved rather than guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .catalog import (
@@ -36,7 +36,6 @@ from .catalog import (
     RepLabel,
     Sign,
     cuspidal_symbol,
-    cuspidal_symbol_with_defect,
     format_sign,
     is_unipotent_cuspidal,
     kh_of,
@@ -46,8 +45,8 @@ from .core import (
     Bipartition,
     Symbol,
     SymbolFamily,
+    _defect_layer,
     close_dominates,
-    enumerate_symbols,
     symbol_defect,
     symbol_rank,
     symbol_transpose,
@@ -197,15 +196,19 @@ def in_G(lam: Symbol, lam_prime: Symbol) -> GVariant | None:
 def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
     """All even-type symbols of the target rank pairing with ``lam``.
 
-    Brute enumeration of the target family filtered through :func:`in_B`;
-    deliberately definition-driven so it can serve as the oracle for the
-    closed-form first occurrence.
+    The target symbols are filtered through :func:`in_B`; deliberately
+    definition-driven so it can serve as the oracle for the closed-form
+    first occurrence.  Only the one defect layer that the defect equation
+    of :func:`in_B` allows is read: ``in_B`` is False on every other
+    defect, so this is the same list, in the same order, as filtering the
+    whole rank layer of the target family.  Target ranks above
+    ``MAX_ENUMERATION_RANK`` raise ``ValueError``, as enumeration does.
     """
     family = SymbolFamily.O_EVEN_PLUS if sign == PLUS else SymbolFamily.O_EVEN_MINUS
     want = -symbol_defect(lam) + (1 if sign == PLUS else -1)
     if not family.admits_defect(want):
         return []
-    return [s for s in enumerate_symbols(target_rank, family) if in_B(lam, s, sign)]
+    return [s for s in _defect_layer(target_rank, want) if in_B(lam, s, sign)]
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +327,7 @@ def _require_cuspidal_slots(label: RepLabel) -> KH:
     return kh_of(label)
 
 
-def support_label(label: RepLabel) -> RepLabel:
-    """Replace both symbols by the cuspidal staircases of the same defects.
-
-    The result is the supported label through which first-occurrence
-    distances of the original are computed; the descriptor is carried along
-    untouched.
-    """
-    lam_c = cuspidal_symbol_with_defect(symbol_defect(label.lam))
-    lam_pc = cuspidal_symbol_with_defect(symbol_defect(label.lam_prime))
-    rank = label.rho.glu_rank + symbol_rank(lam_c) + symbol_rank(lam_pc)
-    return RepLabel(
-        replace(label.group, rank=rank), label.rho, lam_c, lam_pc, label.eps_flag
-    )
-
-
-def default_orientation(label: RepLabel, eps_minus_one: Sign) -> tuple[Sign | None, Sign | None]:
+def default_orientation(label: RepLabel) -> tuple[Sign | None, Sign | None]:
     """(primary, secondary) orientation bits derivable from the cuspidal chain.
 
     Only labels with trivial descriptor and unipotent cuspidal support get
@@ -399,7 +387,7 @@ def first_occurrence_supported(label: RepLabel, ctx: TowerContext) -> FirstOccur
     fam = label.group.family
     orientation = ctx.orient_left
     if orientation is None:
-        orientation = default_orientation(label, ctx.eps_minus_one)[0]
+        orientation = default_orientation(label)[0]
 
     if fam is GroupFamily.SP and ctx.tower.is_even_orthogonal:
         small, large = n - k, n + k + 1

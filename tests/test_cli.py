@@ -215,3 +215,28 @@ def test_negative_rank_refused_before_work(argv, monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert capsys.readouterr().err.startswith("error: --")
+
+
+@pytest.mark.parametrize("suite", ["f1", "counts"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--eps-minus-one", "+"],
+        ["--q", "9"],
+        ["--orient-left", "+"],
+        ["--orient-right", "-"],
+        ["--orient-left-alt", "+"],
+        ["--orient-right-alt", "-"],
+    ],
+)
+def test_verify_variant_only_flags_refused_before_work(suite, flags, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started for a refused flag")
+
+    for name in ("verify_f1", "verify_counts", "verify_variant_uniqueness"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    code, out = run_cli(["verify", "--suite", suite, "--max-rank", "1", *flags])
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err == f"error: {flags[0]} applies only to --suite variants\n"

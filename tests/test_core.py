@@ -78,6 +78,19 @@ def test_close_dominates_examples():
     assert close_dominates((3, 1), (3, 2))
 
 
+def test_close_dominates_matches_zero_padded_reference():
+    def reference(lam, mu):
+        n = max(len(lam), len(mu))
+        padded_lam = lam + (0,) * (n - len(lam))
+        padded_mu = mu + (0,) * (n - len(mu))
+        return all(m - 1 <= x <= m for x, m in zip(padded_lam, padded_mu))
+
+    parts = [p for n in range(8) for p in partitions_of(n)]
+    for lam in parts:
+        for mu in parts:
+            assert close_dominates(lam, mu) == reference(lam, mu), (lam, mu)
+
+
 @given(partitions_strategy, partitions_strategy)
 def test_close_dominates_size_band(lam, mu):
     if close_dominates(lam, mu):
@@ -292,6 +305,19 @@ def test_enumerate_returns_fresh_list():
     assert enumerate_symbols(3, SymbolFamily.O_ODD) == enumerate_symbols(
         3, SymbolFamily.SP_UNIPOTENT
     ) != []
+
+
+def test_symbols_with_defect_returns_fresh_list():
+    expected = list(symbols_with_defect(5, -2))
+    assert expected
+    first = symbols_with_defect(5, -2)
+    first.reverse()
+    first.append(EMPTY_SYMBOL)
+    assert symbols_with_defect(5, -2) == expected
+    first.clear()
+    assert symbols_with_defect(5, -2) == expected
+    layer = enumerate_symbols(5, SymbolFamily.O_EVEN_MINUS)
+    assert [s for s in layer if symbol_defect(s) == -2] == expected
 
 
 def test_o_odd_enumerates_same_symbols_as_sp():

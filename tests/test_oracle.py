@@ -1,16 +1,17 @@
 import json
 
 from thetasym.catalog import MINUS, PLUS
-from thetasym.core import parse_symbol
+from thetasym.core import SymbolFamily, enumerate_symbols, parse_symbol
 from thetasym.oracle import (
     VerificationReport,
+    _fiber_to_sp,
     brute_first_occurrence,
     default_scan_bound,
     verify_counts,
     verify_f1,
     verify_variant_uniqueness,
 )
-from thetasym.theta import TowerContext
+from thetasym.theta import TowerContext, in_B
 
 
 def test_brute_first_occurrence_examples():
@@ -18,6 +19,22 @@ def test_brute_first_occurrence_examples():
     assert brute_first_occurrence(parse_symbol("[1|]"), PLUS, 6) == 0
     assert brute_first_occurrence(parse_symbol("[1|]"), MINUS, 6) == 2
     assert brute_first_occurrence(parse_symbol("[|2,1,0]"), PLUS, 2) is None
+
+
+def test_fiber_to_sp_equals_full_layer_filter():
+    for n in range(7):
+        for fam, sign in (
+            (SymbolFamily.O_EVEN_PLUS, PLUS),
+            (SymbolFamily.O_EVEN_MINUS, MINUS),
+        ):
+            for lam_prime in enumerate_symbols(n, fam):
+                for t in range(9):
+                    full = [
+                        s
+                        for s in enumerate_symbols(t, SymbolFamily.SP_UNIPOTENT)
+                        if in_B(s, lam_prime, sign)
+                    ]
+                    assert _fiber_to_sp(lam_prime, sign, t) == full
 
 
 def test_scan_bound_formula():

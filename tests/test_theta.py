@@ -14,6 +14,7 @@ from thetasym.catalog import (
 )
 from thetasym.core import (
     EMPTY_SYMBOL,
+    MAX_ENUMERATION_RANK,
     SymbolFamily,
     enumerate_symbols,
     parse_symbol,
@@ -233,18 +234,18 @@ def test_first_occurrence_supported_errors():
 
 def test_default_orientation():
     cusp4 = make_label(sp(2), TRIVIAL_RHO, parse_symbol("[|2,1,0]"), EMPTY_SYMBOL)
-    assert default_orientation(cusp4, PLUS) == (MINUS, None)
+    assert default_orientation(cusp4) == (MINUS, None)
     # even orthogonal unipotent: sign of k against (-1)^|k|
     sgn_o2 = make_label(o_even(1, MINUS), TRIVIAL_RHO, parse_symbol("[1,0|]"), EMPTY_SYMBOL)
-    assert default_orientation(sgn_o2, PLUS) == (MINUS, None)
+    assert default_orientation(sgn_o2) == (MINUS, None)
     triv_o2 = make_label(o_even(1, MINUS), TRIVIAL_RHO, parse_symbol("[|1,0]"), EMPTY_SYMBOL)
-    assert default_orientation(triv_o2, PLUS) == (PLUS, None)
+    assert default_orientation(triv_o2) == (PLUS, None)
     # theta shapes stay open
     theta = make_label(sp(1), TRIVIAL_RHO, parse_symbol("[0|]"), parse_symbol("[1,0|]"))
-    assert default_orientation(theta, PLUS) == (None, None)
+    assert default_orientation(theta) == (None, None)
     # nontrivial descriptor stays open
     rho_only = make_label(sp(2), RhoDescriptor(2, True, "regular-2"), parse_symbol("[0|]"), EMPTY_SYMBOL)
-    assert default_orientation(rho_only, PLUS) == (None, None)
+    assert default_orientation(rho_only) == (None, None)
 
 
 def test_supported_table_matches_closed_form_on_cuspidal_labels():
@@ -294,3 +295,28 @@ def test_closed_form_equals_brute_small():
                 assert brute == occ.index
                 fiber = theta_fiber(lam, sign, occ.index)
                 assert fiber == [occ.lift]
+
+
+def test_theta_fiber_equals_full_layer_filter():
+    for n in range(7):
+        for lam in enumerate_symbols(n, SymbolFamily.SP_UNIPOTENT):
+            for fam, sign in (
+                (SymbolFamily.O_EVEN_PLUS, PLUS),
+                (SymbolFamily.O_EVEN_MINUS, MINUS),
+            ):
+                for t in range(9):
+                    full = [s for s in enumerate_symbols(t, fam) if in_B(lam, s, sign)]
+                    assert theta_fiber(lam, sign, t) == full
+
+
+def test_theta_fiber_refuses_oversized_rank_before_building(monkeypatch):
+    import thetasym.core as core
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a layer was built for a refused rank")
+
+    monkeypatch.setattr(core, "bipartitions_of", must_not_run)
+    monkeypatch.setattr(core, "upsilon_inverse", must_not_run)
+    for sign in (PLUS, MINUS):
+        with pytest.raises(ValueError, match="exceeds enumeration bound"):
+            theta_fiber(parse_symbol("[1|]"), sign, MAX_ENUMERATION_RANK + 1)
