@@ -22,7 +22,6 @@ from .catalog import (
     KH,
     MINUS,
     PLUS,
-    CuspidalKind,
     GroupFamily,
     GroupTag,
     RepLabel,
@@ -30,7 +29,6 @@ from .catalog import (
     Sign,
     TRIVIAL_RHO,
     Twist,
-    cuspidal_support_kh,
     cuspidal_symbol,
     enumerate_labels,
     eps_minus_one_from_q,
@@ -82,7 +80,6 @@ from .errors import (
     NotUnipotent,
     ParseError,
     RankMismatch,
-    RankOrder,
     RankOverflow,
     SignMismatch,
     ThetasymError,
@@ -91,9 +88,7 @@ from .ggp import (
     BESSEL,
     FOURIER_JACOBI,
     GGPCase,
-    GGPKind,
     Multiplicity,
-    Undetermined,
     VariantReport,
     branch_decomposition,
     default_rho_catalog,

@@ -34,8 +34,9 @@ from .core import (
     Symbol,
     SymbolFamily,
     enumerate_symbols,
+    _parse_int,
+    _parse_symbol,
     format_symbol,
-    parse_symbol,
     symbol_defect,
     symbol_rank,
     symbol_transpose,
@@ -259,31 +260,16 @@ def kh_of(label: RepLabel) -> KH:
     return KH(_slot_kh(symbol_defect(label.lam)), _slot_kh(symbol_defect(label.lam_prime)))
 
 
-def cuspidal_support_kh(label: RepLabel) -> KH:
-    """(k, h) of the cuspidal support.
-
-    Identical to :func:`kh_of` because parabolic induction preserves both
-    defects; exposed separately so call sites say what they mean.
-    """
-    return kh_of(label)
-
-
 # ---------------------------------------------------------------------------
 # Cuspidal symbols
 # ---------------------------------------------------------------------------
-
-
-class CuspidalKind(Enum):
-    SP = "sp"
-    O_EVEN = "o_even"
-    O_ODD = "o_odd"
 
 
 def _staircase(top: int) -> tuple[int, ...]:
     return tuple(range(top, -1, -1)) if top >= 0 else ()
 
 
-def cuspidal_symbol(kind: CuspidalKind, k: int) -> Symbol:
+def cuspidal_symbol(family: GroupFamily, k: int) -> Symbol:
     """Staircase symbol of the unique unipotent cuspidal representation.
 
     Symplectic and odd orthogonal: rank k(k+1), staircase 2k..0 in the first
@@ -293,30 +279,12 @@ def cuspidal_symbol(kind: CuspidalKind, k: int) -> Symbol:
     """
     if k < 0:
         raise ValueError("cuspidal index must be nonnegative")
-    if kind is CuspidalKind.O_EVEN:
+    if family is GroupFamily.O_EVEN:
         return Symbol(_staircase(2 * k - 1), ())
     rows = _staircase(2 * k)
     if k % 2 == 0:
         return Symbol(rows, ())
     return Symbol((), rows)
-
-
-def cuspidal_symbol_with_defect(defect: int) -> Symbol:
-    """The cuspidal staircase whose defect is exactly ``defect``.
-
-    For defect = 1 mod 4 this is the symplectic-type staircase; for even
-    defects the even-orthogonal staircase or its transpose, matching the
-    sign of the defect.  The defect-0 slot has the empty symbol.
-    """
-    if defect % 2 == 1:
-        if defect % 4 != 1:
-            raise DefectClassMismatch(f"no cuspidal staircase of defect {defect}")
-        k = (abs(defect) - 1) // 2
-        return cuspidal_symbol(CuspidalKind.SP, k)
-    if defect == 0:
-        return EMPTY_SYMBOL
-    s = cuspidal_symbol(CuspidalKind.O_EVEN, abs(defect) // 2)
-    return s if defect > 0 else symbol_transpose(s)
 
 
 def is_unipotent_cuspidal(s: Symbol, family: SymbolFamily) -> bool:
@@ -328,11 +296,9 @@ def is_unipotent_cuspidal(s: Symbol, family: SymbolFamily) -> bool:
     d = symbol_defect(s)
     if not family.admits_defect(d):
         raise DefectClassMismatch(f"defect {d} not in class of {family}")
-    if family in (SymbolFamily.SP_UNIPOTENT, SymbolFamily.O_ODD):
-        k = (abs(d) - 1) // 2
-        return s == cuspidal_symbol(CuspidalKind.SP, k)
-    k = abs(d) // 2
-    stair = cuspidal_symbol(CuspidalKind.O_EVEN, k)
+    if family is SymbolFamily.SP_UNIPOTENT:
+        return s == cuspidal_symbol(GroupFamily.SP, (abs(d) - 1) // 2)
+    stair = cuspidal_symbol(GroupFamily.O_EVEN, abs(d) // 2)
     return s in (stair, symbol_transpose(stair))
 
 
@@ -487,18 +453,16 @@ def format_label(label: RepLabel) -> str:
     return " ; ".join(parts)
 
 
-def _parse_group(token: str, offset: int) -> GroupTag:
-    token = token.strip()
+def _parse_group(text: str, offset: int) -> GroupTag:
+    token = text.strip()
+    offset += len(text) - len(text.lstrip())
     if not token.endswith(")") or "(" not in token:
         raise ParseError(f"bad group token {token!r}", offset)
     name, _, dim_text = token[:-1].partition("(")
-    try:
-        dim = int(dim_text)
-    except ValueError:
-        raise ParseError(f"bad group dimension {dim_text!r}", offset) from None
+    dim = _parse_int(dim_text, offset + len(name) + 1, "group dimension")
     if name == "sp":
         if dim % 2 != 0:
-            raise ParseError("symplectic dimension must be even", offset)
+            raise ParseError("symplectic dimension must be even", offset + len(name) + 1)
         return sp(dim // 2)
     if name in ("o+", "o-"):
         sign = PLUS if name == "o+" else MINUS
@@ -520,51 +484,56 @@ def parse_label(text: str, eps_minus_one: Sign = PLUS) -> RepLabel:
             L=[..|..] ; L'=[..|..] ; eps=+|-
 
     Whitespace around separators is ignored; output of :func:`format_label`
-    always round-trips.
+    always round-trips.  A :class:`ParseError` offset points into ``text``:
+    at the offending field, at the offending character inside a number or
+    a symbol, or at the end of the text for a missing field.
     """
     head, colon, rest = text.partition(":")
     if not colon:
         raise ParseError("label needs 'group: fields'", 0)
     group = _parse_group(head, 0)
-    fields: dict[str, str] = {}
+    # key -> (value, offset of the field, offset of the stripped value)
+    fields: dict[str, tuple[str, int, int]] = {}
     offset = len(head) + 1
     for chunk in rest.split(";"):
-        if not chunk.strip():
-            offset += len(chunk) + 1
-            continue
+        at = offset + len(chunk) - len(chunk.lstrip())
         key, eq, value = chunk.partition("=")
+        value_at = offset + len(key) + 1 + len(value) - len(value.lstrip())
+        offset += len(chunk) + 1
+        if not chunk.strip():
+            continue
         if not eq:
-            raise ParseError(f"bad label field {chunk.strip()!r}", offset)
+            raise ParseError(f"bad label field {chunk.strip()!r}", at)
         key = key.strip()
         if key in fields:
-            raise ParseError(f"repeated label field {key!r}", offset)
-        fields[key] = value.strip()
-        offset += len(chunk) + 1
-    try:
-        rho_text = fields.pop("rho")
-        lam_text = fields.pop("L")
-        lam_prime_text = fields.pop("L'")
-    except KeyError as missing:
-        raise ParseError(f"label missing field {missing.args[0]!r}", 0) from None
-    eps_text = fields.pop("eps", None)
+            raise ParseError(f"repeated label field {key!r}", at)
+        fields[key] = (value.strip(), at, value_at)
+    for name in ("rho", "L", "L'"):
+        if name not in fields:
+            raise ParseError(f"label missing field {name!r}", len(text))
+    rho_text, rho_at, rho_value_at = fields.pop("rho")
+    lam_text, _, lam_at = fields.pop("L")
+    lam_prime_text, _, lam_prime_at = fields.pop("L'")
+    eps_text, eps_at, _ = fields.pop("eps", (None, 0, 0))
     if fields:
-        raise ParseError(f"unknown label fields {sorted(fields)}", 0)
+        first = min(at for _, at, _ in fields.values())
+        raise ParseError(f"unknown label fields {sorted(fields)}", first)
     rho_bits = rho_text.split(":")
     if len(rho_bits) != 3 or rho_bits[2] not in ("reg", "irr"):
-        raise ParseError(f"bad rho descriptor {rho_text!r}", 0)
+        raise ParseError(f"bad rho descriptor {rho_text!r}", rho_at)
+    rho_rank = _parse_int(rho_bits[1], rho_value_at + len(rho_bits[0]) + 1, "rho rank")
     try:
-        rho_rank = int(rho_bits[1])
-    except ValueError:
-        raise ParseError(f"bad rho rank {rho_bits[1]!r}", 0) from None
-    rho = RhoDescriptor(rho_rank, rho_bits[2] == "reg", rho_bits[0])
+        rho = RhoDescriptor(rho_rank, rho_bits[2] == "reg", rho_bits[0])
+    except ValueError as err:
+        raise ParseError(str(err), rho_at) from None
     if eps_text not in (None, "+", "-"):
-        raise ParseError(f"bad eps flag {eps_text!r}", 0)
+        raise ParseError(f"bad eps flag {eps_text!r}", eps_at)
     eps_flag = parse_sign(eps_text) if eps_text is not None else None
     return make_label(
         group,
         rho,
-        parse_symbol(lam_text),
-        parse_symbol(lam_prime_text),
+        _parse_symbol(lam_text, lam_at),
+        _parse_symbol(lam_prime_text, lam_prime_at),
         eps_flag,
         eps_minus_one,
     )

@@ -65,7 +65,7 @@ _FAMILIES = {
     "sp": SymbolFamily.SP_UNIPOTENT,
     "o+": SymbolFamily.O_EVEN_PLUS,
     "o-": SymbolFamily.O_EVEN_MINUS,
-    "o-odd": SymbolFamily.O_ODD,
+    "o-odd": SymbolFamily.SP_UNIPOTENT,
 }
 
 

@@ -303,19 +303,17 @@ def upsilon_inverse(bp: Bipartition | tuple[Partition, Partition], defect: int) 
 class SymbolFamily(Enum):
     """Defect residue classes mod 4, keyed by the groups they parametrize.
 
-    SP_UNIPOTENT and O_ODD share the residue class 1; the odd orthogonal
-    groups additionally carry a sign on each label, which lives on labels
-    rather than on symbols.
+    SP_UNIPOTENT is the residue class 1, which also parametrizes the odd
+    orthogonal groups: their extra sign lives on labels, not on symbols.
     """
 
     SP_UNIPOTENT = "sp"
     O_EVEN_PLUS = "o+"
     O_EVEN_MINUS = "o-"
-    O_ODD = "o_odd"
 
     @property
     def defect_residue(self) -> int:
-        return {"sp": 1, "o+": 0, "o-": 2, "o_odd": 1}[self.value]
+        return {"sp": 1, "o+": 0, "o-": 2}[self.value]
 
     def admits_defect(self, defect: int) -> bool:
         return defect % 4 == self.defect_residue
@@ -388,20 +386,16 @@ def enumerate_symbols(rank: int, family: SymbolFamily) -> list[Symbol]:
     """All reduced symbols of this rank in the family's defect classes.
 
     Deterministic order: defect ascending by absolute value (positive before
-    negative at ties), then lexicographic on rows.  For ``O_ODD`` this is
-    the same symbol set as ``SP_UNIPOTENT``; the extra sign lives on labels.
+    negative at ties), then lexicographic on rows.
 
     A rank layer is the concatenation of the per-defect layers of
     :func:`symbols_with_defect`, kept as immutable tuples for the life of
     the process together with whatever derived data their symbols
-    accumulate; the two views share the same symbols, and ``O_ODD`` and
-    ``SP_UNIPOTENT`` share one layer.  Memory therefore grows with the
-    largest layers enumerated.  The result is a fresh list, which the
-    caller may mutate.  Ranks above :data:`MAX_ENUMERATION_RANK` raise
-    ``ValueError``.
+    accumulate; the two views share the same symbols.  Memory therefore
+    grows with the largest layers enumerated.  The result is a fresh list,
+    which the caller may mutate.  Ranks above :data:`MAX_ENUMERATION_RANK`
+    raise ``ValueError``.
     """
-    if family is SymbolFamily.O_ODD:
-        family = SymbolFamily.SP_UNIPOTENT
     return list(_rank_layer(rank, family))
 
 
@@ -431,16 +425,33 @@ def format_bipartition(bp: Bipartition) -> str:
     return f"([{up}],[{lo}])"
 
 
+#: Longest digit run the grammars accept, so that every number in them fits
+#: a signed 64-bit integer - far beyond any rank the library can enumerate.
+MAX_INT_DIGITS = 18
+
+
+def _parse_int(text: str, offset: int, what: str) -> int:
+    """The one integer rule of the symbol and label grammars.
+
+    Surrounding whitespace is ignored; the rest must be 1 to
+    :data:`MAX_INT_DIGITS` ASCII digits (no sign, no underscore, no other
+    numerals).  ``offset`` is where ``text`` starts in the parsed input.
+    """
+    token = text.strip()
+    if len(token) > MAX_INT_DIGITS:
+        raise ParseError(f"{what} has more than {MAX_INT_DIGITS} digits", offset)
+    if not token or not all("0" <= c <= "9" for c in token):
+        raise ParseError(f"bad {what} {text!r}", offset)
+    return int(token)
+
+
 def _parse_row(text: str, base: int) -> tuple[int, ...]:
     if not text.strip():
         return ()
     entries = []
     pos = 0
     for piece in text.split(","):
-        stripped = piece.strip()
-        if not stripped or not all("0" <= c <= "9" for c in stripped):
-            raise ParseError(f"bad row entry {piece!r}", base + pos)
-        entries.append(int(stripped))
+        entries.append(_parse_int(piece, base + pos, "row entry"))
         pos += len(piece) + 1
     return tuple(entries)
 
@@ -451,8 +462,13 @@ def parse_symbol(text: str) -> Symbol:
     Raises :class:`ParseError` with a byte offset for malformed text and
     :class:`NormalizationError` for rows that are not strictly decreasing.
     """
+    return _parse_symbol(text, 0)
+
+
+def _parse_symbol(text: str, base: int) -> Symbol:
+    """:func:`parse_symbol` of text that starts at offset ``base`` of the input."""
     stripped = text.strip()
-    offset = len(text) - len(text.lstrip())
+    offset = base + len(text) - len(text.lstrip())
     if not stripped.startswith("["):
         raise ParseError("symbol must start with '['", offset)
     if not stripped.endswith("]"):

@@ -44,10 +44,6 @@ class CaseMismatch(ThetasymError):
     """Label pair does not match the requested restriction problem."""
 
 
-class RankOrder(ThetasymError):
-    """Pair was passed in reverse rank order with symmetrization disabled."""
-
-
 class NotUnipotent(ThetasymError):
     """Operation requires a unipotent label (trivial first factor, empty second symbol)."""
 

@@ -16,18 +16,18 @@ of a pair factors through three gates and a base factor:
    the :class:`~thetasym.theta.TowerContext` and derived from the cuspidal
    chain when the support is unipotent cuspidal with trivial descriptor.
    A needed bit that is neither supplied nor derivable makes the result
-   ``Undetermined`` rather than a guess.
+   undetermined rather than a guess.
 3. *Pair-condition gate.*  Some symbol of the transpose pair of each varied
    slot must combine with the fixed slot into one of the four branching
    sets (:func:`~thetasym.theta.in_G`).
 
 The base factor is the multiplicity of the general-linear parts: 1 when a
 side is trivial and the other is trivial or regular, 1 for two regular
-descriptors with disjoint eigenvalue data (asserted by the caller, default
-true), and a symbolic value otherwise - evaluating it in general is out of
-scope here.  When a unipotent label restricts against a general one, the
-unipotent side additionally forces the opposite slot symbol to be regular
-(metadata, with a documented default convention).
+descriptors (whose eigenvalue data is taken to be disjoint), and a symbolic
+value otherwise - evaluating it in general is out of scope here.  When a
+unipotent label restricts against a general one, the unipotent side
+additionally forces the opposite slot symbol to be regular (metadata, with
+a documented default convention).
 """
 
 from __future__ import annotations
@@ -51,37 +51,25 @@ from .catalog import (
     symbol_regular_by_convention,
 )
 from .core import Symbol, symbol_defect, symbol_transpose
-from .errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch, RankOrder
+from .errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch
 from .theta import TowerContext, default_orientation_kh, in_G
 
 RegularPredicate = Callable[[Symbol], bool]
 
 
-class GGPKind(Enum):
-    BESSEL = "bessel"
-    FOURIER_JACOBI = "fourier-jacobi"
-
-
-@dataclass(frozen=True)
-class GGPCase:
+class GGPCase(Enum):
     """Which restriction problem.
 
     The oscillator twist of the Fourier-Jacobi case is the square class of
     -1 from the evaluation context.
     """
 
-    kind: GGPKind
+    BESSEL = "bessel"
+    FOURIER_JACOBI = "fourier-jacobi"
 
 
-BESSEL = GGPCase(GGPKind.BESSEL)
-FOURIER_JACOBI = GGPCase(GGPKind.FOURIER_JACOBI)
-
-
-@dataclass(frozen=True)
-class Undetermined:
-    """Marker for answers that hinge on absent orientation data."""
-
-    reason: str
+BESSEL = GGPCase.BESSEL
+FOURIER_JACOBI = GGPCase.FOURIER_JACOBI
 
 
 class MultKind(Enum):
@@ -97,14 +85,13 @@ class Multiplicity:
 
     The symbolic value stands for the unevaluated pairing of the two
     general-linear descriptors; it does not depend on the additive
-    character, which ``psi_independent`` records as metadata.
+    character.
     """
 
     kind: MultKind
     rho_left: RhoDescriptor | None = None
     rho_right: RhoDescriptor | None = None
     reason: str | None = None
-    psi_independent: bool = True
 
     @staticmethod
     def zero() -> "Multiplicity":
@@ -160,7 +147,7 @@ def relevance_necessary(kh_left: KH, kh_right: KH, case: GGPCase) -> bool:
     Bessel pairs them straight, with the odd orthogonal side on the left:
     |k'| in {k, k + 1} and |h'| in {h, h + 1}.
     """
-    if case.kind is GGPKind.FOURIER_JACOBI:
+    if case is FOURIER_JACOBI:
         return kh_left.k in (abs(kh_right.h), abs(kh_right.h) - 1) and kh_right.k in (
             abs(kh_left.h),
             abs(kh_left.h) - 1,
@@ -242,7 +229,7 @@ def _strong_relevance(left: _Side, right: _Side, case: GGPCase, ctx: TowerContex
     """
     (kl, hl), bits_left = left.kh, left.bits
     (kr, hr), bits_right = right.kh, right.bits
-    if case.kind is GGPKind.FOURIER_JACOBI:
+    if case is FOURIER_JACOBI:
         # the second side's twist is eps(-1) times the oscillator twist eps(-1): always +
         c1 = _one_sided(kl, abs(hr), _match_bit(bits_left[0], bits_right[1], ctx.eps_minus_one))
         c2 = _one_sided(kr, abs(hl), _match_bit(bits_right[0], bits_left[1]))
@@ -280,7 +267,7 @@ def _validate_pair(left: RepLabel, right: RepLabel, case: GGPCase) -> bool:
     for Bessel the odd orthogonal label goes first.
     """
     fl, fr = left.group.family, right.group.family
-    if case.kind is GGPKind.FOURIER_JACOBI:
+    if case is FOURIER_JACOBI:
         if fl is not GroupFamily.SP or fr is not GroupFamily.SP:
             raise CaseMismatch("Fourier-Jacobi needs two symplectic labels")
         return _fj_swapped(left, right)
@@ -295,7 +282,7 @@ def _side(label: RepLabel, supplied: Bits) -> _Side:
 
 
 def _normalize(
-    left: RepLabel, right: RepLabel, case: GGPCase, ctx: TowerContext, symmetrize: bool = True
+    left: RepLabel, right: RepLabel, case: GGPCase, ctx: TowerContext
 ) -> tuple[_Side, _Side]:
     """Validate the pair and put it in normalized order, ready for evaluation.
 
@@ -305,10 +292,6 @@ def _normalize(
     bits_left: Bits = (ctx.orient_left, ctx.orient_left_alt)
     bits_right: Bits = (ctx.orient_right, ctx.orient_right_alt)
     if swap:
-        if not symmetrize and case.kind is GGPKind.FOURIER_JACOBI and (
-            left.group.rank < right.group.rank
-        ):
-            raise RankOrder("left label has smaller rank; pass symmetrize=True")
         left, right = right, left
         bits_left, bits_right = bits_right, bits_left
     return _side(left, bits_left), _side(right, bits_right)
@@ -319,18 +302,15 @@ def is_strongly_relevant(
     right: RepLabel,
     case: GGPCase,
     ctx: TowerContext,
-) -> bool | Undetermined:
+) -> bool | None:
     """Two-sided relevance of the pair's cuspidal supports.
 
-    False is definitive; ``Undetermined`` means the bands hold but a needed
+    False is definitive; None means the bands hold but a needed
     tower-orientation bit is absent.  Implied by (and implying nothing
     beyond) the distance comparison of the supports' first occurrences.
     This is the first gate of :func:`ggp_multiplicity`.
     """
-    result = _strong_relevance(*_normalize(left, right, case, ctx), case, ctx)
-    if result is None:
-        return Undetermined("orientation")
-    return result
+    return _strong_relevance(*_normalize(left, right, case, ctx), case, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -345,21 +325,19 @@ def _g_gate(first: Symbol, varied: Symbol) -> bool:
     )
 
 
-def _pair_gate(left: RepLabel, right: RepLabel, kind: GGPKind) -> bool:
+def _pair_gate(left: RepLabel, right: RepLabel, case: GGPCase) -> bool:
     """The pair-condition gate of a normalized pair.
 
     Each varied slot is tried in both transposes, and the Fourier-Jacobi
     form is symmetric under swapping the pair, so all members of a
     transpose-variant family share one value.
     """
-    if kind is GGPKind.FOURIER_JACOBI:
+    if case is FOURIER_JACOBI:
         return _g_gate(left.lam, right.lam_prime) and _g_gate(right.lam, left.lam_prime)
     return _g_gate(left.lam, right.lam) and _g_gate(left.lam_prime, right.lam_prime)
 
 
-def _base_multiplicity(
-    left: RepLabel, right: RepLabel, rho_disjoint: bool
-) -> Multiplicity:
+def _base_multiplicity(left: RepLabel, right: RepLabel) -> Multiplicity:
     rl, rr = left.rho, right.rho
     if rl.is_trivial and rr.is_trivial:
         return Multiplicity.one()
@@ -367,13 +345,13 @@ def _base_multiplicity(
         return Multiplicity.one() if rr.regular else Multiplicity.zero()
     if rr.is_trivial:
         return Multiplicity.one() if rl.regular else Multiplicity.zero()
-    if rl.regular and rr.regular and rho_disjoint:
+    if rl.regular and rr.regular:
         return Multiplicity.one()
     return Multiplicity.symbolic(rl, rr)
 
 
 def _unipotent_slot_gates(
-    left: RepLabel, right: RepLabel, kind: GGPKind, regular: RegularPredicate
+    left: RepLabel, right: RepLabel, case: GGPCase, regular: RegularPredicate
 ) -> bool:
     """Regularity forced on the opposite slot by a unipotent side.
 
@@ -382,7 +360,7 @@ def _unipotent_slot_gates(
     directions are enforced, which keeps the evaluation symmetric.
     """
     checks: list[Symbol] = []
-    if kind is GGPKind.FOURIER_JACOBI:
+    if case is FOURIER_JACOBI:
         if is_unipotent_label(left) and left.group.rank >= right.group.rank:
             checks.append(right.lam)
         if is_unipotent_label(right) and right.group.rank >= left.group.rank:
@@ -400,7 +378,6 @@ def _evaluate(
     ctx: TowerContext,
     pair_gate: Callable[[], bool],
     regular: RegularPredicate,
-    rho_disjoint: bool,
 ) -> Multiplicity:
     """The gate sequence of :func:`ggp_multiplicity` on a normalized pair.
 
@@ -413,8 +390,8 @@ def _evaluate(
         return Multiplicity.zero()
     if strong is None:
         return Multiplicity.undetermined("orientation")
-    base = _base_multiplicity(left.label, right.label, rho_disjoint)
-    if base.is_zero or _unipotent_slot_gates(left.label, right.label, case.kind, regular):
+    base = _base_multiplicity(left.label, right.label)
+    if base.is_zero or _unipotent_slot_gates(left.label, right.label, case, regular):
         return base
     return Multiplicity.zero()
 
@@ -425,26 +402,21 @@ def ggp_multiplicity(
     case: GGPCase,
     ctx: TowerContext,
     regular: RegularPredicate = symbol_regular_by_convention,
-    rho_disjoint: bool = True,
-    symmetrize: bool = True,
 ) -> Multiplicity:
     """Multiplicity of the pair under the restriction named by ``case``.
 
     The pair is normalized internally (larger rank first for Fourier-Jacobi,
     odd orthogonal first for Bessel) so that evaluating with swapped
-    arguments returns the same value; pass ``symmetrize=False`` to insist on
-    the normalized order and get :class:`RankOrder` otherwise.
+    arguments returns the same value.
 
     Gate order: the necessary bands, then two-sided relevance, then the
     pair-condition gate - a definite failure anywhere gives Zero, and only
-    then does an open orientation surface as Undetermined.  Afterwards the
+    then does an open orientation surface as undetermined.  Afterwards the
     base factor and the unipotent-side regularity gates decide between One,
     Zero and a symbolic base.
     """
-    a, b = _normalize(left, right, case, ctx, symmetrize)
-    return _evaluate(
-        a, b, case, ctx, lambda: _pair_gate(a.label, b.label, case.kind), regular, rho_disjoint
-    )
+    a, b = _normalize(left, right, case, ctx)
+    return _evaluate(a, b, case, ctx, lambda: _pair_gate(a.label, b.label, case), regular)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +483,6 @@ def select_nonzero_variant(
     case: GGPCase,
     ctx: TowerContext,
     regular: RegularPredicate = symbol_regular_by_convention,
-    rho_disjoint: bool = True,
 ) -> VariantReport:
     """Evaluate the transpose-variant family and check the selection shape.
 
@@ -534,7 +505,7 @@ def select_nonzero_variant(
     swap = _validate_pair(left, right, case)
     bits_left: Bits = (ctx.orient_left, ctx.orient_left_alt)
     bits_right: Bits = (ctx.orient_right, ctx.orient_right_alt)
-    fourier_jacobi = case.kind is GGPKind.FOURIER_JACOBI
+    fourier_jacobi = case is FOURIER_JACOBI
     if fourier_jacobi:
         first, second = left, right
         right_variants = _variants(right, bits_right, ("lam_prime",))
@@ -554,7 +525,7 @@ def select_nonzero_variant(
     def pair_gate() -> bool:
         nonlocal gate
         if gate is None:
-            gate = _pair_gate(first, second, case.kind)
+            gate = _pair_gate(first, second, case)
         return gate
 
     entries, nonzero, undetermined = [], [], []
@@ -562,7 +533,7 @@ def select_nonzero_variant(
     for lv, rv in pairs:
         # the Fourier-Jacobi order can differ between variants at equal rank
         a, b = (rv, lv) if fourier_jacobi and _fj_swapped(lv.label, rv.label) else (lv, rv)
-        value = _evaluate(a, b, case, ctx, pair_gate, regular, rho_disjoint)
+        value = _evaluate(a, b, case, ctx, pair_gate, regular)
         entry = (lv.label, rv.label, value)
         entries.append(entry)
         if value.is_nonzero:

@@ -31,7 +31,6 @@ from .catalog import (
     KH,
     MINUS,
     PLUS,
-    CuspidalKind,
     GroupFamily,
     RepLabel,
     Sign,
@@ -201,13 +200,15 @@ def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
     first occurrence.  Only the one defect layer that the defect equation
     of :func:`in_B` allows is read: ``in_B`` is False on every other
     defect, so this is the same list, in the same order, as filtering the
-    whole rank layer of the target family.  Target ranks above
-    ``MAX_ENUMERATION_RANK`` raise ``ValueError``, as enumeration does.
+    whole rank layer of the target family.  A ``lam`` that is not of
+    symplectic type raises :class:`DefectClassMismatch`, as in ``in_B``, and
+    target ranks above ``MAX_ENUMERATION_RANK`` raise ``ValueError``, as
+    enumeration does; both before any layer is built.
     """
-    family = SymbolFamily.O_EVEN_PLUS if sign == PLUS else SymbolFamily.O_EVEN_MINUS
-    want = -symbol_defect(lam) + (1 if sign == PLUS else -1)
-    if not family.admits_defect(want):
-        return []
+    d = symbol_defect(lam)
+    if d % 4 != 1:
+        raise DefectClassMismatch(f"first symbol defect {d} not = 1 mod 4")
+    want = -d + (1 if sign == PLUS else -1)
     return [s for s in _defect_layer(target_rank, want) if in_B(lam, s, sign)]
 
 
@@ -286,14 +287,10 @@ def cuspidal_theta(k: int, variant: CuspidalThetaVariant) -> tuple[Symbol, Symbo
     of sign (-1)^k; UP with the rank (k+1)^2 cuspidal on the tower of sign
     (-1)^(k+1).  Returns (symplectic symbol, orthogonal symbol, tower sign).
     """
-    sp_symbol = cuspidal_symbol(CuspidalKind.SP, k)
-    if variant is CuspidalThetaVariant.DOWN:
-        stair = cuspidal_symbol(CuspidalKind.O_EVEN, k)
-        o_symbol = symbol_transpose(stair) if k % 2 == 0 else stair
-        return sp_symbol, o_symbol, sign_pow(k)
-    stair = cuspidal_symbol(CuspidalKind.O_EVEN, k + 1)
+    j = k if variant is CuspidalThetaVariant.DOWN else k + 1
+    stair = cuspidal_symbol(GroupFamily.O_EVEN, j)
     o_symbol = symbol_transpose(stair) if k % 2 == 0 else stair
-    return sp_symbol, o_symbol, sign_pow(k + 1)
+    return cuspidal_symbol(GroupFamily.SP, k), o_symbol, sign_pow(j)
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +389,19 @@ def first_occurrence_supported(label: RepLabel, ctx: TowerContext) -> FirstOccur
     if fam is GroupFamily.SP and ctx.tower.is_even_orthogonal:
         small, large = n - k, n + k + 1
         small_lift, large_lift = KH(abs(k), abs(h)), None
-        branch_known = orientation is not None
-        want_small = branch_known and orientation == ctx.tower.sign
+        small_orientation = ctx.tower.sign
     elif fam is GroupFamily.SP and ctx.tower.is_odd_orthogonal:
         small, large = n - abs(h), n + abs(h)
         small_lift, large_lift = KH(max(abs(h) - 1, 0), k), None
-        branch_known = orientation is not None
-        want_small = branch_known and orientation == ctx.tower.sign
+        small_orientation = ctx.tower.sign
     elif fam is GroupFamily.O_EVEN and ctx.tower is Tower.SP:
         small, large = n - abs(k), n + abs(k)
         small_lift, large_lift = KH(max(abs(k) - 1, 0), h), KH(abs(k), h)
-        branch_known = orientation is not None
-        want_small = branch_known and orientation == PLUS
+        small_orientation = PLUS
     elif fam is GroupFamily.O_ODD and ctx.tower is Tower.SP:
         small, large = n - k, n + k + 1
         small_lift, large_lift = KH(h, k), KH(h, k + 1)
-        branch_known = orientation is not None
-        want_small = branch_known and orientation == PLUS
+        small_orientation = PLUS
     else:
         raise CaseMismatch(
             f"no theta pairing from {label.group} into the {ctx.tower.value} tower"
@@ -416,8 +409,8 @@ def first_occurrence_supported(label: RepLabel, ctx: TowerContext) -> FirstOccur
 
     if small == large:
         return FirstOccurrence(small, small_lift, resolved=True)
-    if branch_known:
-        if want_small:
-            return FirstOccurrence(small, small_lift, resolved=True)
-        return FirstOccurrence(large, large_lift, resolved=True)
-    return FirstOccurrence(small, small_lift, resolved=False)
+    if orientation is None:
+        return FirstOccurrence(small, small_lift, resolved=False)
+    if orientation == small_orientation:
+        return FirstOccurrence(small, small_lift, resolved=True)
+    return FirstOccurrence(large, large_lift, resolved=True)

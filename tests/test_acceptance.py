@@ -112,7 +112,7 @@ def test_criterion_3_cuspidal_chain_consistency():
 
 
 def test_criterion_4_conservation():
-    from thetasym.catalog import CuspidalKind, cuspidal_symbol
+    from thetasym.catalog import GroupFamily, cuspidal_symbol
 
     ok = True
     for k in range(5):
@@ -125,7 +125,7 @@ def test_criterion_4_conservation():
                 if residual == 0
                 else RhoDescriptor(residual, True, f"regular-{residual}")
             )
-            label = make_label(sp(n), rho, cuspidal_symbol(CuspidalKind.SP, k), EMPTY_SYMBOL)
+            label = make_label(sp(n), rho, cuspidal_symbol(GroupFamily.SP, k), EMPTY_SYMBOL)
             a = first_occurrence_supported(
                 label, TowerContext(tower=Tower.O_EVEN_PLUS, orient_left=PLUS)
             )

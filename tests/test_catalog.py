@@ -6,14 +6,11 @@ from thetasym.catalog import (
     KH,
     MINUS,
     PLUS,
-    CuspidalKind,
     GroupFamily,
     RhoDescriptor,
     TRIVIAL_RHO,
     Twist,
-    cuspidal_support_kh,
     cuspidal_symbol,
-    cuspidal_symbol_with_defect,
     enumerate_labels,
     eps_minus_one_from_q,
     format_label,
@@ -90,33 +87,22 @@ def test_kh_examples():
     assert kh_of(lab) == KH(1, -1)
     lab = make_label(sp(1), TRIVIAL_RHO, parse_symbol("[1|]"), EMPTY_SYMBOL)
     assert kh_of(lab) == KH(0, 0)
-    assert cuspidal_support_kh(lab) == kh_of(lab)
 
 
 def test_cuspidal_symbols():
-    assert cuspidal_symbol(CuspidalKind.SP, 2) == parse_symbol("[4,3,2,1,0|]")
-    assert cuspidal_symbol(CuspidalKind.SP, 0) == parse_symbol("[0|]")
-    oe = cuspidal_symbol(CuspidalKind.O_EVEN, 1)
+    assert cuspidal_symbol(GroupFamily.SP, 2) == parse_symbol("[4,3,2,1,0|]")
+    assert cuspidal_symbol(GroupFamily.SP, 0) == parse_symbol("[0|]")
+    oe = cuspidal_symbol(GroupFamily.O_EVEN, 1)
     assert oe == parse_symbol("[1,0|]")
     assert symbol_rank(oe) == 1 and symbol_defect(oe) == 2
     for k in range(7):
-        s = cuspidal_symbol(CuspidalKind.SP, k)
+        s = cuspidal_symbol(GroupFamily.SP, k)
         assert symbol_rank(s) == k * (k + 1)
         assert symbol_defect(s) == (-1) ** k * (2 * k + 1)
-        s = cuspidal_symbol(CuspidalKind.O_EVEN, k)
+        s = cuspidal_symbol(GroupFamily.O_EVEN, k)
         assert symbol_rank(s) == k * k and symbol_defect(s) == 2 * k
-        s = cuspidal_symbol(CuspidalKind.O_ODD, k)
+        s = cuspidal_symbol(GroupFamily.O_ODD, k)
         assert symbol_rank(s) == k * (k + 1)
-
-
-def test_cuspidal_symbol_with_defect():
-    for d in (1, -3, 5, -7):
-        s = cuspidal_symbol_with_defect(d)
-        assert symbol_defect(s) == d
-    for d in (0, 2, -2, 4, -4):
-        assert symbol_defect(cuspidal_symbol_with_defect(d)) == d
-    with pytest.raises(DefectClassMismatch):
-        cuspidal_symbol_with_defect(3)
 
 
 def test_is_unipotent_cuspidal_examples():
@@ -271,3 +257,68 @@ def test_parse_group():
 def test_upsilon_of_regular_convention_column():
     s = parse_symbol("[2,1,0|2,1]")
     assert upsilon(s) == ((), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "text, at",
+    [
+        ("sp(٤)", "٤)"),
+        ("sp(1_0)", "1_0)"),
+        ("sp(+4)", "+4)"),
+        ("sp(-2)", "-2)"),
+        pytest.param("sp(" + "2" * 5000 + ")", "2" * 5000, id="5000 digits"),
+        (" sp(3)", "3)"),
+        ("  u(3)", "u(3)"),
+    ],
+)
+def test_group_dimension_follows_the_integer_rule(text, at):
+    with pytest.raises(ParseError) as err:
+        parse_group(text)
+    assert text[err.value.offset:].startswith(at)
+
+
+LABEL_TAIL = " ; L=[1|] ; L'=[|]"
+
+
+@pytest.mark.parametrize(
+    "text, at",
+    [
+        ("sp(4): rho=x:١:reg" + LABEL_TAIL, "١:reg"),
+        ("sp(4): rho=x:-1:reg" + LABEL_TAIL, "-1:reg"),
+        ("sp(4): rho=x:+1:reg" + LABEL_TAIL, "+1:reg"),
+        pytest.param("sp(4): rho=x:" + "1" * 5000 + ":reg" + LABEL_TAIL, "1" * 5000, id="5000 digits"),
+        ("sp(2): rho=trivial:0:irr" + LABEL_TAIL, "rho=trivial:0:irr"),
+        ("sp(4): rho=a|b:1:reg" + LABEL_TAIL, "rho=a|b"),
+        ("sp(٤): rho=trivial:0:reg" + LABEL_TAIL, "٤)"),
+    ],
+)
+def test_label_numbers_and_descriptors_are_parse_errors(text, at):
+    with pytest.raises(ParseError) as err:
+        parse_label(text)
+    assert text[err.value.offset:].startswith(at)
+
+
+@pytest.mark.parametrize(
+    "text, at",
+    [
+        ("sp(2): rho=trivial:0:reg ; L=[1|] ; L'=[|] ; foo=1", "foo=1"),
+        ("sp(2): rho=trivial:0:reg ; bar=2 ; L=[1|] ; L'=[|] ; foo=1", "bar=2"),
+        ("sp(2): rho=trivial:0:reg ; L=[1|]", ""),
+        ("sp(2): L=[1|] ; L'=[|]", ""),
+        ("sp(2): rho=trivial:0 ; L=[1|] ; L'=[|]", "rho=trivial:0 "),
+        ("sp(2): rho=trivial:0:maybe ; L=[1|] ; L'=[|]", "rho=trivial:0:maybe"),
+        ("o+(3): rho=trivial:0:reg ; L=[1|] ; L'=[0|] ; eps=x", "eps=x"),
+        ("sp(2): rho=trivial:0:reg ; L=[1|] ; L'=[|] ;  L=[|]", "L=[|]"),
+        ("sp(2): rho=trivial:0:reg ; L=[1|] ; L'", "L'"),
+        ("sp(2): rho=trivial:0:reg ; L=[1,x|] ; L'=[|]", "x|]"),
+        ("sp(2): rho=trivial:0:reg ; L=  1|] ; L'=[|]", "1|]"),
+        ("sp(2): rho=trivial:0:reg ; L=[1|] ; L'=[|0|]", "|0|]"),
+        ("sp(2): rho=trivial:0:reg ; L=[1|] ; L'=[٢|]", "٢|]"),
+    ],
+)
+def test_label_parse_error_offsets_point_into_the_label(text, at):
+    with pytest.raises(ParseError) as err:
+        parse_label(text)
+    assert text[err.value.offset:].startswith(at)
+    if not at:
+        assert err.value.offset == len(text)

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 from contextlib import redirect_stdout
 
@@ -19,6 +20,14 @@ def test_symbols_enumerate_pretty():
     code, out = run_cli(["symbols-enumerate", "--rank", "1", "--family", "sp"])
     assert code == 0
     assert "[1|]" in out and "[1,0|1]" in out
+
+
+def test_o_odd_family_lists_the_symplectic_symbols():
+    """Odd orthogonal groups use the symplectic symbol set; their sign lives on labels."""
+    for rank, fmt in itertools.product(range(5), ("pretty", "json", "csv")):
+        odd = run_cli(["symbols-enumerate", "--rank", str(rank), "--family", "o-odd", "--format", fmt])
+        assert odd == run_cli(["symbols-enumerate", "--rank", str(rank), "--family", "sp", "--format", fmt])
+        assert odd[0] == 0 and "|" in odd[1]
 
 
 def test_theta_first_example():
@@ -215,6 +224,20 @@ def test_negative_rank_refused_before_work(argv, monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert capsys.readouterr().err.startswith("error: --")
+
+
+@pytest.mark.parametrize("symbol, sign", [("[1|0]", "+"), ("[1,0|]", "-"), ("[|0]", "+")])
+def test_theta_fiber_refuses_non_symplectic_symbol_before_work(symbol, sign, monkeypatch, capsys):
+    import thetasym.theta as theta
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a layer was built for a refused symbol")
+
+    monkeypatch.setattr(theta, "_defect_layer", must_not_run)
+    code, out = run_cli(["theta-fiber", "--symbol", symbol, "--sign", sign, "--target-rank", "2"])
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: first symbol defect")
 
 
 @pytest.mark.parametrize("suite", ["f1", "counts"])

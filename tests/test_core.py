@@ -302,9 +302,7 @@ def test_enumerate_returns_fresh_list():
     assert enumerate_symbols(4, SymbolFamily.O_EVEN_PLUS) == expected
     sp_layer = enumerate_symbols(3, SymbolFamily.SP_UNIPOTENT)
     sp_layer.clear()
-    assert enumerate_symbols(3, SymbolFamily.O_ODD) == enumerate_symbols(
-        3, SymbolFamily.SP_UNIPOTENT
-    ) != []
+    assert enumerate_symbols(3, SymbolFamily.SP_UNIPOTENT) != []
 
 
 def test_symbols_with_defect_returns_fresh_list():
@@ -318,13 +316,6 @@ def test_symbols_with_defect_returns_fresh_list():
     assert symbols_with_defect(5, -2) == expected
     layer = enumerate_symbols(5, SymbolFamily.O_EVEN_MINUS)
     assert [s for s in layer if symbol_defect(s) == -2] == expected
-
-
-def test_o_odd_enumerates_same_symbols_as_sp():
-    for rank in range(5):
-        assert enumerate_symbols(rank, SymbolFamily.O_ODD) == enumerate_symbols(
-            rank, SymbolFamily.SP_UNIPOTENT
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -367,3 +358,19 @@ def test_parse_bipartition():
     assert parse_bipartition("([],[])") == ((), ())
     with pytest.raises(ParseError):
         parse_bipartition("[1],[2]")
+
+
+def test_parse_refuses_overlong_numbers():
+    with pytest.raises(ParseError, match="more than 18 digits") as err:
+        parse_symbol("[" + "9" * 5000 + "|]")
+    assert err.value.offset == 1
+    with pytest.raises(ParseError):
+        parse_bipartition("([" + "9" * 19 + "],[])")
+    assert parse_symbol("[" + "9" * 18 + "|]").row_a == (10**18 - 1,)
+
+
+@pytest.mark.parametrize("entry", ["+1", "1_0", "-1", "٤", " "])
+def test_row_entries_follow_the_integer_rule(entry):
+    with pytest.raises(ParseError) as err:
+        parse_symbol(f"[2,{entry}|]")
+    assert err.value.offset == 3

@@ -1,9 +1,9 @@
 import pytest
 
 from thetasym.catalog import (
-    CuspidalKind,
     MINUS,
     PLUS,
+    GroupFamily,
     RhoDescriptor,
     TRIVIAL_RHO,
     cuspidal_symbol,
@@ -161,7 +161,7 @@ def test_cuspidal_theta_consistency():
 
 
 def _supported_sp_label(n, k, h_defect=0):
-    lam = cuspidal_symbol(CuspidalKind.SP, k)
+    lam = cuspidal_symbol(GroupFamily.SP, k)
     lam_prime = EMPTY_SYMBOL
     residual = n - symbol_rank(lam)
     rho = TRIVIAL_RHO if residual == 0 else RhoDescriptor(residual, True, f"regular-{residual}")
@@ -256,7 +256,7 @@ def test_supported_table_matches_closed_form_on_cuspidal_labels():
     must give the same tower-by-tower indices.
     """
     for k in range(5):
-        lam = cuspidal_symbol(CuspidalKind.SP, k)
+        lam = cuspidal_symbol(GroupFamily.SP, k)
         label = make_label(sp(symbol_rank(lam)), TRIVIAL_RHO, lam, EMPTY_SYMBOL)
         for tower, sign in (
             (Tower.O_EVEN_PLUS, PLUS),
@@ -267,7 +267,7 @@ def test_supported_table_matches_closed_form_on_cuspidal_labels():
             assert table.resolved
             assert table.index == closed.index
     for k in range(1, 5):
-        stair = cuspidal_symbol(CuspidalKind.O_EVEN, k)
+        stair = cuspidal_symbol(GroupFamily.O_EVEN, k)
         for lam in (stair, parse_symbol(f"[|{','.join(str(x) for x in stair.row_a)}]")):
             d = symbol_defect(lam)
             group_sign = PLUS if d % 4 == 0 else MINUS
@@ -320,3 +320,18 @@ def test_theta_fiber_refuses_oversized_rank_before_building(monkeypatch):
     for sign in (PLUS, MINUS):
         with pytest.raises(ValueError, match="exceeds enumeration bound"):
             theta_fiber(parse_symbol("[1|]"), sign, MAX_ENUMERATION_RANK + 1)
+
+
+@pytest.mark.parametrize("text", ["[1|0]", "[1,0|]", "[|0]"], ids=["defect 0", "defect 2", "defect -1"])
+def test_theta_fiber_refuses_non_symplectic_source(text, monkeypatch):
+    import thetasym.theta as theta
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a layer was built for a refused symbol")
+
+    monkeypatch.setattr(theta, "_defect_layer", must_not_run)
+    lam = parse_symbol(text)
+    assert symbol_defect(lam) % 4 != 1
+    for sign in (PLUS, MINUS):
+        with pytest.raises(DefectClassMismatch):
+            theta_fiber(lam, sign, 2)
