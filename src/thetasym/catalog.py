@@ -167,6 +167,9 @@ class RhoDescriptor:
             raise ValueError("rank-0 descriptor must be trivial and regular")
         if any(c in self.id for c in ":;|"):
             raise ValueError(f"descriptor id {self.id!r} contains reserved characters")
+        if self.id != self.id.strip():
+            # the label grammar strips field values, so this id could not round-trip
+            raise ValueError(f"descriptor id {self.id!r} has leading or trailing whitespace")
 
     @property
     def is_trivial(self) -> bool:
@@ -378,8 +381,8 @@ def symbol_regular_by_convention(s: Symbol) -> bool:
 
     Convention, not a computed fact: rank-0 symbols are regular, and so is
     the defect +-1 symbol whose staircase-free image is a column ([], [1^r])
-    or its transpose ([1^r], []).  Callers with better knowledge should pass
-    their own predicate to the multiplicity engine.
+    or its transpose ([1^r], []).  It is the fixed rule of the unipotent-side
+    regularity gate in :mod:`thetasym.ggp`.
     """
     if symbol_rank(s) == 0:
         return True

@@ -166,13 +166,13 @@ class Symbol:
     to reduce raw row data.  Equality, hashing and ordering are structural
     on the reduced form, so symbols can live in sets and sorted tables.
 
-    Data derived from the rows - :func:`upsilon`, :func:`transposed_upsilon`
-    and :func:`symbol_transpose` - is computed at most once per instance and
+    Data derived from the rows - :func:`upsilon` and
+    :func:`symbol_transpose` - is computed at most once per instance and
     kept in the private slots below.  It takes no part in equality, hashing,
     ordering, ``repr`` or pickling.
     """
 
-    __slots__ = ("row_a", "row_b", "_upsilon", "_transposed_upsilon", "_transpose")
+    __slots__ = ("row_a", "row_b", "_upsilon", "_transpose")
 
     row_a: tuple[int, ...]
     row_b: tuple[int, ...]
@@ -257,23 +257,6 @@ def upsilon(s: Symbol) -> Bipartition:
     up = partition(a - (m1 - 1 - i) for i, a in enumerate(s.row_a))
     lo = partition(b - (m2 - 1 - i) for i, b in enumerate(s.row_b))
     return _keep(s, "_upsilon", Bipartition(up, lo))
-
-
-def transposed_upsilon(s: Symbol) -> Bipartition:
-    """:func:`upsilon` with both partitions transposed; computed once per symbol.
-
-    These are the rows the oscillator pair condition compares.
-    """
-    try:
-        return s._transposed_upsilon
-    except AttributeError:
-        pass
-    up, lo = upsilon(s)
-    return _keep(
-        s,
-        "_transposed_upsilon",
-        Bipartition(partition_transpose(up), partition_transpose(lo)),
-    )
 
 
 def defect_rank_offset(defect: int) -> int:
@@ -488,47 +471,14 @@ def parse_bipartition(text: str) -> Bipartition:
     offset = len(text) - len(text.lstrip())
     if not (stripped.startswith("(") and stripped.endswith(")")):
         raise ParseError("bipartition must be parenthesized", offset)
-    body = stripped[1:-1].strip()
+    inner = stripped[1:-1]
+    body = inner.strip()
+    at = offset + 1 + len(inner) - len(inner.lstrip())  # where body starts
     if not (body.startswith("[") and body.endswith("]")):
-        raise ParseError("bipartition rows must be bracketed", offset + 1)
+        raise ParseError("bipartition rows must be bracketed", at)
     parts = body[1:-1].split("],[")
     if len(parts) != 2:
-        raise ParseError("bipartition needs two bracketed rows", offset + 1)
-    up = _parse_row(parts[0], offset + 2)
-    lo = _parse_row(parts[1], offset + 4 + len(parts[0]))
+        raise ParseError("bipartition needs two bracketed rows", at)
+    up = _parse_row(parts[0], at + 1)
+    lo = _parse_row(parts[1], at + 4 + len(parts[0]))
     return Bipartition(partition(up), partition(lo))
-
-
-def random_symbol(rng, max_rank: int = 12) -> Symbol:
-    """A uniform-ish random reduced symbol, for fuzz tests."""
-    rank = rng.randrange(max_rank + 1)
-    choices = [
-        d for fam in SymbolFamily for d in admissible_defects(rank, fam)
-    ]
-    defect = rng.choice(choices)
-    residual = rank - defect_rank_offset(defect)
-    cut = rng.randrange(residual + 1)
-    up = _random_partition(rng, cut)
-    lo = _random_partition(rng, residual - cut)
-    return upsilon_inverse(Bipartition(up, lo), defect)
-
-
-def _random_partition(rng, n: int) -> Partition:
-    parts = []
-    remaining = n
-    bound = n
-    while remaining > 0:
-        x = rng.randrange(1, min(bound, remaining) + 1)
-        parts.append(x)
-        bound = x
-        remaining -= x
-    return tuple(parts)
-
-
-def shift_symbol(s: Symbol, steps: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Un-reduced raw rows equivalent to ``s``, shifted up ``steps`` times."""
-    a, b = s.row_a, s.row_b
-    for _ in range(steps):
-        a = tuple(x + 1 for x in a) + (0,)
-        b = tuple(x + 1 for x in b) + (0,)
-    return a, b

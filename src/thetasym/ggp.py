@@ -34,7 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from functools import cache
+from itertools import product
+from typing import Callable, NamedTuple
 
 from .catalog import (
     KH,
@@ -53,8 +55,6 @@ from .catalog import (
 from .core import Symbol, symbol_defect, symbol_transpose
 from .errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch
 from .theta import TowerContext, default_orientation_kh, in_G
-
-RegularPredicate = Callable[[Symbol], bool]
 
 
 class GGPCase(Enum):
@@ -95,11 +95,11 @@ class Multiplicity:
 
     @staticmethod
     def zero() -> "Multiplicity":
-        return Multiplicity(MultKind.ZERO)
+        return _ZERO
 
     @staticmethod
     def one() -> "Multiplicity":
-        return Multiplicity(MultKind.ONE)
+        return _ONE
 
     @staticmethod
     def symbolic(rho_left: RhoDescriptor, rho_right: RhoDescriptor) -> "Multiplicity":
@@ -133,6 +133,12 @@ class Multiplicity:
         if self.kind is MultKind.SYMBOLIC:
             return f"m({self.rho_left.id},{self.rho_right.id})"
         return f"undetermined({self.reason})"
+
+
+# Multiplicity compares by value, so the common values are shared.
+_ZERO = Multiplicity(MultKind.ZERO)
+_ONE = Multiplicity(MultKind.ONE)
+_ORIENTATION_OPEN = Multiplicity(MultKind.UNDETERMINED, reason="orientation")
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +331,18 @@ def _g_gate(first: Symbol, varied: Symbol) -> bool:
     )
 
 
-def _pair_gate(left: RepLabel, right: RepLabel, case: GGPCase) -> bool:
-    """The pair-condition gate of a normalized pair.
+def _pair_gate(
+    left: RepLabel, right: RepLabel, case: GGPCase, g_gate: Callable[[Symbol, Symbol], bool]
+) -> bool:
+    """The pair-condition gate of a normalized pair, from ``g_gate`` per slot.
 
     Each varied slot is tried in both transposes, and the Fourier-Jacobi
     form is symmetric under swapping the pair, so all members of a
     transpose-variant family share one value.
     """
     if case is FOURIER_JACOBI:
-        return _g_gate(left.lam, right.lam_prime) and _g_gate(right.lam, left.lam_prime)
-    return _g_gate(left.lam, right.lam) and _g_gate(left.lam_prime, right.lam_prime)
+        return g_gate(left.lam, right.lam_prime) and g_gate(right.lam, left.lam_prime)
+    return g_gate(left.lam, right.lam) and g_gate(left.lam_prime, right.lam_prime)
 
 
 def _base_multiplicity(left: RepLabel, right: RepLabel) -> Multiplicity:
@@ -350,9 +358,7 @@ def _base_multiplicity(left: RepLabel, right: RepLabel) -> Multiplicity:
     return Multiplicity.symbolic(rl, rr)
 
 
-def _unipotent_slot_gates(
-    left: RepLabel, right: RepLabel, case: GGPCase, regular: RegularPredicate
-) -> bool:
+def _unipotent_slot_gates(left: RepLabel, right: RepLabel, case: GGPCase) -> bool:
     """Regularity forced on the opposite slot by a unipotent side.
 
     Applied when the unipotent side is at least as large as the other (the
@@ -368,7 +374,7 @@ def _unipotent_slot_gates(
     else:
         if is_unipotent_label(left) and left.group.dimension >= right.group.dimension:
             checks.append(right.lam_prime)
-    return all(regular(s) for s in checks)
+    return all(symbol_regular_by_convention(s) for s in checks)
 
 
 def _evaluate(
@@ -377,7 +383,6 @@ def _evaluate(
     case: GGPCase,
     ctx: TowerContext,
     pair_gate: Callable[[], bool],
-    regular: RegularPredicate,
 ) -> Multiplicity:
     """The gate sequence of :func:`ggp_multiplicity` on a normalized pair.
 
@@ -387,13 +392,13 @@ def _evaluate(
     """
     strong = _strong_relevance(left, right, case, ctx)
     if strong is False or not pair_gate():
-        return Multiplicity.zero()
+        return _ZERO
     if strong is None:
-        return Multiplicity.undetermined("orientation")
+        return _ORIENTATION_OPEN
     base = _base_multiplicity(left.label, right.label)
-    if base.is_zero or _unipotent_slot_gates(left.label, right.label, case, regular):
+    if base.is_zero or _unipotent_slot_gates(left.label, right.label, case):
         return base
-    return Multiplicity.zero()
+    return _ZERO
 
 
 def ggp_multiplicity(
@@ -401,7 +406,6 @@ def ggp_multiplicity(
     right: RepLabel,
     case: GGPCase,
     ctx: TowerContext,
-    regular: RegularPredicate = symbol_regular_by_convention,
 ) -> Multiplicity:
     """Multiplicity of the pair under the restriction named by ``case``.
 
@@ -416,7 +420,7 @@ def ggp_multiplicity(
     Zero and a symbolic base.
     """
     a, b = _normalize(left, right, case, ctx)
-    return _evaluate(a, b, case, ctx, lambda: _pair_gate(a.label, b.label, case), regular)
+    return _evaluate(a, b, case, ctx, lambda: _pair_gate(a.label, b.label, case, _g_gate))
 
 
 # ---------------------------------------------------------------------------
@@ -431,31 +435,6 @@ def _flip(bits: Bits, primary: bool, secondary: bool) -> Bits:
     if secondary and s is not None:
         s = -s
     return (p, s)
-
-
-def _variants(label: RepLabel, supplied: Bits, slots: tuple[str, ...]) -> list[_Side]:
-    """``label`` and its transposes in the varied slots, in family order.
-
-    Transposing a slot negates its (k, h) parameter and flips its supplied
-    orientation bit (``lam`` the primary, ``lam_prime`` the secondary); only
-    even-type slots are varied, so the negation is exact.  A slot equal to
-    its own transpose gives no new variant.  Bits are resolved last.
-    """
-    out = [(label, kh_of(label), supplied, ())]
-    for slot in slots:
-        s = getattr(label, slot)
-        t = symbol_transpose(s)
-        if t == s:
-            continue
-        key = (slot,) if symbol_defect(s) else ()
-        for v, (k, h), bits, vkey in list(out):
-            if slot == "lam":
-                v = RepLabel(v.group, v.rho, t, v.lam_prime, v.eps_flag)
-                out.append((v, KH(-k, h), _flip(bits, True, False), vkey + key))
-            else:
-                v = RepLabel(v.group, v.rho, v.lam, t, v.eps_flag)
-                out.append((v, KH(k, -h), _flip(bits, False, True), vkey + key))
-    return [_Side(v, kh, _resolve_bits(v, kh, bits), key) for v, kh, bits, key in out]
 
 
 @dataclass(frozen=True)
@@ -477,12 +456,116 @@ class VariantReport:
         return self.nonzero[0] if self.nonzero else None
 
 
+class _VariantRun:
+    """Variant sides and pair-condition gates shared by the families of one run.
+
+    A label's sides depend only on the label, its supplied orientation bits
+    and the varied slots, and a slot's gate only on its two symbols, so a
+    run under one context builds each of them once.  Sides are keyed by
+    label identity; every entry holds its label, so no key is reused while
+    the run lives.  Nothing outlives the run.
+    """
+
+    def __init__(self, ctx: TowerContext):
+        self.ctx = ctx
+        # the supplied bits of the left and of the right argument
+        self.bits: tuple[Bits, Bits] = (
+            (ctx.orient_left, ctx.orient_left_alt),
+            (ctx.orient_right, ctx.orient_right_alt),
+        )
+        self._sides: dict[tuple, list[_Side]] = {}
+        self.g_gate = cache(_g_gate)
+
+    def sides(self, label: RepLabel, supplied: Bits, slots: tuple[str, ...]) -> list[_Side]:
+        """``label`` and its transposes in the varied slots, in family order.
+
+        Transposing a slot negates its (k, h) parameter and flips its
+        supplied orientation bit (``lam`` the primary, ``lam_prime`` the
+        secondary); only even-type slots are varied, so the negation is
+        exact.  A slot equal to its own transpose gives no new variant.
+        Bits are resolved last.
+        """
+        key = (id(label), supplied, slots)
+        sides = self._sides.get(key)
+        if sides is not None:
+            return sides
+        out = [(label, kh_of(label), supplied, ())]
+        for slot in slots:
+            s = getattr(label, slot)
+            t = symbol_transpose(s)
+            if t == s:
+                continue
+            slot_key = (slot,) if symbol_defect(s) else ()
+            for v, (k, h), bits, vkey in list(out):
+                if slot == "lam":
+                    v = RepLabel(v.group, v.rho, t, v.lam_prime, v.eps_flag)
+                    out.append((v, KH(-k, h), _flip(bits, True, False), vkey + slot_key))
+                else:
+                    v = RepLabel(v.group, v.rho, v.lam, t, v.eps_flag)
+                    out.append((v, KH(k, -h), _flip(bits, False, True), vkey + slot_key))
+        sides = [_Side(v, kh, _resolve_bits(v, kh, bits), vkey) for v, kh, bits, vkey in out]
+        self._sides[key] = sides
+        return sides
+
+    def family(self, left: RepLabel, right: RepLabel, case: GGPCase) -> VariantReport:
+        """:func:`select_nonzero_variant` of one family, on this run's sides and gates."""
+        for rho in (left.rho, right.rho):
+            if not (rho.is_trivial or rho.regular):
+                raise ValueError(
+                    "variant selection expects a definite base factor "
+                    "(trivial or regular descriptors)"
+                )
+        swap = _validate_pair(left, right, case)
+        fourier_jacobi = case is FOURIER_JACOBI
+        if fourier_jacobi:
+            first, second = left, right
+            varied = ("lam_prime",)
+            pairs = product(
+                self.sides(left, self.bits[0], varied), self.sides(right, self.bits[1], varied)
+            )
+        else:
+            first, second = (right, left) if swap else (left, right)
+            odd_bits, even_bits = self.bits[::-1] if swap else self.bits
+            odd = self.sides(first, odd_bits, ())[0]
+            pairs = [(odd, ev) for ev in self.sides(second, even_bits, ("lam", "lam_prime"))]
+
+        gate = None
+
+        def pair_gate() -> bool:
+            nonlocal gate
+            if gate is None:
+                gate = _pair_gate(first, second, case, self.g_gate)
+            return gate
+
+        entries, nonzero, undetermined = [], [], []
+        classes: dict = {}
+        for lv, rv in pairs:
+            # the Fourier-Jacobi order can differ between variants at equal rank
+            a, b = (rv, lv) if fourier_jacobi and _fj_swapped(lv.label, rv.label) else (lv, rv)
+            value = _evaluate(a, b, case, self.ctx, pair_gate)
+            entry = (lv.label, rv.label, value)
+            entries.append(entry)
+            if value.is_nonzero:
+                nonzero.append(entry)
+                classes.setdefault((lv.key, rv.key), []).append(value)
+            elif value.is_undetermined:
+                undetermined.append(entry)
+
+        if len(classes) > 1:
+            raise MultipleNonzero(
+                f"{len(classes)} variant classes nonzero for {left} / {right}"
+            )
+        for values in classes.values():
+            if any(v != values[0] for v in values):
+                raise MultipleNonzero("variant class with inconsistent values")
+        return VariantReport(tuple(entries), tuple(nonzero), tuple(undetermined))
+
+
 def select_nonzero_variant(
     left: RepLabel,
     right: RepLabel,
     case: GGPCase,
     ctx: TowerContext,
-    regular: RegularPredicate = symbol_regular_by_convention,
 ) -> VariantReport:
     """Evaluate the transpose-variant family and check the selection shape.
 
@@ -496,60 +579,7 @@ def select_nonzero_variant(
     The pair is validated once per family, and the pair-condition gate,
     which all variants share, is evaluated at most once.
     """
-    for rho in (left.rho, right.rho):
-        if not (rho.is_trivial or rho.regular):
-            raise ValueError(
-                "variant selection expects a definite base factor "
-                "(trivial or regular descriptors)"
-            )
-    swap = _validate_pair(left, right, case)
-    bits_left: Bits = (ctx.orient_left, ctx.orient_left_alt)
-    bits_right: Bits = (ctx.orient_right, ctx.orient_right_alt)
-    fourier_jacobi = case is FOURIER_JACOBI
-    if fourier_jacobi:
-        first, second = left, right
-        right_variants = _variants(right, bits_right, ("lam_prime",))
-        pairs = [
-            (lv, rv)
-            for lv in _variants(left, bits_left, ("lam_prime",))
-            for rv in right_variants
-        ]
-    else:
-        first, second = (right, left) if swap else (left, right)
-        odd_bits, even_bits = (bits_right, bits_left) if swap else (bits_left, bits_right)
-        odd = _side(first, odd_bits)
-        pairs = [(odd, ev) for ev in _variants(second, even_bits, ("lam", "lam_prime"))]
-
-    gate = None
-
-    def pair_gate() -> bool:
-        nonlocal gate
-        if gate is None:
-            gate = _pair_gate(first, second, case)
-        return gate
-
-    entries, nonzero, undetermined = [], [], []
-    classes: dict = {}
-    for lv, rv in pairs:
-        # the Fourier-Jacobi order can differ between variants at equal rank
-        a, b = (rv, lv) if fourier_jacobi and _fj_swapped(lv.label, rv.label) else (lv, rv)
-        value = _evaluate(a, b, case, ctx, pair_gate, regular)
-        entry = (lv.label, rv.label, value)
-        entries.append(entry)
-        if value.is_nonzero:
-            nonzero.append(entry)
-            classes.setdefault((lv.key, rv.key), []).append(value)
-        elif value.is_undetermined:
-            undetermined.append(entry)
-
-    if len(classes) > 1:
-        raise MultipleNonzero(
-            f"{len(classes)} variant classes nonzero for {left} / {right}"
-        )
-    for values in classes.values():
-        if any(v != values[0] for v in values):
-            raise MultipleNonzero("variant class with inconsistent values")
-    return VariantReport(tuple(entries), tuple(nonzero), tuple(undetermined))
+    return _VariantRun(ctx).family(left, right, case)
 
 
 # ---------------------------------------------------------------------------
@@ -568,18 +598,16 @@ def branch_decomposition(
     pi: RepLabel,
     target: GroupTag,
     ctx: TowerContext,
-    rho_catalog: Iterable[RhoDescriptor] | None = None,
-    regular: RegularPredicate = symbol_regular_by_convention,
 ) -> list[tuple[RepLabel, Multiplicity]]:
     """Constituents of a unipotent label's restriction to the target group.
 
     Two shapes are supported, both at equal rank parameter: a symplectic
     label against symplectic candidates (restriction through the oscillator
     twist) and an odd orthogonal label against even orthogonal candidates.
-    Candidates run over all labels of the target built from the descriptor
-    catalog (default: one regular descriptor per residual rank); rows whose
-    multiplicity is definitely zero are dropped, and orientation-blocked
-    rows are kept as undetermined rather than silently discarded.
+    Candidates run over all labels of the target built from
+    :func:`default_rho_catalog`; rows whose multiplicity is definitely zero
+    are dropped, and orientation-blocked rows are kept as undetermined
+    rather than silently discarded.
 
     Output order: first-slot defect, second-slot defect, rows, descriptor
     id, sign flag.
@@ -600,14 +628,9 @@ def branch_decomposition(
         raise RankMismatch(
             f"target rank {target.rank} != source rank parameter {pi.group.rank}"
         )
-    catalog = (
-        tuple(rho_catalog)
-        if rho_catalog is not None
-        else default_rho_catalog(target.rank)
-    )
     rows = []
-    for candidate in enumerate_labels(target, ctx.eps_minus_one, catalog):
-        value = ggp_multiplicity(pi, candidate, case, ctx, regular=regular)
+    for candidate in enumerate_labels(target, ctx.eps_minus_one, default_rho_catalog(target.rank)):
+        value = ggp_multiplicity(pi, candidate, case, ctx)
         if value.is_zero:
             continue
         rows.append((candidate, value))

@@ -41,7 +41,7 @@ from .core import (
     symbol_defect,
     symbol_rank,
 )
-from .ggp import BESSEL, FOURIER_JACOBI, select_nonzero_variant
+from .ggp import BESSEL, FOURIER_JACOBI, _VariantRun
 from .theta import (
     ThetaDirection,
     TowerContext,
@@ -258,15 +258,19 @@ def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationR
     the rank bound; defect-0 slots collapse with their transposes into a
     single variant (they pass identical gates).  Variant families whose
     evaluation raises the multiple-nonzero error are recorded as failures.
+    Each family is evaluated as :func:`~thetasym.ggp.select_nonzero_variant`
+    does, but the families of one run share each label's variant sides and
+    each symbol pair's gate.
     """
     from .errors import MultipleNonzero
 
     report = VerificationReport()
     start = time.monotonic()
+    run = _VariantRun(ctx)
     pairs = chain(_fj_pairs(max_rank), _bessel_pairs(max_rank, ctx.eps_minus_one))
     for left, right, case in pairs:
         try:
-            select_nonzero_variant(left, right, case, ctx)
+            run.family(left, right, case)
             error = None
         except MultipleNonzero as err:
             error = str(err)

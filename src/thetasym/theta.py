@@ -42,6 +42,7 @@ from .catalog import (
 )
 from .core import (
     Bipartition,
+    Partition,
     Symbol,
     SymbolFamily,
     _defect_layer,
@@ -49,7 +50,6 @@ from .core import (
     symbol_defect,
     symbol_rank,
     symbol_transpose,
-    transposed_upsilon,
     upsilon,
     upsilon_inverse,
 )
@@ -135,6 +135,22 @@ class FirstOccurrence:
 # ---------------------------------------------------------------------------
 
 
+def _interlaces(inner: Partition, outer: Partition) -> bool:
+    """Whether outer_1 >= inner_1 >= outer_2 >= inner_2 >= ... (zero padded).
+
+    That is, outer / inner is a horizontal strip, which is the band
+    relation between the two transposed partitions (Macdonald I.1).  The
+    work grows with the number of parts, not with their size.
+    """
+    n = len(inner)
+    if not n <= len(outer) <= n + 1:
+        return False
+    for i, x in enumerate(inner):
+        if x > outer[i] or (i + 1 < len(outer) and x < outer[i + 1]):
+            return False
+    return True
+
+
 def in_B(lam: Symbol, lam_prime: Symbol, sign: Sign) -> bool:
     """Symbol-level occurrence in the oscillator representation.
 
@@ -145,7 +161,9 @@ def in_B(lam: Symbol, lam_prime: Symbol, sign: Sign) -> bool:
         t(lower') <= t(upper),  t(lower) <= t(upper'),  def' = -def + 1,
 
     where <= is the band relation; the minus tower swaps the row roles and
-    uses def' = -def - 1.
+    uses def' = -def - 1.  The band relation t(a) <= t(b) says that b / a
+    is a horizontal strip, so it is read as interlacing of the
+    untransposed rows and no partition is transposed.
     """
     d = symbol_defect(lam)
     if d % 4 != 1:
@@ -155,11 +173,11 @@ def in_B(lam: Symbol, lam_prime: Symbol, sign: Sign) -> bool:
         raise DefectClassMismatch(f"second symbol defect {d2} must be even")
     if d2 != (-d + 1 if sign == PLUS else -d - 1):
         return False
-    up, lo = transposed_upsilon(lam)
-    up2, lo2 = transposed_upsilon(lam_prime)
+    up, lo = upsilon(lam)
+    up2, lo2 = upsilon(lam_prime)
     if sign == PLUS:
-        return close_dominates(lo2, up) and close_dominates(lo, up2)
-    return close_dominates(up2, lo) and close_dominates(up, lo2)
+        return _interlaces(lo2, up) and _interlaces(lo, up2)
+    return _interlaces(up2, lo) and _interlaces(up, lo2)
 
 
 class GVariant(Enum):
@@ -172,8 +190,9 @@ class GVariant(Enum):
 def in_G(lam: Symbol, lam_prime: Symbol) -> GVariant | None:
     """Which of the four branching-gate sets contains the pair, if any.
 
-    These conditions use the *untransposed* staircase-free rows, unlike
-    :func:`in_B`; the asymmetry is intrinsic.  Pairs whose first defect is
+    These conditions are the band relation on the *untransposed*
+    staircase-free rows, where :func:`in_B` states it on transposed rows;
+    the asymmetry is intrinsic.  Pairs whose first defect is
     zero (or otherwise outside every defect gate) return ``None``.
     """
     d, d2 = symbol_defect(lam), symbol_defect(lam_prime)

@@ -1,0 +1,46 @@
+"""Random and shifted symbols for the fuzz and round-trip tests."""
+
+from thetasym.core import (
+    Bipartition,
+    Partition,
+    Symbol,
+    SymbolFamily,
+    admissible_defects,
+    defect_rank_offset,
+    upsilon_inverse,
+)
+
+
+def random_symbol(rng, max_rank: int = 12) -> Symbol:
+    """A uniform-ish random reduced symbol."""
+    rank = rng.randrange(max_rank + 1)
+    choices = [
+        d for fam in SymbolFamily for d in admissible_defects(rank, fam)
+    ]
+    defect = rng.choice(choices)
+    residual = rank - defect_rank_offset(defect)
+    cut = rng.randrange(residual + 1)
+    up = random_partition(rng, cut)
+    lo = random_partition(rng, residual - cut)
+    return upsilon_inverse(Bipartition(up, lo), defect)
+
+
+def random_partition(rng, n: int) -> Partition:
+    parts = []
+    remaining = n
+    bound = n
+    while remaining > 0:
+        x = rng.randrange(1, min(bound, remaining) + 1)
+        parts.append(x)
+        bound = x
+        remaining -= x
+    return tuple(parts)
+
+
+def shift_symbol(s: Symbol, steps: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Un-reduced raw rows equivalent to ``s``, shifted up ``steps`` times."""
+    a, b = s.row_a, s.row_b
+    for _ in range(steps):
+        a = tuple(x + 1 for x in a) + (0,)
+        b = tuple(x + 1 for x in b) + (0,)
+    return a, b

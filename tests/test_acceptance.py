@@ -27,8 +27,6 @@ from thetasym.core import (
     defect_rank_offset,
     admissible_defects,
     enumerate_symbols,
-    random_symbol,
-    shift_symbol,
     symbol_defect,
     symbol_normalize,
     symbol_rank,
@@ -55,6 +53,8 @@ from thetasym.theta import (
     first_occurrence_unipotent,
     in_B,
 )
+
+from symbol_helpers import random_symbol, shift_symbol
 
 CTX = TowerContext(eps_minus_one=PLUS)
 

@@ -289,6 +289,7 @@ LABEL_TAIL = " ; L=[1|] ; L'=[|]"
         pytest.param("sp(4): rho=x:" + "1" * 5000 + ":reg" + LABEL_TAIL, "1" * 5000, id="5000 digits"),
         ("sp(2): rho=trivial:0:irr" + LABEL_TAIL, "rho=trivial:0:irr"),
         ("sp(4): rho=a|b:1:reg" + LABEL_TAIL, "rho=a|b"),
+        ("sp(4): rho=x :1:reg" + LABEL_TAIL, "rho=x :1:reg"),
         ("sp(٤): rho=trivial:0:reg" + LABEL_TAIL, "٤)"),
     ],
 )
@@ -296,6 +297,15 @@ def test_label_numbers_and_descriptors_are_parse_errors(text, at):
     with pytest.raises(ParseError) as err:
         parse_label(text)
     assert text[err.value.offset:].startswith(at)
+
+
+def test_descriptor_ids_with_outer_whitespace_are_refused():
+    """Such an id cannot round-trip: the label grammar strips field values."""
+    for rho_id in (" x", "x ", "\tx", " "):
+        with pytest.raises(ValueError, match="whitespace"):
+            RhoDescriptor(1, True, rho_id)
+    label = make_label(sp(1), RhoDescriptor(1, True, "a b"), parse_symbol("[0|]"), EMPTY_SYMBOL)
+    assert parse_label(format_label(label)) == label
 
 
 @pytest.mark.parametrize(

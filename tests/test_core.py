@@ -25,18 +25,17 @@ from thetasym.core import (
     partition_count,
     partition_transpose,
     partitions_of,
-    random_symbol,
-    shift_symbol,
     symbol_defect,
     symbol_normalize,
     symbol_rank,
     symbol_transpose,
     symbols_with_defect,
-    transposed_upsilon,
     upsilon,
     upsilon_inverse,
 )
 from thetasym.errors import NormalizationError, ParseError
+
+from symbol_helpers import random_symbol, shift_symbol
 
 
 partitions_strategy = st.lists(st.integers(1, 9), max_size=6).map(
@@ -212,23 +211,14 @@ def _reference_upsilon(row_a, row_b):
     return strip(row_a), strip(row_b)
 
 
-def _reference_conjugate(p):
-    """Transpose of a partition: the j-th part counts the parts >= j."""
-    largest = p[0] if p else 0
-    return tuple(len([x for x in p if x >= j]) for j in range(1, largest + 1))
-
-
 def _check_derived_data(s):
     up, lo = _reference_upsilon(s.row_a, s.row_b)
-    conj = (_reference_conjugate(up), _reference_conjugate(lo))
     for _ in range(2):  # the second read comes from the symbol's own cache
         assert upsilon(s) == (up, lo)
-        assert transposed_upsilon(s) == conj
         t = symbol_transpose(s)
         assert (t.row_a, t.row_b) == (s.row_b, s.row_a)
         assert symbol_transpose(t) == s
         assert upsilon(t) == (lo, up)
-        assert transposed_upsilon(t) == conj[::-1]
 
 
 def test_derived_data_matches_reference_exhaustive():
@@ -249,7 +239,7 @@ def test_derived_data_matches_reference_random(rng):
 def test_derived_data_is_not_structural():
     warm = enumerate_symbols(3, SymbolFamily.SP_UNIPOTENT)[1]
     cold = Symbol(warm.row_a, warm.row_b)
-    upsilon(warm), transposed_upsilon(warm), symbol_transpose(warm)
+    upsilon(warm), symbol_transpose(warm)
     assert cold == warm and hash(cold) == hash(warm)
     assert not (cold < warm) and not (warm < cold)
     assert repr(cold) == repr(warm)
@@ -358,6 +348,14 @@ def test_parse_bipartition():
     assert parse_bipartition("([],[])") == ((), ())
     with pytest.raises(ParseError):
         parse_bipartition("[1],[2]")
+
+
+@pytest.mark.parametrize("text, offset", [("([1],[x])", 6), ("( [1],[x])", 7), (" (  [x],[])", 5)])
+def test_parse_bipartition_offsets_count_inner_whitespace(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse_bipartition(text)
+    assert err.value.offset == offset
+    assert text[offset] == "x"
 
 
 def test_parse_refuses_overlong_numbers():

@@ -14,6 +14,7 @@ from thetasym.catalog import (
     TRIVIAL_RHO,
     Twist,
     enumerate_labels,
+    kh_of,
     make_label,
     o_even,
     o_odd,
@@ -23,11 +24,13 @@ from thetasym.catalog import (
 )
 from thetasym.core import EMPTY_SYMBOL, parse_symbol, symbol_defect, symbol_transpose
 from thetasym.errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch
+from thetasym import ggp
 from thetasym.ggp import (
     BESSEL,
     FOURIER_JACOBI,
     MultKind,
     VariantReport,
+    _VariantRun,
     branch_decomposition,
     default_rho_catalog,
     ggp_multiplicity,
@@ -35,7 +38,7 @@ from thetasym.ggp import (
     relevance_necessary,
     select_nonzero_variant,
 )
-from thetasym.oracle import _bessel_pairs, _fj_pairs
+from thetasym.oracle import _bessel_pairs, _fj_pairs, verify_variant_uniqueness
 from thetasym.theta import TowerContext
 
 CTX = TowerContext(eps_minus_one=PLUS)
@@ -321,7 +324,7 @@ def _outcome(select, left, right, case, ctx):
     return report
 
 
-@pytest.mark.parametrize(
+SWEEP_CONTEXTS = pytest.mark.parametrize(
     "ctx",
     [
         TowerContext(eps_minus_one=PLUS),
@@ -338,6 +341,9 @@ def _outcome(select, left, right, case, ctx):
     ],
     ids=["eps+", "eps-", "some-bits+", "some-bits-", "all-bits"],
 )
+
+
+@SWEEP_CONTEXTS
 def test_select_matches_reference(ctx):
     """Every rank <= 2 family of the uniqueness sweep, in both argument orders."""
     families = itertools.chain(_fj_pairs(2), _bessel_pairs(2, ctx.eps_minus_one))
@@ -346,6 +352,37 @@ def test_select_matches_reference(ctx):
             assert _outcome(select_nonzero_variant, a, b, case, ctx) == _outcome(
                 _reference_select, a, b, case, ctx
             ), f"{a} / {b}"
+
+
+@SWEEP_CONTEXTS
+def test_shared_run_matches_fresh_calls(ctx):
+    """One run over every rank <= 3 family, in both argument orders, answers as fresh calls do.
+
+    A side or gate that leaked from one family into another would show here.
+    """
+    run = _VariantRun(ctx)
+    families = itertools.chain(_fj_pairs(3), _bessel_pairs(3, ctx.eps_minus_one))
+    for left, right, case in families:
+        for a, b in ((left, right), (right, left)):
+            shared = _outcome(lambda l, r, c, _: run.family(l, r, c), a, b, case, ctx)
+            assert shared == _outcome(select_nonzero_variant, a, b, case, ctx), f"{a} / {b}"
+
+
+def test_sweep_reads_kh_once_per_label_and_role(monkeypatch):
+    """A rank-2 sweep builds each label's sides once per role, not once per family."""
+    calls = collections.Counter()
+
+    def counting_kh_of(label):
+        calls[label] += 1
+        return kh_of(label)
+
+    monkeypatch.setattr(ggp, "kh_of", counting_kh_of)
+    assert verify_variant_uniqueness(2, CTX).passed
+    # a symplectic label is a Fourier-Jacobi left and right side; an
+    # orthogonal label has its one Bessel role
+    for label, n in calls.items():
+        assert n <= (2 if label.group.family is GroupFamily.SP else 1), label
+    assert sum(calls.values()) <= 2 * len(calls)
 
 
 def test_select_entry_kinds_rank_2():

@@ -62,11 +62,14 @@ LABEL_POOL = [
 def labels(draw):
     """(label, eps_minus_one): a label of a small group and the square class it was built under.
 
-    A nontrivial descriptor gets a drawn id and regularity flag.
+    A nontrivial descriptor gets a drawn id, which may hold interior
+    whitespace, and a regularity flag.
     """
     label, eps = draw(st.sampled_from(LABEL_POOL))
     if not label.rho.is_trivial:
-        rho_id = draw(st.text("abcxyz-_.0123456789", min_size=1, max_size=8))
+        rho_id = draw(
+            st.text("abcxyz-_.0123456789 \t", min_size=1, max_size=8).filter(lambda t: t == t.strip())
+        )
         rho = RhoDescriptor(label.rho.glu_rank, draw(st.booleans()), rho_id)
         label = dataclasses.replace(label, rho=rho)
     return label, eps

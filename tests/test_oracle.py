@@ -78,16 +78,16 @@ def test_failure_text_in_every_verifier(monkeypatch):
         {"input": "count o+ rank 0", "expected": "0", "actual": "1"},
     ]
 
-    real = oracle.select_nonzero_variant
+    real = oracle._VariantRun.family
     calls = []
 
-    def second_raises(left, right, case, ctx):
+    def second_raises(run, left, right, case):
         calls.append(1)
         if len(calls) == 2:
             raise MultipleNonzero("boom")
-        return real(left, right, case, ctx)
+        return real(run, left, right, case)
 
-    monkeypatch.setattr(oracle, "select_nonzero_variant", second_raises)
+    monkeypatch.setattr(oracle._VariantRun, "family", second_raises)
     report = verify_variant_uniqueness(0, TowerContext(eps_minus_one=PLUS))
     assert report.checked == 5
     assert report.failures == [

@@ -16,10 +16,13 @@ from thetasym.core import (
     EMPTY_SYMBOL,
     MAX_ENUMERATION_RANK,
     SymbolFamily,
+    close_dominates,
     enumerate_symbols,
     parse_symbol,
+    partition_transpose,
     symbol_defect,
     symbol_rank,
+    upsilon,
 )
 from thetasym.errors import CaseMismatch, DefectClassMismatch, NotCuspidalSupport
 from thetasym.theta import (
@@ -60,6 +63,47 @@ def test_in_B_defect_equations():
                         if in_B(lam, lam_prime, sign):
                             shift = 1 if sign == PLUS else -1
                             assert symbol_defect(lam_prime) == -symbol_defect(lam) + shift
+
+
+def _reference_in_B(lam, lam_prime, sign):
+    """``in_B`` as defined: the band relation on transposed rows."""
+    d, d2 = symbol_defect(lam), symbol_defect(lam_prime)
+    if d2 != (-d + 1 if sign == PLUS else -d - 1):
+        return False
+    up, lo = (partition_transpose(p) for p in upsilon(lam))
+    up2, lo2 = (partition_transpose(p) for p in upsilon(lam_prime))
+    if sign == PLUS:
+        return close_dominates(lo2, up) and close_dominates(lo, up2)
+    return close_dominates(up2, lo) and close_dominates(up, lo2)
+
+
+def test_in_B_matches_transposed_definition():
+    """Every symbol pair of rank <= 6, in both towers."""
+    firsts = [s for n in range(7) for s in enumerate_symbols(n, SymbolFamily.SP_UNIPOTENT)]
+    seconds = [
+        s
+        for n in range(7)
+        for fam in (SymbolFamily.O_EVEN_PLUS, SymbolFamily.O_EVEN_MINUS)
+        for s in enumerate_symbols(n, fam)
+    ]
+    hits = 0
+    for lam in firsts:
+        for lam_prime in seconds:
+            for sign in (PLUS, MINUS):
+                expected = _reference_in_B(lam, lam_prime, sign)
+                assert in_B(lam, lam_prime, sign) == expected, (lam, lam_prime, sign)
+                hits += expected
+    assert hits > 0
+
+
+def test_theta_fiber_of_a_huge_row_transposes_nothing(monkeypatch):
+    import thetasym.core as core
+
+    def must_not_run(p):
+        raise AssertionError("a partition was transposed")
+
+    monkeypatch.setattr(core, "partition_transpose", must_not_run)
+    assert theta_fiber(parse_symbol("[300000|]"), PLUS, 0) == [EMPTY_SYMBOL]
 
 
 def test_in_G_examples():
