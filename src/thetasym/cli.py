@@ -76,9 +76,9 @@ _FAMILIES = {
 
 def _emit(rows: list[dict], columns: list[str], fmt: str, out) -> None:
     if fmt == "json":
-        for row in rows:
-            out.write(json.dumps({c: row[c] for c in columns}, sort_keys=True))
-            out.write("\n")
+        # rows built in sorted key order dump as with sort_keys=True
+        keys = sorted(columns)
+        out.write("".join(json.dumps({c: row[c] for c in keys}) + "\n" for row in rows))
         return
     if fmt == "csv":
         buffer = io.StringIO()
@@ -88,15 +88,12 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out) -> None:
             writer.writerow([row[c] for c in columns])
         out.write(buffer.getvalue())
         return
-    widths = {
-        c: max(len(c), *(len(str(r[c])) for r in rows)) if rows else len(c)
-        for c in columns
-    }
-    out.write("  ".join(c.ljust(widths[c]) for c in columns).rstrip() + "\n")
-    for row in rows:
-        out.write(
-            "  ".join(str(row[c]).ljust(widths[c]) for c in columns).rstrip() + "\n"
-        )
+    table = [columns, *([str(row[c]) for c in columns] for row in rows)]
+    widths = [max(map(len, cells)) for cells in zip(*table)]
+    out.write("".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n"
+        for line in table
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from operator import add, attrgetter, gt
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NormalizationError, ParseError
@@ -39,9 +40,10 @@ Partition = tuple[int, ...]
 
 EMPTY_PARTITION: Partition = ()
 
-#: Enumeration refuses ranks above this bound; raise it explicitly if you
-#: really want the (very large) tables beyond desk scale.
-MAX_ENUMERATION_RANK = 64
+#: Enumeration refuses a (rank, defect) layer of more symbols than this,
+#: before building any of it; raise it explicitly if you really want the
+#: (very large) tables beyond desk scale.
+MAX_LAYER_SYMBOLS = 1_000_000
 
 
 def partition(parts: Iterable[int]) -> Partition:
@@ -129,11 +131,18 @@ class Bipartition(NamedTuple):
         return sum(self.upper) + sum(self.lower)
 
 
+@cache
+def _partitions(n: int) -> tuple[Partition, ...]:
+    """:func:`partitions_of` of n, kept as one tuple for the life of the process."""
+    return tuple(partitions_of(n))
+
+
 def bipartitions_of(n: int) -> Iterator[Bipartition]:
     """All bipartitions of total size n."""
     for a in range(n, -1, -1):
-        for up in partitions_of(a):
-            for lo in partitions_of(n - a):
+        lows = _partitions(n - a)
+        for up in _partitions(a):
+            for lo in lows:
                 yield Bipartition(up, lo)
 
 
@@ -150,6 +159,9 @@ def bipartition_count(n: int) -> int:
 
 
 def _check_row(row: tuple[int, ...], name: str) -> None:
+    if all(map(gt, row, row[1:])) and (not row or row[-1] >= 0):
+        return
+    # Find the first fault in order, for the message.
     for i, x in enumerate(row):
         if x < 0:
             raise NormalizationError(f"negative entry {x} in {name} row {row}")
@@ -273,14 +285,34 @@ def upsilon_inverse(bp: Bipartition | tuple[Partition, Partition], defect: int) 
     exactly what reducedness requires.  The validated bipartition is kept on
     the new symbol as its :func:`upsilon`.
     """
-    up, lo = partition(bp[0]), partition(bp[1])
+    return _symbol_of(Bipartition(partition(bp[0]), partition(bp[1])), defect, {})
+
+
+def _symbol_of(bp: Bipartition, defect: int, rows: dict) -> Symbol:
+    """:func:`upsilon_inverse` of a bipartition of canonical partitions.
+
+    ``rows`` maps ``(partition, length)`` to the partition padded to that
+    length plus the staircase, so symbols built with one dict share their
+    row tuples.  The symbol is still checked by its constructor, and keeps
+    ``bp`` as its :func:`upsilon`.
+    """
+    up, lo = bp
     m2 = max(0, len(lo), len(up) - defect, -defect)
     m1 = m2 + defect
-    row_a = tuple((up[i] if i < len(up) else 0) + (m1 - 1 - i) for i in range(m1))
-    row_b = tuple((lo[i] if i < len(lo) else 0) + (m2 - 1 - i) for i in range(m2))
+    row_a = rows.get((up, m1))
+    if row_a is None:
+        row_a = rows[up, m1] = _staircase_row(up, m1)
+    row_b = rows.get((lo, m2))
+    if row_b is None:
+        row_b = rows[lo, m2] = _staircase_row(lo, m2)
     s = Symbol(row_a, row_b)
-    _keep(s, "_upsilon", Bipartition(up, lo))
+    _keep(s, "_upsilon", bp)
     return s
+
+
+def _staircase_row(p: Partition, m: int) -> tuple[int, ...]:
+    """``p`` padded with zeros to length m, plus the staircase (m-1, ..., 0)."""
+    return tuple(map(add, p + (0,) * (m - len(p)), range(m - 1, -1, -1)))
 
 
 class SymbolFamily(Enum):
@@ -326,22 +358,33 @@ def admissible_defects(rank: int, family: SymbolFamily) -> list[int]:
     return out
 
 
+#: Largest residual rank whose layer size is counted exactly when refusing it.
+_COUNTED_RESIDUAL = 256
+
+
 @cache
 def _defect_layer(rank: int, defect: int) -> tuple[Symbol, ...]:
     """Reduced symbols of this rank and defect, sorted on rows; built once.
 
-    The one place that refuses ranks above :data:`MAX_ENUMERATION_RANK`,
-    before anything is built.
+    The one place that refuses a layer of more than
+    :data:`MAX_LAYER_SYMBOLS` symbols, before anything is built.  Symbols
+    that share a staircase row share one tuple for it.
     """
-    if rank > MAX_ENUMERATION_RANK:
-        raise ValueError(
-            f"rank {rank} exceeds enumeration bound {MAX_ENUMERATION_RANK}"
-        )
     residual = rank - defect_rank_offset(defect)
     if residual < 0:
         return ()
-    syms = [upsilon_inverse(bp, defect) for bp in bipartitions_of(residual)]
-    syms.sort(key=lambda s: (s.row_a, s.row_b))
+    # Layer sizes grow with the residual, so past _COUNTED_RESIDUAL the
+    # size is only bounded from below, which is enough to refuse it.
+    size = bipartition_count(min(residual, _COUNTED_RESIDUAL))
+    if size > MAX_LAYER_SYMBOLS:
+        more = "" if residual <= _COUNTED_RESIDUAL else "more than "
+        raise ValueError(
+            f"the rank {rank}, defect {defect} layer has {more}{size} symbols, "
+            f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+        )
+    rows: dict = {}
+    syms = [_symbol_of(bp, defect, rows) for bp in bipartitions_of(residual)]
+    syms.sort(key=attrgetter("row_a", "row_b"))
     return tuple(syms)
 
 
@@ -358,6 +401,9 @@ def symbols_with_defect(rank: int, defect: int) -> list[Symbol]:
 
 @cache
 def _rank_layer(rank: int, family: SymbolFamily) -> tuple[Symbol, ...]:
+    # The family's first defect has the largest layer, so an oversized rank
+    # is refused here, before its list of defects is built.
+    _defect_layer(rank, family.defect_residue)
     return tuple(
         s
         for defect in admissible_defects(rank, family)
@@ -376,8 +422,8 @@ def enumerate_symbols(rank: int, family: SymbolFamily) -> list[Symbol]:
     the process together with whatever derived data their symbols
     accumulate; the two views share the same symbols.  Memory therefore
     grows with the largest layers enumerated.  The result is a fresh list,
-    which the caller may mutate.  Ranks above :data:`MAX_ENUMERATION_RANK`
-    raise ``ValueError``.
+    which the caller may mutate.  A defect layer of more than
+    :data:`MAX_LAYER_SYMBOLS` symbols raises ``ValueError``.
     """
     return list(_rank_layer(rank, family))
 
@@ -397,15 +443,11 @@ def count_symbols(rank: int, family: SymbolFamily) -> int:
 
 def format_symbol(s: Symbol) -> str:
     """Render in the bracket grammar, e.g. ``[4,3,2,1,0|]`` or ``[|]``."""
-    a = ",".join(str(x) for x in s.row_a)
-    b = ",".join(str(x) for x in s.row_b)
-    return f"[{a}|{b}]"
+    return f"[{','.join(map(str, s.row_a))}|{','.join(map(str, s.row_b))}]"
 
 
 def format_bipartition(bp: Bipartition) -> str:
-    up = ",".join(str(x) for x in bp.upper)
-    lo = ",".join(str(x) for x in bp.lower)
-    return f"([{up}],[{lo}])"
+    return f"([{','.join(map(str, bp.upper))}],[{','.join(map(str, bp.lower))}])"
 
 
 #: Longest digit run the grammars accept, so that every number in them fits

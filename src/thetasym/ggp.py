@@ -277,9 +277,10 @@ def _validate_pair(left: RepLabel, right: RepLabel, case: GGPCase) -> bool:
         if fl is not GroupFamily.SP or fr is not GroupFamily.SP:
             raise CaseMismatch("Fourier-Jacobi needs two symplectic labels")
         return _fj_swapped(left, right)
-    if {fl, fr} != {GroupFamily.O_ODD, GroupFamily.O_EVEN}:
+    odd, even = GroupFamily.O_ODD, GroupFamily.O_EVEN
+    if not ((fl is odd and fr is even) or (fl is even and fr is odd)):
         raise CaseMismatch("Bessel needs one odd and one even orthogonal label")
-    return fl is GroupFamily.O_EVEN
+    return fl is even
 
 
 def _side(label: RepLabel, supplied: Bits) -> _Side:

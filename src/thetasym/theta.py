@@ -221,8 +221,8 @@ def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
     defect, so this is the same list, in the same order, as filtering the
     whole rank layer of the target family.  A ``lam`` that is not of
     symplectic type raises :class:`DefectClassMismatch`, as in ``in_B``, and
-    target ranks above ``MAX_ENUMERATION_RANK`` raise ``ValueError``, as
-    enumeration does; both before any layer is built.
+    a target layer of more than ``MAX_LAYER_SYMBOLS`` symbols raises
+    ``ValueError``, as enumeration does; both before any layer is built.
     """
     d = symbol_defect(lam)
     if d % 4 != 1:

@@ -1,5 +1,7 @@
-"""Random and shifted symbols for the fuzz and round-trip tests."""
+"""Random and shifted symbols for the fuzz and round-trip tests, and a guard
+that fails any layer build."""
 
+import thetasym.core as core
 from thetasym.core import (
     Bipartition,
     Partition,
@@ -44,3 +46,13 @@ def shift_symbol(s: Symbol, steps: int) -> tuple[tuple[int, ...], tuple[int, ...
         a = tuple(x + 1 for x in a) + (0,)
         b = tuple(x + 1 for x in b) + (0,)
     return a, b
+
+
+def forbid_layer_builds(monkeypatch) -> None:
+    """Make every symbol builder of ``core`` fail, for refusal tests."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a layer was built for a refused size")
+
+    for name in ("bipartitions_of", "_partitions", "_symbol_of", "upsilon_inverse"):
+        monkeypatch.setattr(core, name, must_not_run)

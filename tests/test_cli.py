@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import json
@@ -7,6 +8,16 @@ import pytest
 
 import thetasym.cli as cli
 from thetasym.cli import main
+from thetasym.core import (
+    MAX_LAYER_SYMBOLS,
+    bipartition_count,
+    enumerate_symbols,
+    symbol_defect,
+    symbol_rank,
+    upsilon,
+)
+
+from symbol_helpers import forbid_layer_builds
 
 
 def run_cli(argv):
@@ -203,6 +214,63 @@ def test_verify_failure_exit_code(monkeypatch):
 def test_output_byte_identical():
     args = ["symbols-enumerate", "--rank", "4", "--family", "o-", "--format", "csv"]
     assert run_cli(args) == run_cli(args)
+
+
+def _reference_table(rows, columns, fmt):
+    """The table renderer written out plainly: the bytes ``_emit`` must give."""
+    if fmt == "json":
+        return "".join(json.dumps({c: r[c] for c in columns}, sort_keys=True) + "\n" for r in rows)
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        for r in rows:
+            writer.writerow([r[c] for c in columns])
+        return buffer.getvalue()
+    widths = {c: max([len(c)] + [len(str(r[c])) for r in rows]) for c in columns}
+    lines = ["  ".join(c.ljust(widths[c]) for c in columns)]
+    lines += ["  ".join(str(r[c]).ljust(widths[c]) for c in columns) for r in rows]
+    return "".join(line.rstrip() + "\n" for line in lines)
+
+
+def _row_text(row):
+    return ",".join(str(x) for x in row)
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+@pytest.mark.parametrize("family", ["sp", "o+", "o-", "o-odd"])
+def test_symbols_enumerate_golden_bytes(family, fmt):
+    for rank in range(7):
+        rows = [
+            {
+                "symbol": f"[{_row_text(s.row_a)}|{_row_text(s.row_b)}]",
+                "rank": symbol_rank(s),
+                "defect": symbol_defect(s),
+                "upsilon": f"([{_row_text(upsilon(s).upper)}],[{_row_text(upsilon(s).lower)}])",
+            }
+            for s in enumerate_symbols(rank, cli._FAMILIES[family])
+        ]
+        expected = _reference_table(rows, ["symbol", "rank", "defect", "upsilon"], fmt)
+        argv = ["symbols-enumerate", "--rank", str(rank), "--family", family, "--format", fmt]
+        assert run_cli(argv) == (0, expected)
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+def test_empty_theta_fiber_prints_the_header_only_table(fmt):
+    argv = ["theta-fiber", "--symbol", "[1,0|1]", "--sign", "+", "--target-rank", "0", "--format", fmt]
+    expected = {"pretty": "symbol  rank  defect\n", "json": "", "csv": "symbol,rank,defect\n"}[fmt]
+    assert expected == _reference_table([], ["symbol", "rank", "defect"], fmt)
+    assert run_cli(argv) == (0, expected)
+
+
+def test_oversized_layer_refused_before_work(monkeypatch, capsys):
+    forbid_layer_builds(monkeypatch)
+    code, out = run_cli(["symbols-enumerate", "--rank", "64", "--family", "sp"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: the rank 64, defect 1 layer has {bipartition_count(64)} symbols, "
+        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}\n"
+    )
 
 
 @pytest.mark.parametrize(

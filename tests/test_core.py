@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from thetasym.core import (
     Bipartition,
     EMPTY_SYMBOL,
+    MAX_LAYER_SYMBOLS,
     Symbol,
     SymbolFamily,
     admissible_defects,
@@ -35,7 +36,7 @@ from thetasym.core import (
 )
 from thetasym.errors import NormalizationError, ParseError
 
-from symbol_helpers import random_symbol, shift_symbol
+from symbol_helpers import forbid_layer_builds, random_symbol, shift_symbol
 
 
 partitions_strategy = st.lists(st.integers(1, 9), max_size=6).map(
@@ -306,6 +307,66 @@ def test_symbols_with_defect_returns_fresh_list():
     assert symbols_with_defect(5, -2) == expected
     layer = enumerate_symbols(5, SymbolFamily.O_EVEN_MINUS)
     assert [s for s in layer if symbol_defect(s) == -2] == expected
+
+
+def _reference_partitions(n, top):
+    """Partitions of n with parts at most ``top``, in no particular order."""
+    if n == 0:
+        return [()]
+    return [(k, *rest) for k in range(1, min(n, top) + 1) for rest in _reference_partitions(n - k, k)]
+
+
+def test_defect_layers_match_upsilon_inverse_of_reference_bipartitions():
+    for family in SymbolFamily:
+        for rank in range(13):
+            for defect in admissible_defects(rank, family):
+                n = rank - defect_rank_offset(defect)
+                expected = sorted(
+                    upsilon_inverse(Bipartition(up, lo), defect)
+                    for a in range(n + 1)
+                    for up in _reference_partitions(a, a)
+                    for lo in _reference_partitions(n - a, n - a)
+                )
+                layer = symbols_with_defect(rank, defect)
+                assert len(layer) == len(expected)
+                for got, want in zip(layer, expected):
+                    assert (got.row_a, got.row_b) == (want.row_a, want.row_b)
+                    assert upsilon(got) == upsilon(want)
+
+
+def test_symbol_rows_report_their_first_fault():
+    with pytest.raises(NormalizationError, match=r"negative entry -1 in first row \(3, -1, -2\)"):
+        Symbol((3, -1, -2), ())
+    with pytest.raises(NormalizationError, match=r"second row \(1, 2, -1\) not strictly decreasing"):
+        Symbol((), (1, 2, -1))
+    with pytest.raises(NormalizationError, match="negative entry -1 in second row"):
+        Symbol((), (-1,))
+
+
+def test_oversized_layer_refused_before_building(monkeypatch):
+    import thetasym.core as core
+
+    forbid_layer_builds(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        symbols_with_defect(64, 1)
+    assert f"layer has {bipartition_count(64)} symbols" in str(err.value)
+    assert f"MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}" in str(err.value)
+    # a huge rank is refused before its (as huge) list of defects is built
+    monkeypatch.setattr(core, "admissible_defects", None)
+    for family in SymbolFamily:
+        with pytest.raises(ValueError, match="layer has more than [0-9]+ symbols"):
+            enumerate_symbols(10**6, family)
+
+
+def test_layer_bound_is_on_the_exact_layer_size(monkeypatch):
+    import thetasym.core as core
+
+    build = core._defect_layer.__wrapped__  # bypass the per-process cache
+    monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", bipartition_count(6))
+    assert len(build(6, 0)) == bipartition_count(6)
+    forbid_layer_builds(monkeypatch)
+    with pytest.raises(ValueError, match=f"layer has {bipartition_count(7)} symbols"):
+        build(7, 0)
 
 
 # ---------------------------------------------------------------------------

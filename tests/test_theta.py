@@ -14,7 +14,7 @@ from thetasym.catalog import (
 )
 from thetasym.core import (
     EMPTY_SYMBOL,
-    MAX_ENUMERATION_RANK,
+    MAX_LAYER_SYMBOLS,
     SymbolFamily,
     close_dominates,
     enumerate_symbols,
@@ -39,6 +39,8 @@ from thetasym.theta import (
     in_G,
     theta_fiber,
 )
+
+from symbol_helpers import forbid_layer_builds
 
 
 def test_in_B_examples():
@@ -354,16 +356,10 @@ def test_theta_fiber_equals_full_layer_filter():
 
 
 def test_theta_fiber_refuses_oversized_rank_before_building(monkeypatch):
-    import thetasym.core as core
-
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("a layer was built for a refused rank")
-
-    monkeypatch.setattr(core, "bipartitions_of", must_not_run)
-    monkeypatch.setattr(core, "upsilon_inverse", must_not_run)
+    forbid_layer_builds(monkeypatch)
     for sign in (PLUS, MINUS):
-        with pytest.raises(ValueError, match="exceeds enumeration bound"):
-            theta_fiber(parse_symbol("[1|]"), sign, MAX_ENUMERATION_RANK + 1)
+        with pytest.raises(ValueError, match=f"MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"):
+            theta_fiber(parse_symbol("[1|]"), sign, 64)
 
 
 @pytest.mark.parametrize("text", ["[1|0]", "[1,0|]", "[|0]"], ids=["defect 0", "defect 2", "defect -1"])
