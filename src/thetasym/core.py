@@ -436,6 +436,26 @@ def count_symbols(rank: int, family: SymbolFamily) -> int:
     )
 
 
+def _check_sweep(max_rank: int) -> None:
+    """Refuse a sweep over every family and rank <= max_rank, before any build.
+
+    A sweep keeps every layer it builds, so :data:`MAX_LAYER_SYMBOLS` bounds
+    the sum of their sizes, counted as :func:`count_symbols` does, and the
+    ``ValueError`` states the sum and the bound.  Counting stops at the first
+    rank that puts the sum over the bound; below ``max_rank`` the message
+    then says "more than".
+    """
+    total = 0
+    for rank in range(max_rank + 1):
+        total += sum(count_symbols(rank, family) for family in SymbolFamily)
+        if total > MAX_LAYER_SYMBOLS:
+            more = "" if rank == max_rank else "more than "
+            raise ValueError(
+                f"the rank <= {max_rank} sweep has {more}{total} symbols, "
+                f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Text grammar
 # ---------------------------------------------------------------------------

@@ -205,13 +205,15 @@ class _Side(NamedTuple):
     nonzero defect.  A defect-0 slot and its transpose pass exactly the
     same gates (the band uses the absolute slot parameter and the pair
     condition searches both transposes), so variants with equal keys form
-    one variant class.
+    one variant class.  ``order`` is the label's :func:`_fj_order`, kept
+    by the sides of a :class:`_VariantRun`.
     """
 
     label: RepLabel
     kh: KH
     bits: Bits
     key: tuple[str, ...] = ()
+    order: tuple = ()
 
 
 def _resolve_bits(label: RepLabel, kh: KH, supplied: Bits) -> Bits:
@@ -245,10 +247,11 @@ def _strong_relevance(left: _Side, right: _Side, case: GGPCase, ctx: TowerContex
     return _tri_and(c1, c2)
 
 
-def _label_key(label: RepLabel):
+def _fj_order(label: RepLabel):
+    """Fourier-Jacobi order key: the larger rank first, a canonical key at ties."""
     return (
+        -label.group.rank,
         label.group.family.value,
-        label.group.rank,
         label.group.sign or 0,
         label.rho,
         label.lam.row_a,
@@ -260,10 +263,10 @@ def _label_key(label: RepLabel):
 
 
 def _fj_swapped(left: RepLabel, right: RepLabel) -> bool:
-    """Whether a symplectic pair is out of order (larger rank first, key at ties)."""
+    """Whether a symplectic pair is out of :func:`_fj_order`; unequal ranks decide alone."""
     if left.group.rank != right.group.rank:
         return left.group.rank < right.group.rank
-    return _label_key(left) > _label_key(right)
+    return _fj_order(left) > _fj_order(right)
 
 
 def _validate_pair(left: RepLabel, right: RepLabel, case: GGPCase) -> bool:
@@ -504,7 +507,10 @@ class _VariantRun:
                 else:
                     v = RepLabel(v.group, v.rho, v.lam, t, v.eps_flag)
                     out.append((v, KH(k, -h), _flip(bits, False, True), vkey + slot_key))
-        sides = [_Side(v, kh, _resolve_bits(v, kh, bits), vkey) for v, kh, bits, vkey in out]
+        sides = [
+            _Side(v, kh, _resolve_bits(v, kh, bits), vkey, _fj_order(v))
+            for v, kh, bits, vkey in out
+        ]
         self._sides[key] = sides
         return sides
 
@@ -542,7 +548,7 @@ class _VariantRun:
         classes: dict = {}
         for lv, rv in pairs:
             # the Fourier-Jacobi order can differ between variants at equal rank
-            a, b = (rv, lv) if fourier_jacobi and _fj_swapped(lv.label, rv.label) else (lv, rv)
+            a, b = (rv, lv) if fourier_jacobi and lv.order > rv.order else (lv, rv)
             value = _evaluate(a, b, case, self.ctx, pair_gate)
             entry = (lv.label, rv.label, value)
             entries.append(entry)

@@ -32,6 +32,7 @@ from .catalog import (
 from .core import (
     Symbol,
     SymbolFamily,
+    _check_sweep,
     _defect_layer,
     admissible_defects,
     bipartition_count,
@@ -40,13 +41,14 @@ from .core import (
     format_symbol,
     symbol_defect,
     symbol_rank,
+    upsilon,
 )
 from .ggp import BESSEL, FOURIER_JACOBI, _VariantRun
 from .theta import (
     ThetaDirection,
     TowerContext,
+    _band,
     first_occurrence_unipotent,
-    in_B,
     theta_fiber,
 )
 
@@ -110,13 +112,16 @@ def brute_first_occurrence(lam: Symbol, sign: Sign, max_rank: int) -> int | None
 def _fiber_to_sp(lam_prime: Symbol, sign: Sign, rank: int) -> list[Symbol]:
     """Symplectic-type symbols of the rank pairing with an even-type symbol.
 
-    Like :func:`theta_fiber` in the other direction, only the one defect
-    layer that the defect equation of :func:`in_B` allows is filtered.
+    Like :func:`theta_fiber` in the other direction: the rows of
+    ``lam_prime`` are read once, and only the one defect layer that the
+    defect equation of :func:`in_B` allows is read, each of its members
+    tested with the band relation alone.
     """
     defect = -symbol_defect(lam_prime) + (1 if sign == PLUS else -1)
     if defect % 4 != 1:
         return []
-    return [s for s in _defect_layer(rank, defect) if in_B(s, lam_prime, sign)]
+    bp2 = upsilon(lam_prime)
+    return [s for s in _defect_layer(rank, defect) if _band(upsilon(s), bp2, sign)]
 
 
 def _first_fiber(
@@ -142,8 +147,11 @@ def verify_f1(max_rank: int, index_offset: int = 0) -> VerificationReport:
     and every even-type symbol in its own tower; checks the index, that the
     fiber at the index is a singleton, and that its member is the closed
     form's lift.  ``index_offset`` shifts the closed-form index and exists
-    only so the harness can prove it detects injected failures.
+    only so the harness can prove it detects injected failures.  A sweep
+    whose layers of rank <= max_rank hold more than ``MAX_LAYER_SYMBOLS``
+    symbols in all raises ``ValueError`` before any layer is built.
     """
+    _check_sweep(max_rank)
     report = VerificationReport()
     start = time.monotonic()
     for rank in range(max_rank + 1):
@@ -193,7 +201,9 @@ def verify_counts(max_rank: int) -> VerificationReport:
 
     Also checks the cuspidal pattern: within each admissible defect there is
     exactly one cuspidal staircase, occurring exactly at its staircase rank.
+    Oversized sweeps are refused as in :func:`verify_f1`.
     """
+    _check_sweep(max_rank)
     report = VerificationReport()
     start = time.monotonic()
     families = (

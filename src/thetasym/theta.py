@@ -46,12 +46,12 @@ from .core import (
     Symbol,
     SymbolFamily,
     _defect_layer,
+    _symbol_of,
     close_dominates,
     symbol_defect,
     symbol_rank,
     symbol_transpose,
     upsilon,
-    upsilon_inverse,
 )
 from .errors import CaseMismatch, DefectClassMismatch, NotCuspidalSupport
 
@@ -151,6 +151,19 @@ def _interlaces(inner: Partition, outer: Partition) -> bool:
     return True
 
 
+def _band(bp: Bipartition, bp2: Bipartition, sign: Sign) -> bool:
+    """The band relation of :func:`in_B` on staircase-free rows.
+
+    ``bp`` belongs to the symplectic-type symbol and ``bp2`` to the
+    even-type one; the defect checks are the caller's.
+    """
+    up, lo = bp
+    up2, lo2 = bp2
+    if sign == PLUS:
+        return _interlaces(lo2, up) and _interlaces(lo, up2)
+    return _interlaces(up2, lo) and _interlaces(up, lo2)
+
+
 def in_B(lam: Symbol, lam_prime: Symbol, sign: Sign) -> bool:
     """Symbol-level occurrence in the oscillator representation.
 
@@ -173,11 +186,7 @@ def in_B(lam: Symbol, lam_prime: Symbol, sign: Sign) -> bool:
         raise DefectClassMismatch(f"second symbol defect {d2} must be even")
     if d2 != (-d + 1 if sign == PLUS else -d - 1):
         return False
-    up, lo = upsilon(lam)
-    up2, lo2 = upsilon(lam_prime)
-    if sign == PLUS:
-        return _interlaces(lo2, up) and _interlaces(lo, up2)
-    return _interlaces(up2, lo) and _interlaces(up, lo2)
+    return _band(upsilon(lam), upsilon(lam_prime), sign)
 
 
 class GVariant(Enum):
@@ -214,21 +223,25 @@ def in_G(lam: Symbol, lam_prime: Symbol) -> GVariant | None:
 def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
     """All even-type symbols of the target rank pairing with ``lam``.
 
-    The target symbols are filtered through :func:`in_B`; deliberately
-    definition-driven so it can serve as the oracle for the closed-form
-    first occurrence.  Only the one defect layer that the defect equation
-    of :func:`in_B` allows is read: ``in_B`` is False on every other
-    defect, so this is the same list, in the same order, as filtering the
-    whole rank layer of the target family.  A ``lam`` that is not of
-    symplectic type raises :class:`DefectClassMismatch`, as in ``in_B``, and
-    a target layer of more than ``MAX_LAYER_SYMBOLS`` symbols raises
-    ``ValueError``, as enumeration does; both before any layer is built.
+    Deliberately definition-driven, so it can serve as the oracle for the
+    closed-form first occurrence: this is :func:`in_B` against every
+    even-type symbol of the target rank, split where its work does not
+    depend on the candidate.  The class of ``lam`` is checked and its rows
+    are read once; only the one defect layer that the defect equation
+    allows is read, and each of its members is tested with the band
+    relation alone.  ``in_B`` is False on every other defect, so this is
+    the same list, in the same order, as filtering the whole rank layer of
+    the target family.  A ``lam`` that is not of symplectic type raises
+    :class:`DefectClassMismatch`, as in ``in_B``, and a target layer of more
+    than ``MAX_LAYER_SYMBOLS`` symbols raises ``ValueError``, as enumeration
+    does; both before any layer is built.
     """
     d = symbol_defect(lam)
     if d % 4 != 1:
         raise DefectClassMismatch(f"first symbol defect {d} not = 1 mod 4")
+    bp = upsilon(lam)
     want = -d + (1 if sign == PLUS else -1)
-    return [s for s in _defect_layer(target_rank, want) if in_B(lam, s, sign)]
+    return [s for s in _defect_layer(target_rank, want) if _band(bp, upsilon(s), sign)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,33 +277,27 @@ def first_occurrence_unipotent(
     assignment.
     """
     d = symbol_defect(lam)
-    n = symbol_rank(lam)
-    up, lo = upsilon(lam)
-    up1 = up[0] if up else 0
-    lo1 = lo[0] if lo else 0
     if direction is ThetaDirection.SP_TO_O:
         if d % 4 != 1:
             raise DefectClassMismatch(f"defect {d} not = 1 mod 4 for a symplectic symbol")
-        if sign == PLUS:
-            index = n - up1 - (d - 1) // 2
-            lift = upsilon_inverse(Bipartition(lo, up[1:]), -d + 1)
-        else:
-            index = n - lo1 + (d + 1) // 2
-            lift = upsilon_inverse(Bipartition(lo[1:], up), -d - 1)
-        return FirstOccurrence(index, lift)
-    if d % 2 != 0:
+    elif d % 2 != 0:
         raise DefectClassMismatch(f"defect {d} must be even for an orthogonal symbol")
-    if sign_pow(d // 2) != sign:
+    elif sign_pow(d // 2) != sign:
         raise DefectClassMismatch(
             f"symbol of defect {d} lives on the o{format_sign(sign_pow(d // 2))} tower, "
             f"not o{format_sign(sign)}"
         )
+    n = symbol_rank(lam)
+    up, lo = upsilon(lam)
+    # One formula per tower serves both directions: (d - 1) // 2 == d // 2
+    # for odd d, and (d + 1) // 2 == d // 2 for even d.  The lift rows are
+    # slices of canonical partitions, so they need no validation.
     if sign == PLUS:
-        index = n - up1 - d // 2
-        lift = upsilon_inverse(Bipartition(lo, up[1:]), -d + 1)
+        index = n - (up[0] if up else 0) - d // 2
+        lift = _symbol_of(Bipartition(lo, up[1:]), -d + 1, {})
     else:
-        index = n - lo1 + d // 2
-        lift = upsilon_inverse(Bipartition(lo[1:], up), -d - 1)
+        index = n - (lo[0] if lo else 0) + (d + 1) // 2
+        lift = _symbol_of(Bipartition(lo[1:], up), -d - 1, {})
     return FirstOccurrence(index, lift)
 
 

@@ -273,6 +273,17 @@ def test_oversized_layer_refused_before_work(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("suite", ["counts", "f1"])
+def test_oversized_sweep_refused_before_work(suite, monkeypatch, capsys):
+    forbid_layer_builds(monkeypatch)
+    code, out = run_cli(["verify", "--suite", suite, "--max-rank", "23"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: the rank <= 23 sweep has 1063737 symbols, "
+        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,7 +1,16 @@
 import json
 
+import pytest
+
+import thetasym.core as core
 from thetasym.catalog import MINUS, PLUS
-from thetasym.core import SymbolFamily, enumerate_symbols, parse_symbol
+from thetasym.core import (
+    MAX_LAYER_SYMBOLS,
+    SymbolFamily,
+    count_symbols,
+    enumerate_symbols,
+    parse_symbol,
+)
 from thetasym.oracle import (
     VerificationReport,
     _fiber_to_sp,
@@ -12,6 +21,8 @@ from thetasym.oracle import (
     verify_variant_uniqueness,
 )
 from thetasym.theta import TowerContext, in_B
+
+from symbol_helpers import forbid_layer_builds
 
 
 def test_brute_first_occurrence_examples():
@@ -139,3 +150,31 @@ def test_report_over_zero_checks_does_not_pass():
     report = VerificationReport()
     assert report.checked == 0 and not report.failures
     assert not report.passed
+
+
+def _sweep_size(max_rank: int) -> int:
+    return sum(count_symbols(r, f) for r in range(max_rank + 1) for f in SymbolFamily)
+
+
+@pytest.mark.parametrize("verify", [verify_counts, verify_f1])
+def test_oversized_sweep_refused_before_building(verify, monkeypatch):
+    forbid_layer_builds(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        verify(23)
+    assert str(err.value) == (
+        f"the rank <= 23 sweep has {_sweep_size(23)} symbols, "
+        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+    )
+    # counting stops at the first rank over the bound
+    with pytest.raises(ValueError, match=r"the rank <= 1000000 sweep has more than [0-9]+ symbols"):
+        verify(10**6)
+
+
+def test_sweep_bound_is_on_the_sum_of_its_layers(monkeypatch):
+    assert _sweep_size(22) <= MAX_LAYER_SYMBOLS < _sweep_size(23)
+    core._check_sweep(22)  # counts only; a rank-22 sweep is not run here
+    monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", _sweep_size(3))
+    assert verify_counts(3).passed
+    forbid_layer_builds(monkeypatch)
+    with pytest.raises(ValueError, match=f"sweep has {_sweep_size(4)} symbols"):
+        verify_counts(4)

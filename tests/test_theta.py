@@ -15,6 +15,8 @@ from thetasym.catalog import (
 from thetasym.core import (
     EMPTY_SYMBOL,
     MAX_LAYER_SYMBOLS,
+    Bipartition,
+    Symbol,
     SymbolFamily,
     close_dominates,
     enumerate_symbols,
@@ -23,6 +25,7 @@ from thetasym.core import (
     symbol_defect,
     symbol_rank,
     upsilon,
+    upsilon_inverse,
 )
 from thetasym.errors import CaseMismatch, DefectClassMismatch, NotCuspidalSupport
 from thetasym.theta import (
@@ -341,6 +344,30 @@ def test_closed_form_equals_brute_small():
                 assert brute == occ.index
                 fiber = theta_fiber(lam, sign, occ.index)
                 assert fiber == [occ.lift]
+
+
+def test_first_occurrence_lift_is_the_validated_construction():
+    """The closed-form lift, built from canonical rows, equals the lift that
+    ``upsilon_inverse`` builds from the same bipartition and defect."""
+    cases = [
+        (SymbolFamily.SP_UNIPOTENT, ThetaDirection.SP_TO_O, PLUS),
+        (SymbolFamily.SP_UNIPOTENT, ThetaDirection.SP_TO_O, MINUS),
+        (SymbolFamily.O_EVEN_PLUS, ThetaDirection.O_TO_SP, PLUS),
+        (SymbolFamily.O_EVEN_MINUS, ThetaDirection.O_TO_SP, MINUS),
+    ]
+    for n in range(11):
+        for family, direction, sign in cases:
+            for lam in enumerate_symbols(n, family):
+                up, lo = upsilon(lam)
+                d = symbol_defect(lam)
+                if sign == PLUS:
+                    expected = upsilon_inverse(Bipartition(list(lo), list(up[1:])), -d + 1)
+                else:
+                    expected = upsilon_inverse(Bipartition(list(lo[1:]), list(up)), -d - 1)
+                lift = first_occurrence_unipotent(lam, sign, direction).lift
+                assert (lift.row_a, lift.row_b) == (expected.row_a, expected.row_b), lam
+                fresh = Symbol(lift.row_a, lift.row_b)  # upsilon read off the rows
+                assert upsilon(lift) == upsilon(expected) == upsilon(fresh), lam
 
 
 def test_theta_fiber_equals_full_layer_filter():
