@@ -400,12 +400,16 @@ def symbol_regular_by_convention(s: Symbol) -> bool:
 # ---------------------------------------------------------------------------
 
 
+#: The symbol families of each slot kind of :func:`_slot_families`, each
+#: with its slot sign (-1)^(defect/2).
+_SLOT_FAMILIES = {
+    1: ((SymbolFamily.SP_UNIPOTENT, PLUS),),
+    0: ((SymbolFamily.O_EVEN_PLUS, PLUS), (SymbolFamily.O_EVEN_MINUS, MINUS)),
+}
+
+
 def _slot_symbols(kind: int, rank: int) -> list[Symbol]:
-    if kind == 1:
-        return enumerate_symbols(rank, SymbolFamily.SP_UNIPOTENT)
-    return enumerate_symbols(rank, SymbolFamily.O_EVEN_PLUS) + enumerate_symbols(
-        rank, SymbolFamily.O_EVEN_MINUS
-    )
+    return [s for family, _ in _SLOT_FAMILIES[kind] for s in enumerate_symbols(rank, family)]
 
 
 def enumerate_labels(

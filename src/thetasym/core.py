@@ -38,8 +38,6 @@ from .errors import NormalizationError, ParseError
 
 Partition = tuple[int, ...]
 
-EMPTY_PARTITION: Partition = ()
-
 #: Enumeration refuses a (rank, defect) layer of more symbols than this,
 #: before building any of it; raise it explicitly if you really want the
 #: (very large) tables beyond desk scale.

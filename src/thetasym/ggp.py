@@ -28,15 +28,20 @@ value otherwise - evaluating it in general is out of scope here.  When a
 unipotent label restricts against a general one, the unipotent side
 additionally forces the opposite slot symbol to be regular (metadata, with
 a documented default convention).
+
+There is one evaluation path: a run validates a pair, builds each label's
+sides and runs the gates above on each side pair in normalized order.  A
+plain pair is one unvaried pair on a fresh run, a transpose-variant family
+its variant pairs, and :func:`branch_decomposition` evaluates all of its
+candidates on one run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .catalog import (
     KH,
@@ -47,12 +52,14 @@ from .catalog import (
     RhoDescriptor,
     Sign,
     TRIVIAL_RHO,
+    _SLOT_FAMILIES,
+    _slot_families,
     enumerate_labels,
     is_unipotent_label,
     kh_of,
     symbol_regular_by_convention,
 )
-from .core import Symbol, symbol_defect, symbol_transpose
+from .core import MAX_LAYER_SYMBOLS, Symbol, count_symbols, symbol_defect, symbol_transpose
 from .errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch
 from .theta import TowerContext, default_orientation_kh, in_G
 
@@ -92,22 +99,6 @@ class Multiplicity:
     rho_left: RhoDescriptor | None = None
     rho_right: RhoDescriptor | None = None
     reason: str | None = None
-
-    @staticmethod
-    def zero() -> "Multiplicity":
-        return _ZERO
-
-    @staticmethod
-    def one() -> "Multiplicity":
-        return _ONE
-
-    @staticmethod
-    def symbolic(rho_left: RhoDescriptor, rho_right: RhoDescriptor) -> "Multiplicity":
-        return Multiplicity(MultKind.SYMBOLIC, rho_left, rho_right)
-
-    @staticmethod
-    def undetermined(reason: str) -> "Multiplicity":
-        return Multiplicity(MultKind.UNDETERMINED, reason=reason)
 
     @property
     def is_zero(self) -> bool:
@@ -205,15 +196,14 @@ class _Side(NamedTuple):
     nonzero defect.  A defect-0 slot and its transpose pass exactly the
     same gates (the band uses the absolute slot parameter and the pair
     condition searches both transposes), so variants with equal keys form
-    one variant class.  ``order`` is the label's :func:`_fj_order`, kept
-    by the sides of a :class:`_VariantRun`.
+    one variant class.  ``order`` is the label's :func:`_fj_order`.
     """
 
     label: RepLabel
     kh: KH
     bits: Bits
-    key: tuple[str, ...] = ()
-    order: tuple = ()
+    key: tuple[str, ...]
+    order: tuple
 
 
 def _resolve_bits(label: RepLabel, kh: KH, supplied: Bits) -> Bits:
@@ -262,49 +252,15 @@ def _fj_order(label: RepLabel):
     )
 
 
-def _fj_swapped(left: RepLabel, right: RepLabel) -> bool:
-    """Whether a symplectic pair is out of :func:`_fj_order`; unequal ranks decide alone."""
-    if left.group.rank != right.group.rank:
-        return left.group.rank < right.group.rank
-    return _fj_order(left) > _fj_order(right)
+def _in_order(left: _Side, right: _Side, case: GGPCase) -> tuple[_Side, _Side]:
+    """A side pair in normalized order; each side keeps its own bits.
 
-
-def _validate_pair(left: RepLabel, right: RepLabel, case: GGPCase) -> bool:
-    """Whether the pair must be swapped into normalized order.
-
-    For Fourier-Jacobi the larger rank goes first (canonical key at ties);
-    for Bessel the odd orthogonal label goes first.
+    A Fourier-Jacobi pair goes in :func:`_fj_order`; a Bessel pair from
+    :meth:`_VariantRun.pairs` already has the odd orthogonal side first.
     """
-    fl, fr = left.group.family, right.group.family
-    if case is FOURIER_JACOBI:
-        if fl is not GroupFamily.SP or fr is not GroupFamily.SP:
-            raise CaseMismatch("Fourier-Jacobi needs two symplectic labels")
-        return _fj_swapped(left, right)
-    odd, even = GroupFamily.O_ODD, GroupFamily.O_EVEN
-    if not ((fl is odd and fr is even) or (fl is even and fr is odd)):
-        raise CaseMismatch("Bessel needs one odd and one even orthogonal label")
-    return fl is even
-
-
-def _side(label: RepLabel, supplied: Bits) -> _Side:
-    kh = kh_of(label)
-    return _Side(label, kh, _resolve_bits(label, kh, supplied))
-
-
-def _normalize(
-    left: RepLabel, right: RepLabel, case: GGPCase, ctx: TowerContext
-) -> tuple[_Side, _Side]:
-    """Validate the pair and put it in normalized order, ready for evaluation.
-
-    Each label keeps its own orientation slots through the swap.
-    """
-    swap = _validate_pair(left, right, case)
-    bits_left: Bits = (ctx.orient_left, ctx.orient_left_alt)
-    bits_right: Bits = (ctx.orient_right, ctx.orient_right_alt)
-    if swap:
-        left, right = right, left
-        bits_left, bits_right = bits_right, bits_left
-    return _side(left, bits_left), _side(right, bits_right)
+    if case is FOURIER_JACOBI and left.order > right.order:
+        return right, left
+    return left, right
 
 
 def is_strongly_relevant(
@@ -320,46 +276,26 @@ def is_strongly_relevant(
     beyond) the distance comparison of the supports' first occurrences.
     This is the first gate of :func:`ggp_multiplicity`.
     """
-    return _strong_relevance(*_normalize(left, right, case, ctx), case, ctx)
+    _, _, [(a, b)] = _VariantRun(ctx).pairs(left, right, case, False)
+    return _strong_relevance(*_in_order(a, b, case), case, ctx)
 
 
 # ---------------------------------------------------------------------------
-# Pair-condition gate, base factor and the evaluator
+# The pair evaluator
 # ---------------------------------------------------------------------------
-
-
-def _g_gate(first: Symbol, varied: Symbol) -> bool:
-    """Whether some transpose of ``varied`` combines with ``first``."""
-    return any(
-        in_G(first, t) is not None for t in {varied, symbol_transpose(varied)}
-    )
-
-
-def _pair_gate(
-    left: RepLabel, right: RepLabel, case: GGPCase, g_gate: Callable[[Symbol, Symbol], bool]
-) -> bool:
-    """The pair-condition gate of a normalized pair, from ``g_gate`` per slot.
-
-    Each varied slot is tried in both transposes, and the Fourier-Jacobi
-    form is symmetric under swapping the pair, so all members of a
-    transpose-variant family share one value.
-    """
-    if case is FOURIER_JACOBI:
-        return g_gate(left.lam, right.lam_prime) and g_gate(right.lam, left.lam_prime)
-    return g_gate(left.lam, right.lam) and g_gate(left.lam_prime, right.lam_prime)
 
 
 def _base_multiplicity(left: RepLabel, right: RepLabel) -> Multiplicity:
     rl, rr = left.rho, right.rho
     if rl.is_trivial and rr.is_trivial:
-        return Multiplicity.one()
+        return _ONE
     if rl.is_trivial:
-        return Multiplicity.one() if rr.regular else Multiplicity.zero()
+        return _ONE if rr.regular else _ZERO
     if rr.is_trivial:
-        return Multiplicity.one() if rl.regular else Multiplicity.zero()
+        return _ONE if rl.regular else _ZERO
     if rl.regular and rr.regular:
-        return Multiplicity.one()
-    return Multiplicity.symbolic(rl, rr)
+        return _ONE
+    return Multiplicity(MultKind.SYMBOLIC, rl, rr)
 
 
 def _unipotent_slot_gates(left: RepLabel, right: RepLabel, case: GGPCase) -> bool:
@@ -379,57 +315,6 @@ def _unipotent_slot_gates(left: RepLabel, right: RepLabel, case: GGPCase) -> boo
         if is_unipotent_label(left) and left.group.dimension >= right.group.dimension:
             checks.append(right.lam_prime)
     return all(symbol_regular_by_convention(s) for s in checks)
-
-
-def _evaluate(
-    left: _Side,
-    right: _Side,
-    case: GGPCase,
-    ctx: TowerContext,
-    pair_gate: Callable[[], bool],
-) -> Multiplicity:
-    """The gate sequence of :func:`ggp_multiplicity` on a normalized pair.
-
-    ``pair_gate`` computes the pair-condition gate of the pair; it is
-    called only when relevance is not definitely false, so a caller can
-    share one value between pairs.
-    """
-    strong = _strong_relevance(left, right, case, ctx)
-    if strong is False or not pair_gate():
-        return _ZERO
-    if strong is None:
-        return _ORIENTATION_OPEN
-    base = _base_multiplicity(left.label, right.label)
-    if base.is_zero or _unipotent_slot_gates(left.label, right.label, case):
-        return base
-    return _ZERO
-
-
-def ggp_multiplicity(
-    left: RepLabel,
-    right: RepLabel,
-    case: GGPCase,
-    ctx: TowerContext,
-) -> Multiplicity:
-    """Multiplicity of the pair under the restriction named by ``case``.
-
-    The pair is normalized internally (larger rank first for Fourier-Jacobi,
-    odd orthogonal first for Bessel) so that evaluating with swapped
-    arguments returns the same value.
-
-    Gate order: the necessary bands, then two-sided relevance, then the
-    pair-condition gate - a definite failure anywhere gives Zero, and only
-    then does an open orientation surface as undetermined.  Afterwards the
-    base factor and the unipotent-side regularity gates decide between One,
-    Zero and a symbolic base.
-    """
-    a, b = _normalize(left, right, case, ctx)
-    return _evaluate(a, b, case, ctx, lambda: _pair_gate(a.label, b.label, case, _g_gate))
-
-
-# ---------------------------------------------------------------------------
-# Variant selection
-# ---------------------------------------------------------------------------
 
 
 def _flip(bits: Bits, primary: bool, secondary: bool) -> Bits:
@@ -461,9 +346,11 @@ class VariantReport:
 
 
 class _VariantRun:
-    """Variant sides and pair-condition gates shared by the families of one run.
+    """The one pair evaluator: sides, pair-condition gates and the gate sequence.
 
-    A label's sides depend only on the label, its supplied orientation bits
+    A plain pair is a family of one, a branch table one run over its
+    candidates, and a transpose-variant family its four variant pairs.  A
+    label's sides depend only on the label, its supplied orientation bits
     and the varied slots, and a slot's gate only on its two symbols, so a
     run under one context builds each of them once.  Sides are keyed by
     label identity; every entry holds its label, so no key is reused while
@@ -478,16 +365,19 @@ class _VariantRun:
             (ctx.orient_right, ctx.orient_right_alt),
         )
         self._sides: dict[tuple, list[_Side]] = {}
-        self.g_gate = cache(_g_gate)
+        self._gates: dict[tuple[Symbol, Symbol], bool] = {}
 
-    def sides(self, label: RepLabel, supplied: Bits, slots: tuple[str, ...]) -> list[_Side]:
+    def sides(
+        self, label: RepLabel, supplied: Bits, slots: tuple[str, ...], keep: bool = True
+    ) -> list[_Side]:
         """``label`` and its transposes in the varied slots, in family order.
 
         Transposing a slot negates its (k, h) parameter and flips its
         supplied orientation bit (``lam`` the primary, ``lam_prime`` the
         secondary); only even-type slots are varied, so the negation is
         exact.  A slot equal to its own transpose gives no new variant.
-        Bits are resolved last.
+        Bits are resolved last.  Sides built with ``keep`` false are not
+        stored.
         """
         key = (id(label), supplied, slots)
         sides = self._sides.get(key)
@@ -511,8 +401,89 @@ class _VariantRun:
             _Side(v, kh, _resolve_bits(v, kh, bits), vkey, _fj_order(v))
             for v, kh, bits, vkey in out
         ]
-        self._sides[key] = sides
+        if keep:
+            self._sides[key] = sides
         return sides
+
+    def pairs(
+        self, left: RepLabel, right: RepLabel, case: GGPCase, varied: bool
+    ) -> tuple[RepLabel, RepLabel, list[tuple[_Side, _Side]]]:
+        """Validate the pair; its two gate labels and its side pairs in family order.
+
+        Fourier-Jacobi keeps the argument order and, when ``varied``, varies
+        the second slot on both sides.  Bessel puts the odd orthogonal label
+        first and, when ``varied``, varies both slots of the even one.  Each
+        label keeps the supplied bits of its argument.  The sides of an
+        unvaried second label are not stored: a branch table meets each
+        candidate once.
+        """
+        fl, fr = left.group.family, right.group.family
+        bits = self.bits
+        if case is FOURIER_JACOBI:
+            if fl is not GroupFamily.SP or fr is not GroupFamily.SP:
+                raise CaseMismatch("Fourier-Jacobi needs two symplectic labels")
+            slots = ("lam_prime",) if varied else ()
+            firsts = self.sides(left, bits[0], slots)
+        else:
+            odd, even = GroupFamily.O_ODD, GroupFamily.O_EVEN
+            if not ((fl is odd and fr is even) or (fl is even and fr is odd)):
+                raise CaseMismatch("Bessel needs one odd and one even orthogonal label")
+            if fl is even:
+                left, right, bits = right, left, bits[::-1]
+            slots = ("lam", "lam_prime") if varied else ()
+            firsts = self.sides(left, bits[0], ())
+        return left, right, list(product(firsts, self.sides(right, bits[1], slots, varied)))
+
+    def pair_gate(self, first: RepLabel, second: RepLabel, case: GGPCase) -> bool:
+        """The pair-condition gate of the pair, one stored value per symbol pair.
+
+        Each varied slot is tried in both transposes, and the Fourier-Jacobi
+        form is symmetric under swapping the pair, so all members of a
+        transpose-variant family share one value.
+        """
+        if case is FOURIER_JACOBI:
+            slots = ((first.lam, second.lam_prime), (second.lam, first.lam_prime))
+        else:
+            slots = ((first.lam, second.lam), (first.lam_prime, second.lam_prime))
+        for key in slots:
+            gate = self._gates.get(key)
+            if gate is None:
+                fixed, varied = key
+                gate = self._gates[key] = any(
+                    in_G(fixed, t) is not None for t in {varied, symbol_transpose(varied)}
+                )
+            if not gate:
+                return False
+        return True
+
+    def evaluate(
+        self, left: RepLabel, right: RepLabel, case: GGPCase, varied: bool
+    ) -> list[tuple[_Side, _Side, Multiplicity]]:
+        """Each side pair of :meth:`pairs` with its multiplicity, in family order.
+
+        Each pair runs the gate sequence of :func:`ggp_multiplicity` in
+        :func:`_in_order`.  The pair-condition gate, which all side pairs
+        share, is read at most once, and only for a pair whose relevance is
+        not definitely false.
+        """
+        first, second, pairs = self.pairs(left, right, case, varied)
+        gate = None
+        out = []
+        for lv, rv in pairs:
+            a, b = _in_order(lv, rv, case)
+            strong = _strong_relevance(a, b, case, self.ctx)
+            if strong is not False and gate is None:
+                gate = self.pair_gate(first, second, case)
+            if strong is False or not gate:
+                value = _ZERO
+            elif strong is None:
+                value = _ORIENTATION_OPEN
+            else:
+                value = _base_multiplicity(a.label, b.label)
+                if not (value.is_zero or _unipotent_slot_gates(a.label, b.label, case)):
+                    value = _ZERO
+            out.append((lv, rv, value))
+        return out
 
     def family(self, left: RepLabel, right: RepLabel, case: GGPCase) -> VariantReport:
         """:func:`select_nonzero_variant` of one family, on this run's sides and gates."""
@@ -522,34 +493,9 @@ class _VariantRun:
                     "variant selection expects a definite base factor "
                     "(trivial or regular descriptors)"
                 )
-        swap = _validate_pair(left, right, case)
-        fourier_jacobi = case is FOURIER_JACOBI
-        if fourier_jacobi:
-            first, second = left, right
-            varied = ("lam_prime",)
-            pairs = product(
-                self.sides(left, self.bits[0], varied), self.sides(right, self.bits[1], varied)
-            )
-        else:
-            first, second = (right, left) if swap else (left, right)
-            odd_bits, even_bits = self.bits[::-1] if swap else self.bits
-            odd = self.sides(first, odd_bits, ())[0]
-            pairs = [(odd, ev) for ev in self.sides(second, even_bits, ("lam", "lam_prime"))]
-
-        gate = None
-
-        def pair_gate() -> bool:
-            nonlocal gate
-            if gate is None:
-                gate = _pair_gate(first, second, case, self.g_gate)
-            return gate
-
         entries, nonzero, undetermined = [], [], []
         classes: dict = {}
-        for lv, rv in pairs:
-            # the Fourier-Jacobi order can differ between variants at equal rank
-            a, b = (rv, lv) if fourier_jacobi and lv.order > rv.order else (lv, rv)
-            value = _evaluate(a, b, case, self.ctx, pair_gate)
+        for lv, rv, value in self.evaluate(left, right, case, True):
             entry = (lv.label, rv.label, value)
             entries.append(entry)
             if value.is_nonzero:
@@ -566,6 +512,32 @@ class _VariantRun:
             if any(v != values[0] for v in values):
                 raise MultipleNonzero("variant class with inconsistent values")
         return VariantReport(tuple(entries), tuple(nonzero), tuple(undetermined))
+
+
+def ggp_multiplicity(
+    left: RepLabel,
+    right: RepLabel,
+    case: GGPCase,
+    ctx: TowerContext,
+) -> Multiplicity:
+    """Multiplicity of the pair under the restriction named by ``case``.
+
+    The pair is normalized internally (larger rank first for Fourier-Jacobi,
+    odd orthogonal first for Bessel) so that evaluating with swapped
+    arguments returns the same value.
+
+    Gate order: the necessary bands, then two-sided relevance, then the
+    pair-condition gate - a definite failure anywhere gives Zero, and only
+    then does an open orientation surface as undetermined.  Afterwards the
+    base factor and the unipotent-side regularity gates decide between One,
+    Zero and a symbolic base.
+    """
+    return _VariantRun(ctx).evaluate(left, right, case, False)[0][2]
+
+
+# ---------------------------------------------------------------------------
+# Variant selection
+# ---------------------------------------------------------------------------
 
 
 def select_nonzero_variant(
@@ -601,6 +573,26 @@ def default_rho_catalog(max_rank: int) -> tuple[RhoDescriptor, ...]:
     )
 
 
+def _candidate_count(target: GroupTag, eps_minus_one: Sign) -> int:
+    """The labels of ``target`` over :func:`default_rho_catalog`, by :func:`count_symbols`.
+
+    The catalog has one descriptor per residual rank 0..rank.  Counting
+    goes smallest residual first and stops once the count passes
+    ``MAX_LAYER_SYMBOLS``, so no slot rank far past the bound is counted;
+    the result is then a lower bound.
+    """
+    kinds = [_SLOT_FAMILIES[kind] for kind in _slot_families(target.family)]
+    signed = target.family is GroupFamily.O_EVEN
+    total = 0
+    for residual in range(target.rank + 1):
+        for r1, ((f1, s1), (f2, s2)) in product(range(residual + 1), product(*kinds)):
+            if not signed or s1 * s2 == eps_minus_one * target.sign:
+                total += count_symbols(r1, f1) * count_symbols(residual - r1, f2)
+        if total > MAX_LAYER_SYMBOLS:
+            break
+    return total * (2 if target.family is GroupFamily.O_ODD else 1)
+
+
 def branch_decomposition(
     pi: RepLabel,
     target: GroupTag,
@@ -615,6 +607,9 @@ def branch_decomposition(
     :func:`default_rho_catalog`; rows whose multiplicity is definitely zero
     are dropped, and orientation-blocked rows are kept as undetermined
     rather than silently discarded.
+
+    A table of more than ``MAX_LAYER_SYMBOLS`` candidates raises
+    ``ValueError`` before any candidate is built.
 
     Output order: first-slot defect, second-slot defect, rows, descriptor
     id, sign flag.
@@ -635,12 +630,18 @@ def branch_decomposition(
         raise RankMismatch(
             f"target rank {target.rank} != source rank parameter {pi.group.rank}"
         )
+    size = _candidate_count(target, ctx.eps_minus_one)
+    if size > MAX_LAYER_SYMBOLS:
+        raise ValueError(
+            f"the {target} table has at least {size} candidates, "
+            f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+        )
+    run = _VariantRun(ctx)
     rows = []
     for candidate in enumerate_labels(target, ctx.eps_minus_one, default_rho_catalog(target.rank)):
-        value = ggp_multiplicity(pi, candidate, case, ctx)
-        if value.is_zero:
-            continue
-        rows.append((candidate, value))
+        value = run.evaluate(pi, candidate, case, False)[0][2]
+        if not value.is_zero:
+            rows.append((candidate, value))
     rows.sort(
         key=lambda row: (
             symbol_defect(row[0].lam),

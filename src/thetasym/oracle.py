@@ -154,44 +154,27 @@ def verify_f1(max_rank: int, index_offset: int = 0) -> VerificationReport:
     _check_sweep(max_rank)
     report = VerificationReport()
     start = time.monotonic()
+    sources = (
+        (SymbolFamily.SP_UNIPOTENT, (PLUS, MINUS), ThetaDirection.SP_TO_O),
+        (SymbolFamily.O_EVEN_PLUS, (PLUS,), ThetaDirection.O_TO_SP),
+        (SymbolFamily.O_EVEN_MINUS, (MINUS,), ThetaDirection.O_TO_SP),
+    )
     for rank in range(max_rank + 1):
-        for lam in enumerate_symbols(rank, SymbolFamily.SP_UNIPOTENT):
-            for sign in (PLUS, MINUS):
-                closed = first_occurrence_unipotent(lam, sign, ThetaDirection.SP_TO_O)
-                index = closed.index + index_offset
-                brute, fiber = _first_fiber(
-                    lam, sign, ThetaDirection.SP_TO_O, default_scan_bound(lam)
-                )
-                ok = brute == index and len(fiber) == 1 and fiber[0] == closed.lift
-                report.check(
-                    ok,
-                    lambda: (
-                        f"{format_symbol(lam)} sign {format_sign(sign)} sp-to-o",
-                        f"index {index}, lift {format_symbol(closed.lift)}",
-                        f"index {brute}, fiber {[format_symbol(s) for s in fiber]}",
-                    ),
-                )
-        for family, sign in (
-            (SymbolFamily.O_EVEN_PLUS, PLUS),
-            (SymbolFamily.O_EVEN_MINUS, MINUS),
-        ):
-            for lam_prime in enumerate_symbols(rank, family):
-                closed = first_occurrence_unipotent(
-                    lam_prime, sign, ThetaDirection.O_TO_SP
-                )
-                index = closed.index + index_offset
-                brute, fiber = _first_fiber(
-                    lam_prime, sign, ThetaDirection.O_TO_SP, default_scan_bound(lam_prime)
-                )
-                ok = brute == index and len(fiber) == 1 and fiber[0] == closed.lift
-                report.check(
-                    ok,
-                    lambda: (
-                        f"{format_symbol(lam_prime)} sign {format_sign(sign)} o-to-sp",
-                        f"index {index}, lift {format_symbol(closed.lift)}",
-                        f"index {brute}, fiber {[format_symbol(s) for s in fiber]}",
-                    ),
-                )
+        for family, signs, direction in sources:
+            for lam in enumerate_symbols(rank, family):
+                for sign in signs:
+                    closed = first_occurrence_unipotent(lam, sign, direction)
+                    index = closed.index + index_offset
+                    brute, fiber = _first_fiber(lam, sign, direction, default_scan_bound(lam))
+                    ok = brute == index and len(fiber) == 1 and fiber[0] == closed.lift
+                    report.check(
+                        ok,
+                        lambda: (
+                            f"{format_symbol(lam)} sign {format_sign(sign)} {direction.value}",
+                            f"index {index}, lift {format_symbol(closed.lift)}",
+                            f"index {brute}, fiber {[format_symbol(s) for s in fiber]}",
+                        ),
+                    )
     report.elapsed = time.monotonic() - start
     return report
 

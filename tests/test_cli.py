@@ -7,6 +7,7 @@ from contextlib import redirect_stdout
 import pytest
 
 import thetasym.cli as cli
+import thetasym.ggp as ggp
 from thetasym.cli import main
 from thetasym.core import (
     MAX_LAYER_SYMBOLS,
@@ -280,6 +281,22 @@ def test_oversized_sweep_refused_before_work(suite, monkeypatch, capsys):
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == (
         "error: the rank <= 23 sweep has 1063737 symbols, "
+        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}\n"
+    )
+
+
+def test_oversized_branch_table_refused_before_work(monkeypatch, capsys):
+    forbid_layer_builds(monkeypatch)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("candidates were enumerated for a refused table")
+
+    monkeypatch.setattr(ggp, "enumerate_labels", must_not_run)
+    pi = "sp(36): rho=trivial:0:reg ; L=[18|] ; L'=[|]"
+    code, out = run_cli(["ggp-branch", "--pi", pi, "--target", "sp(36)", "--eps-minus-one", "+"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: the sp(36) table has at least 1383529 candidates, "
         f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}\n"
     )
 

@@ -14,6 +14,7 @@ from thetasym.catalog import (
     TRIVIAL_RHO,
     Twist,
     enumerate_labels,
+    is_unipotent_label,
     kh_of,
     make_label,
     o_even,
@@ -22,7 +23,13 @@ from thetasym.catalog import (
     twist_label,
     unipotent_label,
 )
-from thetasym.core import EMPTY_SYMBOL, parse_symbol, symbol_defect, symbol_transpose
+from thetasym.core import (
+    EMPTY_SYMBOL,
+    MAX_LAYER_SYMBOLS,
+    parse_symbol,
+    symbol_defect,
+    symbol_transpose,
+)
 from thetasym.errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch
 from thetasym import ggp
 from thetasym.ggp import (
@@ -40,6 +47,8 @@ from thetasym.ggp import (
 )
 from thetasym.oracle import _bessel_pairs, _fj_pairs, verify_variant_uniqueness
 from thetasym.theta import TowerContext
+
+from symbol_helpers import forbid_layer_builds
 
 CTX = TowerContext(eps_minus_one=PLUS)
 
@@ -124,6 +133,37 @@ def test_ggp_symmetry_under_swap():
         assert ggp_multiplicity(odd, even, BESSEL, CTX) == ggp_multiplicity(
             even, odd, BESSEL, CTX
         )
+
+
+def test_each_label_keeps_its_own_bits():
+    """Swapping the arguments and the left/right orientation slots together
+    changes nothing, for every pair of distinct labels and every bit
+    assignment (143,046 cases).
+
+    A label paired with itself is left out: under eps(-1) = - the twist of
+    the Fourier-Jacobi relevance lands on whichever copy goes first.
+    """
+    bit_values = (None, PLUS, MINUS)
+    for eps in (PLUS, MINUS):
+        fj = [l for n in range(3) for l in enumerate_labels(sp(n), eps, default_rho_catalog(n))]
+        pairs = [(x, y, FOURIER_JACOBI) for x, y in itertools.combinations(fj, 2)]
+        pairs += list(_bessel_pairs(1, eps))
+        for (a, a_alt), (b, b_alt) in itertools.product(
+            itertools.product(bit_values, repeat=2), repeat=2
+        ):
+            ctx = TowerContext(
+                eps, orient_left=a, orient_left_alt=a_alt, orient_right=b, orient_right_alt=b_alt
+            )
+            swapped = TowerContext(
+                eps, orient_left=b, orient_left_alt=b_alt, orient_right=a, orient_right_alt=a_alt
+            )
+            for left, right, case in pairs:
+                assert ggp_multiplicity(left, right, case, ctx) == ggp_multiplicity(
+                    right, left, case, swapped
+                ), f"{left} / {right} under {ctx}"
+                assert is_strongly_relevant(left, right, case, ctx) == is_strongly_relevant(
+                    right, left, case, swapped
+                ), f"{left} / {right} under {ctx}"
 
 
 def test_zero_whenever_necessary_band_fails():
@@ -477,6 +517,91 @@ def test_branch_errors():
     not_unip = make_label(sp(1), TRIVIAL_RHO, parse_symbol("[0|]"), parse_symbol("[1|0]"))
     with pytest.raises(NotUnipotent):
         branch_decomposition(not_unip, sp(1), CTX)
+
+
+def _branch_key(row):
+    label = row[0]
+    return (
+        symbol_defect(label.lam),
+        symbol_defect(label.lam_prime),
+        label.lam.row_a,
+        label.lam.row_b,
+        label.lam_prime.row_a,
+        label.lam_prime.row_b,
+        label.rho.id,
+        label.eps_flag or 0,
+    )
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [
+        {},
+        {"orient_left": MINUS, "orient_right_alt": PLUS},
+        {"orient_left_alt": PLUS, "orient_right": MINUS},
+    ],
+    ids=["derived", "some-bits", "other-bits"],
+)
+@pytest.mark.parametrize("eps", [PLUS, MINUS], ids=["eps+", "eps-"])
+def test_branch_matches_per_candidate_reference(eps, bits):
+    """A branch table shares one run over its candidates; a reference made of
+    one fresh ggp_multiplicity call per candidate must give the same table."""
+    ctx = TowerContext(eps, **bits)
+    sources = []
+    for n in range(4):
+        sources += [(l, BESSEL, [o_even(n, s) for s in (PLUS, MINUS)])
+                    for s in (PLUS, MINUS) for l in enumerate_labels(o_odd(n, s), eps)]
+        sources += [(l, FOURIER_JACOBI, [sp(n)]) for l in enumerate_labels(sp(n), eps)]
+    for pi, case, targets in sources:
+        if not is_unipotent_label(pi):
+            continue
+        for target in targets:
+            expected = []
+            for candidate in enumerate_labels(target, eps, default_rho_catalog(target.rank)):
+                value = ggp_multiplicity(pi, candidate, case, ctx)
+                if not value.is_zero:
+                    expected.append((candidate, value))
+            expected.sort(key=_branch_key)
+            assert branch_decomposition(pi, target, ctx) == expected, f"{pi} -> {target}"
+
+
+def test_candidate_count_matches_enumeration():
+    for n, eps in itertools.product(range(5), (PLUS, MINUS)):
+        groups = [sp(n)] + [tag(n, s) for tag in (o_even, o_odd) for s in (PLUS, MINUS)]
+        for group in groups:
+            labels = enumerate_labels(group, eps, default_rho_catalog(n))
+            assert ggp._candidate_count(group, eps) == sum(1 for _ in labels), (group, eps)
+
+
+def test_candidate_count_around_the_bound():
+    assert ggp._candidate_count(sp(14), PLUS) == 749_971 <= MAX_LAYER_SYMBOLS
+    # counting stops past the bound, so an oversized table is cheap to refuse
+    assert MAX_LAYER_SYMBOLS < ggp._candidate_count(sp(16), PLUS) < 2_506_923
+    assert ggp._candidate_count(sp(10**17), PLUS) > MAX_LAYER_SYMBOLS
+
+
+@pytest.mark.parametrize(
+    "pi, target",
+    [
+        (unipotent_label(sp(16), parse_symbol("[16|]")), sp(16)),
+        (unipotent_label(o_odd(40, PLUS), parse_symbol("[40|]"), PLUS), o_even(40, MINUS)),
+    ],
+    ids=["sp(32)", "o+(81)"],
+)
+def test_oversized_branch_table_refused_before_building(pi, target, monkeypatch):
+    forbid_layer_builds(monkeypatch)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("candidates were enumerated for a refused table")
+
+    monkeypatch.setattr(ggp, "enumerate_labels", must_not_run)
+    with pytest.raises(ValueError) as err:
+        branch_decomposition(pi, target, CTX)
+    size = ggp._candidate_count(target, PLUS)
+    assert str(err.value) == (
+        f"the {target} table has at least {size} candidates, "
+        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+    )
 
 
 def test_default_rho_catalog():
