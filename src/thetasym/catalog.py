@@ -13,6 +13,10 @@ a sign for odd orthogonal groups.  Validity rules:
   signs (-1)^(def/2) must equal eps_{-1} * eps of the group, where eps_{-1}
   is the square class of -1 (+ iff q = 1 mod 4).
 
+These rules live in one table, :data:`_SLOTS`, read by label validation and
+enumeration here, the branch-table count in :mod:`thetasym.ggp` and the
+cuspidal-slot check in :mod:`thetasym.theta`.
+
 The slot ranks plus the descriptor rank must add up to the group rank.
 
 From the defects one reads off the pair (k, h) indexing the cuspidal
@@ -30,6 +34,7 @@ from typing import Iterator, NamedTuple
 
 from .core import (
     EMPTY_SYMBOL,
+    MAX_LAYER_SYMBOLS,
     ZERO_SYMBOL,
     Symbol,
     SymbolFamily,
@@ -198,13 +203,39 @@ class RepLabel:
         return format_label(self)
 
 
-def _slot_families(family: GroupFamily) -> tuple[int, int]:
-    """Allowed defect residues (mod 4 for odd-type, mod 2 for even-type)."""
-    if family is GroupFamily.SP:
-        return (1, 0)  # def(lam) = 1 mod 4, def(lam') even
-    if family is GroupFamily.O_ODD:
-        return (1, 1)
-    return (0, 0)  # even orthogonal: both even
+class _SlotKind(NamedTuple):
+    families: dict[int, tuple[SymbolFamily, Sign]]
+    rule: str
+
+    def entry(self, position: str, defect: int, group: GroupTag) -> tuple[SymbolFamily, Sign]:
+        """The family and slot sign of a defect in this slot, or DefectClassMismatch."""
+        entry = self.families.get(defect % 4)
+        if entry is None:
+            raise DefectClassMismatch(f"{position} symbol defect {defect} {self.rule} for {group}")
+        return entry
+
+    def symbols(self, rank: int) -> list[Symbol]:
+        return [s for family, _ in self.families.values() for s in enumerate_symbols(rank, family)]
+
+
+_ODD = _SlotKind({1: (SymbolFamily.SP_UNIPOTENT, PLUS)}, "not = 1 mod 4")
+_EVEN = _SlotKind(
+    {0: (SymbolFamily.O_EVEN_PLUS, PLUS), 2: (SymbolFamily.O_EVEN_MINUS, MINUS)}, "must be even"
+)
+
+#: The slot rules: the (first, second) slot kind of each group family.  A kind
+#: maps a defect residue mod 4 to its symbol family and slot sign
+#: (-1)^(defect/2); its ``rule`` is what a defect outside them breaks.
+_SLOTS = {
+    GroupFamily.SP: (_ODD, _EVEN),
+    GroupFamily.O_ODD: (_ODD, _ODD),
+    GroupFamily.O_EVEN: (_EVEN, _EVEN),
+}
+
+
+def _signs_fit(group: GroupTag, sign1: Sign, sign2: Sign, eps_minus_one: Sign) -> bool:
+    """The even orthogonal sign equation: slot signs multiply to eps_{-1} * eps."""
+    return group.family is not GroupFamily.O_EVEN or sign1 * sign2 == eps_minus_one * group.sign
 
 
 def make_label(
@@ -216,20 +247,9 @@ def make_label(
     eps_minus_one: Sign = PLUS,
 ) -> RepLabel:
     """Validate and build a label; see the module docstring for the rules."""
-    kind, kind2 = _slot_families(group.family)
-    d1, d2 = symbol_defect(lam), symbol_defect(lam_prime)
-    if kind == 1 and d1 % 4 != 1:
-        raise DefectClassMismatch(
-            f"first symbol defect {d1} not = 1 mod 4 for {group}"
-        )
-    if kind == 0 and d1 % 2 != 0:
-        raise DefectClassMismatch(f"first symbol defect {d1} must be even for {group}")
-    if kind2 == 1 and d2 % 4 != 1:
-        raise DefectClassMismatch(
-            f"second symbol defect {d2} not = 1 mod 4 for {group}"
-        )
-    if kind2 == 0 and d2 % 2 != 0:
-        raise DefectClassMismatch(f"second symbol defect {d2} must be even for {group}")
+    first, second = _SLOTS[group.family]
+    _, sign1 = first.entry("first", symbol_defect(lam), group)
+    _, sign2 = second.entry("second", symbol_defect(lam_prime), group)
     total = rho.glu_rank + symbol_rank(lam) + symbol_rank(lam_prime)
     if total != group.rank:
         raise RankOverflow(
@@ -242,13 +262,11 @@ def make_label(
     else:
         if eps_flag is not None:
             raise SignMismatch(f"{group} carries no eps flag")
-    if group.family is GroupFamily.O_EVEN:
-        part_signs = sign_pow(d1 // 2) * sign_pow(d2 // 2)
-        if part_signs != eps_minus_one * group.sign:
-            raise SignMismatch(
-                f"slot signs {format_sign(part_signs)} != "
-                f"eps_minus_one*eps = {format_sign(eps_minus_one * group.sign)}"
-            )
+    if not _signs_fit(group, sign1, sign2, eps_minus_one):
+        raise SignMismatch(
+            f"slot signs {format_sign(sign1 * sign2)} != "
+            f"eps_minus_one*eps = {format_sign(eps_minus_one * group.sign)}"
+        )
     return RepLabel(group, rho, lam, lam_prime, eps_flag)
 
 
@@ -279,13 +297,20 @@ def cuspidal_symbol(family: GroupFamily, k: int) -> Symbol:
     row for even k and in the second row for odd k (defect (-1)^k(2k+1)).
     Even orthogonal: rank k^2, staircase 2k-1..0 in the first row (defect
     2k); its transpose carries the sign twist of the same group.
+
+    A staircase of more than ``MAX_LAYER_SYMBOLS`` entries raises
+    ``ValueError`` before any of it is built.
     """
     if k < 0:
         raise ValueError("cuspidal index must be nonnegative")
-    if family is GroupFamily.O_EVEN:
-        return Symbol(_staircase(2 * k - 1), ())
-    rows = _staircase(2 * k)
-    if k % 2 == 0:
+    top = 2 * k - 1 if family is GroupFamily.O_EVEN else 2 * k
+    if top + 1 > MAX_LAYER_SYMBOLS:
+        raise ValueError(
+            f"the cuspidal staircase of index {k} has {top + 1} entries, "
+            f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+        )
+    rows = _staircase(top)
+    if family is GroupFamily.O_EVEN or k % 2 == 0:
         return Symbol(rows, ())
     return Symbol((), rows)
 
@@ -400,18 +425,6 @@ def symbol_regular_by_convention(s: Symbol) -> bool:
 # ---------------------------------------------------------------------------
 
 
-#: The symbol families of each slot kind of :func:`_slot_families`, each
-#: with its slot sign (-1)^(defect/2).
-_SLOT_FAMILIES = {
-    1: ((SymbolFamily.SP_UNIPOTENT, PLUS),),
-    0: ((SymbolFamily.O_EVEN_PLUS, PLUS), (SymbolFamily.O_EVEN_MINUS, MINUS)),
-}
-
-
-def _slot_symbols(kind: int, rank: int) -> list[Symbol]:
-    return [s for family, _ in _SLOT_FAMILIES[kind] for s in enumerate_symbols(rank, family)]
-
-
 def enumerate_labels(
     group: GroupTag,
     eps_minus_one: Sign = PLUS,
@@ -422,15 +435,15 @@ def enumerate_labels(
     Deterministic order: descriptor, then first-slot defect/rows, then
     second-slot defect/rows, then the eps flag.
     """
-    kind, kind2 = _slot_families(group.family)
+    kind, kind2 = _SLOTS[group.family]
     flags = (PLUS, MINUS) if group.family is GroupFamily.O_ODD else (None,)
     for rho in rho_catalog:
         residual = group.rank - rho.glu_rank
         if residual < 0:
             continue
         for r1 in range(residual + 1):
-            for lam in _slot_symbols(kind, r1):
-                for lam_prime in _slot_symbols(kind2, residual - r1):
+            for lam in kind.symbols(r1):
+                for lam_prime in kind2.symbols(residual - r1):
                     for flag in flags:
                         try:
                             yield make_label(

@@ -124,10 +124,6 @@ class Bipartition(NamedTuple):
     upper: Partition
     lower: Partition
 
-    @property
-    def size(self) -> int:
-        return sum(self.upper) + sum(self.lower)
-
 
 @cache
 def _partitions(n: int) -> tuple[Partition, ...]:

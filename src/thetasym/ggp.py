@@ -52,8 +52,8 @@ from .catalog import (
     RhoDescriptor,
     Sign,
     TRIVIAL_RHO,
-    _SLOT_FAMILIES,
-    _slot_families,
+    _SLOTS,
+    _signs_fit,
     enumerate_labels,
     is_unipotent_label,
     kh_of,
@@ -61,7 +61,7 @@ from .catalog import (
 )
 from .core import MAX_LAYER_SYMBOLS, Symbol, count_symbols, symbol_defect, symbol_transpose
 from .errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch
-from .theta import TowerContext, default_orientation_kh, in_G
+from .theta import TowerContext, default_orientation, in_G
 
 
 class GGPCase(Enum):
@@ -211,7 +211,7 @@ def _resolve_bits(label: RepLabel, kh: KH, supplied: Bits) -> Bits:
     primary, secondary = supplied
     if primary is not None and secondary is not None:
         return supplied
-    dp, ds = default_orientation_kh(label, kh.k, kh.h)
+    dp, ds = default_orientation(label, kh.k, kh.h)
     return (
         primary if primary is not None else dp,
         secondary if secondary is not None else ds,
@@ -581,12 +581,11 @@ def _candidate_count(target: GroupTag, eps_minus_one: Sign) -> int:
     ``MAX_LAYER_SYMBOLS``, so no slot rank far past the bound is counted;
     the result is then a lower bound.
     """
-    kinds = [_SLOT_FAMILIES[kind] for kind in _slot_families(target.family)]
-    signed = target.family is GroupFamily.O_EVEN
+    slots = [kind.families.values() for kind in _SLOTS[target.family]]
     total = 0
     for residual in range(target.rank + 1):
-        for r1, ((f1, s1), (f2, s2)) in product(range(residual + 1), product(*kinds)):
-            if not signed or s1 * s2 == eps_minus_one * target.sign:
+        for r1, (f1, s1), (f2, s2) in product(range(residual + 1), *slots):
+            if _signs_fit(target, s1, s2, eps_minus_one):
                 total += count_symbols(r1, f1) * count_symbols(residual - r1, f2)
         if total > MAX_LAYER_SYMBOLS:
             break

@@ -35,7 +35,7 @@ from .core import (
     _check_sweep,
     _defect_layer,
     admissible_defects,
-    bipartition_count,
+    count_symbols,
     defect_rank_offset,
     enumerate_symbols,
     format_symbol,
@@ -189,18 +189,10 @@ def verify_counts(max_rank: int) -> VerificationReport:
     _check_sweep(max_rank)
     report = VerificationReport()
     start = time.monotonic()
-    families = (
-        SymbolFamily.SP_UNIPOTENT,
-        SymbolFamily.O_EVEN_PLUS,
-        SymbolFamily.O_EVEN_MINUS,
-    )
-    for family in families:
+    for family in SymbolFamily:
         for rank in range(max_rank + 1):
             symbols = enumerate_symbols(rank, family)
-            expected = sum(
-                bipartition_count(rank - defect_rank_offset(d))
-                for d in admissible_defects(rank, family)
-            )
+            expected = count_symbols(rank, family)
             report.check(
                 len(symbols) == expected,
                 lambda: (f"count {family.value} rank {rank}", expected, len(symbols)),

@@ -34,6 +34,7 @@ from .catalog import (
     GroupFamily,
     RepLabel,
     Sign,
+    _SLOTS,
     cuspidal_symbol,
     format_sign,
     is_unipotent_cuspidal,
@@ -44,7 +45,6 @@ from .core import (
     Bipartition,
     Partition,
     Symbol,
-    SymbolFamily,
     _defect_layer,
     _symbol_of,
     close_dominates,
@@ -314,9 +314,9 @@ def cuspidal_theta(k: int, variant: CuspidalThetaVariant) -> tuple[Symbol, Symbo
     (-1)^(k+1).  Returns (symplectic symbol, orthogonal symbol, tower sign).
     """
     j = k if variant is CuspidalThetaVariant.DOWN else k + 1
-    stair = cuspidal_symbol(GroupFamily.O_EVEN, j)
+    sp_symbol, stair = cuspidal_symbol(GroupFamily.SP, k), cuspidal_symbol(GroupFamily.O_EVEN, j)
     o_symbol = symbol_transpose(stair) if k % 2 == 0 else stair
-    return cuspidal_symbol(GroupFamily.SP, k), o_symbol, sign_pow(j)
+    return sp_symbol, o_symbol, sign_pow(j)
 
 
 # ---------------------------------------------------------------------------
@@ -324,37 +324,11 @@ def cuspidal_theta(k: int, variant: CuspidalThetaVariant) -> tuple[Symbol, Symbo
 # ---------------------------------------------------------------------------
 
 
-def _require_cuspidal_slots(label: RepLabel) -> KH:
-    fam = label.group.family
-    slot1 = (
-        SymbolFamily.SP_UNIPOTENT
-        if fam in (GroupFamily.SP, GroupFamily.O_ODD)
-        else SymbolFamily.O_EVEN_PLUS
-        if symbol_defect(label.lam) % 4 == 0
-        else SymbolFamily.O_EVEN_MINUS
-    )
-    slot2 = (
-        SymbolFamily.SP_UNIPOTENT
-        if fam is GroupFamily.O_ODD
-        else SymbolFamily.O_EVEN_PLUS
-        if symbol_defect(label.lam_prime) % 4 == 0
-        else SymbolFamily.O_EVEN_MINUS
-    )
-    if not (
-        is_unipotent_cuspidal(label.lam, slot1)
-        and is_unipotent_cuspidal(label.lam_prime, slot2)
-    ):
-        raise NotCuspidalSupport(
-            f"label {label} does not have cuspidal staircase symbols"
-        )
-    return kh_of(label)
-
-
-def default_orientation(label: RepLabel) -> tuple[Sign | None, Sign | None]:
+def default_orientation(label: RepLabel, k: int, h: int) -> tuple[Sign | None, Sign | None]:
     """(primary, secondary) orientation bits derivable from the cuspidal chain.
 
-    Only labels with trivial descriptor and unipotent cuspidal support get
-    defaults:
+    ``(k, h)`` is the label's :func:`~thetasym.catalog.kh_of`.  Only labels
+    with trivial descriptor and unipotent cuspidal support get defaults:
 
     * symplectic, h = 0: the chain puts the small even-tower occurrence on
       the tower of sign (-1)^k; the odd-tower bit is degenerate;
@@ -364,11 +338,6 @@ def default_orientation(label: RepLabel) -> tuple[Sign | None, Sign | None]:
     * everything else (odd orthogonal sign pairs, swapped-slot data, theta
       shapes with h != 0, nontrivial descriptors): no default.
     """
-    return default_orientation_kh(label, *kh_of(label))
-
-
-def default_orientation_kh(label: RepLabel, k: int, h: int) -> tuple[Sign | None, Sign | None]:
-    """:func:`default_orientation` for a caller that already has the label's (k, h)."""
     if not label.rho.is_trivial:
         return (None, None)
     fam = label.group.family
@@ -405,12 +374,17 @@ def first_occurrence_supported(label: RepLabel, ctx: TowerContext) -> FirstOccur
     """
     if ctx.tower is None:
         raise CaseMismatch("TowerContext.tower must name the target tower")
-    k, h = _require_cuspidal_slots(label)
+    slots = zip(("first", "second"), (label.lam, label.lam_prime), _SLOTS[label.group.family])
+    for position, s, kind in slots:
+        family, _ = kind.entry(position, symbol_defect(s), label.group)
+        if not is_unipotent_cuspidal(s, family):
+            raise NotCuspidalSupport(f"label {label} does not have cuspidal staircase symbols")
+    k, h = kh_of(label)
     n = label.group.rank
     fam = label.group.family
     orientation = ctx.orient_left
     if orientation is None:
-        orientation = default_orientation(label)[0]
+        orientation = default_orientation(label, k, h)[0]
 
     if fam is GroupFamily.SP and ctx.tower.is_even_orthogonal:
         small, large = n - k, n + k + 1

@@ -1,12 +1,15 @@
 import itertools
+import re
 
 import pytest
 
+import thetasym.catalog as catalog
 from thetasym.catalog import (
     KH,
     MINUS,
     PLUS,
     GroupFamily,
+    RepLabel,
     RhoDescriptor,
     TRIVIAL_RHO,
     Twist,
@@ -29,6 +32,7 @@ from thetasym.catalog import (
 )
 from thetasym.core import (
     EMPTY_SYMBOL,
+    MAX_LAYER_SYMBOLS,
     SymbolFamily,
     enumerate_symbols,
     parse_symbol,
@@ -78,6 +82,106 @@ def test_make_label_exhaustive_consistency():
                         make_label(sp(n), TRIVIAL_RHO, lam, lam_prime)
                         seen += 1
         assert seen == sum(1 for _ in enumerate_labels(sp(n)))
+
+
+def _make_label_reference(group, lam, lam_prime, flag, eps):
+    """The outcome of ``make_label`` by the module-docstring rules, written out."""
+    fam = group.family
+    d1, d2 = symbol_defect(lam), symbol_defect(lam_prime)
+    odd_slots = (fam is not GroupFamily.O_EVEN, fam is GroupFamily.O_ODD)
+    for position, d, odd in zip(("first", "second"), (d1, d2), odd_slots):
+        if odd and d % 4 != 1:
+            return DefectClassMismatch, f"{position} symbol defect {d} not = 1 mod 4 for {group}"
+        if not odd and d % 2 != 0:
+            return DefectClassMismatch, f"{position} symbol defect {d} must be even for {group}"
+    if symbol_rank(lam) + symbol_rank(lam_prime) != group.rank:
+        return RankOverflow, (
+            f"component ranks 0+{symbol_rank(lam)}+{symbol_rank(lam_prime)} "
+            f"!= group rank {group.rank}"
+        )
+    if fam is GroupFamily.O_ODD and flag is None:
+        return SignMismatch, "odd orthogonal labels need an eps flag"
+    if fam is not GroupFamily.O_ODD and flag is not None:
+        return SignMismatch, f"{group} carries no eps flag"
+    if fam is GroupFamily.O_EVEN:
+        slot_signs = (-1) ** ((d1 // 2) % 2) * (-1) ** ((d2 // 2) % 2)
+        if slot_signs != eps * group.sign:
+            sign_text = {1: "+", -1: "-"}
+            return SignMismatch, (
+                f"slot signs {sign_text[slot_signs]} != "
+                f"eps_minus_one*eps = {sign_text[eps * group.sign]}"
+            )
+    return None, RepLabel(group, TRIVIAL_RHO, lam, lam_prime, flag)
+
+
+def test_make_label_outcome_matrix():
+    """Every group of rank <= 3 against every symbol pair of rank <= 3, all families."""
+    symbols = [s for r in range(4) for f in SymbolFamily for s in enumerate_symbols(r, f)]
+    pairs = [
+        (lam, lam_prime)
+        for lam, lam_prime in itertools.product(symbols, repeat=2)
+        if symbol_rank(lam) + symbol_rank(lam_prime) <= 3
+    ]
+    groups = [
+        g
+        for n in range(4)
+        for g in (sp(n), o_odd(n, PLUS), o_odd(n, MINUS), o_even(n, PLUS), o_even(n, MINUS))
+    ]
+    labels, texts = 0, set()
+    for group, (lam, lam_prime), flag, eps in itertools.product(
+        groups, pairs, (None, PLUS, MINUS), (PLUS, MINUS)
+    ):
+        error, expected = _make_label_reference(group, lam, lam_prime, flag, eps)
+        if error is None:
+            assert make_label(group, TRIVIAL_RHO, lam, lam_prime, flag, eps) == expected
+            labels += 1
+            continue
+        with pytest.raises(error) as err:
+            make_label(group, TRIVIAL_RHO, lam, lam_prime, flag, eps)
+        assert str(err.value) == expected
+        texts.add(expected)
+    assert labels > 0
+    for pattern in (
+        r"first symbol defect -?\d+ not = 1 mod 4 for ",
+        r"first symbol defect -?\d+ must be even for ",
+        r"second symbol defect -?\d+ not = 1 mod 4 for ",
+        r"second symbol defect -?\d+ must be even for ",
+        r"slot signs [+-] != eps_minus_one\*eps = [+-]$",
+        r"component ranks ",
+        r"odd orthogonal labels need an eps flag$",
+        r".* carries no eps flag$",
+    ):
+        assert any(re.match(pattern, text) for text in texts), pattern
+
+
+def test_cuspidal_symbol_refuses_an_oversized_staircase(monkeypatch):
+    def must_not_run(top):
+        raise AssertionError("a staircase was built for a refused index")
+
+    monkeypatch.setattr(catalog, "_staircase", must_not_run)
+    cases = [(family, k) for family in GroupFamily for k in (500_001, 10**6, 10**30)]
+    cases += [(GroupFamily.SP, 500_000), (GroupFamily.O_ODD, 500_000)]
+    for family, k in cases:
+        entries = 2 * k if family is GroupFamily.O_EVEN else 2 * k + 1
+        with pytest.raises(ValueError) as err:
+            cuspidal_symbol(family, k)
+        assert str(err.value) == (
+            f"the cuspidal staircase of index {k} has {entries} entries, "
+            f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+        )
+
+
+@pytest.mark.parametrize("bound", [8, 9])
+def test_cuspidal_symbol_bound_is_inclusive(bound, monkeypatch):
+    monkeypatch.setattr(catalog, "MAX_LAYER_SYMBOLS", bound)
+    for family, k in itertools.product(GroupFamily, range(7)):
+        entries = 2 * k if family is GroupFamily.O_EVEN else 2 * k + 1
+        if entries <= bound:
+            s = cuspidal_symbol(family, k)
+            assert len(s.row_a) + len(s.row_b) == entries
+        else:
+            with pytest.raises(ValueError, match=f"has {entries} entries"):
+                cuspidal_symbol(family, k)
 
 
 def test_kh_examples():

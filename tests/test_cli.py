@@ -301,6 +301,23 @@ def test_oversized_branch_table_refused_before_work(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("k", [500_000, 10**6])
+@pytest.mark.parametrize("variant", ["down", "up"])
+def test_oversized_cuspidal_index_refused_before_work(k, variant, monkeypatch, capsys):
+    import thetasym.catalog as catalog
+
+    def must_not_run(top):
+        raise AssertionError("a staircase was built for a refused index")
+
+    monkeypatch.setattr(catalog, "_staircase", must_not_run)
+    code, out = run_cli(["theta-cuspidal", "--k", str(k), "--variant", variant])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: the cuspidal staircase of index {k} has {2 * k + 1} entries, "
+        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -81,7 +81,7 @@ def test_failure_text_in_every_verifier(monkeypatch):
          "actual": "index 0, fiber ['[0|]']"},
     ]
 
-    monkeypatch.setattr(oracle, "bipartition_count", lambda n: 0)
+    monkeypatch.setattr(oracle, "count_symbols", lambda rank, family: 0)
     report = verify_counts(0)
     assert report.checked == 5
     assert report.failures == [

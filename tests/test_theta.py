@@ -1,12 +1,17 @@
+import itertools
+
 import pytest
 
 from thetasym.catalog import (
     MINUS,
     PLUS,
     GroupFamily,
+    RepLabel,
     RhoDescriptor,
     TRIVIAL_RHO,
     cuspidal_symbol,
+    enumerate_labels,
+    kh_of,
     make_label,
     o_even,
     o_odd,
@@ -24,6 +29,7 @@ from thetasym.core import (
     partition_transpose,
     symbol_defect,
     symbol_rank,
+    symbol_transpose,
     upsilon,
     upsilon_inverse,
 )
@@ -281,20 +287,68 @@ def test_first_occurrence_supported_errors():
         first_occurrence_supported(good, TowerContext(tower=Tower.SP))
 
 
+def _is_staircase(s):
+    """Whether ``s`` is the cuspidal staircase of its defect (or, when even, its transpose)."""
+    d = symbol_defect(s)
+    if d % 2:
+        return s == cuspidal_symbol(GroupFamily.SP, (abs(d) - 1) // 2)
+    stair = cuspidal_symbol(GroupFamily.O_EVEN, abs(d) // 2)
+    return s in (stair, symbol_transpose(stair))
+
+
+def test_supported_labels_are_exactly_the_staircase_pairs():
+    towers = {
+        GroupFamily.SP: Tower.O_EVEN_PLUS,
+        GroupFamily.O_EVEN: Tower.SP,
+        GroupFamily.O_ODD: Tower.SP,
+    }
+    supported = 0
+    for n, eps in itertools.product(range(5), (PLUS, MINUS)):
+        for group in (sp(n), o_odd(n, PLUS), o_odd(n, MINUS), o_even(n, PLUS), o_even(n, MINUS)):
+            ctx = TowerContext(eps_minus_one=eps, tower=towers[group.family])
+            for label in enumerate_labels(group, eps):
+                if _is_staircase(label.lam) and _is_staircase(label.lam_prime):
+                    first_occurrence_supported(label, ctx)
+                    supported += 1
+                else:
+                    with pytest.raises(NotCuspidalSupport):
+                        first_occurrence_supported(label, ctx)
+    assert supported > 0
+
+
+@pytest.mark.parametrize(
+    "group, lam, lam_prime, text",
+    [
+        (sp(1), "[1|0]", "[|]", "first symbol defect 0 not = 1 mod 4 for sp(2)"),
+        (sp(1), "[0|]", "[1|]", "second symbol defect 1 must be even for sp(2)"),
+        (o_odd(1, PLUS), "[1|0]", "[0|]", "first symbol defect 0 not = 1 mod 4 for o+(3)"),
+        (o_odd(1, PLUS), "[0|]", "[1|0]", "second symbol defect 0 not = 1 mod 4 for o+(3)"),
+        (o_even(1, MINUS), "[1|]", "[|]", "first symbol defect 1 must be even for o-(2)"),
+        (o_even(1, PLUS), "[|]", "[0|]", "second symbol defect 1 must be even for o+(2)"),
+    ],
+)
+def test_wrong_class_slot_of_a_hand_built_label(group, lam, lam_prime, text):
+    """A label that skipped ``make_label`` fails its class check with ``make_label``'s text."""
+    label = RepLabel(group, TRIVIAL_RHO, parse_symbol(lam), parse_symbol(lam_prime))
+    with pytest.raises(DefectClassMismatch) as err:
+        first_occurrence_supported(label, TowerContext(tower=Tower.SP))
+    assert str(err.value) == text
+
+
 def test_default_orientation():
     cusp4 = make_label(sp(2), TRIVIAL_RHO, parse_symbol("[|2,1,0]"), EMPTY_SYMBOL)
-    assert default_orientation(cusp4) == (MINUS, None)
+    assert default_orientation(cusp4, *kh_of(cusp4)) == (MINUS, None)
     # even orthogonal unipotent: sign of k against (-1)^|k|
     sgn_o2 = make_label(o_even(1, MINUS), TRIVIAL_RHO, parse_symbol("[1,0|]"), EMPTY_SYMBOL)
-    assert default_orientation(sgn_o2) == (MINUS, None)
+    assert default_orientation(sgn_o2, *kh_of(sgn_o2)) == (MINUS, None)
     triv_o2 = make_label(o_even(1, MINUS), TRIVIAL_RHO, parse_symbol("[|1,0]"), EMPTY_SYMBOL)
-    assert default_orientation(triv_o2) == (PLUS, None)
+    assert default_orientation(triv_o2, *kh_of(triv_o2)) == (PLUS, None)
     # theta shapes stay open
     theta = make_label(sp(1), TRIVIAL_RHO, parse_symbol("[0|]"), parse_symbol("[1,0|]"))
-    assert default_orientation(theta) == (None, None)
+    assert default_orientation(theta, *kh_of(theta)) == (None, None)
     # nontrivial descriptor stays open
     rho_only = make_label(sp(2), RhoDescriptor(2, True, "regular-2"), parse_symbol("[0|]"), EMPTY_SYMBOL)
-    assert default_orientation(rho_only) == (None, None)
+    assert default_orientation(rho_only, *kh_of(rho_only)) == (None, None)
 
 
 def test_supported_table_matches_closed_form_on_cuspidal_labels():
