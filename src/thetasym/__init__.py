@@ -62,7 +62,6 @@ from .core import (
     parse_bipartition,
     parse_symbol,
     partition,
-    partition_transpose,
     symbol_defect,
     symbol_normalize,
     symbol_rank,
@@ -94,7 +93,6 @@ from .ggp import (
     default_rho_catalog,
     ggp_multiplicity,
     is_strongly_relevant,
-    relevance_necessary,
     select_nonzero_variant,
 )
 from .oracle import (

@@ -13,9 +13,10 @@ a sign for odd orthogonal groups.  Validity rules:
   signs (-1)^(def/2) must equal eps_{-1} * eps of the group, where eps_{-1}
   is the square class of -1 (+ iff q = 1 mod 4).
 
-These rules live in one table, :data:`_SLOTS`, read by label validation and
-enumeration here, the branch-table count in :mod:`thetasym.ggp` and the
-cuspidal-slot check in :mod:`thetasym.theta`.
+These rules live in :data:`_SLOTS` and :data:`_EPS_FLAGS`, read by label
+validation, enumeration and the branch-table count here.  :mod:`thetasym.theta`
+reads ``_SLOTS`` in its cuspidal-slot check and, through the sp slot pair, in
+the class checks of bare (symplectic-type, even-type) symbols.
 
 The slot ranks plus the descriptor rank must add up to the group rank.
 
@@ -29,15 +30,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import product
 from math import isqrt
 from typing import Iterator, NamedTuple
 
+from . import core
 from .core import (
     EMPTY_SYMBOL,
-    MAX_LAYER_SYMBOLS,
     ZERO_SYMBOL,
     Symbol,
     SymbolFamily,
+    _check_bound,
+    count_symbols,
     enumerate_symbols,
     _parse_int,
     _parse_symbol,
@@ -207,11 +211,14 @@ class _SlotKind(NamedTuple):
     families: dict[int, tuple[SymbolFamily, Sign]]
     rule: str
 
-    def entry(self, position: str, defect: int, group: GroupTag) -> tuple[SymbolFamily, Sign]:
+    def entry(
+        self, position: str, defect: int, group: GroupTag | None = None
+    ) -> tuple[SymbolFamily, Sign]:
         """The family and slot sign of a defect in this slot, or DefectClassMismatch."""
         entry = self.families.get(defect % 4)
         if entry is None:
-            raise DefectClassMismatch(f"{position} symbol defect {defect} {self.rule} for {group}")
+            where = "" if group is None else f" for {group}"
+            raise DefectClassMismatch(f"{position} symbol defect {defect} {self.rule}{where}")
         return entry
 
     def symbols(self, rank: int) -> list[Symbol]:
@@ -231,6 +238,9 @@ _SLOTS = {
     GroupFamily.O_ODD: (_ODD, _ODD),
     GroupFamily.O_EVEN: (_EVEN, _EVEN),
 }
+
+#: The eps flags of each group family's labels: only odd orthogonal labels carry one.
+_EPS_FLAGS = {GroupFamily.SP: (None,), GroupFamily.O_ODD: (PLUS, MINUS), GroupFamily.O_EVEN: (None,)}
 
 
 def _signs_fit(group: GroupTag, sign1: Sign, sign2: Sign, eps_minus_one: Sign) -> bool:
@@ -256,12 +266,12 @@ def make_label(
             f"component ranks {rho.glu_rank}+{symbol_rank(lam)}"
             f"+{symbol_rank(lam_prime)} != group rank {group.rank}"
         )
-    if group.family is GroupFamily.O_ODD:
-        if eps_flag not in (PLUS, MINUS):
-            raise SignMismatch("odd orthogonal labels need an eps flag")
-    else:
-        if eps_flag is not None:
-            raise SignMismatch(f"{group} carries no eps flag")
+    flags = _EPS_FLAGS[group.family]
+    if eps_flag not in flags:
+        raise SignMismatch(
+            "odd orthogonal labels need an eps flag" if None not in flags
+            else f"{group} carries no eps flag"
+        )
     if not _signs_fit(group, sign1, sign2, eps_minus_one):
         raise SignMismatch(
             f"slot signs {format_sign(sign1 * sign2)} != "
@@ -304,11 +314,7 @@ def cuspidal_symbol(family: GroupFamily, k: int) -> Symbol:
     if k < 0:
         raise ValueError("cuspidal index must be nonnegative")
     top = 2 * k - 1 if family is GroupFamily.O_EVEN else 2 * k
-    if top + 1 > MAX_LAYER_SYMBOLS:
-        raise ValueError(
-            f"the cuspidal staircase of index {k} has {top + 1} entries, "
-            f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
-        )
+    _check_bound(top + 1, f"the cuspidal staircase of index {k}", "entries")
     rows = _staircase(top)
     if family is GroupFamily.O_EVEN or k % 2 == 0:
         return Symbol(rows, ())
@@ -436,7 +442,7 @@ def enumerate_labels(
     second-slot defect/rows, then the eps flag.
     """
     kind, kind2 = _SLOTS[group.family]
-    flags = (PLUS, MINUS) if group.family is GroupFamily.O_ODD else (None,)
+    flags = _EPS_FLAGS[group.family]
     for rho in rho_catalog:
         residual = group.rank - rho.glu_rank
         if residual < 0:
@@ -451,6 +457,25 @@ def enumerate_labels(
                             )
                         except SignMismatch:
                             continue
+
+
+def _candidate_count(target: GroupTag, eps_minus_one: Sign) -> int:
+    """The labels of ``target`` over ``ggp.default_rho_catalog``, by :func:`count_symbols`.
+
+    The catalog has one descriptor per residual rank 0..rank.  Counting
+    goes smallest residual first and stops once the count passes
+    ``MAX_LAYER_SYMBOLS``, so no slot rank far past the bound is counted;
+    the result is then a lower bound.
+    """
+    slots = [kind.families.values() for kind in _SLOTS[target.family]]
+    total = 0
+    for residual in range(target.rank + 1):
+        for r1, (f1, s1), (f2, s2) in product(range(residual + 1), *slots):
+            if _signs_fit(target, s1, s2, eps_minus_one):
+                total += count_symbols(r1, f1) * count_symbols(residual - r1, f2)
+        if total > core.MAX_LAYER_SYMBOLS:  # read at call time, as the refusal reads it
+            break
+    return total * len(_EPS_FLAGS[target.family])
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,15 @@ Partition = tuple[int, ...]
 MAX_LAYER_SYMBOLS = 1_000_000
 
 
+def _check_bound(size: int, subject: str, unit: str, more: str = "") -> None:
+    """The one ``ValueError`` of every bounded build, raised if ``size`` > MAX_LAYER_SYMBOLS."""
+    if size > MAX_LAYER_SYMBOLS:
+        raise ValueError(
+            f"{subject} has {more}{size} {unit}, "
+            f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+        )
+
+
 def partition(parts: Iterable[int]) -> Partition:
     """Validate and canonicalize a partition: weakly decreasing, zeros trimmed."""
     p = tuple(int(x) for x in parts)
@@ -55,16 +64,6 @@ def partition(parts: Iterable[int]) -> Partition:
         if i + 1 < len(p) and p[i + 1] > x:
             raise NormalizationError(f"parts not weakly decreasing in {p}")
     return p
-
-
-def partition_transpose(p: Partition) -> Partition:
-    """Conjugate partition (column counts of the Young diagram).
-
-    Involutive and size preserving: ``[3, 1] -> [2, 1, 1]``.
-    """
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x > j) for j in range(p[0]))
 
 
 def close_dominates(lam: Partition, mu: Partition) -> bool:
@@ -320,9 +319,9 @@ class SymbolFamily(Enum):
     O_EVEN_PLUS = "o+"
     O_EVEN_MINUS = "o-"
 
-    @property
-    def defect_residue(self) -> int:
-        return {"sp": 1, "o+": 0, "o-": 2}[self.value]
+    def __init__(self, value: str):
+        # a plain attribute, so the per-symbol residue tests stay cheap
+        self.defect_residue: int = {"sp": 1, "o+": 0, "o-": 2}[value]
 
     def admits_defect(self, defect: int) -> bool:
         return defect % 4 == self.defect_residue
@@ -370,12 +369,8 @@ def _defect_layer(rank: int, defect: int) -> tuple[Symbol, ...]:
     # Layer sizes grow with the residual, so past _COUNTED_RESIDUAL the
     # size is only bounded from below, which is enough to refuse it.
     size = bipartition_count(min(residual, _COUNTED_RESIDUAL))
-    if size > MAX_LAYER_SYMBOLS:
-        more = "" if residual <= _COUNTED_RESIDUAL else "more than "
-        raise ValueError(
-            f"the rank {rank}, defect {defect} layer has {more}{size} symbols, "
-            f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
-        )
+    more = "" if residual <= _COUNTED_RESIDUAL else "more than "
+    _check_bound(size, f"the rank {rank}, defect {defect} layer", "symbols", more)
     rows: dict = {}
     syms = [_symbol_of(bp, defect, rows) for bp in bipartitions_of(residual)]
     syms.sort(key=attrgetter("row_a", "row_b"))
@@ -442,12 +437,8 @@ def _check_sweep(max_rank: int) -> None:
     total = 0
     for rank in range(max_rank + 1):
         total += sum(count_symbols(rank, family) for family in SymbolFamily)
-        if total > MAX_LAYER_SYMBOLS:
-            more = "" if rank == max_rank else "more than "
-            raise ValueError(
-                f"the rank <= {max_rank} sweep has {more}{total} symbols, "
-                f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
-            )
+        more = "" if rank == max_rank else "more than "
+        _check_bound(total, f"the rank <= {max_rank} sweep", "symbols", more)
 
 
 # ---------------------------------------------------------------------------

@@ -52,14 +52,13 @@ from .catalog import (
     RhoDescriptor,
     Sign,
     TRIVIAL_RHO,
-    _SLOTS,
-    _signs_fit,
+    _candidate_count,
     enumerate_labels,
     is_unipotent_label,
     kh_of,
     symbol_regular_by_convention,
 )
-from .core import MAX_LAYER_SYMBOLS, Symbol, count_symbols, symbol_defect, symbol_transpose
+from .core import Symbol, _check_bound, symbol_defect, symbol_transpose
 from .errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch
 from .theta import TowerContext, default_orientation, in_G
 
@@ -137,24 +136,6 @@ _ORIENTATION_OPEN = Multiplicity(MultKind.UNDETERMINED, reason="orientation")
 # ---------------------------------------------------------------------------
 
 
-def relevance_necessary(kh_left: KH, kh_right: KH, case: GGPCase) -> bool:
-    """Orientation-free necessary bands for nonzero multiplicity.
-
-    Fourier-Jacobi pairs cross the slots: k against |h'| and k' against |h|.
-    Bessel pairs them straight, with the odd orthogonal side on the left:
-    |k'| in {k, k + 1} and |h'| in {h, h + 1}.
-    """
-    if case is FOURIER_JACOBI:
-        return kh_left.k in (abs(kh_right.h), abs(kh_right.h) - 1) and kh_right.k in (
-            abs(kh_left.h),
-            abs(kh_left.h) - 1,
-        )
-    return abs(kh_right.k) in (kh_left.k, kh_left.k + 1) and abs(kh_right.h) in (
-        kh_left.h,
-        kh_left.h + 1,
-    )
-
-
 def _tri_and(a: bool | None, b: bool | None) -> bool | None:
     if a is False or b is False:
         return False
@@ -206,24 +187,12 @@ class _Side(NamedTuple):
     order: tuple
 
 
-def _resolve_bits(label: RepLabel, kh: KH, supplied: Bits) -> Bits:
-    """Supplied orientation bits, with the cuspidal-chain defaults for gaps."""
-    primary, secondary = supplied
-    if primary is not None and secondary is not None:
-        return supplied
-    dp, ds = default_orientation(label, kh.k, kh.h)
-    return (
-        primary if primary is not None else dp,
-        secondary if secondary is not None else ds,
-    )
-
-
 def _strong_relevance(left: _Side, right: _Side, case: GGPCase, ctx: TowerContext) -> bool | None:
     """Bands and tower match of a normalized pair; None when a needed bit is open.
 
-    The one-sided conditions contain the bands of :func:`relevance_necessary`
-    (the distances on the picked sides are never negative), so a pair
-    outside the bands is False here.
+    The one-sided conditions contain the relevance bands of the module
+    docstring (the distances on the picked sides are never negative), so a
+    pair outside the bands is False here.
     """
     (kl, hl), bits_left = left.kh, left.bits
     (kr, hr), bits_right = right.kh, right.bits
@@ -376,8 +345,8 @@ class _VariantRun:
         supplied orientation bit (``lam`` the primary, ``lam_prime`` the
         secondary); only even-type slots are varied, so the negation is
         exact.  A slot equal to its own transpose gives no new variant.
-        Bits are resolved last.  Sides built with ``keep`` false are not
-        stored.
+        Bits are resolved last: an open primary bit takes its cuspidal-chain
+        default.  Sides built with ``keep`` false are not stored.
         """
         key = (id(label), supplied, slots)
         sides = self._sides.get(key)
@@ -398,8 +367,8 @@ class _VariantRun:
                     v = RepLabel(v.group, v.rho, v.lam, t, v.eps_flag)
                     out.append((v, KH(k, -h), _flip(bits, False, True), vkey + slot_key))
         sides = [
-            _Side(v, kh, _resolve_bits(v, kh, bits), vkey, _fj_order(v))
-            for v, kh, bits, vkey in out
+            _Side(v, kh, (default_orientation(v, *kh) if p is None else p, s), vkey, _fj_order(v))
+            for v, kh, (p, s), vkey in out
         ]
         if keep:
             self._sides[key] = sides
@@ -573,25 +542,6 @@ def default_rho_catalog(max_rank: int) -> tuple[RhoDescriptor, ...]:
     )
 
 
-def _candidate_count(target: GroupTag, eps_minus_one: Sign) -> int:
-    """The labels of ``target`` over :func:`default_rho_catalog`, by :func:`count_symbols`.
-
-    The catalog has one descriptor per residual rank 0..rank.  Counting
-    goes smallest residual first and stops once the count passes
-    ``MAX_LAYER_SYMBOLS``, so no slot rank far past the bound is counted;
-    the result is then a lower bound.
-    """
-    slots = [kind.families.values() for kind in _SLOTS[target.family]]
-    total = 0
-    for residual in range(target.rank + 1):
-        for r1, (f1, s1), (f2, s2) in product(range(residual + 1), *slots):
-            if _signs_fit(target, s1, s2, eps_minus_one):
-                total += count_symbols(r1, f1) * count_symbols(residual - r1, f2)
-        if total > MAX_LAYER_SYMBOLS:
-            break
-    return total * (2 if target.family is GroupFamily.O_ODD else 1)
-
-
 def branch_decomposition(
     pi: RepLabel,
     target: GroupTag,
@@ -630,11 +580,7 @@ def branch_decomposition(
             f"target rank {target.rank} != source rank parameter {pi.group.rank}"
         )
     size = _candidate_count(target, ctx.eps_minus_one)
-    if size > MAX_LAYER_SYMBOLS:
-        raise ValueError(
-            f"the {target} table has at least {size} candidates, "
-            f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
-        )
+    _check_bound(size, f"the {target} table", "candidates", "at least ")
     run = _VariantRun(ctx)
     rows = []
     for candidate in enumerate_labels(target, ctx.eps_minus_one, default_rho_catalog(target.rank)):

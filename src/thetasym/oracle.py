@@ -118,7 +118,7 @@ def _fiber_to_sp(lam_prime: Symbol, sign: Sign, rank: int) -> list[Symbol]:
     tested with the band relation alone.
     """
     defect = -symbol_defect(lam_prime) + (1 if sign == PLUS else -1)
-    if defect % 4 != 1:
+    if not SymbolFamily.SP_UNIPOTENT.admits_defect(defect):
         return []
     bp2 = upsilon(lam_prime)
     return [s for s in _defect_layer(rank, defect) if _band(upsilon(s), bp2, sign)]

@@ -55,6 +55,9 @@ from .core import (
 )
 from .errors import CaseMismatch, DefectClassMismatch, NotCuspidalSupport
 
+# A (symplectic-type, even-type) symbol pair is exactly the sp slot pair.
+_SP_TYPE, _EVEN_TYPE = _SLOTS[GroupFamily.SP]
+
 
 class Tower(Enum):
     """Witt towers; the sign on the even/odd orthogonal towers is the form type."""
@@ -178,12 +181,9 @@ def in_B(lam: Symbol, lam_prime: Symbol, sign: Sign) -> bool:
     is a horizontal strip, so it is read as interlacing of the
     untransposed rows and no partition is transposed.
     """
-    d = symbol_defect(lam)
-    if d % 4 != 1:
-        raise DefectClassMismatch(f"first symbol defect {d} not = 1 mod 4")
-    d2 = symbol_defect(lam_prime)
-    if d2 % 2 != 0:
-        raise DefectClassMismatch(f"second symbol defect {d2} must be even")
+    d, d2 = symbol_defect(lam), symbol_defect(lam_prime)
+    _SP_TYPE.entry("first", d)
+    _EVEN_TYPE.entry("second", d2)
     if d2 != (-d + 1 if sign == PLUS else -d - 1):
         return False
     return _band(upsilon(lam), upsilon(lam_prime), sign)
@@ -237,8 +237,7 @@ def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
     does; both before any layer is built.
     """
     d = symbol_defect(lam)
-    if d % 4 != 1:
-        raise DefectClassMismatch(f"first symbol defect {d} not = 1 mod 4")
+    _SP_TYPE.entry("first", d)
     bp = upsilon(lam)
     want = -d + (1 if sign == PLUS else -1)
     return [s for s in _defect_layer(target_rank, want) if _band(bp, upsilon(s), sign)]
@@ -278,15 +277,14 @@ def first_occurrence_unipotent(
     """
     d = symbol_defect(lam)
     if direction is ThetaDirection.SP_TO_O:
-        if d % 4 != 1:
-            raise DefectClassMismatch(f"defect {d} not = 1 mod 4 for a symplectic symbol")
-    elif d % 2 != 0:
-        raise DefectClassMismatch(f"defect {d} must be even for an orthogonal symbol")
-    elif sign_pow(d // 2) != sign:
-        raise DefectClassMismatch(
-            f"symbol of defect {d} lives on the o{format_sign(sign_pow(d // 2))} tower, "
-            f"not o{format_sign(sign)}"
-        )
+        _SP_TYPE.entry("source", d)
+    else:
+        _, tower = _EVEN_TYPE.entry("source", d)
+        if tower != sign:
+            raise DefectClassMismatch(
+                f"symbol of defect {d} lives on the o{format_sign(tower)} tower, "
+                f"not o{format_sign(sign)}"
+            )
     n = symbol_rank(lam)
     up, lo = upsilon(lam)
     # One formula per tower serves both directions: (d - 1) // 2 == d // 2
@@ -324,8 +322,8 @@ def cuspidal_theta(k: int, variant: CuspidalThetaVariant) -> tuple[Symbol, Symbo
 # ---------------------------------------------------------------------------
 
 
-def default_orientation(label: RepLabel, k: int, h: int) -> tuple[Sign | None, Sign | None]:
-    """(primary, secondary) orientation bits derivable from the cuspidal chain.
+def default_orientation(label: RepLabel, k: int, h: int) -> Sign | None:
+    """The primary orientation bit derivable from the cuspidal chain, or None.
 
     ``(k, h)`` is the label's :func:`~thetasym.catalog.kh_of`.  Only labels
     with trivial descriptor and unipotent cuspidal support get defaults:
@@ -338,17 +336,13 @@ def default_orientation(label: RepLabel, k: int, h: int) -> tuple[Sign | None, S
     * everything else (odd orthogonal sign pairs, swapped-slot data, theta
       shapes with h != 0, nontrivial descriptors): no default.
     """
-    if not label.rho.is_trivial:
-        return (None, None)
-    fam = label.group.family
-    if fam is GroupFamily.SP and h == 0:
-        return (sign_pow(k), None)
-    if fam is GroupFamily.O_EVEN and h == 0:
-        if k == 0:
-            return (None, None)
-        sign_of_k = PLUS if k > 0 else MINUS
-        return (PLUS if sign_of_k == sign_pow(abs(k)) else MINUS, None)
-    return (None, None)
+    if not label.rho.is_trivial or h != 0:
+        return None
+    if label.group.family is GroupFamily.SP:
+        return sign_pow(k)
+    if label.group.family is GroupFamily.O_EVEN and k != 0:
+        return sign_pow(k) if k > 0 else -sign_pow(k)
+    return None
 
 
 def first_occurrence_supported(label: RepLabel, ctx: TowerContext) -> FirstOccurrence:
@@ -384,7 +378,7 @@ def first_occurrence_supported(label: RepLabel, ctx: TowerContext) -> FirstOccur
     fam = label.group.family
     orientation = ctx.orient_left
     if orientation is None:
-        orientation = default_orientation(label, k, h)[0]
+        orientation = default_orientation(label, k, h)
 
     if fam is GroupFamily.SP and ctx.tower.is_even_orthogonal:
         small, large = n - k, n + k + 1

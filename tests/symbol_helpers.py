@@ -1,7 +1,10 @@
-"""Random and shifted symbols for the fuzz and round-trip tests, and a guard
-that fails any layer build."""
+"""Random and shifted symbols for the fuzz and round-trip tests, a guard
+that fails any layer build, and definition-level references that the library
+itself no longer needs."""
 
 import thetasym.core as core
+from thetasym.catalog import KH
+from thetasym.ggp import FOURIER_JACOBI
 from thetasym.core import (
     Bipartition,
     Partition,
@@ -56,3 +59,31 @@ def forbid_layer_builds(monkeypatch) -> None:
 
     for name in ("bipartitions_of", "_partitions", "_symbol_of", "upsilon_inverse"):
         monkeypatch.setattr(core, name, must_not_run)
+
+
+def partition_transpose(p: Partition) -> Partition:
+    """Conjugate partition (column counts of the Young diagram).
+
+    Involutive and size preserving: ``[3, 1] -> [2, 1, 1]``.
+    """
+    if not p:
+        return ()
+    return tuple(sum(1 for x in p if x > j) for j in range(p[0]))
+
+
+def relevance_necessary(kh_left: KH, kh_right: KH, case) -> bool:
+    """Orientation-free necessary bands for nonzero multiplicity.
+
+    Fourier-Jacobi pairs cross the slots: k against |h'| and k' against |h|.
+    Bessel pairs them straight, with the odd orthogonal side on the left:
+    |k'| in {k, k + 1} and |h'| in {h, h + 1}.
+    """
+    if case is FOURIER_JACOBI:
+        return kh_left.k in (abs(kh_right.h), abs(kh_right.h) - 1) and kh_right.k in (
+            abs(kh_left.h),
+            abs(kh_left.h) - 1,
+        )
+    return abs(kh_right.k) in (kh_left.k, kh_left.k + 1) and abs(kh_right.h) in (
+        kh_left.h,
+        kh_left.h + 1,
+    )

@@ -39,7 +39,6 @@ from thetasym.ggp import (
     FOURIER_JACOBI,
     MultKind,
     ggp_multiplicity,
-    relevance_necessary,
     branch_decomposition,
 )
 from thetasym.oracle import verify_f1, verify_variant_uniqueness
@@ -54,7 +53,7 @@ from thetasym.theta import (
     in_B,
 )
 
-from symbol_helpers import random_symbol, shift_symbol
+from symbol_helpers import random_symbol, relevance_necessary, shift_symbol
 
 CTX = TowerContext(eps_minus_one=PLUS)
 

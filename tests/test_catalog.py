@@ -1,9 +1,11 @@
 import itertools
 import re
+from pathlib import Path
 
 import pytest
 
 import thetasym.catalog as catalog
+import thetasym.core as core
 from thetasym.catalog import (
     KH,
     MINUS,
@@ -173,7 +175,7 @@ def test_cuspidal_symbol_refuses_an_oversized_staircase(monkeypatch):
 
 @pytest.mark.parametrize("bound", [8, 9])
 def test_cuspidal_symbol_bound_is_inclusive(bound, monkeypatch):
-    monkeypatch.setattr(catalog, "MAX_LAYER_SYMBOLS", bound)
+    monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", bound)
     for family, k in itertools.product(GroupFamily, range(7)):
         entries = 2 * k if family is GroupFamily.O_EVEN else 2 * k + 1
         if entries <= bound:
@@ -436,3 +438,12 @@ def test_label_parse_error_offsets_point_into_the_label(text, at):
     assert text[err.value.offset:].startswith(at)
     if not at:
         assert err.value.offset == len(text)
+
+
+def test_each_rule_is_written_once():
+    """The bound refusal lives in ``core`` alone, and defect residues mod 4 are
+    read only in ``core`` and ``catalog``; a copy anywhere else fails here."""
+    sources = {p.name: p.read_text() for p in Path(catalog.__file__).parent.glob("*.py")}
+    assert sum(text.count("over the enumeration bound") for text in sources.values()) == 1
+    assert "over the enumeration bound" in sources["core.py"]
+    assert {name for name, text in sources.items() if "% 4" in text} == {"core.py", "catalog.py"}

@@ -24,7 +24,6 @@ from thetasym.core import (
     parse_symbol,
     partition,
     partition_count,
-    partition_transpose,
     partitions_of,
     symbol_defect,
     symbol_normalize,
@@ -36,7 +35,7 @@ from thetasym.core import (
 )
 from thetasym.errors import NormalizationError, ParseError
 
-from symbol_helpers import forbid_layer_builds, random_symbol, shift_symbol
+from symbol_helpers import forbid_layer_builds, partition_transpose, random_symbol, shift_symbol
 
 
 partitions_strategy = st.lists(st.integers(1, 9), max_size=6).map(

@@ -31,7 +31,7 @@ from thetasym.core import (
     symbol_transpose,
 )
 from thetasym.errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch
-from thetasym import ggp
+from thetasym import catalog, core, ggp
 from thetasym.ggp import (
     BESSEL,
     FOURIER_JACOBI,
@@ -42,13 +42,12 @@ from thetasym.ggp import (
     default_rho_catalog,
     ggp_multiplicity,
     is_strongly_relevant,
-    relevance_necessary,
     select_nonzero_variant,
 )
 from thetasym.oracle import _bessel_pairs, _fj_pairs, verify_variant_uniqueness
 from thetasym.theta import TowerContext
 
-from symbol_helpers import forbid_layer_builds
+from symbol_helpers import forbid_layer_builds, relevance_necessary
 
 CTX = TowerContext(eps_minus_one=PLUS)
 
@@ -570,14 +569,22 @@ def test_candidate_count_matches_enumeration():
         groups = [sp(n)] + [tag(n, s) for tag in (o_even, o_odd) for s in (PLUS, MINUS)]
         for group in groups:
             labels = enumerate_labels(group, eps, default_rho_catalog(n))
-            assert ggp._candidate_count(group, eps) == sum(1 for _ in labels), (group, eps)
+            assert catalog._candidate_count(group, eps) == sum(1 for _ in labels), (group, eps)
 
 
 def test_candidate_count_around_the_bound():
-    assert ggp._candidate_count(sp(14), PLUS) == 749_971 <= MAX_LAYER_SYMBOLS
+    assert catalog._candidate_count(sp(14), PLUS) == 749_971 <= MAX_LAYER_SYMBOLS
     # counting stops past the bound, so an oversized table is cheap to refuse
-    assert MAX_LAYER_SYMBOLS < ggp._candidate_count(sp(16), PLUS) < 2_506_923
-    assert ggp._candidate_count(sp(10**17), PLUS) > MAX_LAYER_SYMBOLS
+    assert MAX_LAYER_SYMBOLS < catalog._candidate_count(sp(16), PLUS) < 2_506_923
+    assert catalog._candidate_count(sp(10**17), PLUS) > MAX_LAYER_SYMBOLS
+
+
+def test_candidate_count_stops_at_the_bound_the_refusal_reads(monkeypatch):
+    monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", 3_000_000)
+    assert catalog._candidate_count(sp(16), PLUS) == 2_506_923
+    monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", 10)
+    with pytest.raises(ValueError, match="MAX_LAYER_SYMBOLS = 10$"):
+        branch_decomposition(unipotent_label(sp(2), parse_symbol("[2|]")), sp(2), CTX)
 
 
 @pytest.mark.parametrize(
@@ -597,7 +604,7 @@ def test_oversized_branch_table_refused_before_building(pi, target, monkeypatch)
     monkeypatch.setattr(ggp, "enumerate_labels", must_not_run)
     with pytest.raises(ValueError) as err:
         branch_decomposition(pi, target, CTX)
-    size = ggp._candidate_count(target, PLUS)
+    size = catalog._candidate_count(target, PLUS)
     assert str(err.value) == (
         f"the {target} table has at least {size} candidates, "
         f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"

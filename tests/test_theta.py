@@ -26,7 +26,6 @@ from thetasym.core import (
     close_dominates,
     enumerate_symbols,
     parse_symbol,
-    partition_transpose,
     symbol_defect,
     symbol_rank,
     symbol_transpose,
@@ -49,7 +48,7 @@ from thetasym.theta import (
     theta_fiber,
 )
 
-from symbol_helpers import forbid_layer_builds
+from symbol_helpers import forbid_layer_builds, partition_transpose
 
 
 def test_in_B_examples():
@@ -107,14 +106,44 @@ def test_in_B_matches_transposed_definition():
     assert hits > 0
 
 
-def test_theta_fiber_of_a_huge_row_transposes_nothing(monkeypatch):
-    import thetasym.core as core
-
-    def must_not_run(p):
-        raise AssertionError("a partition was transposed")
-
-    monkeypatch.setattr(core, "partition_transpose", must_not_run)
+def test_theta_fiber_of_a_huge_row_transposes_nothing():
+    """The band is read as interlacing of untransposed rows, so a single row
+    of 300000 boxes is compared part by part, never expanded into columns."""
     assert theta_fiber(parse_symbol("[300000|]"), PLUS, 0) == [EMPTY_SYMBOL]
+
+
+@pytest.mark.parametrize(
+    "call, argv, text",
+    [
+        (lambda: in_B(parse_symbol("[1|0]"), EMPTY_SYMBOL, PLUS), None,
+         "first symbol defect 0 not = 1 mod 4"),
+        (lambda: in_B(parse_symbol("[1|]"), parse_symbol("[1|]"), MINUS), None,
+         "second symbol defect 1 must be even"),
+        (lambda: theta_fiber(parse_symbol("[1,0|]"), MINUS, 2),
+         ["theta-fiber", "--symbol", "[1,0|]", "--sign", "-", "--target-rank", "2"],
+         "first symbol defect 2 not = 1 mod 4"),
+        (lambda: first_occurrence_unipotent(parse_symbol("[|0]"), PLUS, ThetaDirection.SP_TO_O),
+         ["theta-first", "--symbol", "[|0]", "--sign", "+", "--direction", "sp-to-o"],
+         "source symbol defect -1 not = 1 mod 4"),
+        (lambda: first_occurrence_unipotent(parse_symbol("[2,1,0|]"), MINUS, ThetaDirection.O_TO_SP),
+         ["theta-first", "--symbol", "[2,1,0|]", "--sign", "-", "--direction", "o-to-sp"],
+         "source symbol defect 3 must be even"),
+        (lambda: first_occurrence_unipotent(parse_symbol("[|1,0]"), PLUS, ThetaDirection.O_TO_SP),
+         ["theta-first", "--symbol", "[|1,0]", "--sign", "+", "--direction", "o-to-sp"],
+         "symbol of defect -2 lives on the o- tower, not o+"),
+    ],
+    ids=["in_B first", "in_B second", "theta_fiber", "sp-to-o", "o-to-sp", "o-to-sp tower"],
+)
+def test_bare_symbol_class_refusal_texts(call, argv, text, capsys):
+    """The slot-table texts of every bare-symbol refusal, in the library and the CLI."""
+    with pytest.raises(DefectClassMismatch) as err:
+        call()
+    assert str(err.value) == text
+    if argv is not None:
+        from thetasym.cli import main
+
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {text}\n")
 
 
 def test_in_G_examples():
@@ -337,18 +366,18 @@ def test_wrong_class_slot_of_a_hand_built_label(group, lam, lam_prime, text):
 
 def test_default_orientation():
     cusp4 = make_label(sp(2), TRIVIAL_RHO, parse_symbol("[|2,1,0]"), EMPTY_SYMBOL)
-    assert default_orientation(cusp4, *kh_of(cusp4)) == (MINUS, None)
+    assert default_orientation(cusp4, *kh_of(cusp4)) == MINUS
     # even orthogonal unipotent: sign of k against (-1)^|k|
     sgn_o2 = make_label(o_even(1, MINUS), TRIVIAL_RHO, parse_symbol("[1,0|]"), EMPTY_SYMBOL)
-    assert default_orientation(sgn_o2, *kh_of(sgn_o2)) == (MINUS, None)
+    assert default_orientation(sgn_o2, *kh_of(sgn_o2)) == MINUS
     triv_o2 = make_label(o_even(1, MINUS), TRIVIAL_RHO, parse_symbol("[|1,0]"), EMPTY_SYMBOL)
-    assert default_orientation(triv_o2, *kh_of(triv_o2)) == (PLUS, None)
+    assert default_orientation(triv_o2, *kh_of(triv_o2)) == PLUS
     # theta shapes stay open
     theta = make_label(sp(1), TRIVIAL_RHO, parse_symbol("[0|]"), parse_symbol("[1,0|]"))
-    assert default_orientation(theta, *kh_of(theta)) == (None, None)
+    assert default_orientation(theta, *kh_of(theta)) is None
     # nontrivial descriptor stays open
     rho_only = make_label(sp(2), RhoDescriptor(2, True, "regular-2"), parse_symbol("[0|]"), EMPTY_SYMBOL)
-    assert default_orientation(rho_only, *kh_of(rho_only)) == (None, None)
+    assert default_orientation(rho_only, *kh_of(rho_only)) is None
 
 
 def test_supported_table_matches_closed_form_on_cuspidal_labels():
