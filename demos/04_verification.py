@@ -7,6 +7,9 @@ uniqueness from exhaustive evaluation.  A deliberate perturbation shows the
 harness actually detects failures.
 """
 
+from types import SimpleNamespace
+
+import thetasym.oracle as oracle
 from thetasym import (
     PLUS,
     TowerContext,
@@ -27,7 +30,20 @@ print(f"  JSON: {report.to_json()[:80]}...")
 
 print()
 print("== injected failure is caught ==")
-report = verify_f1(2, index_offset=1)
+# The oracle is handed closed-form indices one too high; it must notice.
+closed_form = oracle.first_occurrence_unipotent
+
+
+def shifted(*args):
+    occ = closed_form(*args)
+    return SimpleNamespace(index=occ.index + 1, lift=occ.lift)
+
+
+oracle.first_occurrence_unipotent = shifted
+try:
+    report = verify_f1(2)
+finally:
+    oracle.first_occurrence_unipotent = closed_form
 print(f"  {report}")
 for failure in report.failures[:3]:
     print(f"    {failure['input']}: expected {failure['expected']}, got {failure['actual']}")

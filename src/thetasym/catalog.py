@@ -329,7 +329,7 @@ def is_unipotent_cuspidal(s: Symbol, family: SymbolFamily) -> bool:
     """
     d = symbol_defect(s)
     if not family.admits_defect(d):
-        raise DefectClassMismatch(f"defect {d} not in class of {family}")
+        raise DefectClassMismatch(f"symbol defect {d} not = {family.defect_residue} mod 4")
     if family is SymbolFamily.SP_UNIPOTENT:
         return s == cuspidal_symbol(GroupFamily.SP, (abs(d) - 1) // 2)
     stair = cuspidal_symbol(GroupFamily.O_EVEN, abs(d) // 2)
@@ -448,8 +448,9 @@ def enumerate_labels(
         if residual < 0:
             continue
         for r1 in range(residual + 1):
+            seconds = kind2.symbols(residual - r1)
             for lam in kind.symbols(r1):
-                for lam_prime in kind2.symbols(residual - r1):
+                for lam_prime in seconds:
                     for flag in flags:
                         try:
                             yield make_label(

@@ -344,10 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_args(args)
         return args.func(args, sys.stdout)
-    except ThetasymError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (ThetasymError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

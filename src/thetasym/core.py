@@ -265,10 +265,8 @@ def upsilon(s: Symbol) -> Bipartition:
 
 
 def defect_rank_offset(defect: int) -> int:
-    """Rank of the staircase part: ((d+1)/2)((d-1)/2) for odd d, (d/2)^2 for even."""
-    if defect % 2 == 0:
-        return (defect // 2) ** 2
-    return (defect * defect - 1) // 4
+    """Rank of the staircase part: floor(d^2 / 4), which is (d/2)^2 for even d."""
+    return defect * defect // 4
 
 
 def upsilon_inverse(bp: Bipartition | tuple[Partition, Partition], defect: int) -> Symbol:
@@ -334,20 +332,10 @@ def admissible_defects(rank: int, family: SymbolFamily) -> list[int]:
     give an empty set of symbols at this rank.
     """
     out = []
-    residue = family.defect_residue
-    if residue == 1:
-        k = 0
-        while k * (k + 1) <= rank:
-            out.append((-1) ** k * (2 * k + 1))
-            k += 1
-    else:
-        d = residue
-        while (d // 2) ** 2 <= rank:
-            if d == 0:
-                out.append(0)
-            else:
-                out.extend([d, -d])
-            d += 4
+    size = 0
+    while defect_rank_offset(size) <= rank:
+        out += [d for d in ((size, -size) if size else (0,)) if family.admits_defect(d)]
+        size += 1
     return out
 
 
@@ -377,44 +365,23 @@ def _defect_layer(rank: int, defect: int) -> tuple[Symbol, ...]:
     return tuple(syms)
 
 
-def symbols_with_defect(rank: int, defect: int) -> list[Symbol]:
-    """All reduced symbols of the given rank and defect, sorted on rows.
-
-    Each (rank, defect) layer is built once and kept for the life of the
-    process, and the rank layers of :func:`enumerate_symbols` are made of
-    these same symbols.  The result is a fresh list, which the caller may
-    mutate.
-    """
-    return list(_defect_layer(rank, defect))
-
-
-@cache
-def _rank_layer(rank: int, family: SymbolFamily) -> tuple[Symbol, ...]:
-    # The family's first defect has the largest layer, so an oversized rank
-    # is refused here, before its list of defects is built.
-    _defect_layer(rank, family.defect_residue)
-    return tuple(
-        s
-        for defect in admissible_defects(rank, family)
-        for s in _defect_layer(rank, defect)
-    )
-
-
 def enumerate_symbols(rank: int, family: SymbolFamily) -> list[Symbol]:
     """All reduced symbols of this rank in the family's defect classes.
 
     Deterministic order: defect ascending by absolute value (positive before
-    negative at ties), then lexicographic on rows.
-
-    A rank layer is the concatenation of the per-defect layers of
-    :func:`symbols_with_defect`, kept as immutable tuples for the life of
-    the process together with whatever derived data their symbols
-    accumulate; the two views share the same symbols.  Memory therefore
-    grows with the largest layers enumerated.  The result is a fresh list,
-    which the caller may mutate.  A defect layer of more than
+    negative at ties), then lexicographic on rows.  The result is a fresh
+    list, which the caller may mutate, of the per-defect layers; each is
+    built once and kept for the life of the process with whatever derived
+    data its symbols accumulate.  A defect layer of more than
     :data:`MAX_LAYER_SYMBOLS` symbols raises ``ValueError``.
     """
-    return list(_rank_layer(rank, family))
+    # The family's first defect has the largest layer, so an oversized rank
+    # is refused here, before its list of defects is built.
+    _defect_layer(rank, family.defect_residue)
+    out: list[Symbol] = []
+    for defect in admissible_defects(rank, family):
+        out += _defect_layer(rank, defect)
+    return out
 
 
 def count_symbols(rank: int, family: SymbolFamily) -> int:

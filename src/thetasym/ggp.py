@@ -207,17 +207,17 @@ def _strong_relevance(left: _Side, right: _Side, case: GGPCase, ctx: TowerContex
 
 
 def _fj_order(label: RepLabel):
-    """Fourier-Jacobi order key: the larger rank first, a canonical key at ties."""
+    """Fourier-Jacobi order key: the larger rank first, a canonical key at ties.
+
+    Both labels are symplectic, so group family, sign and eps flag never differ.
+    """
     return (
         -label.group.rank,
-        label.group.family.value,
-        label.group.sign or 0,
         label.rho,
         label.lam.row_a,
         label.lam.row_b,
         label.lam_prime.row_a,
         label.lam_prime.row_b,
-        label.eps_flag or 0,
     )
 
 

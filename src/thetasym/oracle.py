@@ -33,7 +33,6 @@ from .core import (
     Symbol,
     SymbolFamily,
     _check_sweep,
-    _defect_layer,
     admissible_defects,
     count_symbols,
     defect_rank_offset,
@@ -41,13 +40,12 @@ from .core import (
     format_symbol,
     symbol_defect,
     symbol_rank,
-    upsilon,
 )
 from .ggp import BESSEL, FOURIER_JACOBI, _VariantRun
 from .theta import (
     ThetaDirection,
     TowerContext,
-    _band,
+    _partners,
     first_occurrence_unipotent,
     theta_fiber,
 )
@@ -109,30 +107,15 @@ def brute_first_occurrence(lam: Symbol, sign: Sign, max_rank: int) -> int | None
     return _first_fiber(lam, sign, ThetaDirection.SP_TO_O, max_rank)[0]
 
 
-def _fiber_to_sp(lam_prime: Symbol, sign: Sign, rank: int) -> list[Symbol]:
-    """Symplectic-type symbols of the rank pairing with an even-type symbol.
-
-    Like :func:`theta_fiber` in the other direction: the rows of
-    ``lam_prime`` are read once, and only the one defect layer that the
-    defect equation of :func:`in_B` allows is read, each of its members
-    tested with the band relation alone.
-    """
-    defect = -symbol_defect(lam_prime) + (1 if sign == PLUS else -1)
-    if not SymbolFamily.SP_UNIPOTENT.admits_defect(defect):
-        return []
-    bp2 = upsilon(lam_prime)
-    return [s for s in _defect_layer(rank, defect) if _band(upsilon(s), bp2, sign)]
-
-
 def _first_fiber(
     lam: Symbol, sign: Sign, direction: ThetaDirection, max_rank: int
 ) -> tuple[int | None, list[Symbol]]:
     """First target rank with a nonempty pairing fiber, plus that fiber.
 
     Scans upward from rank 0; ``(None, [])`` when no rank up to
-    ``max_rank`` pairs.
+    ``max_rank`` pairs.  An even-type source skips theta_fiber's class check.
     """
-    fiber_at = theta_fiber if direction is ThetaDirection.SP_TO_O else _fiber_to_sp
+    fiber_at = theta_fiber if direction is ThetaDirection.SP_TO_O else _partners
     for rank in range(max_rank + 1):
         fiber = fiber_at(lam, sign, rank)
         if fiber:
@@ -140,16 +123,15 @@ def _first_fiber(
     return None, []
 
 
-def verify_f1(max_rank: int, index_offset: int = 0) -> VerificationReport:
+def verify_f1(max_rank: int) -> VerificationReport:
     """Closed-form first occurrence against exhaustive fiber scanning.
 
     Covers every symplectic-type symbol of rank <= max_rank in both towers
     and every even-type symbol in its own tower; checks the index, that the
     fiber at the index is a singleton, and that its member is the closed
-    form's lift.  ``index_offset`` shifts the closed-form index and exists
-    only so the harness can prove it detects injected failures.  A sweep
-    whose layers of rank <= max_rank hold more than ``MAX_LAYER_SYMBOLS``
-    symbols in all raises ``ValueError`` before any layer is built.
+    form's lift.  A sweep whose layers of rank <= max_rank hold more than
+    ``MAX_LAYER_SYMBOLS`` symbols in all raises ``ValueError`` before any
+    layer is built.
     """
     _check_sweep(max_rank)
     report = VerificationReport()
@@ -164,14 +146,13 @@ def verify_f1(max_rank: int, index_offset: int = 0) -> VerificationReport:
             for lam in enumerate_symbols(rank, family):
                 for sign in signs:
                     closed = first_occurrence_unipotent(lam, sign, direction)
-                    index = closed.index + index_offset
                     brute, fiber = _first_fiber(lam, sign, direction, default_scan_bound(lam))
-                    ok = brute == index and len(fiber) == 1 and fiber[0] == closed.lift
+                    ok = brute == closed.index and len(fiber) == 1 and fiber[0] == closed.lift
                     report.check(
                         ok,
                         lambda: (
                             f"{format_symbol(lam)} sign {format_sign(sign)} {direction.value}",
-                            f"index {index}, lift {format_symbol(closed.lift)}",
+                            f"index {closed.index}, lift {format_symbol(closed.lift)}",
                             f"index {brute}, fiber {[format_symbol(s) for s in fiber]}",
                         ),
                     )

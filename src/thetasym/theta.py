@@ -5,8 +5,7 @@ one of a rank-n' even orthogonal group inside the oscillator representation
 is a pure symbol condition: the pair of symbols must satisfy a band relation
 between transposed staircase-free rows together with a defect equation,
 
-    plus tower:   def(L') = -def(L) + 1,
-    minus tower:  def(L') = -def(L) - 1.
+    def(L') = sign - def(L),  with sign +1 on the plus and -1 on the minus tower.
 
 This module implements that membership predicate, the four-way pair
 condition with untransposed rows that governs branching multiplicities, the
@@ -45,6 +44,7 @@ from .core import (
     Bipartition,
     Partition,
     Symbol,
+    SymbolFamily,
     _defect_layer,
     _symbol_of,
     close_dominates,
@@ -157,14 +157,15 @@ def _interlaces(inner: Partition, outer: Partition) -> bool:
 def _band(bp: Bipartition, bp2: Bipartition, sign: Sign) -> bool:
     """The band relation of :func:`in_B` on staircase-free rows.
 
-    ``bp`` belongs to the symplectic-type symbol and ``bp2`` to the
-    even-type one; the defect checks are the caller's.
+    It is symmetric in ``bp`` and ``bp2``: swapping them only swaps its two
+    interlacing conditions, so either may belong to the symplectic-type
+    symbol.  The defect checks are the caller's.
     """
     up, lo = bp
     up2, lo2 = bp2
     if sign == PLUS:
-        return _interlaces(lo2, up) and _interlaces(lo, up2)
-    return _interlaces(up2, lo) and _interlaces(up, lo2)
+        return _interlaces(lo, up2) and _interlaces(lo2, up)
+    return _interlaces(up, lo2) and _interlaces(up2, lo)
 
 
 def in_B(lam: Symbol, lam_prime: Symbol, sign: Sign) -> bool:
@@ -174,17 +175,17 @@ def in_B(lam: Symbol, lam_prime: Symbol, sign: Sign) -> bool:
     even-type; ``sign`` picks the tower.  Plus tower: the transposed rows
     must satisfy
 
-        t(lower') <= t(upper),  t(lower) <= t(upper'),  def' = -def + 1,
+        t(lower') <= t(upper),  t(lower) <= t(upper'),  def' = 1 - def,
 
     where <= is the band relation; the minus tower swaps the row roles and
-    uses def' = -def - 1.  The band relation t(a) <= t(b) says that b / a
+    uses def' = -1 - def.  The band relation t(a) <= t(b) says that b / a
     is a horizontal strip, so it is read as interlacing of the
     untransposed rows and no partition is transposed.
     """
     d, d2 = symbol_defect(lam), symbol_defect(lam_prime)
     _SP_TYPE.entry("first", d)
     _EVEN_TYPE.entry("second", d2)
-    if d2 != (-d + 1 if sign == PLUS else -d - 1):
+    if d2 != sign - d:
         return False
     return _band(upsilon(lam), upsilon(lam_prime), sign)
 
@@ -210,14 +211,28 @@ def in_G(lam: Symbol, lam_prime: Symbol) -> GVariant | None:
     if d > 0:
         if d2 == d - 1 and close_dominates(up, up2) and close_dominates(lo2, lo):
             return GVariant.EVEN_PLUS
-        if d2 == -d - 1 and close_dominates(lo2, up) and close_dominates(lo, up2):
+        if d2 == MINUS - d and close_dominates(lo2, up) and close_dominates(lo, up2):
             return GVariant.EVEN_MINUS
     if d < 0:
         if d2 == d + 1 and close_dominates(up2, up) and close_dominates(lo, lo2):
             return GVariant.ODD_MINUS
-        if d2 == -d + 1 and close_dominates(up2, lo) and close_dominates(up, lo2):
+        if d2 == PLUS - d and close_dominates(up2, lo) and close_dominates(up, lo2):
             return GVariant.ODD_PLUS
     return None
+
+
+def _partners(source: Symbol, sign: Sign, rank: int) -> list[Symbol]:
+    """Symbols of ``rank`` pairing with a source of either type on the ``sign`` tower.
+
+    The defect equation is its own inverse and names the one layer to read,
+    and :func:`_band` is symmetric, so each member is tested with the band
+    alone.  An even-type source whose partner defect is not 1 mod 4 has none.
+    """
+    want = sign - symbol_defect(source)
+    if want % 2 and not SymbolFamily.SP_UNIPOTENT.admits_defect(want):
+        return []
+    bp = upsilon(source)
+    return [s for s in _defect_layer(rank, want) if _band(bp, upsilon(s), sign)]
 
 
 def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
@@ -226,21 +241,17 @@ def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
     Deliberately definition-driven, so it can serve as the oracle for the
     closed-form first occurrence: this is :func:`in_B` against every
     even-type symbol of the target rank, split where its work does not
-    depend on the candidate.  The class of ``lam`` is checked and its rows
-    are read once; only the one defect layer that the defect equation
-    allows is read, and each of its members is tested with the band
-    relation alone.  ``in_B`` is False on every other defect, so this is
+    depend on the candidate.  It checks the class of ``lam``, then runs the
+    partner scan that serves both directions, which reads only the layer the
+    defect equation allows.  ``in_B`` is False on every other defect, so this is
     the same list, in the same order, as filtering the whole rank layer of
     the target family.  A ``lam`` that is not of symplectic type raises
     :class:`DefectClassMismatch`, as in ``in_B``, and a target layer of more
     than ``MAX_LAYER_SYMBOLS`` symbols raises ``ValueError``, as enumeration
     does; both before any layer is built.
     """
-    d = symbol_defect(lam)
-    _SP_TYPE.entry("first", d)
-    bp = upsilon(lam)
-    want = -d + (1 if sign == PLUS else -1)
-    return [s for s in _defect_layer(target_rank, want) if _band(bp, upsilon(s), sign)]
+    _SP_TYPE.entry("first", symbol_defect(lam))
+    return _partners(lam, sign, target_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +270,15 @@ def first_occurrence_unipotent(
     """Closed-form first-occurrence index and lift for a unipotent symbol.
 
     Writing (up, lo) for the staircase-free rows of the source and d for
-    its defect:
+    its defect (the lift defect is sign - d, as in :func:`in_B`):
 
     * symplectic source, plus tower: index n - up_1 - (d-1)/2, lift rows
-      (lo ; up minus its first part), lift defect -d + 1;
+      (lo ; up minus its first part);
     * symplectic source, minus tower: index n - lo_1 + (d+1)/2, lift rows
-      (lo minus first part ; up), lift defect -d - 1;
+      (lo minus first part ; up);
     * even orthogonal source (tower sign must match the symbol family):
-      plus family: index n - up_1 - d/2, lift (lo ; up minus first part),
-      defect -d + 1; minus family: index n - lo_1 + d/2, lift
-      (lo minus first part ; up), defect -d - 1.
+      plus family: index n - up_1 - d/2, lift (lo ; up minus first part);
+      minus family: index n - lo_1 + d/2, lift (lo minus first part ; up).
 
     The lift is always the unique fiber member at the index, so the result
     is resolved.  No tower-orientation data is needed: for unipotent data
@@ -292,10 +302,10 @@ def first_occurrence_unipotent(
     # slices of canonical partitions, so they need no validation.
     if sign == PLUS:
         index = n - (up[0] if up else 0) - d // 2
-        lift = _symbol_of(Bipartition(lo, up[1:]), -d + 1, {})
+        lift = _symbol_of(Bipartition(lo, up[1:]), sign - d, {})
     else:
         index = n - (lo[0] if lo else 0) + (d + 1) // 2
-        lift = _symbol_of(Bipartition(lo[1:], up), -d - 1, {})
+        lift = _symbol_of(Bipartition(lo[1:], up), sign - d, {})
     return FirstOccurrence(index, lift)
 
 

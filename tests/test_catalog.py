@@ -441,9 +441,13 @@ def test_label_parse_error_offsets_point_into_the_label(text, at):
 
 
 def test_each_rule_is_written_once():
-    """The bound refusal lives in ``core`` alone, and defect residues mod 4 are
-    read only in ``core`` and ``catalog``; a copy anywhere else fails here."""
+    """The bound refusal lives in ``core`` alone, defect residues mod 4 are
+    read only in ``core`` and ``catalog``, and the defect layers and the band
+    are read only in ``core`` and ``theta`` (whose one partner scan serves
+    both theta directions); a copy anywhere else fails here."""
     sources = {p.name: p.read_text() for p in Path(catalog.__file__).parent.glob("*.py")}
     assert sum(text.count("over the enumeration bound") for text in sources.values()) == 1
     assert "over the enumeration bound" in sources["core.py"]
     assert {name for name, text in sources.items() if "% 4" in text} == {"core.py", "catalog.py"}
+    layers = re.compile(r"\b(_band|_defect_layer)\b")
+    assert {name for name, text in sources.items() if layers.search(text)} == {"core.py", "theta.py"}

@@ -12,6 +12,7 @@ from thetasym.core import (
     MAX_LAYER_SYMBOLS,
     Symbol,
     SymbolFamily,
+    _defect_layer,
     admissible_defects,
     bipartition_count,
     bipartitions_of,
@@ -29,7 +30,6 @@ from thetasym.core import (
     symbol_normalize,
     symbol_rank,
     symbol_transpose,
-    symbols_with_defect,
     upsilon,
     upsilon_inverse,
 )
@@ -269,7 +269,7 @@ def test_enumerate_matches_bipartition_counts():
             assert len(symbols) == count_symbols(rank, family)
             assert len(symbols) == len(set(symbols))
             for defect in admissible_defects(rank, family):
-                block = symbols_with_defect(rank, defect)
+                block = _defect_layer(rank, defect)
                 assert len(block) == bipartition_count(rank - defect_rank_offset(defect))
                 for s in block:
                     assert symbol_rank(s) == rank
@@ -295,17 +295,21 @@ def test_enumerate_returns_fresh_list():
     assert enumerate_symbols(3, SymbolFamily.SP_UNIPOTENT) != []
 
 
-def test_symbols_with_defect_returns_fresh_list():
-    expected = list(symbols_with_defect(5, -2))
-    assert expected
-    first = symbols_with_defect(5, -2)
-    first.reverse()
-    first.append(EMPTY_SYMBOL)
-    assert symbols_with_defect(5, -2) == expected
-    first.clear()
-    assert symbols_with_defect(5, -2) == expected
-    layer = enumerate_symbols(5, SymbolFamily.O_EVEN_MINUS)
-    assert [s for s in layer if symbol_defect(s) == -2] == expected
+def test_admissible_defects_match_a_written_out_reference():
+    """Every d of the family's residue whose staircase offset floor(d^2/4)
+    fits the rank, ordered by |d|, positive first."""
+    for family in SymbolFamily:
+        residue = {SymbolFamily.SP_UNIPOTENT: 1, SymbolFamily.O_EVEN_PLUS: 0,
+                   SymbolFamily.O_EVEN_MINUS: 2}[family]
+        for rank in range(401):
+            expected = sorted(
+                (d for d in range(-41, 42) if d % 4 == residue and d * d // 4 <= rank),
+                key=lambda d: (abs(d), d < 0),
+            )
+            assert admissible_defects(rank, family) == expected, (family, rank)
+    for d in range(-41, 42):
+        offset = (d // 2) ** 2 if d % 2 == 0 else (d + 1) // 2 * ((d - 1) // 2)
+        assert defect_rank_offset(d) == offset == d * d // 4
 
 
 def _reference_partitions(n, top):
@@ -326,7 +330,7 @@ def test_defect_layers_match_upsilon_inverse_of_reference_bipartitions():
                     for up in _reference_partitions(a, a)
                     for lo in _reference_partitions(n - a, n - a)
                 )
-                layer = symbols_with_defect(rank, defect)
+                layer = _defect_layer(rank, defect)
                 assert len(layer) == len(expected)
                 for got, want in zip(layer, expected):
                     assert (got.row_a, got.row_b) == (want.row_a, want.row_b)
@@ -347,7 +351,7 @@ def test_oversized_layer_refused_before_building(monkeypatch):
 
     forbid_layer_builds(monkeypatch)
     with pytest.raises(ValueError) as err:
-        symbols_with_defect(64, 1)
+        _defect_layer(64, 1)
     assert f"layer has {bipartition_count(64)} symbols" in str(err.value)
     assert f"MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}" in str(err.value)
     # a huge rank is refused before its (as huge) list of defects is built

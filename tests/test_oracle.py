@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,14 +14,13 @@ from thetasym.core import (
 )
 from thetasym.oracle import (
     VerificationReport,
-    _fiber_to_sp,
     brute_first_occurrence,
     default_scan_bound,
     verify_counts,
     verify_f1,
     verify_variant_uniqueness,
 )
-from thetasym.theta import TowerContext, in_B
+from thetasym.theta import TowerContext, _partners, in_B
 
 from symbol_helpers import forbid_layer_builds
 
@@ -45,7 +45,7 @@ def test_fiber_to_sp_equals_full_layer_filter():
                         for s in enumerate_symbols(t, SymbolFamily.SP_UNIPOTENT)
                         if in_B(s, lam_prime, sign)
                     ]
-                    assert _fiber_to_sp(lam_prime, sign, t) == full
+                    assert _partners(lam_prime, sign, t) == full
 
 
 def test_scan_bound_formula():
@@ -59,8 +59,26 @@ def test_verify_f1_passes():
     assert verify_f1(0).passed
 
 
-def test_verify_f1_detects_injected_failure():
-    report = verify_f1(2, index_offset=1)
+def shift_closed_form_index(monkeypatch):
+    """Make the oracle see every closed-form index one too high.
+
+    A plain ``FirstOccurrence`` would refuse the shifted index, as its lift
+    rank must equal it, so the shifted result is a bare namespace.
+    """
+    from thetasym import oracle
+
+    closed_form = oracle.first_occurrence_unipotent
+
+    def shifted(*args):
+        occ = closed_form(*args)
+        return SimpleNamespace(index=occ.index + 1, lift=occ.lift)
+
+    monkeypatch.setattr(oracle, "first_occurrence_unipotent", shifted)
+
+
+def test_verify_f1_detects_injected_failure(monkeypatch):
+    shift_closed_form_index(monkeypatch)
+    report = verify_f1(2)
     assert not report.passed
     assert report.failures
 
@@ -70,7 +88,8 @@ def test_failure_text_in_every_verifier(monkeypatch):
     from thetasym import oracle
     from thetasym.errors import MultipleNonzero
 
-    report = verify_f1(1, index_offset=1)
+    shift_closed_form_index(monkeypatch)
+    report = verify_f1(1)
     assert report.checked == 11 and len(report.failures) == 11
     assert report.failures[:3] == [
         {"input": "[0|] sign + sp-to-o", "expected": "index 1, lift [|]",

@@ -11,6 +11,7 @@ from thetasym.catalog import (
     TRIVIAL_RHO,
     cuspidal_symbol,
     enumerate_labels,
+    is_unipotent_cuspidal,
     kh_of,
     make_label,
     o_even,
@@ -23,6 +24,7 @@ from thetasym.core import (
     Bipartition,
     Symbol,
     SymbolFamily,
+    bipartitions_of,
     close_dominates,
     enumerate_symbols,
     parse_symbol,
@@ -39,6 +41,7 @@ from thetasym.theta import (
     ThetaDirection,
     Tower,
     TowerContext,
+    _band,
     cuspidal_theta,
     default_orientation,
     first_occurrence_supported,
@@ -106,6 +109,15 @@ def test_in_B_matches_transposed_definition():
     assert hits > 0
 
 
+def test_band_is_symmetric():
+    """Swapping the two bipartitions swaps the band's two conditions, which is
+    what lets one partner scan serve both theta directions."""
+    bps = [bp for n in range(7) for bp in bipartitions_of(n)]
+    for a, b in itertools.product(bps, repeat=2):
+        for sign in (PLUS, MINUS):
+            assert _band(a, b, sign) == _band(b, a, sign), (a, b, sign)
+
+
 def test_theta_fiber_of_a_huge_row_transposes_nothing():
     """The band is read as interlacing of untransposed rows, so a single row
     of 300000 boxes is compared part by part, never expanded into columns."""
@@ -131,8 +143,11 @@ def test_theta_fiber_of_a_huge_row_transposes_nothing():
         (lambda: first_occurrence_unipotent(parse_symbol("[|1,0]"), PLUS, ThetaDirection.O_TO_SP),
          ["theta-first", "--symbol", "[|1,0]", "--sign", "+", "--direction", "o-to-sp"],
          "symbol of defect -2 lives on the o- tower, not o+"),
+        (lambda: is_unipotent_cuspidal(parse_symbol("[1|0]"), SymbolFamily.SP_UNIPOTENT), None,
+         "symbol defect 0 not = 1 mod 4"),
     ],
-    ids=["in_B first", "in_B second", "theta_fiber", "sp-to-o", "o-to-sp", "o-to-sp tower"],
+    ids=["in_B first", "in_B second", "theta_fiber", "sp-to-o", "o-to-sp", "o-to-sp tower",
+         "is_unipotent_cuspidal"],
 )
 def test_bare_symbol_class_refusal_texts(call, argv, text, capsys):
     """The slot-table texts of every bare-symbol refusal, in the library and the CLI."""
