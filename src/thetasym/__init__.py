@@ -59,7 +59,6 @@ from .core import (
     enumerate_symbols,
     format_bipartition,
     format_symbol,
-    parse_bipartition,
     parse_symbol,
     partition,
     symbol_defect,

@@ -221,9 +221,6 @@ class _SlotKind(NamedTuple):
             raise DefectClassMismatch(f"{position} symbol defect {defect} {self.rule}{where}")
         return entry
 
-    def symbols(self, rank: int) -> list[Symbol]:
-        return [s for family, _ in self.families.values() for s in enumerate_symbols(rank, family)]
-
 
 _ODD = _SlotKind({1: (SymbolFamily.SP_UNIPOTENT, PLUS)}, "not = 1 mod 4")
 _EVEN = _SlotKind(
@@ -438,26 +435,25 @@ def enumerate_labels(
 ) -> Iterator[RepLabel]:
     """All valid labels of the group with descriptors from the catalog.
 
-    Deterministic order: descriptor, then first-slot defect/rows, then
-    second-slot defect/rows, then the eps flag.
+    Only slot families whose signs fit are paired (:func:`_signs_fit`), so
+    every label is valid as built.  Order: descriptor, first-slot rank,
+    first-slot symbol, second-slot symbol (each slot by family, then in
+    :func:`enumerate_symbols` order), eps flag.
     """
     kind, kind2 = _SLOTS[group.family]
     flags = _EPS_FLAGS[group.family]
     for rho in rho_catalog:
         residual = group.rank - rho.glu_rank
-        if residual < 0:
-            continue
         for r1 in range(residual + 1):
-            seconds = kind2.symbols(residual - r1)
-            for lam in kind.symbols(r1):
-                for lam_prime in seconds:
-                    for flag in flags:
-                        try:
-                            yield make_label(
-                                group, rho, lam, lam_prime, flag, eps_minus_one
-                            )
-                        except SignMismatch:
-                            continue
+            for f1, s1 in kind.families.values():
+                seconds = [
+                    lam_prime
+                    for f2, s2 in kind2.families.values()
+                    if _signs_fit(group, s1, s2, eps_minus_one)
+                    for lam_prime in enumerate_symbols(residual - r1, f2)
+                ]
+                for lam, lam_prime, flag in product(enumerate_symbols(r1, f1), seconds, flags):
+                    yield RepLabel(group, rho, lam, lam_prime, flag)
 
 
 def _candidate_count(target: GroupTag, eps_minus_one: Sign) -> int:

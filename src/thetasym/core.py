@@ -477,22 +477,3 @@ def _parse_symbol(text: str, base: int) -> Symbol:
     row_a = _parse_row(left, offset + 1)
     row_b = _parse_row(right, offset + 2 + len(left))
     return symbol_normalize(row_a, row_b)
-
-
-def parse_bipartition(text: str) -> Bipartition:
-    """Parse ``([p1,p2,...],[q1,...])``."""
-    stripped = text.strip()
-    offset = len(text) - len(text.lstrip())
-    if not (stripped.startswith("(") and stripped.endswith(")")):
-        raise ParseError("bipartition must be parenthesized", offset)
-    inner = stripped[1:-1]
-    body = inner.strip()
-    at = offset + 1 + len(inner) - len(inner.lstrip())  # where body starts
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ParseError("bipartition rows must be bracketed", at)
-    parts = body[1:-1].split("],[")
-    if len(parts) != 2:
-        raise ParseError("bipartition needs two bracketed rows", at)
-    up = _parse_row(parts[0], at + 1)
-    lo = _parse_row(parts[1], at + 4 + len(parts[0]))
-    return Bipartition(partition(up), partition(lo))

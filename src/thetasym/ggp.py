@@ -173,18 +173,16 @@ class _Side(NamedTuple):
     """One label of a pair, ready for evaluation.
 
     ``kh`` is the label's (k, h) and ``bits`` its resolved orientation
-    bits.  ``key`` names the slots a transpose variant has transposed with
-    nonzero defect.  A defect-0 slot and its transpose pass exactly the
-    same gates (the band uses the absolute slot parameter and the pair
-    condition searches both transposes), so variants with equal keys form
-    one variant class.  ``order`` is the label's :func:`_fj_order`.
+    bits.  Only even-type slots are varied, so a transpose variant's (k, h)
+    changes sign exactly at the slots it transposed with nonzero defect.  A
+    defect-0 slot and its transpose pass exactly the same gates (the band
+    uses the absolute slot parameter and the pair condition searches both
+    transposes), so within a family ``kh`` names the variant class.
     """
 
     label: RepLabel
     kh: KH
     bits: Bits
-    key: tuple[str, ...]
-    order: tuple
 
 
 def _strong_relevance(left: _Side, right: _Side, case: GGPCase, ctx: TowerContext) -> bool | None:
@@ -227,7 +225,7 @@ def _in_order(left: _Side, right: _Side, case: GGPCase) -> tuple[_Side, _Side]:
     A Fourier-Jacobi pair goes in :func:`_fj_order`; a Bessel pair from
     :meth:`_VariantRun.pairs` already has the odd orthogonal side first.
     """
-    if case is FOURIER_JACOBI and left.order > right.order:
+    if case is FOURIER_JACOBI and _fj_order(left.label) > _fj_order(right.label):
         return right, left
     return left, right
 
@@ -300,18 +298,24 @@ class VariantReport:
     """Evaluation of a transpose-variant family.
 
     ``entries`` holds every (left, right, multiplicity) triple in family
-    order; ``nonzero`` the entries with definite nonzero multiplicity;
-    ``undetermined`` the orientation-blocked ones.  ``selected`` is the
-    unique nonzero entry when there is one.
+    order.  ``nonzero`` filters it to the entries with definite nonzero
+    multiplicity, ``undetermined`` to the orientation-blocked ones, and
+    ``selected`` is the first nonzero entry when there is one.
     """
 
     entries: tuple[tuple[RepLabel, RepLabel, Multiplicity], ...]
-    nonzero: tuple[tuple[RepLabel, RepLabel, Multiplicity], ...]
-    undetermined: tuple[tuple[RepLabel, RepLabel, Multiplicity], ...]
+
+    @property
+    def nonzero(self) -> tuple[tuple[RepLabel, RepLabel, Multiplicity], ...]:
+        return tuple(e for e in self.entries if e[2].is_nonzero)
+
+    @property
+    def undetermined(self) -> tuple[tuple[RepLabel, RepLabel, Multiplicity], ...]:
+        return tuple(e for e in self.entries if e[2].is_undetermined)
 
     @property
     def selected(self) -> tuple[RepLabel, RepLabel, Multiplicity] | None:
-        return self.nonzero[0] if self.nonzero else None
+        return next(iter(self.nonzero), None)
 
 
 class _VariantRun:
@@ -352,23 +356,22 @@ class _VariantRun:
         sides = self._sides.get(key)
         if sides is not None:
             return sides
-        out = [(label, kh_of(label), supplied, ())]
+        out = [(label, kh_of(label), supplied)]
         for slot in slots:
             s = getattr(label, slot)
             t = symbol_transpose(s)
             if t == s:
                 continue
-            slot_key = (slot,) if symbol_defect(s) else ()
-            for v, (k, h), bits, vkey in list(out):
+            for v, (k, h), bits in list(out):
                 if slot == "lam":
                     v = RepLabel(v.group, v.rho, t, v.lam_prime, v.eps_flag)
-                    out.append((v, KH(-k, h), _flip(bits, True, False), vkey + slot_key))
+                    out.append((v, KH(-k, h), _flip(bits, True, False)))
                 else:
                     v = RepLabel(v.group, v.rho, v.lam, t, v.eps_flag)
-                    out.append((v, KH(k, -h), _flip(bits, False, True), vkey + slot_key))
+                    out.append((v, KH(k, -h), _flip(bits, False, True)))
         sides = [
-            _Side(v, kh, (default_orientation(v, *kh) if p is None else p, s), vkey, _fj_order(v))
-            for v, kh, (p, s), vkey in out
+            _Side(v, kh, (default_orientation(v, *kh) if p is None else p, s))
+            for v, kh, (p, s) in out
         ]
         if keep:
             self._sides[key] = sides
@@ -455,32 +458,18 @@ class _VariantRun:
         return out
 
     def family(self, left: RepLabel, right: RepLabel, case: GGPCase) -> VariantReport:
-        """:func:`select_nonzero_variant` of one family, on this run's sides and gates."""
+        """:func:`select_nonzero_variant` on this run; a variant class is its sides' (k, h) pair."""
         for rho in (left.rho, right.rho):
             if not (rho.is_trivial or rho.regular):
                 raise ValueError(
                     "variant selection expects a definite base factor "
                     "(trivial or regular descriptors)"
                 )
-        entries, nonzero, undetermined = [], [], []
-        classes: dict = {}
-        for lv, rv, value in self.evaluate(left, right, case, True):
-            entry = (lv.label, rv.label, value)
-            entries.append(entry)
-            if value.is_nonzero:
-                nonzero.append(entry)
-                classes.setdefault((lv.key, rv.key), []).append(value)
-            elif value.is_undetermined:
-                undetermined.append(entry)
-
+        results = self.evaluate(left, right, case, True)
+        classes = {(lv.kh, rv.kh) for lv, rv, value in results if value.is_nonzero}
         if len(classes) > 1:
-            raise MultipleNonzero(
-                f"{len(classes)} variant classes nonzero for {left} / {right}"
-            )
-        for values in classes.values():
-            if any(v != values[0] for v in values):
-                raise MultipleNonzero("variant class with inconsistent values")
-        return VariantReport(tuple(entries), tuple(nonzero), tuple(undetermined))
+            raise MultipleNonzero(f"{len(classes)} variant classes nonzero for {left} / {right}")
+        return VariantReport(tuple((lv.label, rv.label, value) for lv, rv, value in results))
 
 
 def ggp_multiplicity(

@@ -41,6 +41,7 @@ from .core import (
     symbol_defect,
     symbol_rank,
 )
+from .errors import MultipleNonzero
 from .ggp import BESSEL, FOURIER_JACOBI, _VariantRun
 from .theta import (
     ThetaDirection,
@@ -228,8 +229,6 @@ def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationR
     does, but the families of one run share each label's variant sides and
     each symbol pair's gate.
     """
-    from .errors import MultipleNonzero
-
     report = VerificationReport()
     start = time.monotonic()
     run = _VariantRun(ctx)

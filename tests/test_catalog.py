@@ -11,6 +11,7 @@ from thetasym.catalog import (
     MINUS,
     PLUS,
     GroupFamily,
+    GroupTag,
     RepLabel,
     RhoDescriptor,
     TRIVIAL_RHO,
@@ -27,6 +28,7 @@ from thetasym.catalog import (
     o_odd,
     parse_group,
     parse_label,
+    parse_sign,
     sp,
     symbol_regular_by_convention,
     twist_label,
@@ -50,6 +52,7 @@ from thetasym.errors import (
     RankOverflow,
     SignMismatch,
 )
+from thetasym.ggp import default_rho_catalog
 
 
 def test_make_label_examples():
@@ -84,6 +87,41 @@ def test_make_label_exhaustive_consistency():
                         make_label(sp(n), TRIVIAL_RHO, lam, lam_prime)
                         seen += 1
         assert seen == sum(1 for _ in enumerate_labels(sp(n)))
+
+
+def _enumerate_labels_reference(group, eps, rho_catalog):
+    """The make-and-filter walk: every slot-symbol pair goes through
+    ``make_label``, and a ``SignMismatch`` drops the pair."""
+    sp_type = (SymbolFamily.SP_UNIPOTENT,)
+    even_type = (SymbolFamily.O_EVEN_PLUS, SymbolFamily.O_EVEN_MINUS)
+    firsts, seconds = {
+        GroupFamily.SP: (sp_type, even_type),
+        GroupFamily.O_ODD: (sp_type, sp_type),
+        GroupFamily.O_EVEN: (even_type, even_type),
+    }[group.family]
+    flags = (PLUS, MINUS) if group.family is GroupFamily.O_ODD else (None,)
+    out = []
+    for rho in rho_catalog:
+        residual = group.rank - rho.glu_rank
+        for r1 in range(residual + 1):
+            lams = [s for f in firsts for s in enumerate_symbols(r1, f)]
+            lam_primes = [s for f in seconds for s in enumerate_symbols(residual - r1, f)]
+            for lam, lam_prime, flag in itertools.product(lams, lam_primes, flags):
+                try:
+                    out.append(make_label(group, rho, lam, lam_prime, flag, eps))
+                except SignMismatch:
+                    pass
+    return out
+
+
+def test_enumerate_labels_equals_make_and_filter_walk():
+    """Same labels in the same order as filtering every slot-symbol pair, with an
+    irregular and an oversized descriptor in the catalog."""
+    rhos = default_rho_catalog(4) + (RhoDescriptor(2, False, "irr-2"), RhoDescriptor(9, True, "big"))
+    for n, eps in itertools.product(range(5), (PLUS, MINUS)):
+        for group in (sp(n), o_odd(n, PLUS), o_odd(n, MINUS), o_even(n, PLUS), o_even(n, MINUS)):
+            expected = _enumerate_labels_reference(group, eps, rhos)
+            assert list(enumerate_labels(group, eps, rhos)) == expected, (group, eps)
 
 
 def _make_label_reference(group, lam, lam_prime, flag, eps):
@@ -347,6 +385,36 @@ def test_label_grammar_errors():
 def test_label_repeated_field_is_parse_error(text, field):
     with pytest.raises(ParseError, match=f"repeated label field '{field}'"):
         parse_label(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sp(2): rho=trivial:0:reg ; L=[1|] ; L'=[|] ;",
+        "sp(2): rho=trivial:0:reg ;; L=[1|] ; L'=[|]",
+        "sp(2): rho=trivial:0:reg ; L=[1|] ;; L'=[|] ; ",
+    ],
+)
+def test_label_empty_fields_are_skipped(text):
+    assert parse_label(text) == parse_label("sp(2): rho=trivial:0:reg ; L=[1|] ; L'=[|]")
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: GroupTag(GroupFamily.SP, -1), "group rank must be nonnegative"),
+        (lambda: GroupTag(GroupFamily.SP, 1, PLUS), "symplectic groups carry no sign"),
+        (lambda: GroupTag(GroupFamily.O_EVEN, 1), "orthogonal groups need a sign"),
+        (lambda: RhoDescriptor(-1, True, "x"), "descriptor rank must be nonnegative"),
+        (lambda: parse_sign("x"), "bad sign 'x'"),
+        (lambda: cuspidal_symbol(GroupFamily.SP, -1), "cuspidal index must be nonnegative"),
+    ],
+    ids=["negative-rank", "sp-sign", "o-no-sign", "negative-descriptor", "sign", "cuspidal-index"],
+)
+def test_constructor_refusals(build, text):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == text
 
 
 def test_label_bad_eps_flag_is_parse_error():

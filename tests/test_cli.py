@@ -96,6 +96,54 @@ def test_ggp_mult():
     assert row["multiplicity"] == "1" and row["status"] == "ok"
 
 
+SP0_TRIVIAL = "sp(0): rho=trivial:0:reg ; L=[0|] ; L'=[|]"
+CUSP_A = "sp(2): rho=cusp-a:1:irr ; L=[0|] ; L'=[|]"
+CUSP_B = "sp(2): rho=cusp-b:1:irr ; L=[0|] ; L'=[|]"
+
+
+@pytest.mark.parametrize(
+    "left, right, multiplicity, status",
+    [
+        (SP0_TRIVIAL, "sp(2): rho=trivial:0:reg ; L=[1|] ; L'=[|]", "0", "ok"),
+        (
+            SP0_TRIVIAL,
+            "sp(2): rho=trivial:0:reg ; L=[0|] ; L'=[1,0|]",
+            "undetermined(orientation)",
+            "undetermined",
+        ),
+        (CUSP_A, CUSP_B, "m(cusp-a,cusp-b)", "ok"),
+        (CUSP_B, CUSP_A, "m(cusp-a,cusp-b)", "ok"),
+    ],
+    ids=["zero", "undetermined", "symbolic", "symbolic-swapped"],
+)
+def test_ggp_mult_value_strings(left, right, multiplicity, status):
+    argv = ["ggp-mult", "--left", left, "--right", right, "--case", "fj"]
+    code, out = run_cli(argv + ["--eps-minus-one", "+", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {
+        "label": f"{left} / {right}",
+        "multiplicity": multiplicity,
+        "status": status,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["ggp-mult", "--left", "o+(3): rho=trivial:0:reg ; L=[1|] ; L'=[0|] ; eps=+",
+             "--right", SP0_TRIVIAL, "--case", "fj", "--eps-minus-one", "+", "--format", "json"],
+            "Fourier-Jacobi needs two symplectic labels",
+        ),
+        (["theta-cuspidal", "--k", "-1", "--variant", "down"], "cuspidal index must be nonnegative"),
+    ],
+    ids=["fj-needs-sp", "negative-cuspidal-index"],
+)
+def test_domain_refusals_print_one_error_line(argv, message, capsys):
+    assert run_cli(argv) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_ggp_branch_trivial():
     code, out = run_cli(
         [

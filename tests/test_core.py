@@ -21,7 +21,6 @@ from thetasym.core import (
     defect_rank_offset,
     enumerate_symbols,
     format_symbol,
-    parse_bipartition,
     parse_symbol,
     partition,
     partition_count,
@@ -403,31 +402,12 @@ def test_parse_rejects_superscript_digits():
 def test_parse_rejects_non_ascii_digits():
     with pytest.raises(ParseError):
         parse_symbol("[١|]")
-    with pytest.raises(ParseError):
-        parse_bipartition("([١],[])")
-
-
-def test_parse_bipartition():
-    assert parse_bipartition("([2,1],[1])") == ((2, 1), (1,))
-    assert parse_bipartition("([],[])") == ((), ())
-    with pytest.raises(ParseError):
-        parse_bipartition("[1],[2]")
-
-
-@pytest.mark.parametrize("text, offset", [("([1],[x])", 6), ("( [1],[x])", 7), (" (  [x],[])", 5)])
-def test_parse_bipartition_offsets_count_inner_whitespace(text, offset):
-    with pytest.raises(ParseError) as err:
-        parse_bipartition(text)
-    assert err.value.offset == offset
-    assert text[offset] == "x"
 
 
 def test_parse_refuses_overlong_numbers():
     with pytest.raises(ParseError, match="more than 18 digits") as err:
         parse_symbol("[" + "9" * 5000 + "|]")
     assert err.value.offset == 1
-    with pytest.raises(ParseError):
-        parse_bipartition("([" + "9" * 19 + "],[])")
     assert parse_symbol("[" + "9" * 18 + "|]").row_a == (10**18 - 1,)
 
 

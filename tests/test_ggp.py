@@ -100,6 +100,8 @@ def test_case_mismatch():
     odd = unipotent_label(o_odd(0, PLUS), parse_symbol("[0|]"), PLUS)
     with pytest.raises(CaseMismatch):
         ggp_multiplicity(odd, odd, BESSEL, CTX)
+    with pytest.raises(CaseMismatch, match="Fourier-Jacobi needs two symplectic labels"):
+        ggp_multiplicity(odd, st_sp2(), FOURIER_JACOBI, CTX)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,7 @@ from thetasym.catalog import (
 )
 from thetasym.core import (
     Bipartition,
-    format_bipartition,
     format_symbol,
-    parse_bipartition,
     parse_symbol,
     upsilon_inverse,
 )
@@ -87,12 +85,6 @@ def test_symbol_roundtrip(s):
 
 
 @FUZZ
-@given(bipartitions)
-def test_bipartition_roundtrip(bp):
-    assert parse_bipartition(format_bipartition(bp)) == bp
-
-
-@FUZZ
 @given(groups)
 def test_group_roundtrip(group):
     assert parse_group(str(group)) == group
@@ -117,7 +109,7 @@ def _refuses_with_domain_errors_only(parse, text):
 @FUZZ
 @given(any_text)
 def test_parsers_on_arbitrary_text(text):
-    for parse in (parse_symbol, parse_bipartition, parse_group, parse_label):
+    for parse in (parse_symbol, parse_group, parse_label):
         _refuses_with_domain_errors_only(parse, text)
 
 

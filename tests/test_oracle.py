@@ -33,10 +33,13 @@ def test_brute_first_occurrence_examples():
 
 
 def test_fiber_to_sp_equals_full_layer_filter():
+    """On its own tower and on the wrong one, where both sides are empty."""
     for n in range(7):
         for fam, sign in (
             (SymbolFamily.O_EVEN_PLUS, PLUS),
             (SymbolFamily.O_EVEN_MINUS, MINUS),
+            (SymbolFamily.O_EVEN_PLUS, MINUS),
+            (SymbolFamily.O_EVEN_MINUS, PLUS),
         ):
             for lam_prime in enumerate_symbols(n, fam):
                 for t in range(9):
