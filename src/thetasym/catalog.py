@@ -13,7 +13,8 @@ a sign for odd orthogonal groups.  Validity rules:
   signs (-1)^(def/2) must equal eps_{-1} * eps of the group, where eps_{-1}
   is the square class of -1 (+ iff q = 1 mod 4).
 
-These rules live in :data:`_SLOTS` and :data:`_EPS_FLAGS`, read by label
+These rules live in :data:`_SLOTS` (the symbol families of each slot, which
+carry their own residues and slot signs) and :data:`_EPS_FLAGS`, read by label
 validation, enumeration and the branch-table count here.  :mod:`thetasym.theta`
 reads ``_SLOTS`` in its cuspidal-slot check and, through the sp slot pair, in
 the class checks of bare (symplectic-type, even-type) symbols.
@@ -208,28 +209,25 @@ class RepLabel:
 
 
 class _SlotKind(NamedTuple):
-    families: dict[int, tuple[SymbolFamily, Sign]]
+    """The symbol families that may fill a slot, and the ``rule`` a defect
+    outside all of them breaks.  Residues and slot signs are the families' own."""
+
+    families: tuple[SymbolFamily, ...]
     rule: str
 
-    def entry(
-        self, position: str, defect: int, group: GroupTag | None = None
-    ) -> tuple[SymbolFamily, Sign]:
-        """The family and slot sign of a defect in this slot, or DefectClassMismatch."""
-        entry = self.families.get(defect % 4)
-        if entry is None:
-            where = "" if group is None else f" for {group}"
-            raise DefectClassMismatch(f"{position} symbol defect {defect} {self.rule}{where}")
-        return entry
+    def entry(self, position: str, defect: int, group: GroupTag | None = None) -> SymbolFamily:
+        """The family of a defect in this slot, or DefectClassMismatch."""
+        for family in self.families:
+            if family.admits_defect(defect):
+                return family
+        where = "" if group is None else f" for {group}"
+        raise DefectClassMismatch(f"{position} symbol defect {defect} {self.rule}{where}")
 
 
-_ODD = _SlotKind({1: (SymbolFamily.SP_UNIPOTENT, PLUS)}, "not = 1 mod 4")
-_EVEN = _SlotKind(
-    {0: (SymbolFamily.O_EVEN_PLUS, PLUS), 2: (SymbolFamily.O_EVEN_MINUS, MINUS)}, "must be even"
-)
+_ODD = _SlotKind((SymbolFamily.SP_UNIPOTENT,), "not = 1 mod 4")
+_EVEN = _SlotKind((SymbolFamily.O_EVEN_PLUS, SymbolFamily.O_EVEN_MINUS), "must be even")
 
-#: The slot rules: the (first, second) slot kind of each group family.  A kind
-#: maps a defect residue mod 4 to its symbol family and slot sign
-#: (-1)^(defect/2); its ``rule`` is what a defect outside them breaks.
+#: The slot rules: the (first, second) slot kind of each group family.
 _SLOTS = {
     GroupFamily.SP: (_ODD, _EVEN),
     GroupFamily.O_ODD: (_ODD, _ODD),
@@ -240,9 +238,9 @@ _SLOTS = {
 _EPS_FLAGS = {GroupFamily.SP: (None,), GroupFamily.O_ODD: (PLUS, MINUS), GroupFamily.O_EVEN: (None,)}
 
 
-def _signs_fit(group: GroupTag, sign1: Sign, sign2: Sign, eps_minus_one: Sign) -> bool:
+def _signs_fit(group: GroupTag, f1: SymbolFamily, f2: SymbolFamily, eps_minus_one: Sign) -> bool:
     """The even orthogonal sign equation: slot signs multiply to eps_{-1} * eps."""
-    return group.family is not GroupFamily.O_EVEN or sign1 * sign2 == eps_minus_one * group.sign
+    return group.family is not GroupFamily.O_EVEN or f1.sign * f2.sign == eps_minus_one * group.sign
 
 
 def make_label(
@@ -255,8 +253,8 @@ def make_label(
 ) -> RepLabel:
     """Validate and build a label; see the module docstring for the rules."""
     first, second = _SLOTS[group.family]
-    _, sign1 = first.entry("first", symbol_defect(lam), group)
-    _, sign2 = second.entry("second", symbol_defect(lam_prime), group)
+    family1 = first.entry("first", symbol_defect(lam), group)
+    family2 = second.entry("second", symbol_defect(lam_prime), group)
     total = rho.glu_rank + symbol_rank(lam) + symbol_rank(lam_prime)
     if total != group.rank:
         raise RankOverflow(
@@ -269,9 +267,9 @@ def make_label(
             "odd orthogonal labels need an eps flag" if None not in flags
             else f"{group} carries no eps flag"
         )
-    if not _signs_fit(group, sign1, sign2, eps_minus_one):
+    if not _signs_fit(group, family1, family2, eps_minus_one):
         raise SignMismatch(
-            f"slot signs {format_sign(sign1 * sign2)} != "
+            f"slot signs {format_sign(family1.sign * family2.sign)} != "
             f"eps_minus_one*eps = {format_sign(eps_minus_one * group.sign)}"
         )
     return RepLabel(group, rho, lam, lam_prime, eps_flag)
@@ -294,7 +292,7 @@ def kh_of(label: RepLabel) -> KH:
 
 
 def _staircase(top: int) -> tuple[int, ...]:
-    return tuple(range(top, -1, -1)) if top >= 0 else ()
+    return tuple(range(top, -1, -1))
 
 
 def cuspidal_symbol(family: GroupFamily, k: int) -> Symbol:
@@ -381,8 +379,8 @@ def twist_label(label: RepLabel, twist: Twist) -> RepLabel:
 
 
 def empty_second_slot(family: GroupFamily) -> Symbol:
-    """The rank-0 symbol filling an unused second slot (defect class aware)."""
-    return ZERO_SYMBOL if family is GroupFamily.O_ODD else EMPTY_SYMBOL
+    """The rank-0 symbol filling an unused second slot: defect 1 in a symplectic-type slot."""
+    return ZERO_SYMBOL if _SLOTS[family][1] is _ODD else EMPTY_SYMBOL
 
 
 def unipotent_label(
@@ -445,11 +443,11 @@ def enumerate_labels(
     for rho in rho_catalog:
         residual = group.rank - rho.glu_rank
         for r1 in range(residual + 1):
-            for f1, s1 in kind.families.values():
+            for f1 in kind.families:
                 seconds = [
                     lam_prime
-                    for f2, s2 in kind2.families.values()
-                    if _signs_fit(group, s1, s2, eps_minus_one)
+                    for f2 in kind2.families
+                    if _signs_fit(group, f1, f2, eps_minus_one)
                     for lam_prime in enumerate_symbols(residual - r1, f2)
                 ]
                 for lam, lam_prime, flag in product(enumerate_symbols(r1, f1), seconds, flags):
@@ -464,11 +462,11 @@ def _candidate_count(target: GroupTag, eps_minus_one: Sign) -> int:
     ``MAX_LAYER_SYMBOLS``, so no slot rank far past the bound is counted;
     the result is then a lower bound.
     """
-    slots = [kind.families.values() for kind in _SLOTS[target.family]]
+    slots = [kind.families for kind in _SLOTS[target.family]]
     total = 0
     for residual in range(target.rank + 1):
-        for r1, (f1, s1), (f2, s2) in product(range(residual + 1), *slots):
-            if _signs_fit(target, s1, s2, eps_minus_one):
+        for r1, f1, f2 in product(range(residual + 1), *slots):
+            if _signs_fit(target, f1, f2, eps_minus_one):
                 total += count_symbols(r1, f1) * count_symbols(residual - r1, f2)
         if total > core.MAX_LAYER_SYMBOLS:  # read at call time, as the refusal reads it
             break

@@ -61,12 +61,8 @@ from .theta import (
     theta_fiber,
 )
 
-_FAMILIES = {
-    "sp": SymbolFamily.SP_UNIPOTENT,
-    "o+": SymbolFamily.O_EVEN_PLUS,
-    "o-": SymbolFamily.O_EVEN_MINUS,
-    "o-odd": SymbolFamily.SP_UNIPOTENT,
-}
+#: Each family by its value, plus ``o-odd``: odd orthogonal groups use the symplectic symbols.
+_FAMILIES = {family.value: family for family in SymbolFamily} | {"o-odd": SymbolFamily.SP_UNIPOTENT}
 
 
 # ---------------------------------------------------------------------------
@@ -74,21 +70,21 @@ _FAMILIES = {
 # ---------------------------------------------------------------------------
 
 
-def _emit(rows: list[dict], columns: list[str], fmt: str, out) -> None:
+def _emit(columns: tuple[str, ...], rows: list[tuple], fmt: str, out) -> None:
+    """Write a table whose rows are tuples in ``columns`` order."""
     if fmt == "json":
-        # rows built in sorted key order dump as with sort_keys=True
-        keys = sorted(columns)
-        out.write("".join(json.dumps({c: row[c] for c in keys}) + "\n" for row in rows))
+        # objects built in sorted key order dump as with sort_keys=True
+        order = sorted(range(len(columns)), key=columns.__getitem__)
+        out.write("".join(json.dumps({columns[i]: row[i] for i in order}) + "\n" for row in rows))
         return
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
+        writer.writerows(rows)
         out.write(buffer.getvalue())
         return
-    table = [columns, *([str(row[c]) for c in columns] for row in rows)]
+    table = [columns, *(tuple(map(str, row)) for row in rows)]
     widths = [max(map(len, cells)) for cells in zip(*table)]
     out.write("".join(
         "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n"
@@ -157,12 +153,11 @@ def _context(args, eps: Sign) -> TowerContext:
     )
 
 
-def _mult_row(label_text: str, value) -> dict:
-    return {
-        "label": label_text,
-        "multiplicity": str(value),
-        "status": "undetermined" if value.is_undetermined else "ok",
-    }
+_MULT_COLUMNS = ("label", "multiplicity", "status")
+
+
+def _mult_row(label_text: str, value) -> tuple[str, str, str]:
+    return label_text, str(value), "undetermined" if value.is_undetermined else "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -173,26 +168,18 @@ def _mult_row(label_text: str, value) -> dict:
 def _cmd_symbols_enumerate(args, out) -> int:
     symbols = enumerate_symbols(args.rank, _FAMILIES[args.family])
     rows = [
-        {
-            "symbol": format_symbol(s),
-            "rank": symbol_rank(s),
-            "defect": symbol_defect(s),
-            "upsilon": format_bipartition(upsilon(s)),
-        }
+        (format_symbol(s), symbol_rank(s), symbol_defect(s), format_bipartition(upsilon(s)))
         for s in symbols
     ]
-    _emit(rows, ["symbol", "rank", "defect", "upsilon"], args.format, out)
+    _emit(("symbol", "rank", "defect", "upsilon"), rows, args.format, out)
     return 0
 
 
 def _cmd_theta_fiber(args, out) -> int:
     lam = parse_symbol(args.symbol)
     fiber = theta_fiber(lam, parse_sign(args.sign), args.target_rank)
-    rows = [
-        {"symbol": format_symbol(s), "rank": symbol_rank(s), "defect": symbol_defect(s)}
-        for s in fiber
-    ]
-    _emit(rows, ["symbol", "rank", "defect"], args.format, out)
+    rows = [(format_symbol(s), symbol_rank(s), symbol_defect(s)) for s in fiber]
+    _emit(("symbol", "rank", "defect"), rows, args.format, out)
     return 0
 
 
@@ -200,32 +187,18 @@ def _cmd_theta_first(args, out) -> int:
     lam = parse_symbol(args.symbol)
     direction = ThetaDirection(args.direction)
     occ = first_occurrence_unipotent(lam, parse_sign(args.sign), direction)
-    rows = [
-        {
-            "symbol": format_symbol(lam),
-            "sign": args.sign,
-            "direction": args.direction,
-            "index": occ.index,
-            "lift": format_symbol(occ.lift),
-        }
-    ]
-    _emit(rows, ["symbol", "sign", "direction", "index", "lift"], args.format, out)
+    row = (format_symbol(lam), args.sign, args.direction, occ.index, format_symbol(occ.lift))
+    _emit(("symbol", "sign", "direction", "index", "lift"), [row], args.format, out)
     return 0
 
 
 def _cmd_theta_cuspidal(args, out) -> int:
     variant = CuspidalThetaVariant(args.variant)
     sp_symbol, o_symbol, sign = cuspidal_theta(args.k, variant)
-    rows = [
-        {
-            "k": args.k,
-            "variant": args.variant,
-            "sp_symbol": format_symbol(sp_symbol),
-            "o_symbol": format_symbol(o_symbol),
-            "tower_sign": format_sign(sign),
-        }
-    ]
-    _emit(rows, ["k", "variant", "sp_symbol", "o_symbol", "tower_sign"], args.format, out)
+    row = (
+        args.k, args.variant, format_symbol(sp_symbol), format_symbol(o_symbol), format_sign(sign)
+    )
+    _emit(("k", "variant", "sp_symbol", "o_symbol", "tower_sign"), [row], args.format, out)
     return 0
 
 
@@ -237,7 +210,7 @@ def _cmd_ggp_mult(args, out) -> int:
     case = FOURIER_JACOBI if args.case == "fj" else BESSEL
     value = ggp_multiplicity(left, right, case, ctx)
     row = _mult_row(f"{format_label(left)} / {format_label(right)}", value)
-    _emit([row], ["label", "multiplicity", "status"], args.format, out)
+    _emit(_MULT_COLUMNS, [row], args.format, out)
     return 0
 
 
@@ -250,7 +223,7 @@ def _cmd_ggp_branch(args, out) -> int:
         _mult_row(format_label(label), value)
         for label, value in branch_decomposition(pi, target, ctx)
     ]
-    _emit(rows, ["label", "multiplicity", "status"], args.format, out)
+    _emit(_MULT_COLUMNS, rows, args.format, out)
     return 0
 
 

@@ -83,8 +83,6 @@ def close_dominates(lam: Partition, mu: Partition) -> bool:
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of n in decreasing lexicographic order, largest part first."""
-    if n < 0:
-        return
     if n == 0:
         yield ()
         return
@@ -97,8 +95,6 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 @cache
 def partition_count(n: int) -> int:
     """Number of partitions of n, via the Euler pentagonal recurrence."""
-    if n < 0:
-        return 0
     if n == 0:
         return 1
     total = 0
@@ -141,8 +137,6 @@ def bipartitions_of(n: int) -> Iterator[Bipartition]:
 
 def bipartition_count(n: int) -> int:
     """|P_2(n)|, computed from partition counts (independent of the generator)."""
-    if n < 0:
-        return 0
     return sum(partition_count(a) * partition_count(n - a) for a in range(n + 1))
 
 
@@ -309,8 +303,10 @@ def _staircase_row(p: Partition, m: int) -> tuple[int, ...]:
 class SymbolFamily(Enum):
     """Defect residue classes mod 4, keyed by the groups they parametrize.
 
-    SP_UNIPOTENT is the residue class 1, which also parametrizes the odd
-    orthogonal groups: their extra sign lives on labels, not on symbols.
+    Each family carries its ``defect_residue`` and its slot ``sign``
+    (-1)^(defect/2), which for an even family is also its theta tower.
+    SP_UNIPOTENT (residue 1) also parametrizes the odd orthogonal groups:
+    their extra sign lives on labels, and no sign equation reads its +.
     """
 
     SP_UNIPOTENT = "sp"
@@ -318,8 +314,8 @@ class SymbolFamily(Enum):
     O_EVEN_MINUS = "o-"
 
     def __init__(self, value: str):
-        # a plain attribute, so the per-symbol residue tests stay cheap
-        self.defect_residue: int = {"sp": 1, "o+": 0, "o-": 2}[value]
+        # plain attributes, so the per-symbol residue tests stay cheap
+        self.defect_residue, self.sign = {"sp": (1, 1), "o+": (0, 1), "o-": (2, -1)}[value]
 
     def admits_defect(self, defect: int) -> bool:
         return defect % 4 == self.defect_residue

@@ -137,11 +137,11 @@ def verify_f1(max_rank: int) -> VerificationReport:
     _check_sweep(max_rank)
     report = VerificationReport()
     start = time.monotonic()
-    sources = (
-        (SymbolFamily.SP_UNIPOTENT, (PLUS, MINUS), ThetaDirection.SP_TO_O),
-        (SymbolFamily.O_EVEN_PLUS, (PLUS,), ThetaDirection.O_TO_SP),
-        (SymbolFamily.O_EVEN_MINUS, (MINUS,), ThetaDirection.O_TO_SP),
-    )
+    # an even-type source pairs only on the tower of its family's sign
+    sources = [(SymbolFamily.SP_UNIPOTENT, (PLUS, MINUS), ThetaDirection.SP_TO_O)] + [
+        (family, (family.sign,), ThetaDirection.O_TO_SP)
+        for family in (SymbolFamily.O_EVEN_PLUS, SymbolFamily.O_EVEN_MINUS)
+    ]
     for rank in range(max_rank + 1):
         for family, signs, direction in sources:
             for lam in enumerate_symbols(rank, family):

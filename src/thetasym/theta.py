@@ -60,7 +60,8 @@ _SP_TYPE, _EVEN_TYPE = _SLOTS[GroupFamily.SP]
 
 
 class Tower(Enum):
-    """Witt towers; the sign on the even/odd orthogonal towers is the form type."""
+    """Witt towers, each with the ``family`` of its groups and its ``sign``:
+    the form type on the orthogonal towers, None on the symplectic one."""
 
     SP = "sp"
     O_EVEN_PLUS = "o_even+"
@@ -68,19 +69,14 @@ class Tower(Enum):
     O_ODD_PLUS = "o_odd+"
     O_ODD_MINUS = "o_odd-"
 
-    @property
-    def sign(self) -> Sign | None:
-        if self is Tower.SP:
-            return None
-        return PLUS if self.value.endswith("+") else MINUS
-
-    @property
-    def is_even_orthogonal(self) -> bool:
-        return self in (Tower.O_EVEN_PLUS, Tower.O_EVEN_MINUS)
-
-    @property
-    def is_odd_orthogonal(self) -> bool:
-        return self in (Tower.O_ODD_PLUS, Tower.O_ODD_MINUS)
+    def __init__(self, value: str):
+        self.family, self.sign = {
+            "sp": (GroupFamily.SP, None),
+            "o_even+": (GroupFamily.O_EVEN, PLUS),
+            "o_even-": (GroupFamily.O_EVEN, MINUS),
+            "o_odd+": (GroupFamily.O_ODD, PLUS),
+            "o_odd-": (GroupFamily.O_ODD, MINUS),
+        }[value]
 
 
 @dataclass(frozen=True)
@@ -289,7 +285,7 @@ def first_occurrence_unipotent(
     if direction is ThetaDirection.SP_TO_O:
         _SP_TYPE.entry("source", d)
     else:
-        _, tower = _EVEN_TYPE.entry("source", d)
+        tower = _EVEN_TYPE.entry("source", d).sign
         if tower != sign:
             raise DefectClassMismatch(
                 f"symbol of defect {d} lives on the o{format_sign(tower)} tower, "
@@ -380,8 +376,7 @@ def first_occurrence_supported(label: RepLabel, ctx: TowerContext) -> FirstOccur
         raise CaseMismatch("TowerContext.tower must name the target tower")
     slots = zip(("first", "second"), (label.lam, label.lam_prime), _SLOTS[label.group.family])
     for position, s, kind in slots:
-        family, _ = kind.entry(position, symbol_defect(s), label.group)
-        if not is_unipotent_cuspidal(s, family):
+        if not is_unipotent_cuspidal(s, kind.entry(position, symbol_defect(s), label.group)):
             raise NotCuspidalSupport(f"label {label} does not have cuspidal staircase symbols")
     k, h = kh_of(label)
     n = label.group.rank
@@ -390,19 +385,19 @@ def first_occurrence_supported(label: RepLabel, ctx: TowerContext) -> FirstOccur
     if orientation is None:
         orientation = default_orientation(label, k, h)
 
-    if fam is GroupFamily.SP and ctx.tower.is_even_orthogonal:
+    if fam is GroupFamily.SP and ctx.tower.family is GroupFamily.O_EVEN:
         small, large = n - k, n + k + 1
         small_lift, large_lift = KH(abs(k), abs(h)), None
         small_orientation = ctx.tower.sign
-    elif fam is GroupFamily.SP and ctx.tower.is_odd_orthogonal:
+    elif fam is GroupFamily.SP and ctx.tower.family is GroupFamily.O_ODD:
         small, large = n - abs(h), n + abs(h)
         small_lift, large_lift = KH(max(abs(h) - 1, 0), k), None
         small_orientation = ctx.tower.sign
-    elif fam is GroupFamily.O_EVEN and ctx.tower is Tower.SP:
+    elif fam is GroupFamily.O_EVEN and ctx.tower.family is GroupFamily.SP:
         small, large = n - abs(k), n + abs(k)
         small_lift, large_lift = KH(max(abs(k) - 1, 0), h), KH(abs(k), h)
         small_orientation = PLUS
-    elif fam is GroupFamily.O_ODD and ctx.tower is Tower.SP:
+    elif fam is GroupFamily.O_ODD and ctx.tower.family is GroupFamily.SP:
         small, large = n - k, n + k + 1
         small_lift, large_lift = KH(h, k), KH(h, k + 1)
         small_orientation = PLUS

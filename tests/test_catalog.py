@@ -38,7 +38,10 @@ from thetasym.core import (
     EMPTY_SYMBOL,
     MAX_LAYER_SYMBOLS,
     SymbolFamily,
+    bipartition_count,
     enumerate_symbols,
+    partition_count,
+    partitions_of,
     parse_symbol,
     symbol_defect,
     symbol_rank,
@@ -53,6 +56,7 @@ from thetasym.errors import (
     SignMismatch,
 )
 from thetasym.ggp import default_rho_catalog
+from thetasym.theta import Tower
 
 
 def test_make_label_examples():
@@ -509,13 +513,69 @@ def test_label_parse_error_offsets_point_into_the_label(text, at):
 
 
 def test_each_rule_is_written_once():
-    """The bound refusal lives in ``core`` alone, defect residues mod 4 are
-    read only in ``core`` and ``catalog``, and the defect layers and the band
-    are read only in ``core`` and ``theta`` (whose one partner scan serves
-    both theta directions); a copy anywhere else fails here."""
+    """The bound refusal lives in ``core`` alone, residues mod 4 are read
+    only in ``core`` and ``catalog`` (``q % 4``), a defect residue only in
+    ``core`` (``SymbolFamily.admits_defect``), and the defect layers and the
+    band are read only in ``core`` and ``theta`` (whose one partner scan
+    serves both theta directions); a copy anywhere else fails here."""
     sources = {p.name: p.read_text() for p in Path(catalog.__file__).parent.glob("*.py")}
     assert sum(text.count("over the enumeration bound") for text in sources.values()) == 1
     assert "over the enumeration bound" in sources["core.py"]
     assert {name for name, text in sources.items() if "% 4" in text} == {"core.py", "catalog.py"}
+    assert {name for name, text in sources.items() if "defect % 4" in text} == {"core.py"}
     layers = re.compile(r"\b(_band|_defect_layer)\b")
     assert {name for name, text in sources.items() if layers.search(text)} == {"core.py", "theta.py"}
+
+
+def test_negative_sizes_and_index_zero_give_empty_results():
+    """Negative sizes fall through the loops to empty results, and the
+    index-0 even orthogonal cuspidal is the empty symbol (an empty staircase)."""
+    assert list(partitions_of(-1)) == []
+    assert partition_count(-3) == 0
+    assert bipartition_count(-1) == 0
+    assert cuspidal_symbol(GroupFamily.O_EVEN, 0) == EMPTY_SYMBOL
+
+
+def test_vocabulary_tables_are_written_out():
+    """Each symbol family's residue and slot sign, and each tower's group
+    family and sign, as the paper's defect classes and Witt towers give them."""
+    families = {
+        SymbolFamily.SP_UNIPOTENT: (1, PLUS),
+        SymbolFamily.O_EVEN_PLUS: (0, PLUS),
+        SymbolFamily.O_EVEN_MINUS: (2, MINUS),
+    }
+    assert {f: (f.defect_residue, f.sign) for f in SymbolFamily} == families
+    towers = {
+        Tower.SP: (GroupFamily.SP, None),
+        Tower.O_EVEN_PLUS: (GroupFamily.O_EVEN, PLUS),
+        Tower.O_EVEN_MINUS: (GroupFamily.O_EVEN, MINUS),
+        Tower.O_ODD_PLUS: (GroupFamily.O_ODD, PLUS),
+        Tower.O_ODD_MINUS: (GroupFamily.O_ODD, MINUS),
+    }
+    assert {t: (t.family, t.sign) for t in Tower} == towers
+
+
+def test_slot_entry_matches_the_residue_tables():
+    """Every slot kind gives, for each defect, the family its residue mod 4
+    names in the residue-keyed tables written out here, or the same refusal."""
+    residues = {
+        catalog._ODD: {1: SymbolFamily.SP_UNIPOTENT},
+        catalog._EVEN: {0: SymbolFamily.O_EVEN_PLUS, 2: SymbolFamily.O_EVEN_MINUS},
+    }
+    rules = {catalog._ODD: "not = 1 mod 4", catalog._EVEN: "must be even"}
+    groups = {
+        GroupFamily.SP: sp(1),
+        GroupFamily.O_ODD: o_odd(1, PLUS),
+        GroupFamily.O_EVEN: o_even(1, MINUS),
+    }
+    for family, kinds in catalog._SLOTS.items():
+        for position, kind in zip(("first", "second"), kinds):
+            for defect in range(-40, 41):
+                expected = residues[kind].get(defect % 4)
+                for group, where in ((None, ""), (groups[family], f" for {groups[family]}")):
+                    if expected is not None:
+                        assert kind.entry(position, defect, group) is expected
+                        continue
+                    with pytest.raises(DefectClassMismatch) as err:
+                        kind.entry(position, defect, group)
+                    assert str(err.value) == f"{position} symbol defect {defect} {rules[kind]}{where}"

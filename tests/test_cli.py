@@ -8,6 +8,7 @@ import pytest
 
 import thetasym.cli as cli
 import thetasym.ggp as ggp
+from thetasym.catalog import MINUS, PLUS
 from thetasym.cli import main
 from thetasym.core import (
     MAX_LAYER_SYMBOLS,
@@ -17,6 +18,7 @@ from thetasym.core import (
     symbol_rank,
     upsilon,
 )
+from thetasym.theta import TowerContext
 
 from symbol_helpers import forbid_layer_builds
 
@@ -424,3 +426,55 @@ def test_verify_variant_only_flags_refused_before_work(suite, flags, monkeypatch
     assert out == ""
     err = capsys.readouterr().err
     assert err == f"error: {flags[0]} applies only to --suite variants\n"
+
+
+def test_verify_variants_from_the_cli():
+    assert run_cli(["verify", "--suite", "variants", "--max-rank", "1"]) == (
+        0,
+        "suite variants: pass (223 checks, 0 failures)\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ([], TowerContext(eps_minus_one=PLUS)),
+        (["--q", "5"], TowerContext(eps_minus_one=PLUS)),
+        (["--q", "3"], TowerContext(eps_minus_one=MINUS)),
+        (["--eps-minus-one", "-"], TowerContext(eps_minus_one=MINUS)),
+        (["--orient-left", "-"], TowerContext(orient_left=MINUS)),
+        (["--orient-right", "+"], TowerContext(orient_right=PLUS)),
+        (["--orient-left-alt", "-"], TowerContext(orient_left_alt=MINUS)),
+        (["--orient-right-alt", "+"], TowerContext(orient_right_alt=PLUS)),
+        (
+            ["--q", "7", "--orient-left", "+", "--orient-right", "-",
+             "--orient-left-alt", "-", "--orient-right-alt", "+"],
+            TowerContext(MINUS, None, PLUS, MINUS, MINUS, PLUS),
+        ),
+    ],
+)
+def test_verify_variants_passes_its_context(flags, expected, monkeypatch):
+    """No eps flag means eps(-1) = +; --q sets it by q mod 4; each
+    --orient-* bit lands in its own field."""
+    from thetasym.oracle import VerificationReport
+
+    seen = []
+
+    def spy(max_rank, ctx):
+        seen.append((max_rank, ctx))
+        return VerificationReport(checked=1)
+
+    monkeypatch.setattr(cli, "verify_variant_uniqueness", spy)
+    code, out = run_cli(["verify", "--suite", "variants", "--max-rank", "2", *flags])
+    assert (code, out) == (0, "suite variants: pass (1 checks, 0 failures)\n")
+    assert seen == [(2, expected)]
+
+
+def test_verify_variants_refuses_both_eps_flags(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started for a refused flag")
+
+    monkeypatch.setattr(cli, "verify_variant_uniqueness", must_not_run)
+    argv = ["verify", "--suite", "variants", "--max-rank", "1", "--q", "5", "--eps-minus-one", "+"]
+    assert run_cli(argv) == (1, "")
+    assert capsys.readouterr().err == "error: exactly one of --eps-minus-one and --q is required\n"
