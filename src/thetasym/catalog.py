@@ -316,16 +316,15 @@ def cuspidal_symbol(family: GroupFamily, k: int) -> Symbol:
     return Symbol((), rows)
 
 
-def is_unipotent_cuspidal(s: Symbol, family: SymbolFamily) -> bool:
+def is_unipotent_cuspidal(s: Symbol) -> bool:
     """Whether the symbol is the cuspidal staircase of its defect.
 
-    For even families the transpose of the staircase counts too (the two
-    symbols are the sign-twisted pair on the same group).
+    The defect names the family: an odd one the symplectic staircase (whose
+    defect is = 1 mod 4, so = 3 mod 4 gives False), an even one the even
+    orthogonal staircase or its transpose (the sign-twisted pair on one group).
     """
     d = symbol_defect(s)
-    if not family.admits_defect(d):
-        raise DefectClassMismatch(f"symbol defect {d} not = {family.defect_residue} mod 4")
-    if family is SymbolFamily.SP_UNIPOTENT:
+    if d % 2:
         return s == cuspidal_symbol(GroupFamily.SP, (abs(d) - 1) // 2)
     stair = cuspidal_symbol(GroupFamily.O_EVEN, abs(d) // 2)
     return s in (stair, symbol_transpose(stair))

@@ -21,13 +21,13 @@ of a pair factors through three gates and a base factor:
    slot must combine with the fixed slot into one of the four branching
    sets (:func:`~thetasym.theta.in_G`).
 
-The base factor is the multiplicity of the general-linear parts: 1 when a
-side is trivial and the other is trivial or regular, 1 for two regular
-descriptors (whose eigenvalue data is taken to be disjoint), and a symbolic
-value otherwise - evaluating it in general is out of scope here.  When a
-unipotent label restricts against a general one, the unipotent side
-additionally forces the opposite slot symbol to be regular (metadata, with
-a documented default convention).
+The base factor is the multiplicity of the general-linear parts: 1 for two
+regular descriptors (the trivial one counts as regular; two others are taken
+to have disjoint eigenvalue data), 0 for a trivial descriptor against an
+irregular one, and a symbolic value otherwise - evaluating it in general is
+out of scope here.  When a unipotent label restricts against a general one,
+the unipotent side additionally forces the opposite slot symbol to be
+regular (metadata, with a documented default convention).
 
 There is one evaluation path: a run validates a pair, builds each label's
 sides and runs the gates above on each side pair in normalized order.  A
@@ -172,12 +172,12 @@ Bits = tuple[Sign | None, Sign | None]
 class _Side(NamedTuple):
     """One label of a pair, ready for evaluation.
 
-    ``kh`` is the label's (k, h) and ``bits`` its resolved orientation
-    bits.  Only even-type slots are varied, so a transpose variant's (k, h)
-    changes sign exactly at the slots it transposed with nonzero defect.  A
-    defect-0 slot and its transpose pass exactly the same gates (the band
-    uses the absolute slot parameter and the pair condition searches both
-    transposes), so within a family ``kh`` names the variant class.
+    ``kh`` is the label's (k, h) and ``bits`` its resolved orientation bits,
+    entry i of each for slot i.  Only even-type slots are varied, so a
+    variant's (k, h) changes sign exactly at its transposed slots of nonzero
+    defect.  A defect-0 slot and its transpose pass the same gates (the band
+    uses the absolute slot parameter, the pair condition both transposes),
+    so within a family ``kh`` names the variant class.
     """
 
     label: RepLabel
@@ -209,14 +209,7 @@ def _fj_order(label: RepLabel):
 
     Both labels are symplectic, so group family, sign and eps flag never differ.
     """
-    return (
-        -label.group.rank,
-        label.rho,
-        label.lam.row_a,
-        label.lam.row_b,
-        label.lam_prime.row_a,
-        label.lam_prime.row_b,
-    )
+    return (-label.group.rank, label.rho, label.lam, label.lam_prime)
 
 
 def _in_order(left: _Side, right: _Side, case: GGPCase) -> tuple[_Side, _Side]:
@@ -243,7 +236,7 @@ def is_strongly_relevant(
     beyond) the distance comparison of the supports' first occurrences.
     This is the first gate of :func:`ggp_multiplicity`.
     """
-    _, _, [(a, b)] = _VariantRun(ctx).pairs(left, right, case, False)
+    [(a, b)] = _VariantRun(ctx).pairs(left, right, case, False)
     return _strong_relevance(*_in_order(a, b, case), case, ctx)
 
 
@@ -254,43 +247,27 @@ def is_strongly_relevant(
 
 def _base_multiplicity(left: RepLabel, right: RepLabel) -> Multiplicity:
     rl, rr = left.rho, right.rho
-    if rl.is_trivial and rr.is_trivial:
-        return _ONE
-    if rl.is_trivial:
-        return _ONE if rr.regular else _ZERO
-    if rr.is_trivial:
-        return _ONE if rl.regular else _ZERO
     if rl.regular and rr.regular:
         return _ONE
+    if rl.is_trivial or rr.is_trivial:
+        return _ZERO
     return Multiplicity(MultKind.SYMBOLIC, rl, rr)
 
 
 def _unipotent_slot_gates(left: RepLabel, right: RepLabel, case: GGPCase) -> bool:
     """Regularity forced on the opposite slot by a unipotent side.
 
-    Applied when the unipotent side is at least as large as the other (the
-    regime in which the restriction is stated); at equal size both
-    directions are enforced, which keeps the evaluation symmetric.
+    Applied when the unipotent side has at least the rank of the other (a
+    Bessel pair has its odd label first, and 2n+1 >= 2m iff n >= m); a
+    Fourier-Jacobi pair of equal ranks is checked both ways, for symmetry.
     """
+    fj = case is FOURIER_JACOBI
     checks: list[Symbol] = []
-    if case is FOURIER_JACOBI:
-        if is_unipotent_label(left) and left.group.rank >= right.group.rank:
-            checks.append(right.lam)
-        if is_unipotent_label(right) and right.group.rank >= left.group.rank:
-            checks.append(left.lam)
-    else:
-        if is_unipotent_label(left) and left.group.dimension >= right.group.dimension:
-            checks.append(right.lam_prime)
+    if is_unipotent_label(left) and left.group.rank >= right.group.rank:
+        checks.append(right.lam if fj else right.lam_prime)
+    if fj and is_unipotent_label(right) and right.group.rank >= left.group.rank:
+        checks.append(left.lam)
     return all(symbol_regular_by_convention(s) for s in checks)
-
-
-def _flip(bits: Bits, primary: bool, secondary: bool) -> Bits:
-    p, s = bits
-    if primary and p is not None:
-        p = -p
-    if secondary and s is not None:
-        s = -s
-    return (p, s)
 
 
 @dataclass(frozen=True)
@@ -341,34 +318,33 @@ class _VariantRun:
         self._gates: dict[tuple[Symbol, Symbol], bool] = {}
 
     def sides(
-        self, label: RepLabel, supplied: Bits, slots: tuple[str, ...], keep: bool = True
+        self, label: RepLabel, supplied: Bits, slots: tuple[int, ...], keep: bool = True
     ) -> list[_Side]:
         """``label`` and its transposes in the varied slots, in family order.
 
-        Transposing a slot negates its (k, h) parameter and flips its
-        supplied orientation bit (``lam`` the primary, ``lam_prime`` the
-        secondary); only even-type slots are varied, so the negation is
-        exact.  A slot equal to its own transpose gives no new variant.
-        Bits are resolved last: an open primary bit takes its cuspidal-chain
-        default.  Sides built with ``keep`` false are not stored.
+        Transposing slot i (0 is ``lam``, 1 ``lam_prime``) negates entry i of
+        the variant's (k, h) and of its supplied bits, an open bit staying
+        open; only even-type slots are varied, so the negation is exact.  A
+        slot equal to its own transpose gives no new variant.  Bits are
+        resolved last: an open first bit takes its cuspidal-chain default.
+        Sides built with ``keep`` false are not stored.
         """
         key = (id(label), supplied, slots)
         sides = self._sides.get(key)
         if sides is not None:
             return sides
         out = [(label, kh_of(label), supplied)]
-        for slot in slots:
-            s = getattr(label, slot)
+        for i in slots:
+            s = (label.lam, label.lam_prime)[i]
             t = symbol_transpose(s)
             if t == s:
                 continue
-            for v, (k, h), bits in list(out):
-                if slot == "lam":
-                    v = RepLabel(v.group, v.rho, t, v.lam_prime, v.eps_flag)
-                    out.append((v, KH(-k, h), _flip(bits, True, False)))
-                else:
-                    v = RepLabel(v.group, v.rho, v.lam, t, v.eps_flag)
-                    out.append((v, KH(k, -h), _flip(bits, False, True)))
+            for v, kh, bits in list(out):
+                syms, kh, bits = [v.lam, v.lam_prime], list(kh), list(bits)
+                syms[i], kh[i] = t, -kh[i]
+                if bits[i] is not None:
+                    bits[i] = -bits[i]
+                out.append((RepLabel(v.group, v.rho, *syms, v.eps_flag), KH(*kh), tuple(bits)))
         sides = [
             _Side(v, kh, (default_orientation(v, *kh) if p is None else p, s))
             for v, kh, (p, s) in out
@@ -379,14 +355,15 @@ class _VariantRun:
 
     def pairs(
         self, left: RepLabel, right: RepLabel, case: GGPCase, varied: bool
-    ) -> tuple[RepLabel, RepLabel, list[tuple[_Side, _Side]]]:
-        """Validate the pair; its two gate labels and its side pairs in family order.
+    ) -> list[tuple[_Side, _Side]]:
+        """Validate the pair; its side pairs in family order.
 
         Fourier-Jacobi keeps the argument order and, when ``varied``, varies
         the second slot on both sides.  Bessel puts the odd orthogonal label
         first and, when ``varied``, varies both slots of the even one.  Each
-        label keeps the supplied bits of its argument.  The sides of an
-        unvaried second label are not stored: a branch table meets each
+        label keeps its argument's supplied bits.  Side lists start with the
+        unvaried label, so the first pair holds the gate labels.  The sides
+        of an unvaried second label are not stored: a branch table meets each
         candidate once.
         """
         fl, fr = left.group.family, right.group.family
@@ -394,7 +371,7 @@ class _VariantRun:
         if case is FOURIER_JACOBI:
             if fl is not GroupFamily.SP or fr is not GroupFamily.SP:
                 raise CaseMismatch("Fourier-Jacobi needs two symplectic labels")
-            slots = ("lam_prime",) if varied else ()
+            slots = (1,) if varied else ()
             firsts = self.sides(left, bits[0], slots)
         else:
             odd, even = GroupFamily.O_ODD, GroupFamily.O_EVEN
@@ -402,9 +379,9 @@ class _VariantRun:
                 raise CaseMismatch("Bessel needs one odd and one even orthogonal label")
             if fl is even:
                 left, right, bits = right, left, bits[::-1]
-            slots = ("lam", "lam_prime") if varied else ()
+            slots = (0, 1) if varied else ()
             firsts = self.sides(left, bits[0], ())
-        return left, right, list(product(firsts, self.sides(right, bits[1], slots, varied)))
+        return list(product(firsts, self.sides(right, bits[1], slots, varied)))
 
     def pair_gate(self, first: RepLabel, second: RepLabel, case: GGPCase) -> bool:
         """The pair-condition gate of the pair, one stored value per symbol pair.
@@ -438,14 +415,14 @@ class _VariantRun:
         share, is read at most once, and only for a pair whose relevance is
         not definitely false.
         """
-        first, second, pairs = self.pairs(left, right, case, varied)
+        pairs = self.pairs(left, right, case, varied)
         gate = None
         out = []
         for lv, rv in pairs:
             a, b = _in_order(lv, rv, case)
             strong = _strong_relevance(a, b, case, self.ctx)
             if strong is not False and gate is None:
-                gate = self.pair_gate(first, second, case)
+                gate = self.pair_gate(pairs[0][0].label, pairs[0][1].label, case)
             if strong is False or not gate:
                 value = _ZERO
             elif strong is None:
@@ -459,12 +436,11 @@ class _VariantRun:
 
     def family(self, left: RepLabel, right: RepLabel, case: GGPCase) -> VariantReport:
         """:func:`select_nonzero_variant` on this run; a variant class is its sides' (k, h) pair."""
-        for rho in (left.rho, right.rho):
-            if not (rho.is_trivial or rho.regular):
-                raise ValueError(
-                    "variant selection expects a definite base factor "
-                    "(trivial or regular descriptors)"
-                )
+        if not (left.rho.regular and right.rho.regular):
+            raise ValueError(
+                "variant selection expects a definite base factor "
+                "(trivial or regular descriptors)"
+            )
         results = self.evaluate(left, right, case, True)
         classes = {(lv.kh, rv.kh) for lv, rv, value in results if value.is_nonzero}
         if len(classes) > 1:
@@ -580,10 +556,8 @@ def branch_decomposition(
         key=lambda row: (
             symbol_defect(row[0].lam),
             symbol_defect(row[0].lam_prime),
-            row[0].lam.row_a,
-            row[0].lam.row_b,
-            row[0].lam_prime.row_a,
-            row[0].lam_prime.row_b,
+            row[0].lam,
+            row[0].lam_prime,
             row[0].rho.id,
             row[0].eps_flag or 0,
         )

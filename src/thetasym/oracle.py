@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Callable
@@ -179,20 +180,16 @@ def verify_counts(max_rank: int) -> VerificationReport:
                 len(symbols) == expected,
                 lambda: (f"count {family.value} rank {rank}", expected, len(symbols)),
             )
+            cuspidals = Counter(symbol_defect(s) for s in symbols if is_unipotent_cuspidal(s))
             for defect in admissible_defects(rank, family):
-                cuspidals = [
-                    s
-                    for s in symbols
-                    if symbol_defect(s) == defect and is_unipotent_cuspidal(s, family)
-                ]
                 cusp_rank = defect_rank_offset(defect)
                 expected_count = 1 if rank == cusp_rank else 0
                 report.check(
-                    len(cuspidals) == expected_count,
+                    cuspidals[defect] == expected_count,
                     lambda: (
                         f"cuspidal pattern {family.value} rank {rank} defect {defect}",
                         expected_count,
-                        len(cuspidals),
+                        cuspidals[defect],
                     ),
                 )
     report.elapsed = time.monotonic() - start

@@ -376,7 +376,8 @@ def first_occurrence_supported(label: RepLabel, ctx: TowerContext) -> FirstOccur
         raise CaseMismatch("TowerContext.tower must name the target tower")
     slots = zip(("first", "second"), (label.lam, label.lam_prime), _SLOTS[label.group.family])
     for position, s, kind in slots:
-        if not is_unipotent_cuspidal(s, kind.entry(position, symbol_defect(s), label.group)):
+        kind.entry(position, symbol_defect(s), label.group)
+        if not is_unipotent_cuspidal(s):
             raise NotCuspidalSupport(f"label {label} does not have cuspidal staircase symbols")
     k, h = kh_of(label)
     n = label.group.rank

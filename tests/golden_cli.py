@@ -9,8 +9,10 @@ on ``sys.path``).  The deck is drawn with a fixed seed from the library's
 own enumerations and runs through ``thetasym.cli.main`` in-process: every
 verb and output format, the square class of -1 given both by
 ``--eps-minus-one`` and by ``--q``, seeded random ``--orient-*`` bits,
-domain and usage refusals, and the failing
-``verify --suite variants --eps-minus-one -`` run.  Each stdout line is
+domain and usage refusals, the failing
+``verify --suite variants --eps-minus-one -`` run, and the deep verifier
+runs (``counts`` to rank 12, ``f1`` to rank 13, ``variants`` to rank 4),
+which take about 8 of its 12 s on a 2-vCPU machine.  Each stdout line is
 ``index digest exit argv`` (the digest covers stdout, stderr and the exit
 code of that request), and the digest of all of them goes to stderr.  Run
 it on two checkouts and ``diff`` the outputs to see which request changed.
@@ -203,6 +205,12 @@ def _deck(rng: random.Random) -> list[list[str]]:
         ["verify", "--suite", "f1", "--max-rank", "-1"],
         ["verify", "--suite", "counts", "--max-rank", "23"],
         ["verify", "--suite", "bogus", "--max-rank", "1"],
+    ]
+    # the deep verifier runs: the counts, f1 and variants reach of the acceptance suite
+    deck += [
+        ["verify", "--suite", "counts", "--max-rank", "12"],
+        ["verify", "--suite", "f1", "--max-rank", "13"],
+        ["verify", "--suite", "variants", "--max-rank", "4"],
     ]
     return deck
 

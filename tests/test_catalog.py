@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 
 import thetasym.catalog as catalog
 import thetasym.core as core
+import thetasym.theta as theta
 from thetasym.catalog import (
     KH,
     MINUS,
@@ -254,13 +256,14 @@ def test_cuspidal_symbols():
 
 
 def test_is_unipotent_cuspidal_examples():
-    assert is_unipotent_cuspidal(parse_symbol("[|2,1,0]"), SymbolFamily.SP_UNIPOTENT)
-    assert not is_unipotent_cuspidal(parse_symbol("[1,0|1]"), SymbolFamily.SP_UNIPOTENT)
-    assert is_unipotent_cuspidal(EMPTY_SYMBOL, SymbolFamily.O_EVEN_PLUS)
-    assert is_unipotent_cuspidal(parse_symbol("[1,0|]"), SymbolFamily.O_EVEN_MINUS)
-    assert is_unipotent_cuspidal(parse_symbol("[|1,0]"), SymbolFamily.O_EVEN_MINUS)
-    with pytest.raises(DefectClassMismatch):
-        is_unipotent_cuspidal(parse_symbol("[1|0]"), SymbolFamily.O_EVEN_MINUS)
+    """The defect names the family; a defect = 3 mod 4 is never cuspidal."""
+    assert is_unipotent_cuspidal(parse_symbol("[|2,1,0]"))
+    assert not is_unipotent_cuspidal(parse_symbol("[1,0|1]"))
+    assert is_unipotent_cuspidal(EMPTY_SYMBOL)
+    assert is_unipotent_cuspidal(parse_symbol("[1,0|]"))
+    assert is_unipotent_cuspidal(parse_symbol("[|1,0]"))
+    assert not is_unipotent_cuspidal(parse_symbol("[2,1,0|]"))  # defect 3
+    assert not is_unipotent_cuspidal(parse_symbol("[1|0]"))  # defect 0, not the empty staircase
 
 
 def test_twists():
@@ -517,7 +520,9 @@ def test_each_rule_is_written_once():
     only in ``core`` and ``catalog`` (``q % 4``), a defect residue only in
     ``core`` (``SymbolFamily.admits_defect``), and the defect layers and the
     band are read only in ``core`` and ``theta`` (whose one partner scan
-    serves both theta directions); a copy anywhere else fails here."""
+    serves both theta directions), and a ``DefectClassMismatch`` is built
+    only in ``_SlotKind.entry`` and the even orthogonal tower check of
+    ``first_occurrence_unipotent``; a copy anywhere else fails here."""
     sources = {p.name: p.read_text() for p in Path(catalog.__file__).parent.glob("*.py")}
     assert sum(text.count("over the enumeration bound") for text in sources.values()) == 1
     assert "over the enumeration bound" in sources["core.py"]
@@ -525,6 +530,12 @@ def test_each_rule_is_written_once():
     assert {name for name, text in sources.items() if "defect % 4" in text} == {"core.py"}
     layers = re.compile(r"\b(_band|_defect_layer)\b")
     assert {name for name, text in sources.items() if layers.search(text)} == {"core.py", "theta.py"}
+    # a defect-class refusal is built by the slot rule and by the tower check alone
+    built = re.compile(r"(?<!class )\bDefectClassMismatch\(")
+    counts = {name: len(built.findall(text)) for name, text in sources.items()}
+    assert {name: n for name, n in counts.items() if n} == {"catalog.py": 1, "theta.py": 1}
+    assert "DefectClassMismatch(" in inspect.getsource(catalog._SlotKind.entry)
+    assert "DefectClassMismatch(" in inspect.getsource(theta.first_occurrence_unipotent)
 
 
 def test_negative_sizes_and_index_zero_give_empty_results():

@@ -281,6 +281,14 @@ def test_enumerate_is_deterministic():
     assert a == b
 
 
+def test_symbol_order_is_row_order():
+    """Symbols sort as their (row_a, row_b) pairs, which the pair layer's
+    order keys rely on; the list is shuffled so the check is not vacuous."""
+    symbols = [s for r in range(7) for f in SymbolFamily for s in enumerate_symbols(r, f)]
+    random.Random(7).shuffle(symbols)
+    assert sorted(symbols) == sorted(symbols, key=lambda s: (s.row_a, s.row_b))
+
+
 def test_enumerate_returns_fresh_list():
     expected = list(enumerate_symbols(4, SymbolFamily.O_EVEN_PLUS))
     first = enumerate_symbols(4, SymbolFamily.O_EVEN_PLUS)

@@ -218,6 +218,28 @@ def test_non_regular_rho_against_trivial_is_zero():
         assert value.is_zero
 
 
+def test_base_multiplicity_table():
+    """The base factor of every (trivial, regular, irregular) descriptor pair,
+    written out: a trivial descriptor counts as regular, an irregular one
+    against a trivial one is Zero in both orders, and m(a,b) keeps the order."""
+    rhos = {
+        "t": TRIVIAL_RHO,
+        "r": RhoDescriptor(1, True, "r"),
+        "i": RhoDescriptor(1, False, "i"),
+    }
+    table = {
+        ("t", "t"): "1", ("t", "r"): "1", ("t", "i"): "0",
+        ("r", "t"): "1", ("r", "r"): "1", ("r", "i"): "m(r,i)",
+        ("i", "t"): "0", ("i", "r"): "m(i,r)", ("i", "i"): "m(i,i)",
+    }
+    labels = {
+        key: make_label(sp(1), rho, parse_symbol("[1|]" if rho.is_trivial else "[0|]"), EMPTY_SYMBOL)
+        for key, rho in rhos.items()
+    }
+    got = {(a, b): str(ggp._base_multiplicity(labels[a], labels[b])) for a in rhos for b in rhos}
+    assert got == table
+
+
 def test_unipotent_regularity_gate():
     """A unipotent side zeroes pairs whose opposite slot is not regular."""
     st4 = unipotent_label(sp(2), parse_symbol("[2,1,0|2,1]"))  # regular column shape

@@ -11,7 +11,6 @@ from thetasym.catalog import (
     TRIVIAL_RHO,
     cuspidal_symbol,
     enumerate_labels,
-    is_unipotent_cuspidal,
     kh_of,
     make_label,
     o_even,
@@ -143,11 +142,8 @@ def test_theta_fiber_of_a_huge_row_transposes_nothing():
         (lambda: first_occurrence_unipotent(parse_symbol("[|1,0]"), PLUS, ThetaDirection.O_TO_SP),
          ["theta-first", "--symbol", "[|1,0]", "--sign", "+", "--direction", "o-to-sp"],
          "symbol of defect -2 lives on the o- tower, not o+"),
-        (lambda: is_unipotent_cuspidal(parse_symbol("[1|0]"), SymbolFamily.SP_UNIPOTENT), None,
-         "symbol defect 0 not = 1 mod 4"),
     ],
-    ids=["in_B first", "in_B second", "theta_fiber", "sp-to-o", "o-to-sp", "o-to-sp tower",
-         "is_unipotent_cuspidal"],
+    ids=["in_B first", "in_B second", "theta_fiber", "sp-to-o", "o-to-sp", "o-to-sp tower"],
 )
 def test_bare_symbol_class_refusal_texts(call, argv, text, capsys):
     """The slot-table texts of every bare-symbol refusal, in the library and the CLI."""
