@@ -74,7 +74,6 @@ from .errors import (
     InapplicableTwist,
     MultipleNonzero,
     NormalizationError,
-    NotCuspidalSupport,
     NotUnipotent,
     ParseError,
     RankMismatch,
@@ -99,6 +98,7 @@ from .oracle import (
     brute_first_occurrence,
     verify_counts,
     verify_f1,
+    verify_orientation,
     verify_variant_uniqueness,
 )
 from .theta import (
@@ -106,10 +106,8 @@ from .theta import (
     FirstOccurrence,
     GVariant,
     ThetaDirection,
-    Tower,
     TowerContext,
     cuspidal_theta,
-    first_occurrence_supported,
     first_occurrence_unipotent,
     in_B,
     in_G,

@@ -16,8 +16,8 @@ a sign for odd orthogonal groups.  Validity rules:
 These rules live in :data:`_SLOTS` (the symbol families of each slot, which
 carry their own residues and slot signs) and :data:`_EPS_FLAGS`, read by label
 validation, enumeration and the branch-table count here.  :mod:`thetasym.theta`
-reads ``_SLOTS`` in its cuspidal-slot check and, through the sp slot pair, in
-the class checks of bare (symplectic-type, even-type) symbols.
+reads ``_SLOTS`` through the sp slot pair, in the class checks of bare
+(symplectic-type, even-type) symbols.
 
 The slot ranks plus the descriptor rank must add up to the group rank.
 

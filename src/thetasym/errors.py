@@ -36,10 +36,6 @@ class InapplicableTwist(ThetasymError):
     """The requested twist is not defined for the label's group family."""
 
 
-class NotCuspidalSupport(ThetasymError):
-    """Operation requires a label whose symbols are cuspidal staircases."""
-
-
 class CaseMismatch(ThetasymError):
     """Label pair does not match the requested restriction problem."""
 
@@ -55,6 +51,9 @@ class RankMismatch(ThetasymError):
 class MultipleNonzero(ThetasymError):
     """More than one variant in a transpose family received nonzero multiplicity.
 
-    This signals an implementation bug: the selection property guarantees
-    at most one.
+    The selection property allows at most one, but the gates do not yet
+    guarantee it on every input: with eps(-1) = - and supplied orientation
+    bits, ``thetasym verify --suite variants --max-rank 1 --eps-minus-one -
+    --orient-right - --orient-left-alt +`` finds two such Fourier-Jacobi
+    families.  The fix of that gate is ROADMAP item 1, step 3.
     """

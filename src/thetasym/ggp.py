@@ -10,7 +10,7 @@ of a pair factors through three gates and a base factor:
    Fourier-Jacobi, k on one side must lie in {|h'|, |h'| - 1} of the other
    (and symmetrically); for Bessel the slot parameters pair up straight,
    |k'| in {k, k + 1} and |h'| in {h, h + 1}.
-2. *Tower match.*  On top of the bands, the small-occurrence branches must
+2. *Matching towers.*  On top of the bands, the small-occurrence branches must
    sit on matching towers.  Which tower carries the small branch is data
    (it depends on the additive character), carried by orientation bits in
    the :class:`~thetasym.theta.TowerContext` and derived from the cuspidal
@@ -486,8 +486,9 @@ def select_nonzero_variant(
     Bessel varies both slots of the even orthogonal label (four pairs, the
     odd label fixed).  A slot equal to its own transpose gives one variant,
     not two.  At most one variant class may come out nonzero; more than one
-    raises :class:`MultipleNonzero`, which would be an implementation bug,
-    not a data condition.
+    raises :class:`MultipleNonzero`.  That is a known gate defect, not a data
+    condition: it happens with eps(-1) = - and supplied orientation bits
+    (see :class:`MultipleNonzero`).
 
     The pair is validated once per family, and the pair-condition gate,
     which all variants share, is evaluated at most once.

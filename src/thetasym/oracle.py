@@ -22,13 +22,18 @@ from typing import Callable
 from .catalog import (
     MINUS,
     PLUS,
+    GroupFamily,
     Sign,
+    cuspidal_symbol,
     enumerate_labels,
     format_sign,
     is_unipotent_cuspidal,
+    kh_of,
     o_even,
     o_odd,
+    sign_pow,
     sp,
+    unipotent_label,
 )
 from .core import (
     Symbol,
@@ -41,6 +46,7 @@ from .core import (
     format_symbol,
     symbol_defect,
     symbol_rank,
+    symbol_transpose,
 )
 from .errors import MultipleNonzero
 from .ggp import BESSEL, FOURIER_JACOBI, _VariantRun
@@ -48,6 +54,7 @@ from .theta import (
     ThetaDirection,
     TowerContext,
     _partners,
+    default_orientation,
     first_occurrence_unipotent,
     theta_fiber,
 )
@@ -158,6 +165,43 @@ def verify_f1(max_rank: int) -> VerificationReport:
                             f"index {brute}, fiber {[format_symbol(s) for s in fiber]}",
                         ),
                     )
+    report.elapsed = time.monotonic() - start
+    return report
+
+
+def verify_orientation(max_k: int) -> VerificationReport:
+    """Orientation bits derived from the cuspidal chain against the brute scan.
+
+    For each k <= max_k, the bit of the sp cuspidal staircase label must name
+    the even tower with the smaller scanned first occurrence.  For k >= 1 the
+    even staircase and its transpose label one group, and each one's bit must
+    be + exactly when its own scanned index in the symplectic tower is the
+    smaller.  A failure shows the two indices: (plus, minus) or (own, transpose).
+    """
+    report = VerificationReport()
+    start = time.monotonic()
+
+    def scan(s: Symbol, sign: Sign, direction: ThetaDirection) -> int | None:
+        return _first_fiber(s, sign, direction, default_scan_bound(s))[0]
+
+    cases = []
+    for k in range(max_k + 1):
+        lam = cuspidal_symbol(GroupFamily.SP, k)
+        indices = [scan(lam, sign, ThetaDirection.SP_TO_O) for sign in (PLUS, MINUS)]
+        cases.append((unipotent_label(sp(symbol_rank(lam)), lam), indices))
+        if k:  # the empty even staircase of k = 0 is its own transpose
+            stair, tower = cuspidal_symbol(GroupFamily.O_EVEN, k), sign_pow(k)
+            pair = (stair, symbol_transpose(stair))
+            own = [scan(s, tower, ThetaDirection.O_TO_SP) for s in pair]
+            cases += [(unipotent_label(o_even(k * k, tower), s), own[::step])
+                      for s, step in zip(pair, (1, -1))]
+    for label, (mine, other) in cases:
+        small, bit = PLUS if mine < other else MINUS, default_orientation(label, *kh_of(label))
+        report.check(
+            bit == small,
+            lambda: (str(label), f"{format_sign(small)} from indices {(mine, other)}",
+                     bit if bit is None else format_sign(bit)),
+        )
     report.elapsed = time.monotonic() - start
     return report
 

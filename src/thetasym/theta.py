@@ -9,16 +9,14 @@ between transposed staircase-free rows together with a defect equation,
 
 This module implements that membership predicate, the four-way pair
 condition with untransposed rows that governs branching multiplicities, the
-closed-form first-occurrence index and lift for unipotent symbols, the
-cuspidal staircase chains, and the first-occurrence case tables for
-representations supported on cuspidal symbol pairs.
+closed-form first-occurrence index and lift for unipotent symbols, and the
+cuspidal staircase chains.
 
 First occurrences along a pair of Witt towers come in a small/large branch
 pair whose assignment to the two tower signs is genuinely extra data (it
 depends on the additive character through the square class of -1).  The
-:class:`TowerContext` carries those orientation bits; when a bit is neither
-supplied nor derivable the operations return their small branch flagged as
-unresolved rather than guessing.
+:class:`TowerContext` carries those orientation bits, and
+:func:`default_orientation` derives the ones the cuspidal chain fixes.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .catalog import (
-    KH,
     MINUS,
     PLUS,
     GroupFamily,
@@ -36,8 +33,6 @@ from .catalog import (
     _SLOTS,
     cuspidal_symbol,
     format_sign,
-    is_unipotent_cuspidal,
-    kh_of,
     sign_pow,
 )
 from .core import (
@@ -53,42 +48,20 @@ from .core import (
     symbol_transpose,
     upsilon,
 )
-from .errors import CaseMismatch, DefectClassMismatch, NotCuspidalSupport
+from .errors import DefectClassMismatch
 
 # A (symplectic-type, even-type) symbol pair is exactly the sp slot pair.
 _SP_TYPE, _EVEN_TYPE = _SLOTS[GroupFamily.SP]
-
-
-class Tower(Enum):
-    """Witt towers, each with the ``family`` of its groups and its ``sign``:
-    the form type on the orthogonal towers, None on the symplectic one."""
-
-    SP = "sp"
-    O_EVEN_PLUS = "o_even+"
-    O_EVEN_MINUS = "o_even-"
-    O_ODD_PLUS = "o_odd+"
-    O_ODD_MINUS = "o_odd-"
-
-    def __init__(self, value: str):
-        self.family, self.sign = {
-            "sp": (GroupFamily.SP, None),
-            "o_even+": (GroupFamily.O_EVEN, PLUS),
-            "o_even-": (GroupFamily.O_EVEN, MINUS),
-            "o_odd+": (GroupFamily.O_ODD, PLUS),
-            "o_odd-": (GroupFamily.O_ODD, MINUS),
-        }[value]
 
 
 @dataclass(frozen=True)
 class TowerContext:
     """Additive-character-dependent data for first-occurrence questions.
 
-    ``eps_minus_one`` is the square class of -1.  ``tower`` names the target
-    tower of a single-label query.  The four orientation slots resolve the
-    small/large branch assignments: ``orient_left`` / ``orient_right`` are
-    the primary bits of the two labels of a pair (for a single-label query
-    only ``orient_left`` is read), and the ``_alt`` bits belong to the
-    twisted partner family.  Concretely:
+    ``eps_minus_one`` is the square class of -1.  The four orientation slots
+    resolve the small/large branch assignments: ``orient_left`` /
+    ``orient_right`` are the primary bits of the two labels of a pair, and
+    the ``_alt`` bits belong to the twisted partner family.  Concretely:
 
     * symplectic label: primary = sign of the even orthogonal tower where
       the first occurrence is small; alt = same for the odd towers;
@@ -102,7 +75,6 @@ class TowerContext:
     """
 
     eps_minus_one: Sign = PLUS
-    tower: Tower | None = None
     orient_left: Sign | None = None
     orient_right: Sign | None = None
     orient_left_alt: Sign | None = None
@@ -111,22 +83,13 @@ class TowerContext:
 
 @dataclass(frozen=True)
 class FirstOccurrence:
-    """First-occurrence index plus the lift there, when determined.
-
-    ``lift`` is a :class:`Symbol` (unipotent case), a :class:`KH` pair
-    (supported case; components whose sign the case table leaves open are
-    reported nonnegative), or ``None``.  ``resolved`` records whether the
-    branch was certain: an orientation bit was known, or the two branches
-    coincide.
-    """
+    """First-occurrence index plus the lift there, a symbol of that rank."""
 
     index: int
-    lift: Symbol | KH | None = None
-    resolved: bool = True
+    lift: Symbol
 
     def __post_init__(self):
-        if isinstance(self.lift, Symbol):
-            assert symbol_rank(self.lift) == self.index
+        assert symbol_rank(self.lift) == self.index
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +287,7 @@ def cuspidal_theta(k: int, variant: CuspidalThetaVariant) -> tuple[Symbol, Symbo
 
 
 # ---------------------------------------------------------------------------
-# First occurrence for supported labels
+# Orientation bits derived from the cuspidal chain
 # ---------------------------------------------------------------------------
 
 
@@ -349,68 +312,3 @@ def default_orientation(label: RepLabel, k: int, h: int) -> Sign | None:
     if label.group.family is GroupFamily.O_EVEN and k != 0:
         return sign_pow(k) if k > 0 else -sign_pow(k)
     return None
-
-
-def first_occurrence_supported(label: RepLabel, ctx: TowerContext) -> FirstOccurrence:
-    """First occurrence of a label supported on cuspidal symbol pairs.
-
-    The case table, with n the label's group rank and (k, h) its support
-    coordinates:
-
-    * symplectic label, even orthogonal towers: indices {n - k, n + k + 1};
-      the small branch lifts to support coordinates (k, h) (slot signs not
-      determined by the table);
-    * symplectic label, odd orthogonal towers: indices {n - |h|, n + |h|};
-      the small branch lifts to (|h| - 1, k), clipped at 0 when h = 0;
-    * even orthogonal label, symplectic tower: indices n -+ |k|; small
-      branch lifts to (|k| - 1 clipped, h), large branch to (|k|, h);
-    * odd orthogonal label, symplectic tower: indices n - k (lift (h, k))
-      and n + k + 1 (lift (h, k + 1)).
-
-    ``ctx.tower`` selects the tower; ``ctx.orient_left`` (with the derived
-    default as fallback) selects the branch.  With no orientation available
-    the small branch is returned and ``resolved`` is False unless the two
-    branches coincide.
-    """
-    if ctx.tower is None:
-        raise CaseMismatch("TowerContext.tower must name the target tower")
-    slots = zip(("first", "second"), (label.lam, label.lam_prime), _SLOTS[label.group.family])
-    for position, s, kind in slots:
-        kind.entry(position, symbol_defect(s), label.group)
-        if not is_unipotent_cuspidal(s):
-            raise NotCuspidalSupport(f"label {label} does not have cuspidal staircase symbols")
-    k, h = kh_of(label)
-    n = label.group.rank
-    fam = label.group.family
-    orientation = ctx.orient_left
-    if orientation is None:
-        orientation = default_orientation(label, k, h)
-
-    if fam is GroupFamily.SP and ctx.tower.family is GroupFamily.O_EVEN:
-        small, large = n - k, n + k + 1
-        small_lift, large_lift = KH(abs(k), abs(h)), None
-        small_orientation = ctx.tower.sign
-    elif fam is GroupFamily.SP and ctx.tower.family is GroupFamily.O_ODD:
-        small, large = n - abs(h), n + abs(h)
-        small_lift, large_lift = KH(max(abs(h) - 1, 0), k), None
-        small_orientation = ctx.tower.sign
-    elif fam is GroupFamily.O_EVEN and ctx.tower.family is GroupFamily.SP:
-        small, large = n - abs(k), n + abs(k)
-        small_lift, large_lift = KH(max(abs(k) - 1, 0), h), KH(abs(k), h)
-        small_orientation = PLUS
-    elif fam is GroupFamily.O_ODD and ctx.tower.family is GroupFamily.SP:
-        small, large = n - k, n + k + 1
-        small_lift, large_lift = KH(h, k), KH(h, k + 1)
-        small_orientation = PLUS
-    else:
-        raise CaseMismatch(
-            f"no theta pairing from {label.group} into the {ctx.tower.value} tower"
-        )
-
-    if small == large:
-        return FirstOccurrence(small, small_lift, resolved=True)
-    if orientation is None:
-        return FirstOccurrence(small, small_lift, resolved=False)
-    if orientation == small_orientation:
-        return FirstOccurrence(small, small_lift, resolved=True)
-    return FirstOccurrence(large, large_lift, resolved=True)

@@ -10,8 +10,10 @@ import time
 from thetasym.catalog import (
     MINUS,
     PLUS,
+    GroupFamily,
     RhoDescriptor,
     TRIVIAL_RHO,
+    cuspidal_symbol,
     enumerate_labels,
     kh_of,
     make_label,
@@ -41,14 +43,17 @@ from thetasym.ggp import (
     ggp_multiplicity,
     branch_decomposition,
 )
-from thetasym.oracle import verify_f1, verify_variant_uniqueness
+from thetasym.oracle import (
+    brute_first_occurrence,
+    default_scan_bound,
+    verify_f1,
+    verify_variant_uniqueness,
+)
 from thetasym.theta import (
     CuspidalThetaVariant,
     ThetaDirection,
-    Tower,
     TowerContext,
     cuspidal_theta,
-    first_occurrence_supported,
     first_occurrence_unipotent,
     in_B,
 )
@@ -111,28 +116,18 @@ def test_criterion_3_cuspidal_chain_consistency():
 
 
 def test_criterion_4_conservation():
-    from thetasym.catalog import GroupFamily, cuspidal_symbol
-
+    """On each sp cuspidal staircase the closed form agrees with the scan on
+    both towers, and the two first occurrences sum to 2n + 1."""
     ok = True
-    for k in range(5):
-        for n in range(11):
-            if n < k * (k + 1):
-                continue
-            residual = n - k * (k + 1)
-            rho = (
-                TRIVIAL_RHO
-                if residual == 0
-                else RhoDescriptor(residual, True, f"regular-{residual}")
-            )
-            label = make_label(sp(n), rho, cuspidal_symbol(GroupFamily.SP, k), EMPTY_SYMBOL)
-            a = first_occurrence_supported(
-                label, TowerContext(tower=Tower.O_EVEN_PLUS, orient_left=PLUS)
-            )
-            b = first_occurrence_supported(
-                label, TowerContext(tower=Tower.O_EVEN_MINUS, orient_left=PLUS)
-            )
-            ok = ok and a.index + b.index == 2 * n + 1
-    _report(4, "even-tower branch indices sum to 2n+1, k <= 4, n <= 10", ok)
+    for k in range(9):
+        lam = cuspidal_symbol(GroupFamily.SP, k)
+        indices = []
+        for sign in (PLUS, MINUS):
+            closed = first_occurrence_unipotent(lam, sign, ThetaDirection.SP_TO_O).index
+            ok = ok and closed == brute_first_occurrence(lam, sign, default_scan_bound(lam))
+            indices.append(closed)
+        ok = ok and sum(indices) == 2 * k * (k + 1) + 1
+    _report(4, "cuspidal staircase indices == scan, sum to 2n+1, k <= 8", ok)
 
 
 def test_criterion_5_variant_uniqueness():

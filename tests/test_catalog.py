@@ -58,7 +58,6 @@ from thetasym.errors import (
     SignMismatch,
 )
 from thetasym.ggp import default_rho_catalog
-from thetasym.theta import Tower
 
 
 def test_make_label_examples():
@@ -548,22 +547,14 @@ def test_negative_sizes_and_index_zero_give_empty_results():
 
 
 def test_vocabulary_tables_are_written_out():
-    """Each symbol family's residue and slot sign, and each tower's group
-    family and sign, as the paper's defect classes and Witt towers give them."""
+    """Each symbol family's residue and slot sign, as the paper's defect
+    classes give them."""
     families = {
         SymbolFamily.SP_UNIPOTENT: (1, PLUS),
         SymbolFamily.O_EVEN_PLUS: (0, PLUS),
         SymbolFamily.O_EVEN_MINUS: (2, MINUS),
     }
     assert {f: (f.defect_residue, f.sign) for f in SymbolFamily} == families
-    towers = {
-        Tower.SP: (GroupFamily.SP, None),
-        Tower.O_EVEN_PLUS: (GroupFamily.O_EVEN, PLUS),
-        Tower.O_EVEN_MINUS: (GroupFamily.O_EVEN, MINUS),
-        Tower.O_ODD_PLUS: (GroupFamily.O_ODD, PLUS),
-        Tower.O_ODD_MINUS: (GroupFamily.O_ODD, MINUS),
-    }
-    assert {t: (t.family, t.sign) for t in Tower} == towers
 
 
 def test_slot_entry_matches_the_residue_tables():

@@ -449,7 +449,7 @@ def test_verify_variants_from_the_cli():
         (
             ["--q", "7", "--orient-left", "+", "--orient-right", "-",
              "--orient-left-alt", "-", "--orient-right-alt", "+"],
-            TowerContext(MINUS, None, PLUS, MINUS, MINUS, PLUS),
+            TowerContext(MINUS, PLUS, MINUS, MINUS, PLUS),
         ),
     ],
 )

@@ -18,6 +18,7 @@ from thetasym.oracle import (
     default_scan_bound,
     verify_counts,
     verify_f1,
+    verify_orientation,
     verify_variant_uniqueness,
 )
 from thetasym.theta import TowerContext, _partners, in_B
@@ -138,6 +139,31 @@ def test_verify_counts():
     assert report.passed
     # the rank-1 and rank-2 symplectic rows are among the checks
     assert report.checked > 20
+
+
+def test_verify_orientation(monkeypatch):
+    """The derived bits agree with the scan on every staircase up to k = 8
+    (9 sp labels, 16 even ones), and a negated bit fails every check."""
+    from thetasym import oracle
+
+    report = verify_orientation(8)
+    assert report.passed and report.checked == 25
+    assert not verify_orientation(-1).passed  # zero checks
+
+    derived = oracle.default_orientation
+    monkeypatch.setattr(oracle, "default_orientation", lambda label, k, h: -derived(label, k, h))
+    report = verify_orientation(8)
+    assert report.checked == 25 and len(report.failures) == 25
+    assert report.failures[:4] == [
+        {"input": "sp(0): rho=trivial:0:reg ; L=[0|] ; L'=[|]",
+         "expected": "+ from indices (0, 1)", "actual": "-"},
+        {"input": "sp(4): rho=trivial:0:reg ; L=[|2,1,0] ; L'=[|]",
+         "expected": "- from indices (4, 1)", "actual": "+"},
+        {"input": "o-(2): rho=trivial:0:reg ; L=[1,0|] ; L'=[|]",
+         "expected": "- from indices (2, 0)", "actual": "+"},
+        {"input": "o-(2): rho=trivial:0:reg ; L=[|1,0] ; L'=[|]",
+         "expected": "+ from indices (0, 2)", "actual": "-"},
+    ]
 
 
 def test_verify_variant_uniqueness_small():

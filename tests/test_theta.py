@@ -5,16 +5,11 @@ import pytest
 from thetasym.catalog import (
     MINUS,
     PLUS,
-    GroupFamily,
-    RepLabel,
     RhoDescriptor,
     TRIVIAL_RHO,
-    cuspidal_symbol,
-    enumerate_labels,
     kh_of,
     make_label,
     o_even,
-    o_odd,
     sp,
 )
 from thetasym.core import (
@@ -29,21 +24,17 @@ from thetasym.core import (
     parse_symbol,
     symbol_defect,
     symbol_rank,
-    symbol_transpose,
     upsilon,
     upsilon_inverse,
 )
-from thetasym.errors import CaseMismatch, DefectClassMismatch, NotCuspidalSupport
+from thetasym.errors import DefectClassMismatch
 from thetasym.theta import (
     CuspidalThetaVariant,
     GVariant,
     ThetaDirection,
-    Tower,
-    TowerContext,
     _band,
     cuspidal_theta,
     default_orientation,
-    first_occurrence_supported,
     first_occurrence_unipotent,
     in_B,
     in_G,
@@ -199,7 +190,6 @@ def test_first_occurrence_unipotent_examples():
     assert (occ.index, occ.lift) == (2, parse_symbol("[|2,0]"))
     occ = first_occurrence_unipotent(parse_symbol("[1|]"), PLUS, ThetaDirection.SP_TO_O)
     assert (occ.index, occ.lift) == (0, EMPTY_SYMBOL)
-    assert occ.resolved
 
 
 def test_first_occurrence_unipotent_o_to_sp():
@@ -255,126 +245,6 @@ def test_cuspidal_theta_consistency():
             assert symbol_defect(lam) == (-1) ** k * (2 * k + 1)
 
 
-def _supported_sp_label(n, k, h_defect=0):
-    lam = cuspidal_symbol(GroupFamily.SP, k)
-    lam_prime = EMPTY_SYMBOL
-    residual = n - symbol_rank(lam)
-    rho = TRIVIAL_RHO if residual == 0 else RhoDescriptor(residual, True, f"regular-{residual}")
-    return make_label(sp(n), rho, lam, lam_prime)
-
-
-def test_first_occurrence_supported_examples():
-    cusp4 = make_label(sp(2), TRIVIAL_RHO, parse_symbol("[|2,1,0]"), EMPTY_SYMBOL)
-    occ = first_occurrence_supported(
-        cusp4, TowerContext(tower=Tower.O_EVEN_MINUS, orient_left=MINUS)
-    )
-    assert (occ.index, occ.resolved) == (1, True)
-    occ = first_occurrence_supported(
-        cusp4, TowerContext(tower=Tower.O_EVEN_PLUS, orient_left=MINUS)
-    )
-    assert (occ.index, occ.resolved) == (4, True)
-
-    rho1 = RhoDescriptor(1, True, "regular-1")
-    odd = make_label(o_odd(1, PLUS), rho1, parse_symbol("[0|]"), parse_symbol("[0|]"), PLUS)
-    occ = first_occurrence_supported(odd, TowerContext(tower=Tower.SP, orient_left=MINUS))
-    assert (occ.index, occ.lift) == (2, (0, 1))
-    occ = first_occurrence_supported(odd, TowerContext(tower=Tower.SP, orient_left=PLUS))
-    assert (occ.index, occ.lift) == (1, (0, 0))
-
-    # degenerate h = 0: the odd-tower branches coincide, so the answer is
-    # certain even without an orientation bit
-    spl = make_label(sp(1), rho1, parse_symbol("[0|]"), EMPTY_SYMBOL)
-    occ = first_occurrence_supported(spl, TowerContext(tower=Tower.O_ODD_PLUS))
-    assert (occ.index, occ.resolved) == (1, True)
-    # even towers differ; without orientation the small branch is unresolved
-    rho_only = make_label(sp(2), RhoDescriptor(2, True, "regular-2"), parse_symbol("[0|]"), EMPTY_SYMBOL)
-    occ = first_occurrence_supported(rho_only, TowerContext(tower=Tower.O_EVEN_PLUS))
-    assert (occ.index, occ.resolved) == (2, False)
-
-
-def test_first_occurrence_supported_defaults_from_chain():
-    # unipotent cuspidal support with trivial descriptor: orientation derived
-    cusp4 = make_label(sp(2), TRIVIAL_RHO, parse_symbol("[|2,1,0]"), EMPTY_SYMBOL)
-    occ = first_occurrence_supported(cusp4, TowerContext(tower=Tower.O_EVEN_MINUS))
-    assert (occ.index, occ.resolved) == (1, True)  # small tower sign (-1)^1
-    occ = first_occurrence_supported(cusp4, TowerContext(tower=Tower.O_EVEN_PLUS))
-    assert (occ.index, occ.resolved) == (4, True)
-
-
-def test_supported_conservation():
-    for k in range(5):
-        for n in range(11):
-            if n < k * (k + 1):
-                continue
-            label = _supported_sp_label(n, k)
-            a = first_occurrence_supported(
-                label, TowerContext(tower=Tower.O_EVEN_PLUS, orient_left=PLUS)
-            )
-            b = first_occurrence_supported(
-                label, TowerContext(tower=Tower.O_EVEN_MINUS, orient_left=PLUS)
-            )
-            assert a.index + b.index == 2 * n + 1
-
-
-def test_first_occurrence_supported_errors():
-    bad = make_label(sp(1), TRIVIAL_RHO, parse_symbol("[1|]"), EMPTY_SYMBOL)
-    with pytest.raises(NotCuspidalSupport):
-        first_occurrence_supported(bad, TowerContext(tower=Tower.O_EVEN_PLUS))
-    good = make_label(sp(0), TRIVIAL_RHO, parse_symbol("[0|]"), EMPTY_SYMBOL)
-    with pytest.raises(CaseMismatch):
-        first_occurrence_supported(good, TowerContext(tower=None))
-    with pytest.raises(CaseMismatch):
-        first_occurrence_supported(good, TowerContext(tower=Tower.SP))
-
-
-def _is_staircase(s):
-    """Whether ``s`` is the cuspidal staircase of its defect (or, when even, its transpose)."""
-    d = symbol_defect(s)
-    if d % 2:
-        return s == cuspidal_symbol(GroupFamily.SP, (abs(d) - 1) // 2)
-    stair = cuspidal_symbol(GroupFamily.O_EVEN, abs(d) // 2)
-    return s in (stair, symbol_transpose(stair))
-
-
-def test_supported_labels_are_exactly_the_staircase_pairs():
-    towers = {
-        GroupFamily.SP: Tower.O_EVEN_PLUS,
-        GroupFamily.O_EVEN: Tower.SP,
-        GroupFamily.O_ODD: Tower.SP,
-    }
-    supported = 0
-    for n, eps in itertools.product(range(5), (PLUS, MINUS)):
-        for group in (sp(n), o_odd(n, PLUS), o_odd(n, MINUS), o_even(n, PLUS), o_even(n, MINUS)):
-            ctx = TowerContext(eps_minus_one=eps, tower=towers[group.family])
-            for label in enumerate_labels(group, eps):
-                if _is_staircase(label.lam) and _is_staircase(label.lam_prime):
-                    first_occurrence_supported(label, ctx)
-                    supported += 1
-                else:
-                    with pytest.raises(NotCuspidalSupport):
-                        first_occurrence_supported(label, ctx)
-    assert supported > 0
-
-
-@pytest.mark.parametrize(
-    "group, lam, lam_prime, text",
-    [
-        (sp(1), "[1|0]", "[|]", "first symbol defect 0 not = 1 mod 4 for sp(2)"),
-        (sp(1), "[0|]", "[1|]", "second symbol defect 1 must be even for sp(2)"),
-        (o_odd(1, PLUS), "[1|0]", "[0|]", "first symbol defect 0 not = 1 mod 4 for o+(3)"),
-        (o_odd(1, PLUS), "[0|]", "[1|0]", "second symbol defect 0 not = 1 mod 4 for o+(3)"),
-        (o_even(1, MINUS), "[1|]", "[|]", "first symbol defect 1 must be even for o-(2)"),
-        (o_even(1, PLUS), "[|]", "[0|]", "second symbol defect 1 must be even for o+(2)"),
-    ],
-)
-def test_wrong_class_slot_of_a_hand_built_label(group, lam, lam_prime, text):
-    """A label that skipped ``make_label`` fails its class check with ``make_label``'s text."""
-    label = RepLabel(group, TRIVIAL_RHO, parse_symbol(lam), parse_symbol(lam_prime))
-    with pytest.raises(DefectClassMismatch) as err:
-        first_occurrence_supported(label, TowerContext(tower=Tower.SP))
-    assert str(err.value) == text
-
-
 def test_default_orientation():
     cusp4 = make_label(sp(2), TRIVIAL_RHO, parse_symbol("[|2,1,0]"), EMPTY_SYMBOL)
     assert default_orientation(cusp4, *kh_of(cusp4)) == MINUS
@@ -389,42 +259,6 @@ def test_default_orientation():
     # nontrivial descriptor stays open
     rho_only = make_label(sp(2), RhoDescriptor(2, True, "regular-2"), parse_symbol("[0|]"), EMPTY_SYMBOL)
     assert default_orientation(rho_only, *kh_of(rho_only)) is None
-
-
-def test_supported_table_matches_closed_form_on_cuspidal_labels():
-    """Two independent routes to the same indices.
-
-    For a unipotent cuspidal label the case table (driven by the derived
-    orientation bit) and the closed-form first occurrence of its symbol
-    must give the same tower-by-tower indices.
-    """
-    for k in range(5):
-        lam = cuspidal_symbol(GroupFamily.SP, k)
-        label = make_label(sp(symbol_rank(lam)), TRIVIAL_RHO, lam, EMPTY_SYMBOL)
-        for tower, sign in (
-            (Tower.O_EVEN_PLUS, PLUS),
-            (Tower.O_EVEN_MINUS, MINUS),
-        ):
-            table = first_occurrence_supported(label, TowerContext(tower=tower))
-            closed = first_occurrence_unipotent(lam, sign, ThetaDirection.SP_TO_O)
-            assert table.resolved
-            assert table.index == closed.index
-    for k in range(1, 5):
-        stair = cuspidal_symbol(GroupFamily.O_EVEN, k)
-        for lam in (stair, parse_symbol(f"[|{','.join(str(x) for x in stair.row_a)}]")):
-            d = symbol_defect(lam)
-            group_sign = PLUS if d % 4 == 0 else MINUS
-            label = make_label(
-                o_even(symbol_rank(lam), group_sign * PLUS),
-                TRIVIAL_RHO,
-                lam,
-                EMPTY_SYMBOL,
-                eps_minus_one=PLUS,
-            )
-            table = first_occurrence_supported(label, TowerContext(tower=Tower.SP))
-            closed = first_occurrence_unipotent(lam, group_sign, ThetaDirection.O_TO_SP)
-            assert table.resolved
-            assert table.index == closed.index
 
 
 def test_closed_form_equals_brute_small():
