@@ -435,6 +435,24 @@ def test_verify_variants_from_the_cli():
     )
 
 
+def test_known_multiple_nonzero_case_is_the_one_the_docstrings_name():
+    """``MultipleNonzero`` and ``select_nonzero_variant`` name this run as the
+    known gate defect; when the gate is fixed this test says to update them."""
+    from thetasym.errors import MultipleNonzero
+
+    argv = ["verify", "--suite", "variants", "--max-rank", "1", "--eps-minus-one", "-",
+            "--orient-right", "-", "--orient-left-alt", "+"]
+    code, out = run_cli(argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == "suite variants: FAIL (223 checks, 2 failures)"
+    assert all("got 2 variant classes nonzero for sp(2)" in line for line in lines[1:])
+    assert len(lines) == 3
+    named = " ".join(MultipleNonzero.__doc__.split())
+    assert f"thetasym {' '.join(argv)}" in named
+    assert "MultipleNonzero" in ggp.select_nonzero_variant.__doc__
+
+
 @pytest.mark.parametrize(
     "flags, expected",
     [

@@ -4,6 +4,8 @@ import importlib
 import re
 from pathlib import Path
 
+import pytest
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 NAME = re.compile(r"`(\w+(?:\.\w+)+)`")
 
@@ -23,12 +25,31 @@ def _resolve(name: str):
     return obj
 
 
-def test_closed_form_table_is_current_and_every_row_is_gated():
-    rows = _table_rows()
-    assert len(rows) == 7
-    for forms, oracle, _suite, _reach, callers in rows:
-        assert NAME.search(forms), forms
-        for cell in (forms, oracle, callers):
-            for name in NAME.findall(cell):
-                _resolve(name)  # a stale name raises here
-        assert NAME.search(oracle) or re.search(r"ROADMAP items? \d", oracle), forms
+ROWS = _table_rows()
+
+
+def test_closed_form_table_has_one_row_per_public_closed_form():
+    forms = [name for row in ROWS for name in NAME.findall(row[0])]
+    assert forms == [
+        "theta.first_occurrence_unipotent",
+        "theta.default_orientation",
+        "theta.cuspidal_theta",
+        "catalog.is_unipotent_cuspidal",
+        "core.enumerate_symbols",
+        "core.count_symbols",
+        "ggp.ggp_multiplicity",
+        "ggp.select_nonzero_variant",
+        "ggp.branch_decomposition",
+        "catalog.twist_label",
+    ]
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row[0].split("`")[1])
+def test_closed_form_table_row_is_current_and_gated(row):
+    """Every name a row gives resolves, so a stale row fails; and the row
+    names an oracle or the open ROADMAP item that is to supply one."""
+    forms, oracle, _suite, _reach, callers = row
+    for cell in (forms, oracle, callers):
+        for name in NAME.findall(cell):
+            _resolve(name)  # a stale name raises here
+    assert NAME.search(oracle) or re.search(r"ROADMAP items? \d", oracle), forms

@@ -141,14 +141,28 @@ def test_verify_counts():
     assert report.checked > 20
 
 
-def test_verify_orientation(monkeypatch):
+def test_verify_orientation():
     """The derived bits agree with the scan on every staircase up to k = 8
-    (9 sp labels, 16 even ones), and a negated bit fails every check."""
-    from thetasym import oracle
-
+    (9 sp labels, 16 even ones)."""
     report = verify_orientation(8)
     assert report.passed and report.checked == 25
-    assert not verify_orientation(-1).passed  # zero checks
+
+
+@pytest.mark.parametrize("max_k, checked", [(0, 1), (1, 4), (3, 10)])
+def test_verify_orientation_checks_one_sp_and_two_even_labels_per_k(max_k, checked):
+    """k = 0 has only the sp staircase; each k >= 1 adds the sp staircase,
+    the even staircase and its transpose."""
+    report = verify_orientation(max_k)
+    assert report.passed and report.checked == checked
+
+
+def test_verify_orientation_over_no_staircase_does_not_pass():
+    report = verify_orientation(-1)
+    assert report.checked == 0 and not report.passed
+
+
+def test_verify_orientation_fails_every_check_of_a_negated_bit(monkeypatch):
+    from thetasym import oracle
 
     derived = oracle.default_orientation
     monkeypatch.setattr(oracle, "default_orientation", lambda label, k, h: -derived(label, k, h))

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import pytest
 
@@ -7,9 +8,11 @@ from thetasym.catalog import (
     PLUS,
     RhoDescriptor,
     TRIVIAL_RHO,
+    enumerate_labels,
     kh_of,
     make_label,
     o_even,
+    o_odd,
     sp,
 )
 from thetasym.core import (
@@ -30,8 +33,10 @@ from thetasym.core import (
 from thetasym.errors import DefectClassMismatch
 from thetasym.theta import (
     CuspidalThetaVariant,
+    FirstOccurrence,
     GVariant,
     ThetaDirection,
+    TowerContext,
     _band,
     cuspidal_theta,
     default_orientation,
@@ -259,6 +264,40 @@ def test_default_orientation():
     # nontrivial descriptor stays open
     rho_only = make_label(sp(2), RhoDescriptor(2, True, "regular-2"), parse_symbol("[0|]"), EMPTY_SYMBOL)
     assert default_orientation(rho_only, *kh_of(rho_only)) is None
+
+
+@pytest.mark.parametrize("group", [o_odd(0, PLUS), o_odd(1, MINUS), o_even(0, PLUS)], ids=str)
+def test_default_orientation_leaves_odd_and_empty_orthogonal_labels_open(group):
+    """Odd orthogonal sign pairs and the empty even staircase (k = 0) get no
+    default, under either square class of -1."""
+    labels = [label for eps in (PLUS, MINUS) for label in enumerate_labels(group, eps)]
+    assert labels
+    for label in labels:
+        assert default_orientation(label, *kh_of(label)) is None, label
+
+
+def test_tower_context_and_first_occurrence_fields():
+    """The CLI builds ``TowerContext`` positionally, so its field order is
+    part of its interface; a first occurrence is an index and a lift symbol."""
+    assert [f.name for f in fields(TowerContext)] == [
+        "eps_minus_one", "orient_left", "orient_right", "orient_left_alt", "orient_right_alt",
+    ]
+    assert [f.name for f in fields(FirstOccurrence)] == ["index", "lift"]
+    occ = first_occurrence_unipotent(parse_symbol("[|2,1,0]"), MINUS, ThetaDirection.SP_TO_O)
+    assert isinstance(occ.lift, Symbol) and symbol_rank(occ.lift) == occ.index
+
+
+def test_retired_case_table_names_are_gone():
+    """The supported-label case table and the names only it read left the
+    package together; none may come back as a stale export."""
+    import thetasym
+    import thetasym.errors
+    import thetasym.theta
+
+    for module in (thetasym, thetasym.theta, thetasym.errors):
+        for name in ("first_occurrence_supported", "Tower", "NotCuspidalSupport"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(thetasym.theta, "KH")  # ``catalog.KH`` itself stays
 
 
 def test_closed_form_equals_brute_small():
