@@ -15,9 +15,9 @@ a sign for odd orthogonal groups.  Validity rules:
 
 These rules live in :data:`_SLOTS` (the symbol families of each slot, which
 carry their own residues and slot signs) and :data:`_EPS_FLAGS`, read by label
-validation, enumeration and the branch-table count here.  :mod:`thetasym.theta`
-reads ``_SLOTS`` through the sp slot pair, in the class checks of bare
-(symplectic-type, even-type) symbols.
+validation and enumeration here.  :mod:`thetasym.theta` reads ``_SLOTS``
+through the sp slot pair, in the class checks of bare (symplectic-type,
+even-type) symbols.
 
 The slot ranks plus the descriptor rank must add up to the group rank.
 
@@ -31,18 +31,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cache
 from itertools import product
 from math import isqrt
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from . import core
 from .core import (
     EMPTY_SYMBOL,
     ZERO_SYMBOL,
     Symbol,
     SymbolFamily,
     _check_bound,
-    count_symbols,
     enumerate_symbols,
     _parse_int,
     _parse_symbol,
@@ -429,16 +428,25 @@ def enumerate_labels(
     group: GroupTag,
     eps_minus_one: Sign = PLUS,
     rho_catalog: tuple[RhoDescriptor, ...] = (TRIVIAL_RHO,),
+    keep: Callable[[int, Symbol], bool] | None = None,
 ) -> Iterator[RepLabel]:
     """All valid labels of the group with descriptors from the catalog.
 
     Only slot families whose signs fit are paired (:func:`_signs_fit`), so
-    every label is valid as built.  Order: descriptor, first-slot rank,
-    first-slot symbol, second-slot symbol (each slot by family, then in
-    :func:`enumerate_symbols` order), eps flag.
+    every label is valid as built.  ``keep(i, s)`` drops the labels whose
+    slot i (0 is ``lam``) holds a symbol s it rejects, asked once per symbol
+    of each (slot, rank, family) the walk reads.  Order: descriptor,
+    first-slot rank, first-slot symbol, second-slot symbol (each slot by
+    family, then in :func:`enumerate_symbols` order), eps flag.
     """
     kind, kind2 = _SLOTS[group.family]
     flags = _EPS_FLAGS[group.family]
+
+    @cache
+    def slot(i: int, rank: int, family: SymbolFamily) -> list[Symbol]:
+        symbols = enumerate_symbols(rank, family)
+        return symbols if keep is None else [s for s in symbols if keep(i, s)]
+
     for rho in rho_catalog:
         residual = group.rank - rho.glu_rank
         for r1 in range(residual + 1):
@@ -447,29 +455,10 @@ def enumerate_labels(
                     lam_prime
                     for f2 in kind2.families
                     if _signs_fit(group, f1, f2, eps_minus_one)
-                    for lam_prime in enumerate_symbols(residual - r1, f2)
+                    for lam_prime in slot(1, residual - r1, f2)
                 ]
-                for lam, lam_prime, flag in product(enumerate_symbols(r1, f1), seconds, flags):
+                for lam, lam_prime, flag in product(slot(0, r1, f1), seconds, flags):
                     yield RepLabel(group, rho, lam, lam_prime, flag)
-
-
-def _candidate_count(target: GroupTag, eps_minus_one: Sign) -> int:
-    """The labels of ``target`` over ``ggp.default_rho_catalog``, by :func:`count_symbols`.
-
-    The catalog has one descriptor per residual rank 0..rank.  Counting
-    goes smallest residual first and stops once the count passes
-    ``MAX_LAYER_SYMBOLS``, so no slot rank far past the bound is counted;
-    the result is then a lower bound.
-    """
-    slots = [kind.families for kind in _SLOTS[target.family]]
-    total = 0
-    for residual in range(target.rank + 1):
-        for r1, f1, f2 in product(range(residual + 1), *slots):
-            if _signs_fit(target, f1, f2, eps_minus_one):
-                total += count_symbols(r1, f1) * count_symbols(residual - r1, f2)
-        if total > core.MAX_LAYER_SYMBOLS:  # read at call time, as the refusal reads it
-            break
-    return total * len(_EPS_FLAGS[target.family])
 
 
 # ---------------------------------------------------------------------------

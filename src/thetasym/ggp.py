@@ -32,8 +32,8 @@ regular (metadata, with a documented default convention).
 There is one evaluation path: a run validates a pair, builds each label's
 sides and runs the gates above on each side pair in normalized order.  A
 plain pair is one unvaried pair on a fresh run, a transpose-variant family
-its variant pairs, and :func:`branch_decomposition` evaluates all of its
-candidates on one run.
+its variant pairs, and :func:`branch_decomposition` the candidates whose
+slots pass the pair-condition gate, on one run.
 """
 
 from __future__ import annotations
@@ -52,13 +52,12 @@ from .catalog import (
     RhoDescriptor,
     Sign,
     TRIVIAL_RHO,
-    _candidate_count,
     enumerate_labels,
     is_unipotent_label,
     kh_of,
     symbol_regular_by_convention,
 )
-from .core import Symbol, _check_bound, symbol_defect, symbol_transpose
+from .core import Symbol, _check_sweep, symbol_defect, symbol_transpose
 from .errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch
 from .theta import TowerContext, default_orientation, in_G
 
@@ -317,9 +316,7 @@ class _VariantRun:
         self._sides: dict[tuple, list[_Side]] = {}
         self._gates: dict[tuple[Symbol, Symbol], bool] = {}
 
-    def sides(
-        self, label: RepLabel, supplied: Bits, slots: tuple[int, ...], keep: bool = True
-    ) -> list[_Side]:
+    def sides(self, label: RepLabel, supplied: Bits, slots: tuple[int, ...]) -> list[_Side]:
         """``label`` and its transposes in the varied slots, in family order.
 
         Transposing slot i (0 is ``lam``, 1 ``lam_prime``) negates entry i of
@@ -327,7 +324,6 @@ class _VariantRun:
         open; only even-type slots are varied, so the negation is exact.  A
         slot equal to its own transpose gives no new variant.  Bits are
         resolved last: an open first bit takes its cuspidal-chain default.
-        Sides built with ``keep`` false are not stored.
         """
         key = (id(label), supplied, slots)
         sides = self._sides.get(key)
@@ -345,12 +341,10 @@ class _VariantRun:
                 if bits[i] is not None:
                     bits[i] = -bits[i]
                 out.append((RepLabel(v.group, v.rho, *syms, v.eps_flag), KH(*kh), tuple(bits)))
-        sides = [
+        sides = self._sides[key] = [
             _Side(v, kh, (default_orientation(v, *kh) if p is None else p, s))
             for v, kh, (p, s) in out
         ]
-        if keep:
-            self._sides[key] = sides
         return sides
 
     def pairs(
@@ -362,9 +356,7 @@ class _VariantRun:
         the second slot on both sides.  Bessel puts the odd orthogonal label
         first and, when ``varied``, varies both slots of the even one.  Each
         label keeps its argument's supplied bits.  Side lists start with the
-        unvaried label, so the first pair holds the gate labels.  The sides
-        of an unvaried second label are not stored: a branch table meets each
-        candidate once.
+        unvaried label, so the first pair holds the gate labels.
         """
         fl, fr = left.group.family, right.group.family
         bits = self.bits
@@ -381,29 +373,29 @@ class _VariantRun:
                 left, right, bits = right, left, bits[::-1]
             slots = (0, 1) if varied else ()
             firsts = self.sides(left, bits[0], ())
-        return list(product(firsts, self.sides(right, bits[1], slots, varied)))
+        return list(product(firsts, self.sides(right, bits[1], slots)))
+
+    def slot_gate(self, fixed: Symbol, varied: Symbol) -> bool:
+        """Whether ``fixed`` and a transpose of ``varied`` form a branching pair; stored."""
+        key = (fixed, varied)
+        gate = self._gates.get(key)
+        if gate is None:
+            gate = self._gates[key] = any(
+                in_G(fixed, t) is not None for t in {varied, symbol_transpose(varied)}
+            )
+        return gate
 
     def pair_gate(self, first: RepLabel, second: RepLabel, case: GGPCase) -> bool:
-        """The pair-condition gate of the pair, one stored value per symbol pair.
+        """The pair-condition gate: :meth:`slot_gate` of each fixed slot and its varied partner.
 
         Each varied slot is tried in both transposes, and the Fourier-Jacobi
         form is symmetric under swapping the pair, so all members of a
         transpose-variant family share one value.
         """
+        gate = self.slot_gate
         if case is FOURIER_JACOBI:
-            slots = ((first.lam, second.lam_prime), (second.lam, first.lam_prime))
-        else:
-            slots = ((first.lam, second.lam), (first.lam_prime, second.lam_prime))
-        for key in slots:
-            gate = self._gates.get(key)
-            if gate is None:
-                fixed, varied = key
-                gate = self._gates[key] = any(
-                    in_G(fixed, t) is not None for t in {varied, symbol_transpose(varied)}
-                )
-            if not gate:
-                return False
-        return True
+            return gate(first.lam, second.lam_prime) and gate(second.lam, first.lam_prime)
+        return gate(first.lam, second.lam) and gate(first.lam_prime, second.lam_prime)
 
     def evaluate(
         self, left: RepLabel, right: RepLabel, case: GGPCase, varied: bool
@@ -518,13 +510,16 @@ def branch_decomposition(
     Two shapes are supported, both at equal rank parameter: a symplectic
     label against symplectic candidates (restriction through the oscillator
     twist) and an odd orthogonal label against even orthogonal candidates.
-    Candidates run over all labels of the target built from
+    Candidates run over the labels of the target built from
     :func:`default_rho_catalog`; rows whose multiplicity is definitely zero
     are dropped, and orientation-blocked rows are kept as undetermined
     rather than silently discarded.
 
-    A table of more than ``MAX_LAYER_SYMBOLS`` candidates raises
-    ``ValueError`` before any candidate is built.
+    The label walk keeps only the candidate slot symbols that pass their own
+    key of the pair-condition gate, which no nonzero row fails.  It reads
+    each layer of rank <= the target rank at most once per slot, so a target
+    whose sweep exceeds ``MAX_LAYER_SYMBOLS`` (rank 23 and up) raises
+    ``ValueError`` before any layer is built.
 
     Output order: first-slot defect, second-slot defect, rows, descriptor
     id, sign flag.
@@ -545,11 +540,18 @@ def branch_decomposition(
         raise RankMismatch(
             f"target rank {target.rank} != source rank parameter {pi.group.rank}"
         )
-    size = _candidate_count(target, ctx.eps_minus_one)
-    _check_bound(size, f"the {target} table", "candidates", "at least ")
+    _check_sweep(target.rank)
     run = _VariantRun(ctx)
+
+    def keep(i: int, s: Symbol) -> bool:
+        # the one key of run.pair_gate(pi, candidate) that reads candidate slot i
+        if case is FOURIER_JACOBI:
+            return run.slot_gate(s, pi.lam_prime) if i == 0 else run.slot_gate(pi.lam, s)
+        return run.slot_gate((pi.lam, pi.lam_prime)[i], s)
+
     rows = []
-    for candidate in enumerate_labels(target, ctx.eps_minus_one, default_rho_catalog(target.rank)):
+    catalog = default_rho_catalog(target.rank)
+    for candidate in enumerate_labels(target, ctx.eps_minus_one, catalog, keep):
         value = run.evaluate(pi, candidate, case, False)[0][2]
         if not value.is_zero:
             rows.append((candidate, value))

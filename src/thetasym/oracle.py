@@ -268,8 +268,10 @@ def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationR
     evaluation raises the multiple-nonzero error are recorded as failures.
     Each family is evaluated as :func:`~thetasym.ggp.select_nonzero_variant`
     does, but the families of one run share each label's variant sides and
-    each symbol pair's gate.
+    each symbol pair's gate.  Oversized sweeps are refused as in
+    :func:`verify_f1`.
     """
+    _check_sweep(max_rank)
     report = VerificationReport()
     start = time.monotonic()
     run = _VariantRun(ctx)

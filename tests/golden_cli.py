@@ -12,11 +12,12 @@ verb and output format, the square class of -1 given both by
 domain and usage refusals, the failing
 ``verify --suite variants --eps-minus-one -`` run, and the deep verifier
 runs (``counts`` to rank 12, ``f1`` to rank 13, ``variants`` to rank 4),
-which take about 8 of its 12 s on a 2-vCPU machine.  Each stdout line is
-``index digest exit argv`` (the digest covers stdout, stderr and the exit
-code of that request), and the digest of all of them goes to stderr.  Run
-it on two checkouts and ``diff`` the outputs to see which request changed.
-This is a script, not a test: pytest does not collect it.
+which take about 8 of its 12 s on a 2-vCPU machine.  The deck ends with the
+trivial ``sp(28)`` branch table and a rank-30 table over the sweep bound.
+Each stdout line is ``index digest exit argv`` (the digest covers stdout,
+stderr and the exit code of that request), and the digest of all of them
+goes to stderr.  Run it on two checkouts and ``diff`` the outputs to see
+which request changed.  This is a script, not a test: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -211,6 +212,13 @@ def _deck(rng: random.Random) -> list[list[str]]:
         ["verify", "--suite", "counts", "--max-rank", "12"],
         ["verify", "--suite", "f1", "--max-rank", "13"],
         ["verify", "--suite", "variants", "--max-rank", "4"],
+    ]
+    # appended, so that earlier indices stay put: branch tables on either side of the sweep bound
+    deck += [
+        ["ggp-branch", "--pi", "sp(28): rho=trivial:0:reg ; L=[14|] ; L'=[|]", "--target", "sp(28)",
+         "--eps-minus-one", "+"],
+        ["ggp-branch", "--pi", "sp(60): rho=trivial:0:reg ; L=[30|] ; L'=[|]", "--target", "sp(60)",
+         "--eps-minus-one", "+"],
     ]
     return deck
 

@@ -7,6 +7,7 @@ import pytest
 
 import thetasym.catalog as catalog
 import thetasym.core as core
+import thetasym.ggp as ggp
 import thetasym.theta as theta
 from thetasym.catalog import (
     KH,
@@ -521,7 +522,10 @@ def test_each_rule_is_written_once():
     band are read only in ``core`` and ``theta`` (whose one partner scan
     serves both theta directions), and a ``DefectClassMismatch`` is built
     only in ``_SlotKind.entry`` and the even orthogonal tower check of
-    ``first_occurrence_unipotent``; a copy anywhere else fails here."""
+    ``first_occurrence_unipotent``.  The slot sign equation is called only
+    by label validation and the one label walk, ``enumerate_labels``, and
+    the pair condition ``in_G`` only by ``_VariantRun.slot_gate``.  A copy
+    anywhere else fails here."""
     sources = {p.name: p.read_text() for p in Path(catalog.__file__).parent.glob("*.py")}
     assert sum(text.count("over the enumeration bound") for text in sources.values()) == 1
     assert "over the enumeration bound" in sources["core.py"]
@@ -535,6 +539,15 @@ def test_each_rule_is_written_once():
     assert {name: n for name, n in counts.items() if n} == {"catalog.py": 1, "theta.py": 1}
     assert "DefectClassMismatch(" in inspect.getsource(catalog._SlotKind.entry)
     assert "DefectClassMismatch(" in inspect.getsource(theta.first_occurrence_unipotent)
+    # one label walk and one pair-condition check
+    for name, module, homes in (
+        ("_signs_fit", "catalog.py", (catalog.make_label, catalog.enumerate_labels)),
+        ("in_G", "ggp.py", (ggp._VariantRun.slot_gate,)),
+    ):
+        called = re.compile(rf"(?<!def )\b{name}\(")
+        counts = {file: len(called.findall(text)) for file, text in sources.items()}
+        assert {file: n for file, n in counts.items() if n} == {module: len(homes)}
+        assert all(called.search(inspect.getsource(home)) for home in homes)
 
 
 def test_negative_sizes_and_index_zero_give_empty_results():

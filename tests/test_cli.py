@@ -324,7 +324,7 @@ def test_oversized_layer_refused_before_work(monkeypatch, capsys):
     )
 
 
-@pytest.mark.parametrize("suite", ["counts", "f1"])
+@pytest.mark.parametrize("suite", ["counts", "f1", "variants"])
 def test_oversized_sweep_refused_before_work(suite, monkeypatch, capsys):
     forbid_layer_builds(monkeypatch)
     code, out = run_cli(["verify", "--suite", suite, "--max-rank", "23"])
@@ -342,11 +342,11 @@ def test_oversized_branch_table_refused_before_work(monkeypatch, capsys):
         raise AssertionError("candidates were enumerated for a refused table")
 
     monkeypatch.setattr(ggp, "enumerate_labels", must_not_run)
-    pi = "sp(36): rho=trivial:0:reg ; L=[18|] ; L'=[|]"
-    code, out = run_cli(["ggp-branch", "--pi", pi, "--target", "sp(36)", "--eps-minus-one", "+"])
+    pi = "sp(46): rho=trivial:0:reg ; L=[23|] ; L'=[|]"
+    code, out = run_cli(["ggp-branch", "--pi", pi, "--target", "sp(46)", "--eps-minus-one", "+"])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == (
-        "error: the sp(36) table has at least 1383529 candidates, "
+        "error: the rank <= 23 sweep has 1063737 symbols, "
         f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}\n"
     )
 

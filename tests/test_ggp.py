@@ -31,7 +31,7 @@ from thetasym.core import (
     symbol_transpose,
 )
 from thetasym.errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch
-from thetasym import catalog, core, ggp
+from thetasym import ggp
 from thetasym.ggp import (
     BESSEL,
     FOURIER_JACOBI,
@@ -567,59 +567,76 @@ def _branch_key(row):
 )
 @pytest.mark.parametrize("eps", [PLUS, MINUS], ids=["eps+", "eps-"])
 def test_branch_matches_per_candidate_reference(eps, bits):
-    """A branch table shares one run over its candidates; a reference made of
-    one fresh ggp_multiplicity call per candidate must give the same table."""
+    """A branch table evaluates only the candidates whose slot symbols pass
+    the pair gate; the full-candidate filter must give the same rows in the
+    same order, for every unipotent sp and odd orthogonal source of rank <= 4.
+
+    Ranks <= 3 evaluate each candidate by a fresh ggp_multiplicity call; rank
+    4 uses one run and one candidate list per target for all its tables,
+    which test_shared_run_matches_fresh_calls pins against fresh calls.
+    """
     ctx = TowerContext(eps, **bits)
-    sources = []
-    for n in range(4):
-        sources += [(l, BESSEL, [o_even(n, s) for s in (PLUS, MINUS)])
-                    for s in (PLUS, MINUS) for l in enumerate_labels(o_odd(n, s), eps)]
+    shared = _VariantRun(ctx)
+    for n in range(5):
+        sources = [(l, BESSEL, [o_even(n, s) for s in (PLUS, MINUS)])
+                   for s in (PLUS, MINUS) for l in enumerate_labels(o_odd(n, s), eps)]
         sources += [(l, FOURIER_JACOBI, [sp(n)]) for l in enumerate_labels(sp(n), eps)]
-    for pi, case, targets in sources:
-        if not is_unipotent_label(pi):
-            continue
-        for target in targets:
-            expected = []
-            for candidate in enumerate_labels(target, eps, default_rho_catalog(target.rank)):
-                value = ggp_multiplicity(pi, candidate, case, ctx)
-                if not value.is_zero:
-                    expected.append((candidate, value))
-            expected.sort(key=_branch_key)
-            assert branch_decomposition(pi, target, ctx) == expected, f"{pi} -> {target}"
-
-
-def test_candidate_count_matches_enumeration():
-    for n, eps in itertools.product(range(5), (PLUS, MINUS)):
-        groups = [sp(n)] + [tag(n, s) for tag in (o_even, o_odd) for s in (PLUS, MINUS)]
-        for group in groups:
-            labels = enumerate_labels(group, eps, default_rho_catalog(n))
-            assert catalog._candidate_count(group, eps) == sum(1 for _ in labels), (group, eps)
-
-
-def test_candidate_count_around_the_bound():
-    assert catalog._candidate_count(sp(14), PLUS) == 749_971 <= MAX_LAYER_SYMBOLS
-    # counting stops past the bound, so an oversized table is cheap to refuse
-    assert MAX_LAYER_SYMBOLS < catalog._candidate_count(sp(16), PLUS) < 2_506_923
-    assert catalog._candidate_count(sp(10**17), PLUS) > MAX_LAYER_SYMBOLS
-
-
-def test_candidate_count_stops_at_the_bound_the_refusal_reads(monkeypatch):
-    monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", 3_000_000)
-    assert catalog._candidate_count(sp(16), PLUS) == 2_506_923
-    monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", 10)
-    with pytest.raises(ValueError, match="MAX_LAYER_SYMBOLS = 10$"):
-        branch_decomposition(unipotent_label(sp(2), parse_symbol("[2|]")), sp(2), CTX)
+        candidates = {
+            target: list(enumerate_labels(target, eps, default_rho_catalog(n)))
+            for target in (sp(n), o_even(n, PLUS), o_even(n, MINUS))
+        }
+        for pi, case, targets in sources:
+            if not is_unipotent_label(pi):
+                continue
+            for target in targets:
+                expected = []
+                for candidate in candidates[target]:
+                    if n < 4:
+                        value = ggp_multiplicity(pi, candidate, case, ctx)
+                    else:
+                        value = shared.evaluate(pi, candidate, case, False)[0][2]
+                    if not value.is_zero:
+                        expected.append((candidate, value))
+                expected.sort(key=_branch_key)
+                assert branch_decomposition(pi, target, ctx) == expected, f"{pi} -> {target}"
 
 
 @pytest.mark.parametrize(
-    "pi, target",
+    "pi, target, rows",
     [
-        (unipotent_label(sp(16), parse_symbol("[16|]")), sp(16)),
-        (unipotent_label(o_odd(40, PLUS), parse_symbol("[40|]"), PLUS), o_even(40, MINUS)),
+        (unipotent_label(sp(8), parse_symbol("[8|]")), sp(8), 4),
+        (unipotent_label(o_odd(8, PLUS), parse_symbol("[8|]"), PLUS), o_even(8, PLUS), 2),
     ],
-    ids=["sp(32)", "o+(81)"],
+    ids=["sp(16)", "o+(16)"],
 )
-def test_oversized_branch_table_refused_before_building(pi, target, monkeypatch):
+def test_branch_evaluates_only_gated_candidates(pi, target, rows, monkeypatch):
+    """The trivial label's table evaluates no more candidates than it prints
+    rows, not the 11,487 and 9,430 labels of these targets."""
+    evaluated = []
+    evaluate = _VariantRun.evaluate
+
+    def counting_evaluate(self, left, right, case, varied):
+        evaluated.append(right)
+        return evaluate(self, left, right, case, varied)
+
+    monkeypatch.setattr(_VariantRun, "evaluate", counting_evaluate)
+    assert len(branch_decomposition(pi, target, CTX)) == rows
+    assert len(evaluated) <= rows
+
+
+@pytest.mark.parametrize(
+    "pi, target, text",
+    [
+        (unipotent_label(sp(23), parse_symbol("[23|]")), sp(23), "the rank <= 23 sweep has 1063737"),
+        (
+            unipotent_label(o_odd(40, PLUS), parse_symbol("[40|]"), PLUS),
+            o_even(40, MINUS),
+            "the rank <= 40 sweep has more than 1063737",
+        ),
+    ],
+    ids=["sp(46)", "o+(81)"],
+)
+def test_oversized_branch_table_refused_before_building(pi, target, text, monkeypatch):
     forbid_layer_builds(monkeypatch)
 
     def must_not_run(*args, **kwargs):
@@ -628,10 +645,8 @@ def test_oversized_branch_table_refused_before_building(pi, target, monkeypatch)
     monkeypatch.setattr(ggp, "enumerate_labels", must_not_run)
     with pytest.raises(ValueError) as err:
         branch_decomposition(pi, target, CTX)
-    size = catalog._candidate_count(target, PLUS)
     assert str(err.value) == (
-        f"the {target} table has at least {size} candidates, "
-        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+        f"{text} symbols, over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
     )
 
 

@@ -218,7 +218,10 @@ def _sweep_size(max_rank: int) -> int:
     return sum(count_symbols(r, f) for r in range(max_rank + 1) for f in SymbolFamily)
 
 
-@pytest.mark.parametrize("verify", [verify_counts, verify_f1])
+@pytest.mark.parametrize(
+    "verify",
+    [verify_counts, verify_f1, lambda max_rank: verify_variant_uniqueness(max_rank, TowerContext())],
+)
 def test_oversized_sweep_refused_before_building(verify, monkeypatch):
     forbid_layer_builds(monkeypatch)
     with pytest.raises(ValueError) as err:
