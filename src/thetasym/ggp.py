@@ -25,9 +25,9 @@ The base factor is the multiplicity of the general-linear parts: 1 for two
 regular descriptors (the trivial one counts as regular; two others are taken
 to have disjoint eigenvalue data), 0 for a trivial descriptor against an
 irregular one, and a symbolic value otherwise - evaluating it in general is
-out of scope here.  When a unipotent label restricts against a general one,
-the unipotent side additionally forces the opposite slot symbol to be
-regular (metadata, with a documented default convention).
+out of scope here.  A unipotent side of at least the other's rank forces a
+slot of the other label to be regular (a documented default): the ``lam``
+for Fourier-Jacobi; for Bessel only an odd side is read, forcing ``lam_prime``.
 
 There is one evaluation path: a run validates a pair, builds each label's
 sides and runs the gates above on each side pair in normalized order.  A
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import product
 from typing import NamedTuple
 
@@ -135,14 +136,6 @@ _ORIENTATION_OPEN = Multiplicity(MultKind.UNDETERMINED, reason="orientation")
 # ---------------------------------------------------------------------------
 
 
-def _tri_and(a: bool | None, b: bool | None) -> bool | None:
-    if a is False or b is False:
-        return False
-    if a is None or b is None:
-        return None
-    return True
-
-
 def _one_sided(dist: int, other: int, match: bool | None) -> bool | None:
     """One relevance condition: distance band plus tower match.
 
@@ -200,7 +193,9 @@ def _strong_relevance(left: _Side, right: _Side, case: GGPCase, ctx: TowerContex
     else:
         c1 = _one_sided(kl, abs(kr), _match_bit(bits_left[0], bits_right[0]))
         c2 = _one_sided(hl, abs(hr), _match_bit(bits_left[1], bits_right[1]))
-    return _tri_and(c1, c2)
+    if c1 is False or c2 is False:
+        return False
+    return c1 and c2  # True, or None when a needed bit is open
 
 
 def _fj_order(label: RepLabel):
@@ -254,11 +249,12 @@ def _base_multiplicity(left: RepLabel, right: RepLabel) -> Multiplicity:
 
 
 def _unipotent_slot_gates(left: RepLabel, right: RepLabel, case: GGPCase) -> bool:
-    """Regularity forced on the opposite slot by a unipotent side.
+    """Regularity forced on one slot of the other label by a unipotent side.
 
-    Applied when the unipotent side has at least the rank of the other (a
-    Bessel pair has its odd label first, and 2n+1 >= 2m iff n >= m); a
-    Fourier-Jacobi pair of equal ranks is checked both ways, for symmetry.
+    Applied when the unipotent side has at least the rank of the other.  A
+    Fourier-Jacobi side forces the other ``lam``, both ways at equal ranks.
+    Bessel reads only the odd label (first; 2n+1 >= 2m iff n >= m), forcing
+    ``lam_prime``: a unipotent even side is never read, even when larger.
     """
     fj = case is FOURIER_JACOBI
     checks: list[Symbol] = []
@@ -376,26 +372,30 @@ class _VariantRun:
         return list(product(firsts, self.sides(right, bits[1], slots)))
 
     def slot_gate(self, fixed: Symbol, varied: Symbol) -> bool:
-        """Whether ``fixed`` and a transpose of ``varied`` form a branching pair; stored."""
+        """Whether ``fixed`` and a transpose of ``varied`` form a branching pair.
+
+        Stored under both transposes; only :meth:`candidate_gate` asks.
+        """
         key = (fixed, varied)
         gate = self._gates.get(key)
         if gate is None:
-            gate = self._gates[key] = any(
-                in_G(fixed, t) is not None for t in {varied, symbol_transpose(varied)}
+            t = symbol_transpose(varied)
+            gate = self._gates[key] = self._gates[fixed, t] = any(
+                in_G(fixed, v) is not None for v in {varied, t}
             )
         return gate
 
-    def pair_gate(self, first: RepLabel, second: RepLabel, case: GGPCase) -> bool:
-        """The pair-condition gate: :meth:`slot_gate` of each fixed slot and its varied partner.
+    def candidate_gate(self, fixed: RepLabel, i: int, s: Symbol, case: GGPCase) -> bool:
+        """Whether ``s`` in slot i (0 is ``lam``) of a candidate passes its key against ``fixed``.
 
-        Each varied slot is tried in both transposes, and the Fourier-Jacobi
-        form is symmetric under swapping the pair, so all members of a
-        transpose-variant family share one value.
+        The one wiring of slots to :meth:`slot_gate`: Fourier-Jacobi pairs each
+        ``lam`` with the other, varied ``lam_prime``; Bessel slot i with slot i.
         """
-        gate = self.slot_gate
         if case is FOURIER_JACOBI:
-            return gate(first.lam, second.lam_prime) and gate(second.lam, first.lam_prime)
-        return gate(first.lam, second.lam) and gate(first.lam_prime, second.lam_prime)
+            fixed_slot, varied = (s, fixed.lam_prime) if i == 0 else (fixed.lam, s)
+        else:
+            fixed_slot, varied = (fixed.lam_prime if i else fixed.lam), s
+        return self.slot_gate(fixed_slot, varied)
 
     def evaluate(
         self, left: RepLabel, right: RepLabel, case: GGPCase, varied: bool
@@ -403,18 +403,21 @@ class _VariantRun:
         """Each side pair of :meth:`pairs` with its multiplicity, in family order.
 
         Each pair runs the gate sequence of :func:`ggp_multiplicity` in
-        :func:`_in_order`.  The pair-condition gate, which all side pairs
-        share, is read at most once, and only for a pair whose relevance is
-        not definitely false.
+        :func:`_in_order`.  The pair-condition gate, :meth:`candidate_gate` on
+        both slots of the second gate label, tries each varied slot in both
+        transposes and is symmetric for Fourier-Jacobi, so all side pairs share
+        it: it is read at most once, and only if relevance is not definitely false.
         """
         pairs = self.pairs(left, right, case, varied)
+        first, second = pairs[0][0].label, pairs[0][1].label
         gate = None
         out = []
         for lv, rv in pairs:
             a, b = _in_order(lv, rv, case)
             strong = _strong_relevance(a, b, case, self.ctx)
             if strong is not False and gate is None:
-                gate = self.pair_gate(pairs[0][0].label, pairs[0][1].label, case)
+                slot = self.candidate_gate
+                gate = slot(first, 0, second.lam, case) and slot(first, 1, second.lam_prime, case)
             if strong is False or not gate:
                 value = _ZERO
             elif strong is None:
@@ -516,10 +519,11 @@ def branch_decomposition(
     rather than silently discarded.
 
     The label walk keeps only the candidate slot symbols that pass their own
-    key of the pair-condition gate, which no nonzero row fails.  It reads
-    each layer of rank <= the target rank at most once per slot, so a target
-    whose sweep exceeds ``MAX_LAYER_SYMBOLS`` (rank 23 and up) raises
-    ``ValueError`` before any layer is built.
+    key of the pair-condition gate (:meth:`_VariantRun.candidate_gate`, which
+    evaluation reads too), so no nonzero row is lost.  It reads each layer of
+    rank <= the target rank at most once per slot, so a target whose sweep
+    exceeds ``MAX_LAYER_SYMBOLS`` (rank 23 and up) raises ``ValueError``
+    before any layer is built.
 
     Output order: first-slot defect, second-slot defect, rows, descriptor
     id, sign flag.
@@ -542,13 +546,7 @@ def branch_decomposition(
         )
     _check_sweep(target.rank)
     run = _VariantRun(ctx)
-
-    def keep(i: int, s: Symbol) -> bool:
-        # the one key of run.pair_gate(pi, candidate) that reads candidate slot i
-        if case is FOURIER_JACOBI:
-            return run.slot_gate(s, pi.lam_prime) if i == 0 else run.slot_gate(pi.lam, s)
-        return run.slot_gate((pi.lam, pi.lam_prime)[i], s)
-
+    keep = partial(run.candidate_gate, pi, case=case)
     rows = []
     catalog = default_rho_catalog(target.rank)
     for candidate in enumerate_labels(target, ctx.eps_minus_one, catalog, keep):

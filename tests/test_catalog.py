@@ -524,8 +524,9 @@ def test_each_rule_is_written_once():
     only in ``_SlotKind.entry`` and the even orthogonal tower check of
     ``first_occurrence_unipotent``.  The slot sign equation is called only
     by label validation and the one label walk, ``enumerate_labels``, and
-    the pair condition ``in_G`` only by ``_VariantRun.slot_gate``.  A copy
-    anywhere else fails here."""
+    the pair condition ``in_G`` only by ``_VariantRun.slot_gate``, which
+    only ``_VariantRun.candidate_gate``, the one wiring of label slots to
+    its keys, calls.  A copy anywhere else fails here."""
     sources = {p.name: p.read_text() for p in Path(catalog.__file__).parent.glob("*.py")}
     assert sum(text.count("over the enumeration bound") for text in sources.values()) == 1
     assert "over the enumeration bound" in sources["core.py"]
@@ -539,10 +540,11 @@ def test_each_rule_is_written_once():
     assert {name: n for name, n in counts.items() if n} == {"catalog.py": 1, "theta.py": 1}
     assert "DefectClassMismatch(" in inspect.getsource(catalog._SlotKind.entry)
     assert "DefectClassMismatch(" in inspect.getsource(theta.first_occurrence_unipotent)
-    # one label walk and one pair-condition check
+    # one label walk, one pair-condition check and one wiring of its keys
     for name, module, homes in (
         ("_signs_fit", "catalog.py", (catalog.make_label, catalog.enumerate_labels)),
         ("in_G", "ggp.py", (ggp._VariantRun.slot_gate,)),
+        ("slot_gate", "ggp.py", (ggp._VariantRun.candidate_gate,)),
     ):
         called = re.compile(rf"(?<!def )\b{name}\(")
         counts = {file: len(called.findall(text)) for file, text in sources.items()}

@@ -19,13 +19,17 @@ from thetasym.catalog import (
     make_label,
     o_even,
     o_odd,
+    parse_label,
     sp,
+    symbol_regular_by_convention,
     twist_label,
     unipotent_label,
 )
 from thetasym.core import (
     EMPTY_SYMBOL,
     MAX_LAYER_SYMBOLS,
+    SymbolFamily,
+    enumerate_symbols,
     parse_symbol,
     symbol_defect,
     symbol_transpose,
@@ -45,7 +49,7 @@ from thetasym.ggp import (
     select_nonzero_variant,
 )
 from thetasym.oracle import _bessel_pairs, _fj_pairs, verify_variant_uniqueness
-from thetasym.theta import TowerContext
+from thetasym.theta import TowerContext, in_G
 
 from symbol_helpers import forbid_layer_builds, relevance_necessary
 
@@ -240,13 +244,29 @@ def test_base_multiplicity_table():
     assert got == table
 
 
-def test_unipotent_regularity_gate():
-    """A unipotent side zeroes pairs whose opposite slot is not regular."""
+def test_unipotent_regularity_gate(monkeypatch):
+    """A unipotent side zeroes pairs whose opposite slot is not regular.
+
+    Bessel reads only a unipotent odd label of at least the even label's
+    rank, which forces the even label's second slot.  Against [0|1], which
+    is not regular, the o+(3) pair is 0, and the regularity gate decides it:
+    with every symbol taken as regular it is 1.  The smaller o+(1) label
+    forces nothing, so the same even label gives 1."""
     st4 = unipotent_label(sp(2), parse_symbol("[2,1,0|2,1]"))  # regular column shape
     other = unipotent_label(sp(2), parse_symbol("[1,0|2]"))  # same gates, not regular
     assert ggp_multiplicity(st4, st4, FOURIER_JACOBI, CTX).is_one
     assert ggp_multiplicity(st4, other, FOURIER_JACOBI, CTX).is_zero
     assert ggp_multiplicity(other, st4, FOURIER_JACOBI, CTX).is_zero
+    odd = parse_label("o+(3): rho=trivial:0:reg ; L=[1,0|1] ; L'=[0|] ; eps=+")
+    small = parse_label("o+(1): rho=trivial:0:reg ; L=[0|] ; L'=[0|] ; eps=+")
+    even = parse_label("o+(2): rho=trivial:0:reg ; L=[|] ; L'=[0|1]")
+    assert is_unipotent_label(odd) and is_unipotent_label(small)
+    assert not symbol_regular_by_convention(even.lam_prime)
+    assert ggp_multiplicity(odd, even, BESSEL, CTX).is_zero
+    assert ggp_multiplicity(even, odd, BESSEL, CTX).is_zero
+    assert ggp_multiplicity(small, even, BESSEL, CTX).is_one
+    monkeypatch.setattr(ggp, "symbol_regular_by_convention", lambda s: True)
+    assert ggp_multiplicity(odd, even, BESSEL, CTX).is_one
 
 
 def test_sgn_twist_equivariance_bessel():
@@ -504,8 +524,6 @@ def test_branch_multiplicity_free_small():
 
 
 def test_branch_fj_multiplicity_free_small():
-    from thetasym.core import SymbolFamily, enumerate_symbols
-
     for n in range(3):
         for lam in enumerate_symbols(n, SymbolFamily.SP_UNIPOTENT):
             pi = unipotent_label(sp(n), lam)
@@ -601,17 +619,33 @@ def test_branch_matches_per_candidate_reference(eps, bits):
                 assert branch_decomposition(pi, target, ctx) == expected, f"{pi} -> {target}"
 
 
+def count_in_G(monkeypatch) -> list:
+    """Record each ``in_G`` call that ``ggp`` makes."""
+    calls = []
+    real = ggp.in_G
+
+    def counting_in_G(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ggp, "in_G", counting_in_G)
+    return calls
+
+
 @pytest.mark.parametrize(
-    "pi, target, rows",
+    "pi, target, rows, keys",
     [
-        (unipotent_label(sp(8), parse_symbol("[8|]")), sp(8), 4),
-        (unipotent_label(o_odd(8, PLUS), parse_symbol("[8|]"), PLUS), o_even(8, PLUS), 2),
+        (unipotent_label(sp(8), parse_symbol("[8|]")), sp(8), 4, 1586),
+        (unipotent_label(o_odd(8, PLUS), parse_symbol("[8|]"), PLUS), o_even(8, PLUS), 2, 2009),
     ],
     ids=["sp(16)", "o+(16)"],
 )
-def test_branch_evaluates_only_gated_candidates(pi, target, rows, monkeypatch):
+def test_branch_evaluates_only_gated_candidates(pi, target, rows, keys, monkeypatch):
     """The trivial label's table evaluates no more candidates than it prints
-    rows, not the 11,487 and 9,430 labels of these targets."""
+    rows, not the 11,487 and 9,430 labels of these targets, and asks in_G
+    once per transpose class of each gate key: 1,586 and 2,009 calls, where
+    asking per symbol made 2,580 and 3,993."""
+    calls = count_in_G(monkeypatch)
     evaluated = []
     evaluate = _VariantRun.evaluate
 
@@ -622,6 +656,26 @@ def test_branch_evaluates_only_gated_candidates(pi, target, rows, monkeypatch):
     monkeypatch.setattr(_VariantRun, "evaluate", counting_evaluate)
     assert len(branch_decomposition(pi, target, CTX)) == rows
     assert len(evaluated) <= rows
+    assert len(calls) <= keys
+
+
+def test_slot_gate_answers_once_per_transpose_class(monkeypatch):
+    """A slot gate's answer holds for both transposes of the varied symbol,
+    so asking for the other transpose makes no new in_G call."""
+    calls = count_in_G(monkeypatch)
+    answers = set()
+    for n in range(3):
+        for fixed in enumerate_symbols(n, SymbolFamily.SP_UNIPOTENT):
+            run = _VariantRun(CTX)
+            for family in (SymbolFamily.O_EVEN_PLUS, SymbolFamily.O_EVEN_MINUS):
+                for s in enumerate_symbols(n, family):
+                    t = symbol_transpose(s)
+                    answers.add(gate := run.slot_gate(fixed, s))
+                    assert gate is any(in_G(fixed, v) is not None for v in (s, t))
+                    before = len(calls)
+                    assert run.slot_gate(fixed, t) is gate
+                    assert len(calls) == before
+    assert answers == {True, False}
 
 
 @pytest.mark.parametrize(
