@@ -45,12 +45,7 @@ from .core import (
     upsilon,
 )
 from .errors import ThetasymError
-from .ggp import (
-    BESSEL,
-    FOURIER_JACOBI,
-    branch_decomposition,
-    ggp_multiplicity,
-)
+from .ggp import GGPCase, branch_decomposition, ggp_multiplicity
 from .oracle import verify_counts, verify_f1, verify_variant_uniqueness
 from .theta import (
     CuspidalThetaVariant,
@@ -106,15 +101,13 @@ def _add_format(parser) -> None:
     )
 
 
-def _add_eps(parser) -> None:
-    parser.add_argument("--eps-minus-one", choices=("+", "-"), default=None)
-    parser.add_argument("--q", type=int, default=None, help="odd prime power; sets eps-minus-one by q mod 4")
-
-
 _ORIENT_FLAGS = ("--orient-left", "--orient-right", "--orient-left-alt", "--orient-right-alt")
 
 
-def _add_orientations(parser) -> None:
+def _add_context(parser) -> None:
+    """The evaluation context: the square class of -1 (by sign or by q) and the orientation bits."""
+    parser.add_argument("--eps-minus-one", choices=("+", "-"), default=None)
+    parser.add_argument("--q", type=int, default=None, help="odd prime power; sets eps-minus-one by q mod 4")
     for name in _ORIENT_FLAGS:
         parser.add_argument(name, choices=("+", "-"), default=None)
 
@@ -131,26 +124,16 @@ def _check_args(args) -> None:
         eps_minus_one_from_q(args.q)
 
 
-def _resolve_eps(args) -> Sign:
-    if (args.eps_minus_one is None) == (args.q is None):
+def _context(args, default: Sign | None = None) -> TowerContext:
+    """The context of :func:`_add_context`'s flags; ``default`` is eps(-1) when neither eps flag is given."""
+    if args.eps_minus_one is None and args.q is None and default is not None:
+        eps = default
+    elif (args.eps_minus_one is None) == (args.q is None):
         raise ThetasymError("exactly one of --eps-minus-one and --q is required")
-    if args.q is not None:
-        return eps_minus_one_from_q(args.q)
-    return parse_sign(args.eps_minus_one)
-
-
-def _context(args, eps: Sign) -> TowerContext:
-    def get(name):
-        value = getattr(args, name, None)
-        return parse_sign(value) if value is not None else None
-
-    return TowerContext(
-        eps_minus_one=eps,
-        orient_left=get("orient_left"),
-        orient_right=get("orient_right"),
-        orient_left_alt=get("orient_left_alt"),
-        orient_right_alt=get("orient_right_alt"),
-    )
+    else:
+        eps = parse_sign(args.eps_minus_one) if args.q is None else eps_minus_one_from_q(args.q)
+    bits = (args.orient_left, args.orient_right, args.orient_left_alt, args.orient_right_alt)
+    return TowerContext(eps, *(None if bit is None else parse_sign(bit) for bit in bits))
 
 
 _MULT_COLUMNS = ("label", "multiplicity", "status")
@@ -203,21 +186,18 @@ def _cmd_theta_cuspidal(args, out) -> int:
 
 
 def _cmd_ggp_mult(args, out) -> int:
-    eps = _resolve_eps(args)
-    ctx = _context(args, eps)
-    left = parse_label(args.left, eps)
-    right = parse_label(args.right, eps)
-    case = FOURIER_JACOBI if args.case == "fj" else BESSEL
-    value = ggp_multiplicity(left, right, case, ctx)
+    ctx = _context(args)
+    left = parse_label(args.left, ctx.eps_minus_one)
+    right = parse_label(args.right, ctx.eps_minus_one)
+    value = ggp_multiplicity(left, right, GGPCase(args.case), ctx)
     row = _mult_row(f"{format_label(left)} / {format_label(right)}", value)
     _emit(_MULT_COLUMNS, [row], args.format, out)
     return 0
 
 
 def _cmd_ggp_branch(args, out) -> int:
-    eps = _resolve_eps(args)
-    ctx = _context(args, eps)
-    pi = parse_label(args.pi, eps)
+    ctx = _context(args)
+    pi = parse_label(args.pi, ctx.eps_minus_one)
     target = parse_group(args.target)
     rows = [
         _mult_row(format_label(label), value)
@@ -237,11 +217,7 @@ def _cmd_verify(args, out) -> int:
     elif args.suite == "counts":
         report = verify_counts(args.max_rank)
     else:
-        if args.eps_minus_one is None and args.q is None:
-            eps = PLUS
-        else:
-            eps = _resolve_eps(args)
-        report = verify_variant_uniqueness(args.max_rank, _context(args, eps))
+        report = verify_variant_uniqueness(args.max_rank, _context(args, PLUS))
     # elapsed time is deliberately omitted so output stays byte-identical
     out.write(f"suite {args.suite}: {'pass' if report.passed else 'FAIL'} "
               f"({report.checked} checks, {len(report.failures)} failures)\n")
@@ -288,25 +264,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ggp-mult", help="multiplicity of a label pair")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--case", choices=("fj", "bessel"), required=True)
-    _add_eps(p)
-    _add_orientations(p)
+    p.add_argument("--case", choices=[c.value for c in GGPCase], required=True)
+    _add_context(p)
     _add_format(p)
     p.set_defaults(func=_cmd_ggp_mult)
 
     p = sub.add_parser("ggp-branch", help="restriction decomposition of a unipotent label")
     p.add_argument("--pi", required=True)
     p.add_argument("--target", required=True)
-    _add_eps(p)
-    _add_orientations(p)
+    _add_context(p)
     _add_format(p)
     p.set_defaults(func=_cmd_ggp_branch)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("f1", "counts", "variants"), required=True)
     p.add_argument("--max-rank", type=int, required=True)
-    _add_eps(p)
-    _add_orientations(p)
+    _add_context(p)
     p.set_defaults(func=_cmd_verify)
     return parser
 

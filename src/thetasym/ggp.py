@@ -29,6 +29,10 @@ out of scope here.  A unipotent side of at least the other's rank forces a
 slot of the other label to be regular (a documented default): the ``lam``
 for Fourier-Jacobi; for Bessel only an odd side is read, forcing ``lam_prime``.
 
+Each case's facts live on its :class:`GGPCase` member: its command-line
+name, the group families of a normalized pair, the slots a variant family
+varies and its refusal text.  The gates above read the case by hand.
+
 There is one evaluation path: a run validates a pair, builds each label's
 sides and runs the gates above on each side pair in normalized order.  A
 plain pair is one unvaried pair on a fresh run, a transpose-variant family
@@ -64,14 +68,24 @@ from .theta import TowerContext, default_orientation, in_G
 
 
 class GGPCase(Enum):
-    """Which restriction problem.
+    """Which restriction problem, by its command-line name, with its facts.
 
-    The oscillator twist of the Fourier-Jacobi case is the square class of
-    -1 from the evaluation context.
+    Each case carries the group ``families`` of a normalized pair, the
+    ``slots`` a transpose-variant family varies on each side (0 is ``lam``)
+    and the ``mismatch`` text that refuses a pair of other families.  The
+    oscillator twist of the Fourier-Jacobi case is the square class of -1
+    from the evaluation context.
     """
 
+    FOURIER_JACOBI = "fj"
     BESSEL = "bessel"
-    FOURIER_JACOBI = "fourier-jacobi"
+
+    def __init__(self, value: str):
+        sp, odd, even = GroupFamily.SP, GroupFamily.O_ODD, GroupFamily.O_EVEN
+        self.families, self.slots, self.mismatch = {
+            "fj": ((sp, sp), ((1,), (1,)), "Fourier-Jacobi needs two symplectic labels"),
+            "bessel": ((odd, even), ((), (0, 1)), "Bessel needs one odd and one even orthogonal label"),
+        }[value]
 
 
 BESSEL = GGPCase.BESSEL
@@ -348,28 +362,20 @@ class _VariantRun:
     ) -> list[tuple[_Side, _Side]]:
         """Validate the pair; its side pairs in family order.
 
-        Fourier-Jacobi keeps the argument order and, when ``varied``, varies
-        the second slot on both sides.  Bessel puts the odd orthogonal label
-        first and, when ``varied``, varies both slots of the even one.  Each
-        label keeps its argument's supplied bits.  Side lists start with the
-        unvaried label, so the first pair holds the gate labels.
+        A pair whose families come reversed from the case's ``families`` is
+        swapped (Bessel puts the odd orthogonal label first), and one that
+        still does not match raises the case's ``mismatch``.  When ``varied``,
+        each side varies its slots in the case's ``slots``.  Each label keeps
+        its argument's supplied bits.  Side lists start with the unvaried
+        label, so the first pair holds the gate labels.
         """
-        fl, fr = left.group.family, right.group.family
         bits = self.bits
-        if case is FOURIER_JACOBI:
-            if fl is not GroupFamily.SP or fr is not GroupFamily.SP:
-                raise CaseMismatch("Fourier-Jacobi needs two symplectic labels")
-            slots = (1,) if varied else ()
-            firsts = self.sides(left, bits[0], slots)
-        else:
-            odd, even = GroupFamily.O_ODD, GroupFamily.O_EVEN
-            if not ((fl is odd and fr is even) or (fl is even and fr is odd)):
-                raise CaseMismatch("Bessel needs one odd and one even orthogonal label")
-            if fl is even:
-                left, right, bits = right, left, bits[::-1]
-            slots = (0, 1) if varied else ()
-            firsts = self.sides(left, bits[0], ())
-        return list(product(firsts, self.sides(right, bits[1], slots)))
+        if (left.group.family, right.group.family) != case.families:
+            if (right.group.family, left.group.family) != case.families:
+                raise CaseMismatch(case.mismatch)
+            left, right, bits = right, left, bits[::-1]
+        first, second = case.slots if varied else ((), ())
+        return list(product(self.sides(left, bits[0], first), self.sides(right, bits[1], second)))
 
     def slot_gate(self, fixed: Symbol, varied: Symbol) -> bool:
         """Whether ``fixed`` and a transpose of ``varied`` form a branching pair.
@@ -510,9 +516,9 @@ def branch_decomposition(
 ) -> list[tuple[RepLabel, Multiplicity]]:
     """Constituents of a unipotent label's restriction to the target group.
 
-    Two shapes are supported, both at equal rank parameter: a symplectic
-    label against symplectic candidates (restriction through the oscillator
-    twist) and an odd orthogonal label against even orthogonal candidates.
+    The case is the one whose ``families`` are the source's and the target's,
+    at equal rank: a symplectic label against symplectic candidates (through
+    the oscillator twist) or an odd against even orthogonal candidates.
     Candidates run over the labels of the target built from
     :func:`default_rho_catalog`; rows whose multiplicity is definitely zero
     are dropped, and orientation-blocked rows are kept as undetermined
@@ -530,12 +536,9 @@ def branch_decomposition(
     """
     if not is_unipotent_label(pi):
         raise NotUnipotent(f"{pi} is not a unipotent label")
-    src = pi.group.family
-    if src is GroupFamily.SP and target.family is GroupFamily.SP:
-        case = FOURIER_JACOBI
-    elif src is GroupFamily.O_ODD and target.family is GroupFamily.O_EVEN:
-        case = BESSEL
-    else:
+    families = (pi.group.family, target.family)
+    case = next((case for case in GGPCase if case.families == families), None)
+    if case is None:
         raise CaseMismatch(
             f"no branching rule from {pi.group} to {target}; expected a "
             "symplectic or odd-orthogonal-to-even restriction"

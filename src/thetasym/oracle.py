@@ -38,6 +38,7 @@ from .catalog import (
 from .core import (
     Symbol,
     SymbolFamily,
+    _check_bound,
     _check_sweep,
     admissible_defects,
     count_symbols,
@@ -240,23 +241,34 @@ def verify_counts(max_rank: int) -> VerificationReport:
     return report
 
 
-def _fj_pairs(max_rank: int):
-    labels = [list(enumerate_labels(sp(n))) for n in range(max_rank + 1)]
-    for n in range(max_rank + 1):
-        for m in range(n + 1):
-            for left in labels[n]:
-                for right in labels[m]:
-                    yield left, right, FOURIER_JACOBI
+def _variant_families(max_rank: int, eps_minus_one: Sign):
+    """The (left, right, case) families of a variant sweep, counted before any is evaluated.
 
-
-def _bessel_pairs(max_rank: int, eps_minus_one: Sign):
+    The trivial-descriptor label lists are built once each, rank by rank,
+    while the families they give are counted: Fourier-Jacobi pairs an sp(n)
+    label with an sp(m) label, m <= n, and Bessel every odd with every even
+    orthogonal label.  A count over ``MAX_LAYER_SYMBOLS`` raises
+    ``ValueError`` at its first rank; below ``max_rank`` the message then
+    says "more than".
+    """
     ranks, signs = range(max_rank + 1), (PLUS, MINUS)
-    odd = {(n, e): list(enumerate_labels(o_odd(n, e), eps_minus_one)) for n in ranks for e in signs}
-    even = {(m, e): list(enumerate_labels(o_even(m, e), eps_minus_one)) for m in ranks for e in signs}
-    for n, m, eps, eps2 in product(ranks, ranks, signs, signs):
-        for left in odd[n, eps]:
-            for right in even[m, eps2]:
-                yield left, right, BESSEL
+    sps, odd, even = [], {}, {}
+    fj = 0
+    for n in ranks:
+        sps.append(list(enumerate_labels(sp(n))))
+        fj += len(sps[n]) * sum(map(len, sps))
+        for e in signs:
+            odd[n, e] = list(enumerate_labels(o_odd(n, e), eps_minus_one))
+            even[n, e] = list(enumerate_labels(o_even(n, e), eps_minus_one))
+        families = fj + sum(map(len, odd.values())) * sum(map(len, even.values()))
+        more = "" if n == max_rank else "more than "
+        _check_bound(families, f"the rank <= {max_rank} variant sweep", "families", more)
+    return chain(
+        ((left, right, FOURIER_JACOBI) for n in ranks for m in range(n + 1)
+         for left, right in product(sps[n], sps[m])),
+        ((left, right, BESSEL) for n, m, e, e2 in product(ranks, ranks, signs, signs)
+         for left, right in product(odd[n, e], even[m, e2])),
+    )
 
 
 def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationReport:
@@ -269,13 +281,14 @@ def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationR
     Each family is evaluated as :func:`~thetasym.ggp.select_nonzero_variant`
     does, but the families of one run share each label's variant sides and
     each symbol pair's gate.  Oversized sweeps are refused as in
-    :func:`verify_f1`.
+    :func:`verify_f1`, and then a sweep of more than ``MAX_LAYER_SYMBOLS``
+    families (rank 5 and up) as in :func:`_variant_families`.
     """
     _check_sweep(max_rank)
     report = VerificationReport()
     start = time.monotonic()
     run = _VariantRun(ctx)
-    pairs = chain(_fj_pairs(max_rank), _bessel_pairs(max_rank, ctx.eps_minus_one))
+    pairs = _variant_families(max_rank, ctx.eps_minus_one)
     for left, right, case in pairs:
         try:
             run.family(left, right, case)

@@ -1,6 +1,6 @@
-"""Random and shifted symbols for the fuzz and round-trip tests, a guard
-that fails any layer build, and definition-level references that the library
-itself no longer needs."""
+"""Random and shifted symbols for the fuzz and round-trip tests, guards
+that fail any layer build or variant family evaluation, and
+definition-level references that the library itself no longer needs."""
 
 import thetasym.core as core
 from thetasym.catalog import KH
@@ -59,6 +59,27 @@ def forbid_layer_builds(monkeypatch) -> None:
 
     for name in ("bipartitions_of", "_partitions", "_symbol_of", "upsilon_inverse"):
         monkeypatch.setattr(core, name, must_not_run)
+
+
+def forbid_variant_families(monkeypatch) -> list:
+    """Make every variant family evaluation fail, for refusal tests; the
+    returned list collects each group whose labels ``oracle`` lists."""
+    import thetasym.oracle as oracle
+    from thetasym.ggp import _VariantRun
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a family was evaluated in a refused sweep")
+
+    built = []
+    enumerate_labels = oracle.enumerate_labels
+
+    def spy(group, *args):
+        built.append(group)
+        return enumerate_labels(group, *args)
+
+    monkeypatch.setattr(_VariantRun, "family", must_not_run)
+    monkeypatch.setattr(oracle, "enumerate_labels", spy)
+    return built
 
 
 def partition_transpose(p: Partition) -> Partition:

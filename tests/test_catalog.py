@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import thetasym.catalog as catalog
+import thetasym.cli as cli
 import thetasym.core as core
 import thetasym.ggp as ggp
 import thetasym.theta as theta
@@ -526,7 +527,11 @@ def test_each_rule_is_written_once():
     by label validation and the one label walk, ``enumerate_labels``, and
     the pair condition ``in_G`` only by ``_VariantRun.slot_gate``, which
     only ``_VariantRun.candidate_gate``, the one wiring of label slots to
-    its keys, calls.  A copy anywhere else fails here."""
+    its keys, calls.  ``ggp`` reads group families only in ``GGPCase``, and
+    builds a ``CaseMismatch`` only where a pair is validated and where a
+    branch table picks its case; ``cli`` names no case itself and reads
+    the square class of -1 only in ``_context``.  A copy anywhere else
+    fails here."""
     sources = {p.name: p.read_text() for p in Path(catalog.__file__).parent.glob("*.py")}
     assert sum(text.count("over the enumeration bound") for text in sources.values()) == 1
     assert "over the enumeration bound" in sources["core.py"]
@@ -550,6 +555,15 @@ def test_each_rule_is_written_once():
         counts = {file: len(called.findall(text)) for file, text in sources.items()}
         assert {file: n for file, n in counts.items() if n} == {module: len(homes)}
         assert all(called.search(inspect.getsource(home)) for home in homes)
+    # each case carries its own facts, and the CLI resolves its context once
+    assert sources["ggp.py"].count("GroupFamily.") == inspect.getsource(ggp.GGPCase).count("GroupFamily.") > 0
+    built = re.compile(r"(?<!class )\bCaseMismatch\(")
+    counts = {name: len(built.findall(text)) for name, text in sources.items()}
+    assert {name: n for name, n in counts.items() if n} == {"ggp.py": 2}
+    assert all(built.search(inspect.getsource(home)) for home in (ggp._VariantRun.pairs, ggp.branch_decomposition))
+    assert not re.search(r"""["'](fj|bessel)["']""", sources["cli.py"])
+    context = inspect.getsource(cli._context)
+    assert sources["cli.py"].count("args.eps_minus_one") == context.count("args.eps_minus_one") > 0
 
 
 def test_negative_sizes_and_index_zero_give_empty_results():

@@ -20,7 +20,7 @@ from thetasym.core import (
 )
 from thetasym.theta import TowerContext
 
-from symbol_helpers import forbid_layer_builds
+from symbol_helpers import forbid_layer_builds, forbid_variant_families
 
 
 def run_cli(argv):
@@ -333,6 +333,26 @@ def test_oversized_sweep_refused_before_work(suite, monkeypatch, capsys):
         "error: the rank <= 23 sweep has 1063737 symbols, "
         f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}\n"
     )
+
+
+def test_oversized_variant_sweep_refused_before_work(monkeypatch, capsys):
+    """Ranks 5-22 pass the symbol sweep bound; counting their families stops at rank 5."""
+    built = forbid_variant_families(monkeypatch)
+    code, out = run_cli(["verify", "--suite", "variants", "--max-rank", "22"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: the rank <= 22 variant sweep has more than 3412100 families, "
+        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}\n"
+    )
+    assert max(group.rank for group in built) == 5
+
+
+def test_invalid_case_lists_the_cases_in_order(capsys):
+    argv = ["ggp-mult", "--left", SP0_TRIVIAL, "--right", SP0_TRIVIAL, "--case", "gp", "--eps-minus-one", "+"]
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(argv)
+    assert exit_.value.code == 2
+    assert "argument --case: invalid choice: 'gp' (choose from 'fj', 'bessel')" in capsys.readouterr().err
 
 
 def test_oversized_branch_table_refused_before_work(monkeypatch, capsys):

@@ -1,12 +1,15 @@
-"""The README's table of closed forms and their oracles stays true to the package."""
+"""The README's table of closed forms and their oracles, and the benchmark's
+per-layer metric names, stay true to the package."""
 
 import importlib
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 NAME = re.compile(r"`(\w+(?:\.\w+)+)`")
 
 
@@ -53,3 +56,16 @@ def test_closed_form_table_row_is_current_and_gated(row):
         for name in NAME.findall(cell):
             _resolve(name)  # a stale name raises here
     assert NAME.search(oracle) or re.search(r"ROADMAP items? \d", oracle), forms
+
+
+LAYERS = ("core", "catalog", "theta", "ggp", "oracle")
+
+
+def test_benchmark_layer_metrics_name_existing_functions():
+    """A per-layer metric ``<module>.<function>.<counter>`` reads 0 once its
+    function is renamed, since the tracer skips a missing name."""
+    metrics = [m["name"].split(".") for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    layered = [parts for parts in metrics if len(parts) == 3 and parts[0] in LAYERS]
+    assert len(layered) > 30
+    for module, function, _counter in layered:
+        assert callable(getattr(importlib.import_module(f"thetasym.{module}"), function, None)), (module, function)

@@ -23,7 +23,7 @@ from thetasym.oracle import (
 )
 from thetasym.theta import TowerContext, _partners, in_B
 
-from symbol_helpers import forbid_layer_builds
+from symbol_helpers import forbid_layer_builds, forbid_variant_families
 
 
 def test_brute_first_occurrence_examples():
@@ -233,6 +233,20 @@ def test_oversized_sweep_refused_before_building(verify, monkeypatch):
     # counting stops at the first rank over the bound
     with pytest.raises(ValueError, match=r"the rank <= 1000000 sweep has more than [0-9]+ symbols"):
         verify(10**6)
+
+
+@pytest.mark.parametrize("eps", [PLUS, MINUS])
+def test_variant_sweep_refused_by_its_family_count(eps, monkeypatch):
+    """Rank 5 passes the symbol sweep bound but has 3,412,100 families; the
+    labels of rank <= 5 are listed to count them, and no family is evaluated."""
+    built = forbid_variant_families(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        verify_variant_uniqueness(5, TowerContext(eps_minus_one=eps))
+    assert str(err.value) == (
+        "the rank <= 5 variant sweep has 3412100 families, "
+        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+    )
+    assert max(group.rank for group in built) == 5
 
 
 def test_sweep_bound_is_on_the_sum_of_its_layers(monkeypatch):
