@@ -270,33 +270,26 @@ def upsilon_inverse(bp: Bipartition | tuple[Partition, Partition], defect: int) 
     exactly what reducedness requires.  The validated bipartition is kept on
     the new symbol as its :func:`upsilon`.
     """
-    return _symbol_of(Bipartition(partition(bp[0]), partition(bp[1])), defect, {})
+    return _symbol_of(Bipartition(partition(bp[0]), partition(bp[1])), defect)
 
 
-def _symbol_of(bp: Bipartition, defect: int, rows: dict) -> Symbol:
+def _symbol_of(bp: Bipartition, defect: int) -> Symbol:
     """:func:`upsilon_inverse` of a bipartition of canonical partitions.
 
-    ``rows`` maps ``(partition, length)`` to the partition padded to that
-    length plus the staircase, so symbols built with one dict share their
-    row tuples.  The symbol is still checked by its constructor, and keeps
-    ``bp`` as its :func:`upsilon`.
+    The symbol is still checked by its constructor, and keeps ``bp`` as its
+    :func:`upsilon`.  Its rows come from :func:`_staircase_row`, so symbols
+    that share a row share one tuple for it.
     """
     up, lo = bp
     m2 = max(0, len(lo), len(up) - defect, -defect)
-    m1 = m2 + defect
-    row_a = rows.get((up, m1))
-    if row_a is None:
-        row_a = rows[up, m1] = _staircase_row(up, m1)
-    row_b = rows.get((lo, m2))
-    if row_b is None:
-        row_b = rows[lo, m2] = _staircase_row(lo, m2)
-    s = Symbol(row_a, row_b)
+    s = Symbol(_staircase_row(up, m2 + defect), _staircase_row(lo, m2))
     _keep(s, "_upsilon", bp)
     return s
 
 
+@cache
 def _staircase_row(p: Partition, m: int) -> tuple[int, ...]:
-    """``p`` padded with zeros to length m, plus the staircase (m-1, ..., 0)."""
+    """``p`` padded with zeros to length m, plus the staircase (m-1, ..., 0); built once."""
     return tuple(map(add, p + (0,) * (m - len(p)), range(m - 1, -1, -1)))
 
 
@@ -339,24 +332,39 @@ def admissible_defects(rank: int, family: SymbolFamily) -> list[int]:
 _COUNTED_RESIDUAL = 256
 
 
+def _layer_residual(rank: int, defect: int) -> int:
+    """The residual ``rank - defect_rank_offset(defect)``, negative for an empty layer.
+
+    The one refusal of a (rank, defect) layer of more than
+    :data:`MAX_LAYER_SYMBOLS` symbols, which its builders ask for first.
+    """
+    return _residual_within(rank, defect, MAX_LAYER_SYMBOLS)
+
+
+@cache
+def _residual_within(rank: int, defect: int, bound: int) -> int:
+    """:func:`_layer_residual` kept per layer and ``bound``, the bound in force."""
+    residual = rank - defect_rank_offset(defect)
+    if residual >= 0:
+        # Layer sizes grow with the residual, so past _COUNTED_RESIDUAL the
+        # size is only bounded from below, which is enough to refuse it.
+        size = bipartition_count(min(residual, _COUNTED_RESIDUAL))
+        more = "" if residual <= _COUNTED_RESIDUAL else "more than "
+        _check_bound(size, f"the rank {rank}, defect {defect} layer", "symbols", more)
+    return residual
+
+
 @cache
 def _defect_layer(rank: int, defect: int) -> tuple[Symbol, ...]:
     """Reduced symbols of this rank and defect, sorted on rows; built once.
 
-    The one place that refuses a layer of more than
-    :data:`MAX_LAYER_SYMBOLS` symbols, before anything is built.  Symbols
-    that share a staircase row share one tuple for it.
+    An oversized layer is refused by :func:`_layer_residual`, before
+    anything is built.
     """
-    residual = rank - defect_rank_offset(defect)
+    residual = _layer_residual(rank, defect)
     if residual < 0:
         return ()
-    # Layer sizes grow with the residual, so past _COUNTED_RESIDUAL the
-    # size is only bounded from below, which is enough to refuse it.
-    size = bipartition_count(min(residual, _COUNTED_RESIDUAL))
-    more = "" if residual <= _COUNTED_RESIDUAL else "more than "
-    _check_bound(size, f"the rank {rank}, defect {defect} layer", "symbols", more)
-    rows: dict = {}
-    syms = [_symbol_of(bp, defect, rows) for bp in bipartitions_of(residual)]
+    syms = [_symbol_of(bp, defect) for bp in bipartitions_of(residual)]
     syms.sort(key=attrgetter("row_a", "row_b"))
     return tuple(syms)
 
@@ -391,11 +399,12 @@ def count_symbols(rank: int, family: SymbolFamily) -> int:
 def _check_sweep(max_rank: int) -> None:
     """Refuse a sweep over every family and rank <= max_rank, before any build.
 
-    A sweep keeps every layer it builds, so :data:`MAX_LAYER_SYMBOLS` bounds
-    the sum of their sizes, counted as :func:`count_symbols` does, and the
-    ``ValueError`` states the sum and the bound.  Counting stops at the first
-    rank that puts the sum over the bound; below ``max_rank`` the message
-    then says "more than".
+    A sweep keeps every layer it builds, so :data:`MAX_LAYER_SYMBOLS`
+    bounds the sum of their sizes, counted as :func:`count_symbols` does,
+    and the ``ValueError`` states the sum and the bound.  The f1 fiber scan
+    builds its partners without a layer, so an f1 sweep reads none above
+    max_rank either.  Counting stops at the first rank that puts the sum
+    over the bound; below ``max_rank`` the message then says "more than".
     """
     total = 0
     for rank in range(max_rank + 1):

@@ -55,5 +55,5 @@ class MultipleNonzero(ThetasymError):
     guarantee it on every input: with eps(-1) = - and supplied orientation
     bits, ``thetasym verify --suite variants --max-rank 1 --eps-minus-one -
     --orient-right - --orient-left-alt +`` finds two such Fourier-Jacobi
-    families.  The fix of that gate is ROADMAP item 1, step 3.
+    families.  The fix of that gate is ROADMAP item 2.
     """

@@ -5,7 +5,7 @@ scans, bipartition counting, exhaustive variant evaluation - and compares
 against the closed forms.  These checks are part of the library surface,
 not just of the test suite: table generation pipelines run them as gates.
 
-The brute-force side shares only the raw combinatorics (symbols, bands,
+The brute-force side shares only the raw combinatorics (symbols, strips,
 enumeration) with the code it checks; in particular the first-occurrence
 scan never consults the closed-form index except to compare.
 """
@@ -139,9 +139,10 @@ def verify_f1(max_rank: int) -> VerificationReport:
     Covers every symplectic-type symbol of rank <= max_rank in both towers
     and every even-type symbol in its own tower; checks the index, that the
     fiber at the index is a singleton, and that its member is the closed
-    form's lift.  A sweep whose layers of rank <= max_rank hold more than
-    ``MAX_LAYER_SYMBOLS`` symbols in all raises ``ValueError`` before any
-    layer is built.
+    form's lift.  The fiber scan builds partners from the source's rows and
+    reads no layer, so the layers the sweep keeps are its sources', of rank
+    <= max_rank.  A sweep whose layers hold more than ``MAX_LAYER_SYMBOLS``
+    symbols in all raises ``ValueError`` before any layer is built.
     """
     _check_sweep(max_rank)
     report = VerificationReport()

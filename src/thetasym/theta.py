@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from operator import attrgetter
 
 from .catalog import (
     MINUS,
@@ -40,7 +42,7 @@ from .core import (
     Partition,
     Symbol,
     SymbolFamily,
-    _defect_layer,
+    _layer_residual,
     _symbol_of,
     close_dominates,
     symbol_defect,
@@ -52,6 +54,7 @@ from .errors import DefectClassMismatch
 
 # A (symplectic-type, even-type) symbol pair is exactly the sp slot pair.
 _SP_TYPE, _EVEN_TYPE = _SLOTS[GroupFamily.SP]
+_ROWS = attrgetter("row_a", "row_b")
 
 
 @dataclass(frozen=True)
@@ -180,34 +183,67 @@ def in_G(lam: Symbol, lam_prime: Symbol) -> GVariant | None:
     return None
 
 
+@cache
+def _inside(p: Partition, size: int) -> tuple[Partition, ...]:
+    """Partitions q of ``size`` with p_1 >= q_1 >= p_2 >= ...: ``p`` minus a horizontal strip.
+
+    Only first parts that leave a fillable rest are tried, so the work
+    follows the output, not the size of the parts.  Kept per (p, size).
+    """
+    if not p:
+        return ((),) if size == 0 else ()
+    rest = p[1:]
+    room, low = sum(rest), (rest[0] if rest else 0)
+    return tuple(
+        (first,) + q if first else ()
+        for first in range(max(low, size - room), min(p[0], size - room + low) + 1)
+        for q in _inside(rest, size - first)
+    )
+
+
 def _partners(source: Symbol, sign: Sign, rank: int) -> list[Symbol]:
     """Symbols of ``rank`` pairing with a source of either type on the ``sign`` tower.
 
-    The defect equation is its own inverse and names the one layer to read,
-    and :func:`_band` is symmetric, so each member is tested with the band
-    alone.  An even-type source whose partner defect is not 1 mod 4 has none.
+    The defect equation is its own inverse and :func:`_band` is symmetric,
+    so this serves both directions.  The band is interlacing, so each side
+    of a partner is a source row with a horizontal strip added or removed
+    (Macdonald I.5): on the plus tower upper' is lower plus a strip and
+    lower' is upper minus one, and the minus tower swaps the rows.  The
+    strip sizes share out what the target residual leaves, and the partners
+    are sorted on rows, the order of the target layer.  An even-type source
+    whose partner defect is not 1 mod 4 has none; an oversized target layer
+    is refused by ``core._layer_residual`` before anything is built.
     """
     want = sign - symbol_defect(source)
     if want % 2 and not SymbolFamily.SP_UNIPOTENT.admits_defect(want):
         return []
-    bp = upsilon(source)
-    return [s for s in _defect_layer(rank, want) if _band(bp, upsilon(s), sign)]
+    residual = _layer_residual(rank, want)
+    up, lo = upsilon(source)
+    grow, shrink = (lo, up) if sign == PLUS else (up, lo)
+    total, out = sum(shrink), []
+    # size of the shrunk row: a strip takes at most shrink[0] boxes off it,
+    # and the grown row takes at least sum(grow) of the residual
+    for size in range(total - (shrink[0] if shrink else 0), min(total, residual - sum(grow)) + 1):
+        # grow plus a strip, to n boxes in all, is what lies inside (n, *grow)
+        n = residual - size
+        grown = _inside((n,) + grow, n)
+        for cut in _inside(shrink, size):
+            for row in grown:
+                bp = Bipartition(row, cut) if sign == PLUS else Bipartition(cut, row)
+                out.append(_symbol_of(bp, want))
+    out.sort(key=_ROWS)
+    return out
 
 
 def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
     """All even-type symbols of the target rank pairing with ``lam``.
 
-    Deliberately definition-driven, so it can serve as the oracle for the
-    closed-form first occurrence: this is :func:`in_B` against every
-    even-type symbol of the target rank, split where its work does not
-    depend on the candidate.  It checks the class of ``lam``, then runs the
-    partner scan that serves both directions, which reads only the layer the
-    defect equation allows.  ``in_B`` is False on every other defect, so this is
-    the same list, in the same order, as filtering the whole rank layer of
-    the target family.  A ``lam`` that is not of symplectic type raises
-    :class:`DefectClassMismatch`, as in ``in_B``, and a target layer of more
-    than ``MAX_LAYER_SYMBOLS`` symbols raises ``ValueError``, as enumeration
-    does; both before any layer is built.
+    The same list, in the same order, as :func:`in_B` against every
+    even-type symbol of the target rank, which makes it the oracle of the
+    closed-form first occurrence; :func:`_partners` builds only the members.
+    Refusals come in this order, before anything is built: a ``lam`` not of
+    symplectic type raises :class:`DefectClassMismatch`, as in ``in_B``, and
+    a target layer of more than ``MAX_LAYER_SYMBOLS`` symbols ``ValueError``.
     """
     _SP_TYPE.entry("first", symbol_defect(lam))
     return _partners(lam, sign, target_rank)
@@ -261,10 +297,10 @@ def first_occurrence_unipotent(
     # slices of canonical partitions, so they need no validation.
     if sign == PLUS:
         index = n - (up[0] if up else 0) - d // 2
-        lift = _symbol_of(Bipartition(lo, up[1:]), sign - d, {})
+        lift = _symbol_of(Bipartition(lo, up[1:]), sign - d)
     else:
         index = n - (lo[0] if lo else 0) + (d + 1) // 2
-        lift = _symbol_of(Bipartition(lo[1:], up), sign - d, {})
+        lift = _symbol_of(Bipartition(lo[1:], up), sign - d)
     return FirstOccurrence(index, lift)
 
 

@@ -3,17 +3,22 @@ that fail any layer build or variant family evaluation, and
 definition-level references that the library itself no longer needs."""
 
 import thetasym.core as core
-from thetasym.catalog import KH
+import thetasym.theta as theta
+from thetasym.catalog import KH, Sign
 from thetasym.ggp import FOURIER_JACOBI
 from thetasym.core import (
     Bipartition,
     Partition,
     Symbol,
     SymbolFamily,
+    _defect_layer,
     admissible_defects,
     defect_rank_offset,
+    symbol_defect,
+    upsilon,
     upsilon_inverse,
 )
+from thetasym.theta import _band
 
 
 def random_symbol(rng, max_rank: int = 12) -> Symbol:
@@ -52,13 +57,16 @@ def shift_symbol(s: Symbol, steps: int) -> tuple[tuple[int, ...], tuple[int, ...
 
 
 def forbid_layer_builds(monkeypatch) -> None:
-    """Make every symbol builder of ``core`` fail, for refusal tests."""
+    """Make every symbol builder of ``core``, and the partner builders of
+    ``theta``, fail, for refusal tests."""
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("a layer was built for a refused size")
 
     for name in ("bipartitions_of", "_partitions", "_symbol_of", "upsilon_inverse"):
         monkeypatch.setattr(core, name, must_not_run)
+    for name in ("_symbol_of", "_inside"):
+        monkeypatch.setattr(theta, name, must_not_run)
 
 
 def forbid_variant_families(monkeypatch) -> list:
@@ -80,6 +88,20 @@ def forbid_variant_families(monkeypatch) -> list:
     monkeypatch.setattr(_VariantRun, "family", must_not_run)
     monkeypatch.setattr(oracle, "enumerate_labels", spy)
     return built
+
+
+def partners_by_layer_filter(source: Symbol, sign: Sign, rank: int) -> list[Symbol]:
+    """The reference for ``theta._partners``: the whole target layer, filtered by the band.
+
+    The defect equation names the one layer to read, and :func:`_band` is
+    symmetric, so each member is tested with the band alone.  An even-type
+    source whose partner defect is not 1 mod 4 has none.
+    """
+    want = sign - symbol_defect(source)
+    if want % 2 and not SymbolFamily.SP_UNIPOTENT.admits_defect(want):
+        return []
+    bp = upsilon(source)
+    return [s for s in _defect_layer(rank, want) if _band(bp, upsilon(s), sign)]
 
 
 def partition_transpose(p: Partition) -> Partition:

@@ -414,9 +414,9 @@ def test_theta_fiber_refuses_non_symplectic_symbol_before_work(symbol, sign, mon
     import thetasym.theta as theta
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError("a layer was built for a refused symbol")
+        raise AssertionError("a partner was built for a refused symbol")
 
-    monkeypatch.setattr(theta, "_defect_layer", must_not_run)
+    monkeypatch.setattr(theta, "_symbol_of", must_not_run)
     code, out = run_cli(["theta-fiber", "--symbol", symbol, "--sign", sign, "--target-rank", "2"])
     assert code == 1
     assert out == ""

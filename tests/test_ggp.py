@@ -508,7 +508,7 @@ def test_select_requires_definite_base():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.xfail(strict=True, reason="both rows read 1 until the slot reading is fixed (ROADMAP item 1, step 3)")
+@pytest.mark.xfail(strict=True, reason="both rows read 1 until the slot reading is fixed (ROADMAP item 2)")
 @pytest.mark.parametrize("eps", [PLUS, MINUS])
 def test_trivial_sp2_fourier_jacobi_table_has_one_row_per_character(eps):
     """The trivial pi of sp(2) gives pi (x) omega_psi = omega_psi, of degree q.

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 import thetasym.core as core
+import thetasym.theta as theta
 from thetasym.catalog import MINUS, PLUS
 from thetasym.core import (
     MAX_LAYER_SYMBOLS,
@@ -50,6 +51,24 @@ def test_fiber_to_sp_equals_full_layer_filter():
                         if in_B(s, lam_prime, sign)
                     ]
                     assert _partners(lam_prime, sign, t) == full
+
+
+@pytest.mark.parametrize("max_rank", [5, 10])
+def test_verify_f1_reads_no_layer_above_its_rank(max_rank, monkeypatch):
+    """The sweep budget counts the layers of rank <= max_rank, and the
+    fiber scan builds its partners without reading any other."""
+    ranks = []
+    layer = core._defect_layer
+
+    def spy(rank, defect):
+        ranks.append(rank)
+        return layer(rank, defect)
+
+    for module in (core, theta):
+        if hasattr(module, "_defect_layer"):
+            monkeypatch.setattr(module, "_defect_layer", spy)
+    assert verify_f1(max_rank).passed
+    assert max(ranks) == max_rank
 
 
 def test_scan_bound_formula():

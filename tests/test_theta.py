@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -21,6 +22,7 @@ from thetasym.core import (
     Bipartition,
     Symbol,
     SymbolFamily,
+    bipartition_count,
     bipartitions_of,
     close_dominates,
     enumerate_symbols,
@@ -38,6 +40,7 @@ from thetasym.theta import (
     ThetaDirection,
     TowerContext,
     _band,
+    _partners,
     cuspidal_theta,
     default_orientation,
     first_occurrence_unipotent,
@@ -46,7 +49,7 @@ from thetasym.theta import (
     theta_fiber,
 )
 
-from symbol_helpers import forbid_layer_builds, partition_transpose
+from symbol_helpers import forbid_layer_builds, partition_transpose, partners_by_layer_filter
 
 
 def test_in_B_examples():
@@ -349,11 +352,44 @@ def test_theta_fiber_equals_full_layer_filter():
                     assert theta_fiber(lam, sign, t) == full
 
 
+def test_partners_equal_layer_filter():
+    """The strip generator gives the filter's list, in its order, in both
+    directions: sp sources to even partners and even sources to sp ones."""
+    for n in range(9):
+        for family in SymbolFamily:
+            for lam in enumerate_symbols(n, family):
+                for sign, t in itertools.product((PLUS, MINUS), range(11)):
+                    assert _partners(lam, sign, t) == partners_by_layer_filter(lam, sign, t), (lam, sign, t)
+
+
 def test_theta_fiber_refuses_oversized_rank_before_building(monkeypatch):
     forbid_layer_builds(monkeypatch)
     for sign in (PLUS, MINUS):
         with pytest.raises(ValueError, match=f"MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"):
             theta_fiber(parse_symbol("[1|]"), sign, 64)
+    with pytest.raises(ValueError) as err:
+        theta_fiber(parse_symbol("[0|]"), PLUS, 60)
+    assert str(err.value) == (
+        f"the rank 60, defect 0 layer has {bipartition_count(60)} symbols, "
+        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+    )
+
+
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_theta_fiber_work_follows_its_output(sign):
+    """A source part of 300000 boxes costs no more than its few partners:
+    no strip table is walked part by part."""
+    lam = parse_symbol("[300000|]")
+    for t in range(4):
+        expected = partners_by_layer_filter(lam, sign, t)
+        tracemalloc.start()
+        try:
+            fiber = theta_fiber(lam, sign, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fiber == expected
+        assert peak < 1_000_000, (t, peak)
 
 
 @pytest.mark.parametrize("text", ["[1|0]", "[1,0|]", "[|0]"], ids=["defect 0", "defect 2", "defect -1"])
@@ -361,9 +397,9 @@ def test_theta_fiber_refuses_non_symplectic_source(text, monkeypatch):
     import thetasym.theta as theta
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError("a layer was built for a refused symbol")
+        raise AssertionError("a partner was built for a refused symbol")
 
-    monkeypatch.setattr(theta, "_defect_layer", must_not_run)
+    monkeypatch.setattr(theta, "_symbol_of", must_not_run)
     lam = parse_symbol(text)
     assert symbol_defect(lam) % 4 != 1
     for sign in (PLUS, MINUS):
