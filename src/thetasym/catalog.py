@@ -29,7 +29,6 @@ label and of its cuspidal support agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache
 from itertools import product
@@ -39,13 +38,17 @@ from typing import Callable, Iterator, NamedTuple
 from .core import (
     EMPTY_SYMBOL,
     ZERO_SYMBOL,
+    OrderedValue,
     Symbol,
     SymbolFamily,
+    Value,
     _check_bound,
+    _set,
     enumerate_symbols,
     _parse_int,
     _parse_symbol,
     format_symbol,
+    replace,
     symbol_defect,
     symbol_rank,
     symbol_transpose,
@@ -116,21 +119,21 @@ class GroupFamily(Enum):
     O_ODD = "o_odd"
 
 
-@dataclass(frozen=True, order=True)
-class GroupTag:
+class GroupTag(OrderedValue):
     """Sp(2n), O^eps(2n) or O^eps(2n+1); ``rank`` is n throughout."""
 
-    family: GroupFamily
-    rank: int
-    sign: Sign | None = None
+    __slots__ = _fields = ("family", "rank", "sign")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, family: GroupFamily, rank: int, sign: Sign | None = None):
+        if rank < 0:
             raise ValueError("group rank must be nonnegative")
-        if self.family is GroupFamily.SP and self.sign is not None:
+        if family is GroupFamily.SP and sign is not None:
             raise ValueError("symplectic groups carry no sign")
-        if self.family is not GroupFamily.SP and self.sign not in (PLUS, MINUS):
+        if family is not GroupFamily.SP and sign not in (PLUS, MINUS):
             raise ValueError("orthogonal groups need a sign")
+        _set(self, "family", family)
+        _set(self, "rank", rank)
+        _set(self, "sign", sign)
 
     @property
     def dimension(self) -> int:
@@ -156,8 +159,7 @@ def o_odd(rank: int, sign: Sign) -> GroupTag:
     return GroupTag(GroupFamily.O_ODD, rank, sign)
 
 
-@dataclass(frozen=True, order=True)
-class RhoDescriptor:
+class RhoDescriptor(OrderedValue):
     """Opaque stand-in for the general-linear/unitary part of a label.
 
     Only ``glu_rank`` (the rank it consumes) and ``regular`` (whether the
@@ -165,20 +167,21 @@ class RhoDescriptor:
     id is for display and equality.  Rank 0 forces the trivial descriptor.
     """
 
-    glu_rank: int = 0
-    regular: bool = True
-    id: str = "trivial"
+    __slots__ = _fields = ("glu_rank", "regular", "id")
 
-    def __post_init__(self):
-        if self.glu_rank < 0:
+    def __init__(self, glu_rank: int = 0, regular: bool = True, id: str = "trivial"):
+        if glu_rank < 0:
             raise ValueError("descriptor rank must be nonnegative")
-        if self.glu_rank == 0 and (self.id != "trivial" or not self.regular):
+        if glu_rank == 0 and (id != "trivial" or not regular):
             raise ValueError("rank-0 descriptor must be trivial and regular")
-        if any(c in self.id for c in ":;|"):
-            raise ValueError(f"descriptor id {self.id!r} contains reserved characters")
-        if self.id != self.id.strip():
+        if any(c in id for c in ":;|"):
+            raise ValueError(f"descriptor id {id!r} contains reserved characters")
+        if id != id.strip():
             # the label grammar strips field values, so this id could not round-trip
-            raise ValueError(f"descriptor id {self.id!r} has leading or trailing whitespace")
+            raise ValueError(f"descriptor id {id!r} has leading or trailing whitespace")
+        _set(self, "glu_rank", glu_rank)
+        _set(self, "regular", regular)
+        _set(self, "id", id)
 
     @property
     def is_trivial(self) -> bool:
@@ -195,13 +198,25 @@ class KH(NamedTuple):
     h: int
 
 
-@dataclass(frozen=True)
-class RepLabel:
-    group: GroupTag
-    rho: RhoDescriptor
-    lam: Symbol
-    lam_prime: Symbol
-    eps_flag: Sign | None = None
+class RepLabel(Value):
+    """A group, a descriptor, two slot symbols and an eps flag, unchecked;
+    :func:`make_label` builds checked ones."""
+
+    __slots__ = _fields = ("group", "rho", "lam", "lam_prime", "eps_flag")
+
+    def __init__(
+        self,
+        group: GroupTag,
+        rho: RhoDescriptor,
+        lam: Symbol,
+        lam_prime: Symbol,
+        eps_flag: Sign | None = None,
+    ):
+        _set(self, "group", group)
+        _set(self, "rho", rho)
+        _set(self, "lam", lam)
+        _set(self, "lam_prime", lam_prime)
+        _set(self, "eps_flag", eps_flag)
 
     def __str__(self):
         return format_label(self)

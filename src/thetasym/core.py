@@ -28,10 +28,9 @@ trailing zeros trimmed; comparisons pad with zeros on the fly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from operator import add, attrgetter, gt
+from operator import add, attrgetter, ge, gt, le, lt
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NormalizationError, ParseError
@@ -156,8 +155,73 @@ def _check_row(row: tuple[int, ...], name: str) -> None:
             raise NormalizationError(f"{name} row {row} not strictly decreasing")
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
+_set = object.__setattr__
+
+
+class Value:
+    """An immutable record of the attributes named in ``_fields``.
+
+    Each subclass lists its fields in ``_fields`` (and in ``__slots__``) and
+    writes its own ``__init__``, which checks its arguments and stores each
+    field with ``_set``.  Equality holds only between instances of one
+    class, field by field; the hash is the hash of the field tuple, and the
+    ``repr`` is ``Class(field=value, ...)``.  Assigning or deleting an
+    attribute raises ``AttributeError``.  Pickling and copying rebuild an
+    instance through its ``__init__``, from the field tuple in order.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple()))
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        return (self.__class__, self._astuple())
+
+
+def _by_fields(op):
+    """An ordering method: ``op`` on the field tuples, within one class."""
+
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return op(self._astuple(), other._astuple())
+        return NotImplemented
+
+    return compare
+
+
+class OrderedValue(Value):
+    """A :class:`Value` ordered by its field tuple, within one class."""
+
+    __slots__ = ()
+    __lt__, __le__, __gt__, __ge__ = map(_by_fields, (lt, le, gt, ge))
+
+
+def replace(value: Value, **changes) -> Value:
+    """A copy of ``value`` with the named fields changed, built by its ``__init__``."""
+    return value.__class__(**dict(zip(value._fields, value._astuple()), **changes))
+
+
+class Symbol(OrderedValue):
     """Reduced two-row symbol.
 
     The constructor insists on the canonical reduced representative (rows
@@ -172,28 +236,36 @@ class Symbol:
     """
 
     __slots__ = ("row_a", "row_b", "_upsilon", "_transpose")
+    _fields = ("row_a", "row_b")
 
-    row_a: tuple[int, ...]
-    row_b: tuple[int, ...]
+    def __init__(self, row_a: tuple[int, ...], row_b: tuple[int, ...]):
+        _check_row(row_a, "first")
+        _check_row(row_b, "second")
+        if row_a and row_b and row_a[-1] == 0 and row_b[-1] == 0:
+            raise NormalizationError(f"symbol {row_a}|{row_b} is not reduced (0 in both rows)")
+        _set(self, "row_a", row_a)
+        _set(self, "row_b", row_b)
 
-    def __post_init__(self):
-        _check_row(self.row_a, "first")
-        _check_row(self.row_b, "second")
-        if self.row_a and self.row_b and self.row_a[-1] == 0 and self.row_b[-1] == 0:
-            raise NormalizationError(
-                f"symbol {self.row_a}|{self.row_b} is not reduced (0 in both rows)"
-            )
+    # Symbols are hashed and compared in every gate lookup, so these two
+    # skip the generic field tuple.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.row_a == other.row_a and self.row_b == other.row_b
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.row_a, self.row_b))
+
+    def _astuple(self) -> tuple:
+        return (self.row_a, self.row_b)
 
     def __repr__(self):
         return f"Symbol({format_symbol(self)!r})"
 
-    def __reduce__(self):
-        return (Symbol, (self.row_a, self.row_b))
-
 
 def _keep(s: Symbol, slot: str, value):
     """Store derived data on a (frozen) symbol and return it."""
-    object.__setattr__(s, slot, value)
+    _set(s, slot, value)
     return value
 
 

@@ -42,7 +42,6 @@ slots pass the pair-condition gate, on one run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import product
@@ -62,7 +61,7 @@ from .catalog import (
     kh_of,
     symbol_regular_by_convention,
 )
-from .core import Symbol, _check_sweep, symbol_defect, symbol_transpose
+from .core import Symbol, Value, _check_sweep, _set, symbol_defect, symbol_transpose
 from .errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch
 from .theta import TowerContext, default_orientation, in_G
 
@@ -99,8 +98,7 @@ class MultKind(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class Multiplicity:
+class Multiplicity(Value):
     """Zero, One, a symbolic base factor, or an undetermined marker.
 
     The symbolic value stands for the unevaluated pairing of the two
@@ -108,10 +106,19 @@ class Multiplicity:
     character.
     """
 
-    kind: MultKind
-    rho_left: RhoDescriptor | None = None
-    rho_right: RhoDescriptor | None = None
-    reason: str | None = None
+    __slots__ = _fields = ("kind", "rho_left", "rho_right", "reason")
+
+    def __init__(
+        self,
+        kind: MultKind,
+        rho_left: RhoDescriptor | None = None,
+        rho_right: RhoDescriptor | None = None,
+        reason: str | None = None,
+    ):
+        _set(self, "kind", kind)
+        _set(self, "rho_left", rho_left)
+        _set(self, "rho_right", rho_right)
+        _set(self, "reason", reason)
 
     @property
     def is_zero(self) -> bool:
@@ -279,8 +286,7 @@ def _unipotent_slot_gates(left: RepLabel, right: RepLabel, case: GGPCase) -> boo
     return all(symbol_regular_by_convention(s) for s in checks)
 
 
-@dataclass(frozen=True)
-class VariantReport:
+class VariantReport(Value):
     """Evaluation of a transpose-variant family.
 
     ``entries`` holds every (left, right, multiplicity) triple in family
@@ -289,7 +295,10 @@ class VariantReport:
     ``selected`` is the first nonzero entry when there is one.
     """
 
-    entries: tuple[tuple[RepLabel, RepLabel, Multiplicity], ...]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[RepLabel, RepLabel, Multiplicity], ...]):
+        _set(self, "entries", entries)
 
     @property
     def nonzero(self) -> tuple[tuple[RepLabel, RepLabel, Multiplicity], ...]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Callable
 
@@ -38,6 +37,7 @@ from .catalog import (
 from .core import (
     Symbol,
     SymbolFamily,
+    Value,
     _check_bound,
     _check_sweep,
     admissible_defects,
@@ -61,13 +61,22 @@ from .theta import (
 )
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of one verifier run: counts, failures and elapsed time."""
+class VerificationReport(Value):
+    """Outcome of one verifier run: counts, failures and elapsed time.
 
-    checked: int = 0
-    failures: list[dict] = field(default_factory=list)
-    elapsed: float = 0.0
+    Unlike the other values it grows while its run checks, so it takes
+    assignment and has no hash.
+    """
+
+    __slots__ = _fields = ("checked", "failures", "elapsed")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, checked: int = 0, failures: list[dict] | None = None, elapsed: float = 0.0):
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:

@@ -21,7 +21,6 @@ depends on the additive character through the square class of -1).  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from operator import attrgetter
@@ -42,7 +41,9 @@ from .core import (
     Partition,
     Symbol,
     SymbolFamily,
+    Value,
     _layer_residual,
+    _set,
     _symbol_of,
     close_dominates,
     symbol_defect,
@@ -57,8 +58,7 @@ _SP_TYPE, _EVEN_TYPE = _SLOTS[GroupFamily.SP]
 _ROWS = attrgetter("row_a", "row_b")
 
 
-@dataclass(frozen=True)
-class TowerContext:
+class TowerContext(Value):
     """Additive-character-dependent data for first-occurrence questions.
 
     ``eps_minus_one`` is the square class of -1.  The four orientation slots
@@ -77,22 +77,34 @@ class TowerContext:
     open otherwise.
     """
 
-    eps_minus_one: Sign = PLUS
-    orient_left: Sign | None = None
-    orient_right: Sign | None = None
-    orient_left_alt: Sign | None = None
-    orient_right_alt: Sign | None = None
+    __slots__ = _fields = (
+        "eps_minus_one", "orient_left", "orient_right", "orient_left_alt", "orient_right_alt",
+    )
+
+    def __init__(
+        self,
+        eps_minus_one: Sign = PLUS,
+        orient_left: Sign | None = None,
+        orient_right: Sign | None = None,
+        orient_left_alt: Sign | None = None,
+        orient_right_alt: Sign | None = None,
+    ):
+        _set(self, "eps_minus_one", eps_minus_one)
+        _set(self, "orient_left", orient_left)
+        _set(self, "orient_right", orient_right)
+        _set(self, "orient_left_alt", orient_left_alt)
+        _set(self, "orient_right_alt", orient_right_alt)
 
 
-@dataclass(frozen=True)
-class FirstOccurrence:
+class FirstOccurrence(Value):
     """First-occurrence index plus the lift there, a symbol of that rank."""
 
-    index: int
-    lift: Symbol
+    __slots__ = _fields = ("index", "lift")
 
-    def __post_init__(self):
-        assert symbol_rank(self.lift) == self.index
+    def __init__(self, index: int, lift: Symbol):
+        assert symbol_rank(lift) == index
+        _set(self, "index", index)
+        _set(self, "lift", lift)
 
 
 # ---------------------------------------------------------------------------

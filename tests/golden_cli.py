@@ -12,7 +12,8 @@ verb and output format, the square class of -1 given both by
 domain and usage refusals, the failing
 ``verify --suite variants --eps-minus-one -`` run, and the deep verifier
 runs (``counts`` to rank 12, ``f1`` to rank 13, ``variants`` to rank 4),
-which take about 8 of its 12 s on a 2-vCPU machine.  The deck ends with the
+which took 7 to 10 of its 18 to 26 s on a 2-vCPU Intel Xeon KVM guest with
+Python 3.11.7 (the whole deck took up to 41 s there under load).  The deck ends with the
 trivial ``sp(28)`` branch table and a rank-30 table over the sweep bound.
 Each stdout line is ``index digest exit argv`` (the digest covers stdout,
 stderr and the exit code of that request), and the digest of all of them

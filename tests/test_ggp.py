@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import random
 
@@ -31,6 +30,7 @@ from thetasym.core import (
     SymbolFamily,
     enumerate_symbols,
     parse_symbol,
+    replace,
     symbol_defect,
     symbol_transpose,
 )
@@ -344,7 +344,7 @@ def test_select_uniqueness_with_supplied_orientations():
 def _reference_select(left, right, case, ctx):
     """Variant selection written out the direct way, as the reference.
 
-    Every variant label is rebuilt with ``dataclasses.replace``, every pair
+    Every variant label is rebuilt with ``core.replace``, every pair
     goes through the public ``ggp_multiplicity`` with its own sub-context,
     repeated pairs are dropped by label equality, and the class check keys
     each nonzero entry by its rows, with defect-0 varied slots taken up to
@@ -356,7 +356,7 @@ def _reference_select(left, right, case, ctx):
 
     def variant(label, bits, slots):
         for slot in slots:
-            label = dataclasses.replace(label, **{slot: symbol_transpose(getattr(label, slot))})
+            label = replace(label, **{slot: symbol_transpose(getattr(label, slot))})
             i = 0 if slot == "lam" else 1
             if bits[i] is not None:
                 bits = tuple(-b if j == i else b for j, b in enumerate(bits))
@@ -381,7 +381,7 @@ def _reference_select(left, right, case, ctx):
         if (lv, rv) in seen:
             continue
         seen.add((lv, rv))
-        sub = dataclasses.replace(
+        sub = replace(
             ctx,
             orient_left=lbits[0],
             orient_left_alt=lbits[1],

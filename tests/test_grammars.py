@@ -4,7 +4,6 @@
 parser refuses arbitrary text with a domain error only.
 """
 
-import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +24,7 @@ from thetasym.core import (
     Bipartition,
     format_symbol,
     parse_symbol,
+    replace,
     upsilon_inverse,
 )
 from thetasym.errors import ThetasymError
@@ -69,7 +69,7 @@ def labels(draw):
             st.text("abcxyz-_.0123456789 \t", min_size=1, max_size=8).filter(lambda t: t == t.strip())
         )
         rho = RhoDescriptor(label.rho.glu_rank, draw(st.booleans()), rho_id)
-        label = dataclasses.replace(label, rho=rho)
+        label = replace(label, rho=rho)
     return label, eps
 
 

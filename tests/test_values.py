@@ -1,0 +1,265 @@
+"""The value classes: start-up cost and value semantics.
+
+The value classes are written by hand on ``core.Value`` so that importing
+the package never loads ``dataclasses`` (and with it ``inspect``, ``ast``,
+``dis`` and ``tokenize``), which every command-line call would pay for.
+These tests pin that, and pin the semantics the classes had as frozen
+dataclasses: equality and hashing over the field tuple within one class,
+ordering by the field tuple, refused assignment, the constructor refusals,
+``repr`` and pickling.
+"""
+
+import operator
+import pickle
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from thetasym.catalog import (
+    MINUS,
+    PLUS,
+    GroupFamily,
+    GroupTag,
+    RepLabel,
+    RhoDescriptor,
+    Twist,
+    enumerate_labels,
+    o_even,
+    o_odd,
+    sp,
+    twist_label,
+)
+from thetasym.core import Bipartition, Symbol, parse_symbol, replace
+from thetasym.errors import NormalizationError
+from thetasym.ggp import FOURIER_JACOBI, MultKind, Multiplicity, VariantReport, ggp_multiplicity
+from thetasym.oracle import VerificationReport
+from thetasym.theta import FirstOccurrence, ThetaDirection, TowerContext, first_occurrence_unipotent
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: The fields of each value class, in constructor order, written out here
+#: so that the tests do not read them from the classes they check.
+FIELDS = {
+    Symbol: ("row_a", "row_b"),
+    GroupTag: ("family", "rank", "sign"),
+    RhoDescriptor: ("glu_rank", "regular", "id"),
+    RepLabel: ("group", "rho", "lam", "lam_prime", "eps_flag"),
+    TowerContext: ("eps_minus_one", "orient_left", "orient_right", "orient_left_alt", "orient_right_alt"),
+    FirstOccurrence: ("index", "lift"),
+    Multiplicity: ("kind", "rho_left", "rho_right", "reason"),
+    VariantReport: ("entries",),
+    VerificationReport: ("checked", "failures", "elapsed"),
+}
+FROZEN = [cls for cls in FIELDS if cls is not VerificationReport]
+ORDERED = (Symbol, GroupTag, RhoDescriptor)
+
+
+def field_tuple(value) -> tuple:
+    return tuple(getattr(value, name) for name in FIELDS[type(value)])
+
+
+def _samples(cls) -> tuple:
+    """Two instances of ``cls`` with the same fields and one that differs."""
+    label, other = list(enumerate_labels(sp(2)))[:2]
+    rho = RhoDescriptor(1, False, "x")
+    occ = first_occurrence_unipotent(parse_symbol("[|2,1,0]"), MINUS, ThetaDirection.SP_TO_O)
+    value = ggp_multiplicity(label, next(enumerate_labels(sp(1))), FOURIER_JACOBI, TowerContext(PLUS))
+    return {
+        Symbol: lambda: (Symbol((2, 0), (1,)), Symbol((2, 0), (1,)), Symbol((2, 0), (2,))),
+        GroupTag: lambda: (o_even(2, PLUS), GroupTag(GroupFamily.O_EVEN, 2, PLUS), o_even(2, MINUS)),
+        RhoDescriptor: lambda: (rho, RhoDescriptor(1, False, "x"), RhoDescriptor(1, True, "x")),
+        RepLabel: lambda: (label, RepLabel(*field_tuple(label)), other),
+        TowerContext: lambda: (
+            TowerContext(PLUS, MINUS),
+            TowerContext(eps_minus_one=PLUS, orient_left=MINUS),
+            TowerContext(PLUS, orient_right=MINUS),
+        ),
+        FirstOccurrence: lambda: (occ, FirstOccurrence(occ.index, occ.lift), FirstOccurrence(0, Symbol((0,), ()))),
+        Multiplicity: lambda: (
+            Multiplicity(MultKind.SYMBOLIC, rho, rho),
+            Multiplicity(MultKind.SYMBOLIC, RhoDescriptor(1, False, "x"), rho),
+            Multiplicity(MultKind.SYMBOLIC, rho, RhoDescriptor(1, True, "x")),
+        ),
+        VariantReport: lambda: (
+            VariantReport(((label, other, value),)),
+            VariantReport(((label, other, value),)),
+            VariantReport(()),
+        ),
+        VerificationReport: lambda: (
+            VerificationReport(2, [{"input": "x"}], 0.5),
+            VerificationReport(2, [{"input": "x"}], 0.5),
+            VerificationReport(2, [], 0.5),
+        ),
+    }[cls]()
+
+
+# ---------------------------------------------------------------------------
+# Start-up cost
+# ---------------------------------------------------------------------------
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter (no site, no environment) imports the CLI module
+    without loading ``dataclasses`` or ``inspect``.  It must be a child
+    process: pytest itself has loaded both here."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import thetasym.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_package_module_imports_dataclasses():
+    modules = sorted((SRC / "thetasym").glob("*.py"))
+    assert len(modules) >= 8
+    pattern = re.compile(r"^\s*(import|from)\s+dataclasses\b", re.M)
+    assert [m.name for m in modules if pattern.search(m.read_text())] == []
+
+
+# ---------------------------------------------------------------------------
+# Value semantics
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
+def test_field_list_is_the_constructor_order(cls):
+    assert cls._fields == FIELDS[cls]
+    a, _, _ = _samples(cls)
+    assert cls(*field_tuple(a)) == a
+    assert cls(**dict(zip(FIELDS[cls], field_tuple(a)))) == a
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
+def test_equality_and_hash_are_over_the_field_tuple(cls):
+    a, b, c = _samples(cls)
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) == hash(field_tuple(a))
+    assert a != c and field_tuple(a) != field_tuple(c)
+    assert len({a, b, c}) == 2
+    # Equality holds within one class only, never with the bare field tuple.
+    assert a != field_tuple(a) and field_tuple(a) != a
+
+
+def test_verification_report_compares_by_fields_and_stays_mutable():
+    a, b, c = _samples(VerificationReport)
+    assert a == b and a != c
+    with pytest.raises(TypeError):
+        hash(a)
+    a.checked += 1
+    a.failures.append({"input": "y"})
+    assert field_tuple(a) == (3, [{"input": "x"}, {"input": "y"}], 0.5)
+    fresh = VerificationReport()
+    assert field_tuple(fresh) == (0, [], 0.0)
+    assert fresh.failures is not VerificationReport().failures
+
+
+@pytest.mark.parametrize("cls", ORDERED, ids=lambda c: c.__name__)
+def test_ordering_is_the_field_tuple_ordering(cls):
+    values = {
+        Symbol: [Symbol((2, 0), (1,)), Symbol((1,), ()), Symbol((2, 0), (2,)), Symbol((), (0,)), Symbol((3,), ())],
+        GroupTag: [o_even(2, PLUS), o_even(1, MINUS), o_even(2, MINUS), o_even(0, PLUS), o_even(1, PLUS)],
+        RhoDescriptor: [
+            RhoDescriptor(2, True, "b"), RhoDescriptor(), RhoDescriptor(2, False, "b"),
+            RhoDescriptor(1, True, "a"), RhoDescriptor(2, True, "a"),
+        ],
+    }[cls]
+    assert sorted(values) == sorted(values, key=field_tuple)
+    for x in values:
+        for y in values:
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                assert op(x, y) == op(field_tuple(x), field_tuple(y)), (op, x, y)
+
+
+def test_group_tags_of_two_families_do_not_order():
+    """The family is a plain enum, so tags of two families do not order,
+    just as their field tuples do not."""
+    with pytest.raises(TypeError):
+        sp(1) < o_odd(1, PLUS)
+    with pytest.raises(TypeError):
+        field_tuple(sp(1)) < field_tuple(o_odd(1, PLUS))
+
+
+def test_symbol_never_equals_a_bipartition_with_its_rows():
+    s, bp = Symbol((1,), ()), Bipartition((1,), ())
+    assert tuple(bp) == field_tuple(s)
+    assert s != bp and bp != s
+    assert bp not in {s} and s not in {bp}
+    with pytest.raises(TypeError):
+        s < bp
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
+def test_fields_refuse_assignment_and_deletion(cls):
+    a, _, c = _samples(cls)
+    for name in FIELDS[cls]:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(a, name, getattr(c, name))
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert field_tuple(a) == field_tuple(_samples(cls)[0])
+
+
+@pytest.mark.parametrize(
+    "build, kind, message",
+    [
+        (lambda: GroupTag(GroupFamily.SP, -1), ValueError, "group rank must be nonnegative"),
+        (lambda: GroupTag(GroupFamily.O_EVEN, -1), ValueError, "group rank must be nonnegative"),
+        (lambda: GroupTag(GroupFamily.SP, 1, PLUS), ValueError, "symplectic groups carry no sign"),
+        (lambda: GroupTag(GroupFamily.O_ODD, 1), ValueError, "orthogonal groups need a sign"),
+        (lambda: GroupTag(GroupFamily.O_EVEN, 1, 0), ValueError, "orthogonal groups need a sign"),
+        (lambda: RhoDescriptor(-1), ValueError, "descriptor rank must be nonnegative"),
+        (lambda: RhoDescriptor(0, False), ValueError, "rank-0 descriptor must be trivial and regular"),
+        (lambda: RhoDescriptor(0, True, "x"), ValueError, "rank-0 descriptor must be trivial and regular"),
+        (lambda: RhoDescriptor(1, True, "a:b"), ValueError, "descriptor id 'a:b' contains reserved characters"),
+        (lambda: RhoDescriptor(1, True, " a"), ValueError, "descriptor id ' a' has leading or trailing whitespace"),
+        (lambda: Symbol((0, -1), ()), NormalizationError, "negative entry -1 in first row (0, -1)"),
+        (lambda: Symbol((1,), (1, 1)), NormalizationError, "second row (1, 1) not strictly decreasing"),
+        (lambda: Symbol((1, 1), (-1,)), NormalizationError, "first row (1, 1) not strictly decreasing"),
+        (lambda: Symbol((1, 0), (0,)), NormalizationError, "symbol (1, 0)|(0,) is not reduced (0 in both rows)"),
+    ],
+)
+def test_constructor_refusals_keep_their_types_and_messages(build, kind, message):
+    with pytest.raises(kind) as info:
+        build()
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
+def test_reprs():
+    assert repr(Symbol((2, 0), (1,))) == "Symbol('[2,0|1]')"
+    assert repr(Symbol((), ())) == "Symbol('[|]')"
+    assert repr(sp(2)) == "GroupTag(family=<GroupFamily.SP: 'sp'>, rank=2, sign=None)"
+    assert repr(RhoDescriptor()) == "RhoDescriptor(glu_rank=0, regular=True, id='trivial')"
+    assert repr(TowerContext(MINUS, orient_right_alt=PLUS)) == (
+        "TowerContext(eps_minus_one=-1, orient_left=None, orient_right=None, "
+        "orient_left_alt=None, orient_right_alt=1)"
+    )
+    assert repr(VerificationReport()) == "VerificationReport(checked=0, failures=[], elapsed=0.0)"
+
+
+@pytest.mark.parametrize("cls", [Symbol, RepLabel, TowerContext], ids=lambda c: c.__name__)
+def test_pickle_round_trip(cls):
+    a = _samples(cls)[0]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(a, protocol))
+        assert type(back) is cls and back == a and hash(back) == hash(a)
+
+
+def test_replace_rebuilds_through_the_constructor():
+    label = next(enumerate_labels(o_even(1, PLUS)))
+    swapped = replace(label, lam=label.lam_prime, lam_prime=label.lam)
+    assert swapped == twist_label(label, Twist.CHI)
+    assert field_tuple(label) == field_tuple(next(enumerate_labels(o_even(1, PLUS))))
+    with pytest.raises(ValueError, match="descriptor rank must be nonnegative"):
+        replace(RhoDescriptor(), glu_rank=-1)
+    with pytest.raises(TypeError):
+        replace(label, sign=PLUS)
