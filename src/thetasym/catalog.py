@@ -41,14 +41,12 @@ from .core import (
     OrderedValue,
     Symbol,
     SymbolFamily,
-    Value,
     _check_bound,
     _set,
     enumerate_symbols,
     _parse_int,
     _parse_symbol,
     format_symbol,
-    replace,
     symbol_defect,
     symbol_rank,
     symbol_transpose,
@@ -164,7 +162,8 @@ class RhoDescriptor(OrderedValue):
 
     Only ``glu_rank`` (the rank it consumes) and ``regular`` (whether the
     corresponding representation is regular) take part in computations; the
-    id is for display and equality.  Rank 0 forces the trivial descriptor.
+    id is for display and equality.  Rank 0 forces the trivial descriptor,
+    and the id ``trivial`` names only it.
     """
 
     __slots__ = _fields = ("glu_rank", "regular", "id")
@@ -174,6 +173,8 @@ class RhoDescriptor(OrderedValue):
             raise ValueError("descriptor rank must be nonnegative")
         if glu_rank == 0 and (id != "trivial" or not regular):
             raise ValueError("rank-0 descriptor must be trivial and regular")
+        if glu_rank > 0 and id == "trivial":
+            raise ValueError("descriptor id 'trivial' is reserved for rank 0")
         if any(c in id for c in ":;|"):
             raise ValueError(f"descriptor id {id!r} contains reserved characters")
         if id != id.strip():
@@ -198,25 +199,15 @@ class KH(NamedTuple):
     h: int
 
 
-class RepLabel(Value):
+class RepLabel(NamedTuple):
     """A group, a descriptor, two slot symbols and an eps flag, unchecked;
     :func:`make_label` builds checked ones."""
 
-    __slots__ = _fields = ("group", "rho", "lam", "lam_prime", "eps_flag")
-
-    def __init__(
-        self,
-        group: GroupTag,
-        rho: RhoDescriptor,
-        lam: Symbol,
-        lam_prime: Symbol,
-        eps_flag: Sign | None = None,
-    ):
-        _set(self, "group", group)
-        _set(self, "rho", rho)
-        _set(self, "lam", lam)
-        _set(self, "lam_prime", lam_prime)
-        _set(self, "eps_flag", eps_flag)
+    group: GroupTag
+    rho: RhoDescriptor
+    lam: Symbol
+    lam_prime: Symbol
+    eps_flag: Sign | None = None
 
     def __str__(self):
         return format_label(self)
@@ -367,22 +358,21 @@ def twist_label(label: RepLabel, twist: Twist) -> RepLabel:
     fam = label.group.family
     if twist is Twist.SGN:
         if fam is GroupFamily.O_EVEN:
-            return replace(
-                label,
+            return label._replace(
                 lam=symbol_transpose(label.lam),
                 lam_prime=symbol_transpose(label.lam_prime),
             )
         if fam is GroupFamily.O_ODD:
-            return replace(label, eps_flag=-label.eps_flag)
+            return label._replace(eps_flag=-label.eps_flag)
         raise InapplicableTwist("sgn twist undefined on symplectic groups")
     if twist is Twist.CHI:
         if fam is GroupFamily.SP:
             raise InapplicableTwist("chi twist undefined on symplectic groups")
-        return replace(label, lam=label.lam_prime, lam_prime=label.lam)
+        return label._replace(lam=label.lam_prime, lam_prime=label.lam)
     if twist is Twist.CONJ:
         if fam is GroupFamily.O_ODD:
             raise InapplicableTwist("conjugation twist undefined on odd orthogonal groups")
-        return replace(label, lam_prime=symbol_transpose(label.lam_prime))
+        return label._replace(lam_prime=symbol_transpose(label.lam_prime))
     raise ValueError(f"unknown twist {twist}")
 
 

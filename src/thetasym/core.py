@@ -161,6 +161,10 @@ _set = object.__setattr__
 class Value:
     """An immutable record of the attributes named in ``_fields``.
 
+    The record rule: a ``Value`` is a record whose constructor checks its
+    arguments, or one that mutates (``VerificationReport``, the one
+    exception); a plain record is a ``typing.NamedTuple``.
+
     Each subclass lists its fields in ``_fields`` (and in ``__slots__``) and
     writes its own ``__init__``, which checks its arguments and stores each
     field with ``_set``.  Equality holds only between instances of one
@@ -214,11 +218,6 @@ class OrderedValue(Value):
 
     __slots__ = ()
     __lt__, __le__, __gt__, __ge__ = map(_by_fields, (lt, le, gt, ge))
-
-
-def replace(value: Value, **changes) -> Value:
-    """A copy of ``value`` with the named fields changed, built by its ``__init__``."""
-    return value.__class__(**dict(zip(value._fields, value._astuple()), **changes))
 
 
 class Symbol(OrderedValue):

@@ -48,7 +48,6 @@ from itertools import product
 from typing import NamedTuple
 
 from .catalog import (
-    KH,
     PLUS,
     GroupFamily,
     GroupTag,
@@ -61,7 +60,7 @@ from .catalog import (
     kh_of,
     symbol_regular_by_convention,
 )
-from .core import Symbol, Value, _check_sweep, _set, symbol_defect, symbol_transpose
+from .core import Symbol, _check_sweep, symbol_defect, symbol_transpose
 from .errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch
 from .theta import TowerContext, default_orientation, in_G
 
@@ -98,7 +97,7 @@ class MultKind(Enum):
     UNDETERMINED = "undetermined"
 
 
-class Multiplicity(Value):
+class Multiplicity(NamedTuple):
     """Zero, One, a symbolic base factor, or an undetermined marker.
 
     The symbolic value stands for the unevaluated pairing of the two
@@ -106,19 +105,10 @@ class Multiplicity(Value):
     character.
     """
 
-    __slots__ = _fields = ("kind", "rho_left", "rho_right", "reason")
-
-    def __init__(
-        self,
-        kind: MultKind,
-        rho_left: RhoDescriptor | None = None,
-        rho_right: RhoDescriptor | None = None,
-        reason: str | None = None,
-    ):
-        _set(self, "kind", kind)
-        _set(self, "rho_left", rho_left)
-        _set(self, "rho_right", rho_right)
-        _set(self, "reason", reason)
+    kind: MultKind
+    rho_left: RhoDescriptor | None = None
+    rho_right: RhoDescriptor | None = None
+    reason: str | None = None
 
     @property
     def is_zero(self) -> bool:
@@ -186,15 +176,13 @@ class _Side(NamedTuple):
     """One label of a pair, ready for evaluation.
 
     ``kh`` is the label's (k, h) and ``bits`` its resolved orientation bits,
-    entry i of each for slot i.  Only even-type slots are varied, so a
-    variant's (k, h) changes sign exactly at its transposed slots of nonzero
-    defect.  A defect-0 slot and its transpose pass the same gates (the band
-    uses the absolute slot parameter, the pair condition both transposes),
-    so within a family ``kh`` names the variant class.
+    entry i of each for slot i.  A defect-0 slot and its transpose pass the
+    same gates (the band uses the absolute slot parameter, the pair condition
+    both transposes), so within a family ``kh`` names the variant class.
     """
 
     label: RepLabel
-    kh: KH
+    kh: tuple[int, int]
     bits: Bits
 
 
@@ -286,7 +274,7 @@ def _unipotent_slot_gates(left: RepLabel, right: RepLabel, case: GGPCase) -> boo
     return all(symbol_regular_by_convention(s) for s in checks)
 
 
-class VariantReport(Value):
+class VariantReport(NamedTuple):
     """Evaluation of a transpose-variant family.
 
     ``entries`` holds every (left, right, multiplicity) triple in family
@@ -295,10 +283,7 @@ class VariantReport(Value):
     ``selected`` is the first nonzero entry when there is one.
     """
 
-    __slots__ = _fields = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[RepLabel, RepLabel, Multiplicity], ...]):
-        _set(self, "entries", entries)
+    entries: tuple[tuple[RepLabel, RepLabel, Multiplicity], ...]
 
     @property
     def nonzero(self) -> tuple[tuple[RepLabel, RepLabel, Multiplicity], ...]:
@@ -339,30 +324,29 @@ class _VariantRun:
         """``label`` and its transposes in the varied slots, in family order.
 
         Transposing slot i (0 is ``lam``, 1 ``lam_prime``) negates entry i of
-        the variant's (k, h) and of its supplied bits, an open bit staying
-        open; only even-type slots are varied, so the negation is exact.  A
-        slot equal to its own transpose gives no new variant.  Bits are
-        resolved last: an open first bit takes its cuspidal-chain default.
+        the variant's supplied bits, an open bit staying open.  A slot equal
+        to its own transpose gives no new variant.  Bits are resolved last:
+        an open first bit takes its cuspidal-chain default.
         """
         key = (id(label), supplied, slots)
         sides = self._sides.get(key)
         if sides is not None:
             return sides
-        out = [(label, kh_of(label), supplied)]
+        out = [(label, supplied)]
         for i in slots:
             s = (label.lam, label.lam_prime)[i]
             t = symbol_transpose(s)
             if t == s:
                 continue
-            for v, kh, bits in list(out):
-                syms, kh, bits = [v.lam, v.lam_prime], list(kh), list(bits)
-                syms[i], kh[i] = t, -kh[i]
+            for v, bits in list(out):
+                syms, bits = [v.lam, v.lam_prime], list(bits)
+                syms[i] = t
                 if bits[i] is not None:
                     bits[i] = -bits[i]
-                out.append((RepLabel(v.group, v.rho, *syms, v.eps_flag), KH(*kh), tuple(bits)))
+                out.append((RepLabel(v.group, v.rho, *syms, v.eps_flag), tuple(bits)))
         sides = self._sides[key] = [
-            _Side(v, kh, (default_orientation(v, *kh) if p is None else p, s))
-            for v, kh, (p, s) in out
+            _Side(v, kh_of(v), (default_orientation(v) if p is None else p, s))
+            for v, (p, s) in out
         ]
         return sides
 

@@ -27,7 +27,6 @@ from .catalog import (
     enumerate_labels,
     format_sign,
     is_unipotent_cuspidal,
-    kh_of,
     o_even,
     o_odd,
     sign_pow,
@@ -64,8 +63,8 @@ from .theta import (
 class VerificationReport(Value):
     """Outcome of one verifier run: counts, failures and elapsed time.
 
-    Unlike the other values it grows while its run checks, so it takes
-    assignment and has no hash.
+    The one mutable ``Value``: it grows while its run checks, so unlike the
+    checked values it takes assignment and has no hash.
     """
 
     __slots__ = _fields = ("checked", "failures", "elapsed")
@@ -207,7 +206,7 @@ def verify_orientation(max_k: int) -> VerificationReport:
             cases += [(unipotent_label(o_even(k * k, tower), s), own[::step])
                       for s, step in zip(pair, (1, -1))]
     for label, (mine, other) in cases:
-        small, bit = PLUS if mine < other else MINUS, default_orientation(label, *kh_of(label))
+        small, bit = PLUS if mine < other else MINUS, default_orientation(label)
         report.check(
             bit == small,
             lambda: (str(label), f"{format_sign(small)} from indices {(mine, other)}",

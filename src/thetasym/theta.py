@@ -24,6 +24,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache
 from operator import attrgetter
+from typing import NamedTuple
 
 from .catalog import (
     MINUS,
@@ -34,6 +35,7 @@ from .catalog import (
     _SLOTS,
     cuspidal_symbol,
     format_sign,
+    kh_of,
     sign_pow,
 )
 from .core import (
@@ -58,7 +60,7 @@ _SP_TYPE, _EVEN_TYPE = _SLOTS[GroupFamily.SP]
 _ROWS = attrgetter("row_a", "row_b")
 
 
-class TowerContext(Value):
+class TowerContext(NamedTuple):
     """Additive-character-dependent data for first-occurrence questions.
 
     ``eps_minus_one`` is the square class of -1.  The four orientation slots
@@ -77,23 +79,11 @@ class TowerContext(Value):
     open otherwise.
     """
 
-    __slots__ = _fields = (
-        "eps_minus_one", "orient_left", "orient_right", "orient_left_alt", "orient_right_alt",
-    )
-
-    def __init__(
-        self,
-        eps_minus_one: Sign = PLUS,
-        orient_left: Sign | None = None,
-        orient_right: Sign | None = None,
-        orient_left_alt: Sign | None = None,
-        orient_right_alt: Sign | None = None,
-    ):
-        _set(self, "eps_minus_one", eps_minus_one)
-        _set(self, "orient_left", orient_left)
-        _set(self, "orient_right", orient_right)
-        _set(self, "orient_left_alt", orient_left_alt)
-        _set(self, "orient_right_alt", orient_right_alt)
+    eps_minus_one: Sign = PLUS
+    orient_left: Sign | None = None
+    orient_right: Sign | None = None
+    orient_left_alt: Sign | None = None
+    orient_right_alt: Sign | None = None
 
 
 class FirstOccurrence(Value):
@@ -339,7 +329,7 @@ def cuspidal_theta(k: int, variant: CuspidalThetaVariant) -> tuple[Symbol, Symbo
 # ---------------------------------------------------------------------------
 
 
-def default_orientation(label: RepLabel, k: int, h: int) -> Sign | None:
+def default_orientation(label: RepLabel) -> Sign | None:
     """The primary orientation bit derivable from the cuspidal chain, or None.
 
     ``(k, h)`` is the label's :func:`~thetasym.catalog.kh_of`.  Only labels
@@ -353,6 +343,7 @@ def default_orientation(label: RepLabel, k: int, h: int) -> Sign | None:
     * everything else (odd orthogonal sign pairs, swapped-slot data, theta
       shapes with h != 0, nontrivial descriptors): no default.
     """
+    k, h = kh_of(label)
     if not label.rho.is_trivial or h != 0:
         return None
     if label.group.family is GroupFamily.SP:

@@ -146,6 +146,24 @@ def test_domain_refusals_print_one_error_line(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_rank_1_descriptor_named_trivial_refused_before_work(monkeypatch, capsys):
+    """Only the rank-0 descriptor may be named ``trivial``; this one once read as m(trivial,x)."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a pair was evaluated for a refused descriptor")
+
+    monkeypatch.setattr(cli, "ggp_multiplicity", must_not_run)
+    code, out = run_cli(
+        ["ggp-mult", "--case", "fj", "--eps-minus-one", "+",
+         "--left", "sp(2): rho=trivial:1:irr ; L=[0|] ; L'=[|]",
+         "--right", "sp(2): rho=x:1:irr ; L=[0|] ; L'=[|]"]
+    )
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: descriptor id 'trivial' is reserved for rank 0 (at offset 7)\n"
+    )
+
+
 def test_ggp_branch_trivial():
     code, out = run_cli(
         [

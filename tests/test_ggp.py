@@ -30,7 +30,6 @@ from thetasym.core import (
     SymbolFamily,
     enumerate_symbols,
     parse_symbol,
-    replace,
     symbol_defect,
     symbol_transpose,
 )
@@ -344,7 +343,7 @@ def test_select_uniqueness_with_supplied_orientations():
 def _reference_select(left, right, case, ctx):
     """Variant selection written out the direct way, as the reference.
 
-    Every variant label is rebuilt with ``core.replace``, every pair
+    Every variant label is rebuilt with ``_replace``, every pair
     goes through the public ``ggp_multiplicity`` with its own sub-context,
     repeated pairs are dropped by label equality, and the class check keys
     each nonzero entry by its rows, with defect-0 varied slots taken up to
@@ -356,7 +355,7 @@ def _reference_select(left, right, case, ctx):
 
     def variant(label, bits, slots):
         for slot in slots:
-            label = replace(label, **{slot: symbol_transpose(getattr(label, slot))})
+            label = label._replace(**{slot: symbol_transpose(getattr(label, slot))})
             i = 0 if slot == "lam" else 1
             if bits[i] is not None:
                 bits = tuple(-b if j == i else b for j, b in enumerate(bits))
@@ -381,8 +380,7 @@ def _reference_select(left, right, case, ctx):
         if (lv, rv) in seen:
             continue
         seen.add((lv, rv))
-        sub = replace(
-            ctx,
+        sub = ctx._replace(
             orient_left=lbits[0],
             orient_left_alt=lbits[1],
             orient_right=rbits[0],
@@ -472,20 +470,33 @@ def test_shared_run_matches_fresh_calls(ctx):
 
 
 def test_sweep_reads_kh_once_per_label_and_role(monkeypatch):
-    """A rank-2 sweep builds each label's sides once per role, not once per family."""
-    calls = collections.Counter()
+    """A rank-2 sweep builds each label's sides once per role, not once per family.
+
+    Each side reads its variant's (k, h) once, so the run reads ``kh_of``
+    once per variant of each (label, varied slots) role.  Under ``CTX`` no
+    bits are supplied, so a symplectic label's left and right
+    Fourier-Jacobi roles are one role.
+    """
+    calls = 0
 
     def counting_kh_of(label):
-        calls[label] += 1
+        nonlocal calls
+        calls += 1
         return kh_of(label)
 
     monkeypatch.setattr(ggp, "kh_of", counting_kh_of)
     assert verify_variant_uniqueness(2, CTX).passed
-    # a symplectic label is a Fourier-Jacobi left and right side; an
-    # orthogonal label has its one Bessel role
-    for label, n in calls.items():
-        assert n <= (2 if label.group.family is GroupFamily.SP else 1), label
-    assert sum(calls.values()) <= 2 * len(calls)
+    roles = {
+        (label, slots)
+        for left, right, case in _variant_families(2, PLUS)
+        for label, slots in zip((left, right), case.slots)
+    }
+    variants = 0
+    for label, slots in roles:
+        # a slot equal to its own transpose gives no second variant
+        varied = [(label.lam, label.lam_prime)[i] for i in slots]
+        variants += 2 ** sum(symbol_transpose(s) != s for s in varied)
+    assert calls == variants
 
 
 def test_select_entry_kinds_rank_2():

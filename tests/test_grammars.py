@@ -24,7 +24,6 @@ from thetasym.core import (
     Bipartition,
     format_symbol,
     parse_symbol,
-    replace,
     upsilon_inverse,
 )
 from thetasym.errors import ThetasymError
@@ -52,7 +51,9 @@ LABEL_POOL = [
         GroupTag(GroupFamily.SP, rank),
         *(GroupTag(f, rank, e) for f in (GroupFamily.O_EVEN, GroupFamily.O_ODD) for e in (PLUS, MINUS)),
     )
-    for label in enumerate_labels(group, eps, (TRIVIAL_RHO, RhoDescriptor(1), RhoDescriptor(2)))
+    for label in enumerate_labels(
+        group, eps, (TRIVIAL_RHO, RhoDescriptor(1, True, "x"), RhoDescriptor(2, True, "x"))
+    )
 ]
 
 
@@ -69,7 +70,7 @@ def labels(draw):
             st.text("abcxyz-_.0123456789 \t", min_size=1, max_size=8).filter(lambda t: t == t.strip())
         )
         rho = RhoDescriptor(label.rho.glu_rank, draw(st.booleans()), rho_id)
-        label = replace(label, rho=rho)
+        label = label._replace(rho=rho)
     return label, eps
 
 

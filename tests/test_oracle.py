@@ -184,7 +184,7 @@ def test_verify_orientation_fails_every_check_of_a_negated_bit(monkeypatch):
     from thetasym import oracle
 
     derived = oracle.default_orientation
-    monkeypatch.setattr(oracle, "default_orientation", lambda label, k, h: -derived(label, k, h))
+    monkeypatch.setattr(oracle, "default_orientation", lambda label: -derived(label))
     report = verify_orientation(8)
     assert report.checked == 25 and len(report.failures) == 25
     assert report.failures[:4] == [

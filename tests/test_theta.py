@@ -9,7 +9,6 @@ from thetasym.catalog import (
     RhoDescriptor,
     TRIVIAL_RHO,
     enumerate_labels,
-    kh_of,
     make_label,
     o_even,
     o_odd,
@@ -254,18 +253,18 @@ def test_cuspidal_theta_consistency():
 
 def test_default_orientation():
     cusp4 = make_label(sp(2), TRIVIAL_RHO, parse_symbol("[|2,1,0]"), EMPTY_SYMBOL)
-    assert default_orientation(cusp4, *kh_of(cusp4)) == MINUS
+    assert default_orientation(cusp4) == MINUS
     # even orthogonal unipotent: sign of k against (-1)^|k|
     sgn_o2 = make_label(o_even(1, MINUS), TRIVIAL_RHO, parse_symbol("[1,0|]"), EMPTY_SYMBOL)
-    assert default_orientation(sgn_o2, *kh_of(sgn_o2)) == MINUS
+    assert default_orientation(sgn_o2) == MINUS
     triv_o2 = make_label(o_even(1, MINUS), TRIVIAL_RHO, parse_symbol("[|1,0]"), EMPTY_SYMBOL)
-    assert default_orientation(triv_o2, *kh_of(triv_o2)) == PLUS
+    assert default_orientation(triv_o2) == PLUS
     # theta shapes stay open
     theta = make_label(sp(1), TRIVIAL_RHO, parse_symbol("[0|]"), parse_symbol("[1,0|]"))
-    assert default_orientation(theta, *kh_of(theta)) is None
+    assert default_orientation(theta) is None
     # nontrivial descriptor stays open
     rho_only = make_label(sp(2), RhoDescriptor(2, True, "regular-2"), parse_symbol("[0|]"), EMPTY_SYMBOL)
-    assert default_orientation(rho_only, *kh_of(rho_only)) is None
+    assert default_orientation(rho_only) is None
 
 
 @pytest.mark.parametrize("group", [o_odd(0, PLUS), o_odd(1, MINUS), o_even(0, PLUS)], ids=str)
@@ -275,7 +274,7 @@ def test_default_orientation_leaves_odd_and_empty_orthogonal_labels_open(group):
     labels = [label for eps in (PLUS, MINUS) for label in enumerate_labels(group, eps)]
     assert labels
     for label in labels:
-        assert default_orientation(label, *kh_of(label)) is None, label
+        assert default_orientation(label) is None, label
 
 
 def test_tower_context_and_first_occurrence_fields():

@@ -1,19 +1,25 @@
-"""The value classes: start-up cost and value semantics.
+"""The value classes: start-up cost, the record rule and value semantics.
 
-The value classes are written by hand on ``core.Value`` so that importing
-the package never loads ``dataclasses`` (and with it ``inspect``, ``ast``,
-``dis`` and ``tokenize``), which every command-line call would pay for.
-These tests pin that, and pin the semantics the classes had as frozen
-dataclasses: equality and hashing over the field tuple within one class,
-ordering by the field tuple, refused assignment, the constructor refusals,
-``repr`` and pickling.
+No value class is a dataclass, so that importing the package never loads
+``dataclasses`` (and with it ``inspect``, ``ast``, ``dis`` and
+``tokenize``), which every command-line call would pay for.  The record
+rule: a plain record is a ``typing.NamedTuple``, and a record is a
+``core.Value`` only where its constructor checks its arguments or the
+record mutates (``VerificationReport``).  These tests pin that rule in the
+source and the semantics of both kinds: equality and hashing over the
+field tuple, a ``Value`` equal only within its class and a record also to
+its bare field tuple, ordering by the field tuple, refused assignment, the
+constructor refusals, ``repr`` and pickling.
 """
 
+import ast
+import inspect
 import operator
 import pickle
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -32,7 +38,7 @@ from thetasym.catalog import (
     sp,
     twist_label,
 )
-from thetasym.core import Bipartition, Symbol, parse_symbol, replace
+from thetasym.core import Bipartition, Symbol, Value, parse_symbol
 from thetasym.errors import NormalizationError
 from thetasym.ggp import FOURIER_JACOBI, MultKind, Multiplicity, VariantReport, ggp_multiplicity
 from thetasym.oracle import VerificationReport
@@ -53,7 +59,11 @@ FIELDS = {
     VariantReport: ("entries",),
     VerificationReport: ("checked", "failures", "elapsed"),
 }
-FROZEN = [cls for cls in FIELDS if cls is not VerificationReport]
+#: Plain records (``typing.NamedTuple``) and the frozen values whose
+#: constructors check their arguments.
+RECORDS = (RepLabel, TowerContext, Multiplicity, VariantReport)
+CHECKED = (Symbol, GroupTag, RhoDescriptor, FirstOccurrence)
+FROZEN = RECORDS + CHECKED
 ORDERED = (Symbol, GroupTag, RhoDescriptor)
 
 
@@ -143,8 +153,21 @@ def test_equality_and_hash_are_over_the_field_tuple(cls):
     assert hash(a) == hash(b) == hash(field_tuple(a))
     assert a != c and field_tuple(a) != field_tuple(c)
     assert len({a, b, c}) == 2
-    # Equality holds within one class only, never with the bare field tuple.
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda c: c.__name__)
+def test_a_value_never_equals_its_field_tuple(cls):
+    a = _samples(cls)[0]
     assert a != field_tuple(a) and field_tuple(a) != a
+    assert field_tuple(a) not in {a}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_a_record_is_its_field_tuple(cls):
+    a = _samples(cls)[0]
+    assert a == field_tuple(a) and field_tuple(a) == a
+    assert hash(a) == hash(field_tuple(a)) and field_tuple(a) in {a}
+    assert tuple(a) == field_tuple(a)
 
 
 def test_verification_report_compares_by_fields_and_stays_mutable():
@@ -195,13 +218,26 @@ def test_symbol_never_equals_a_bipartition_with_its_rows():
         s < bp
 
 
-@pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda c: c.__name__)
 def test_fields_refuse_assignment_and_deletion(cls):
     a, _, c = _samples(cls)
     for name in FIELDS[cls]:
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(a, name, getattr(c, name))
         with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert field_tuple(a) == field_tuple(_samples(cls)[0])
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_record_fields_refuse_assignment_and_deletion(cls):
+    a, _, c = _samples(cls)
+    for name in FIELDS[cls]:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(c, name))
+        with pytest.raises(AttributeError):
             delattr(a, name)
     with pytest.raises(AttributeError):
         a.extra = 1
@@ -219,6 +255,7 @@ def test_fields_refuse_assignment_and_deletion(cls):
         (lambda: RhoDescriptor(-1), ValueError, "descriptor rank must be nonnegative"),
         (lambda: RhoDescriptor(0, False), ValueError, "rank-0 descriptor must be trivial and regular"),
         (lambda: RhoDescriptor(0, True, "x"), ValueError, "rank-0 descriptor must be trivial and regular"),
+        (lambda: RhoDescriptor(1), ValueError, "descriptor id 'trivial' is reserved for rank 0"),
         (lambda: RhoDescriptor(1, True, "a:b"), ValueError, "descriptor id 'a:b' contains reserved characters"),
         (lambda: RhoDescriptor(1, True, " a"), ValueError, "descriptor id ' a' has leading or trailing whitespace"),
         (lambda: Symbol((0, -1), ()), NormalizationError, "negative entry -1 in first row (0, -1)"),
@@ -246,7 +283,9 @@ def test_reprs():
     assert repr(VerificationReport()) == "VerificationReport(checked=0, failures=[], elapsed=0.0)"
 
 
-@pytest.mark.parametrize("cls", [Symbol, RepLabel, TowerContext], ids=lambda c: c.__name__)
+@pytest.mark.parametrize(
+    "cls", [Symbol, RepLabel, TowerContext, Multiplicity, VariantReport], ids=lambda c: c.__name__
+)
 def test_pickle_round_trip(cls):
     a = _samples(cls)[0]
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -254,12 +293,44 @@ def test_pickle_round_trip(cls):
         assert type(back) is cls and back == a and hash(back) == hash(a)
 
 
-def test_replace_rebuilds_through_the_constructor():
+def test_label_replace_changes_only_the_named_fields():
     label = next(enumerate_labels(o_even(1, PLUS)))
-    swapped = replace(label, lam=label.lam_prime, lam_prime=label.lam)
-    assert swapped == twist_label(label, Twist.CHI)
+    swapped = label._replace(lam=label.lam_prime, lam_prime=label.lam)
+    assert type(swapped) is RepLabel and swapped == twist_label(label, Twist.CHI)
     assert field_tuple(label) == field_tuple(next(enumerate_labels(o_even(1, PLUS))))
-    with pytest.raises(ValueError, match="descriptor rank must be nonnegative"):
-        replace(RhoDescriptor(), glu_rank=-1)
-    with pytest.raises(TypeError):
-        replace(label, sign=PLUS)
+    with pytest.raises(ValueError, match="unexpected field names"):
+        label._replace(sign=PLUS)
+
+
+# ---------------------------------------------------------------------------
+# The record rule, read off the source
+# ---------------------------------------------------------------------------
+
+
+def _value_classes() -> list[type]:
+    """Every ``Value`` subclass the package defines, ``OrderedValue`` excepted."""
+    import thetasym.cli  # noqa: F401  (loads every package module)
+
+    found, todo = [], [Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("thetasym.") and sub._fields:
+                found.append(sub)
+    return found
+
+
+def _init_checks(cls) -> bool:
+    """Whether the class's own ``__init__`` holds a ``raise`` or an ``assert``."""
+    if "__init__" not in vars(cls):
+        return False
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
+    return any(isinstance(node, (ast.Raise, ast.Assert)) for node in ast.walk(tree))
+
+
+def test_every_value_checks_its_arguments_but_the_mutable_report():
+    """A ``Value`` whose constructor only stores its fields should be a NamedTuple."""
+    classes = _value_classes()
+    assert set(classes) == {*CHECKED, VerificationReport}
+    assert [cls for cls in classes if not _init_checks(cls)] == [VerificationReport]
+    assert VerificationReport.__setattr__ is object.__setattr__
