@@ -53,10 +53,11 @@ from .ggp import BESSEL, FOURIER_JACOBI, _VariantRun
 from .theta import (
     ThetaDirection,
     TowerContext,
-    _partners,
+    _check_sign,
+    _fiber_source,
+    _partner_fibers,
     default_orientation,
     first_occurrence_unipotent,
-    theta_fiber,
 )
 
 
@@ -130,15 +131,19 @@ def _first_fiber(
 ) -> tuple[int | None, list[Symbol]]:
     """First target rank with a nonempty pairing fiber, plus that fiber.
 
-    Scans upward from rank 0; ``(None, [])`` when no rank up to
-    ``max_rank`` pairs.  An even-type source skips theta_fiber's class check.
+    Scans every rank from 0 up to ``max_rank``, and gives ``(None, [])``
+    when none pairs.  The refusals come once, before any rank is scanned:
+    a sign other than +1 or -1, and for an sp-to-o source ``theta_fiber``'s
+    class check, so an even-type source scanned that way is refused even
+    when no rank is scanned.  An o-to-sp source has no class check.  One
+    partner builder then walks the ranks, reading the source once; at each
+    rank it asks the layer bound first, and an empty rank builds nothing.
     """
-    fiber_at = theta_fiber if direction is ThetaDirection.SP_TO_O else _partners
-    for rank in range(max_rank + 1):
-        fiber = fiber_at(lam, sign, rank)
-        if fiber:
-            return rank, fiber
-    return None, []
+    if direction is ThetaDirection.SP_TO_O:
+        _fiber_source(lam, sign)
+    else:
+        _check_sign(sign)
+    return next(_partner_fibers(lam, sign, range(max_rank + 1)), (None, []))
 
 
 def verify_f1(max_rank: int) -> VerificationReport:

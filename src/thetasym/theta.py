@@ -24,7 +24,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .catalog import (
     MINUS,
@@ -58,6 +58,12 @@ from .errors import DefectClassMismatch
 # A (symplectic-type, even-type) symbol pair is exactly the sp slot pair.
 _SP_TYPE, _EVEN_TYPE = _SLOTS[GroupFamily.SP]
 _ROWS = attrgetter("row_a", "row_b")
+
+
+def _check_sign(sign: Sign) -> None:
+    """Refuse a tower sign other than +1 or -1, before any work."""
+    if sign != PLUS and sign != MINUS:
+        raise ValueError(f"tower sign must be +1 or -1, got {sign}")
 
 
 class TowerContext(NamedTuple):
@@ -144,8 +150,10 @@ def in_B(lam: Symbol, lam_prime: Symbol, sign: Sign) -> bool:
     where <= is the band relation; the minus tower swaps the row roles and
     uses def' = -1 - def.  The band relation t(a) <= t(b) says that b / a
     is a horizontal strip, so it is read as interlacing of the
-    untransposed rows and no partition is transposed.
+    untransposed rows and no partition is transposed.  A sign other than
+    +1 or -1 raises ``ValueError``.
     """
+    _check_sign(sign)
     d, d2 = symbol_defect(lam), symbol_defect(lam_prime)
     _SP_TYPE.entry("first", d)
     _EVEN_TYPE.entry("second", d2)
@@ -203,8 +211,10 @@ def _inside(p: Partition, size: int) -> tuple[Partition, ...]:
     )
 
 
-def _partners(source: Symbol, sign: Sign, rank: int) -> list[Symbol]:
-    """Symbols of ``rank`` pairing with a source of either type on the ``sign`` tower.
+def _partner_fibers(
+    source: Symbol, sign: Sign, ranks: Iterable[int]
+) -> Iterator[tuple[int, list[Symbol]]]:
+    """``(rank, partners)`` at each rank of ``ranks`` where ``source`` pairs on the ``sign`` tower.
 
     The defect equation is its own inverse and :func:`_band` is symmetric,
     so this serves both directions.  The band is interlacing, so each side
@@ -212,43 +222,68 @@ def _partners(source: Symbol, sign: Sign, rank: int) -> list[Symbol]:
     (Macdonald I.5): on the plus tower upper' is lower plus a strip and
     lower' is upper minus one, and the minus tower swaps the rows.  The
     strip sizes share out what the target residual leaves, and the partners
-    are sorted on rows, the order of the target layer.  An even-type source
-    whose partner defect is not 1 mod 4 has none; an oversized target layer
-    is refused by ``core._layer_residual`` before anything is built.
+    are sorted on rows, the order of the target layer.
+
+    The source is read once, before the first rank: its partner defect, its
+    rows and the least residual that leaves room for a strip.  Each rank
+    then asks ``core._layer_residual`` first, which refuses an oversized
+    target layer before anything is built, and a rank whose residual is
+    below that least one is skipped after one comparison.  An even-type
+    source whose partner defect is not 1 mod 4 has no partners at any rank.
     """
     want = sign - symbol_defect(source)
     if want % 2 and not SymbolFamily.SP_UNIPOTENT.admits_defect(want):
-        return []
-    residual = _layer_residual(rank, want)
+        return
     up, lo = upsilon(source)
     grow, shrink = (lo, up) if sign == PLUS else (up, lo)
-    total, out = sum(shrink), []
+    total, need = sum(shrink), sum(grow)
     # size of the shrunk row: a strip takes at most shrink[0] boxes off it,
-    # and the grown row takes at least sum(grow) of the residual
-    for size in range(total - (shrink[0] if shrink else 0), min(total, residual - sum(grow)) + 1):
-        # grow plus a strip, to n boxes in all, is what lies inside (n, *grow)
-        n = residual - size
-        grown = _inside((n,) + grow, n)
-        for cut in _inside(shrink, size):
-            for row in grown:
-                bp = Bipartition(row, cut) if sign == PLUS else Bipartition(cut, row)
-                out.append(_symbol_of(bp, want))
-    out.sort(key=_ROWS)
-    return out
+    # and the grown row takes at least sum(grow) of the residual, so a
+    # residual below ``least`` leaves no room for a partner
+    low = total - (shrink[0] if shrink else 0)
+    least = low + need
+    for rank in ranks:
+        residual = _layer_residual(rank, want)
+        if residual < least:
+            continue
+        out = []
+        for size in range(low, min(total, residual - need) + 1):
+            # grow plus a strip, to n boxes in all, is what lies inside (n, *grow)
+            n = residual - size
+            grown = _inside((n,) + grow, n)
+            for cut in _inside(shrink, size):
+                for row in grown:
+                    bp = Bipartition(row, cut) if sign == PLUS else Bipartition(cut, row)
+                    out.append(_symbol_of(bp, want))
+        out.sort(key=_ROWS)
+        yield rank, out
+
+
+def _partners(source: Symbol, sign: Sign, rank: int) -> list[Symbol]:
+    """Symbols of ``rank`` pairing with ``source``: :func:`_partner_fibers` at that rank alone."""
+    return next(_partner_fibers(source, sign, (rank,)), (rank, []))[1]
 
 
 def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
     """All even-type symbols of the target rank pairing with ``lam``.
 
     The same list, in the same order, as :func:`in_B` against every
-    even-type symbol of the target rank, which makes it the oracle of the
-    closed-form first occurrence; :func:`_partners` builds only the members.
-    Refusals come in this order, before anything is built: a ``lam`` not of
-    symplectic type raises :class:`DefectClassMismatch`, as in ``in_B``, and
-    a target layer of more than ``MAX_LAYER_SYMBOLS`` symbols ``ValueError``.
+    even-type symbol of the target rank; :func:`_partners` builds only the
+    members.  Refusals come in this order, before anything is built: a sign
+    other than +1 or -1 raises ``ValueError``, a ``lam`` not of symplectic
+    type :class:`DefectClassMismatch`, as in ``in_B``, and a target layer
+    of more than ``MAX_LAYER_SYMBOLS`` symbols ``ValueError``.  The first
+    two are :func:`_fiber_source`, which the first-occurrence scan of
+    ``oracle`` runs once per source.
     """
-    _SP_TYPE.entry("first", symbol_defect(lam))
+    _fiber_source(lam, sign)
     return _partners(lam, sign, target_rank)
+
+
+def _fiber_source(lam: Symbol, sign: Sign) -> None:
+    """The refusals of :func:`theta_fiber` that read only its source and sign."""
+    _check_sign(sign)
+    _SP_TYPE.entry("first", symbol_defect(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +315,9 @@ def first_occurrence_unipotent(
     The lift is always the unique fiber member at the index, so the result
     is resolved.  No tower-orientation data is needed: for unipotent data
     the two towers have *different* closed forms rather than an unknown
-    assignment.
+    assignment.  A sign other than +1 or -1 raises ``ValueError``.
     """
+    _check_sign(sign)
     d = symbol_defect(lam)
     if direction is ThetaDirection.SP_TO_O:
         _SP_TYPE.entry("source", d)

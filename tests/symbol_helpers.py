@@ -18,7 +18,7 @@ from thetasym.core import (
     upsilon,
     upsilon_inverse,
 )
-from thetasym.theta import _band
+from thetasym.theta import ThetaDirection, _band
 
 
 def random_symbol(rng, max_rank: int = 12) -> Symbol:
@@ -102,6 +102,23 @@ def partners_by_layer_filter(source: Symbol, sign: Sign, rank: int) -> list[Symb
         return []
     bp = upsilon(source)
     return [s for s in _defect_layer(rank, want) if _band(bp, upsilon(s), sign)]
+
+
+def first_fiber_by_ranks(
+    lam: Symbol, sign: Sign, direction: ThetaDirection, max_rank: int
+) -> tuple[int | None, list[Symbol]]:
+    """The reference for ``oracle._first_fiber``: one single-rank call per rank.
+
+    An sp-to-o source asks ``theta_fiber`` and an o-to-sp one ``_partners``
+    at each rank from 0 up, so the source is set up again at every rank and
+    an sp-to-o source is class-checked only once a rank is scanned.
+    """
+    fiber_at = theta.theta_fiber if direction is ThetaDirection.SP_TO_O else theta._partners
+    for rank in range(max_rank + 1):
+        fiber = fiber_at(lam, sign, rank)
+        if fiber:
+            return rank, fiber
+    return None, []
 
 
 def partition_transpose(p: Partition) -> Partition:

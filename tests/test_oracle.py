@@ -13,8 +13,10 @@ from thetasym.core import (
     enumerate_symbols,
     parse_symbol,
 )
+from thetasym.errors import DefectClassMismatch
 from thetasym.oracle import (
     VerificationReport,
+    _first_fiber,
     brute_first_occurrence,
     default_scan_bound,
     verify_counts,
@@ -22,9 +24,9 @@ from thetasym.oracle import (
     verify_orientation,
     verify_variant_uniqueness,
 )
-from thetasym.theta import TowerContext, _partners, in_B
+from thetasym.theta import ThetaDirection, TowerContext, _partners, in_B
 
-from symbol_helpers import forbid_layer_builds, forbid_variant_families
+from symbol_helpers import first_fiber_by_ranks, forbid_layer_builds, forbid_variant_families
 
 
 def test_brute_first_occurrence_examples():
@@ -32,6 +34,86 @@ def test_brute_first_occurrence_examples():
     assert brute_first_occurrence(parse_symbol("[1|]"), PLUS, 6) == 0
     assert brute_first_occurrence(parse_symbol("[1|]"), MINUS, 6) == 2
     assert brute_first_occurrence(parse_symbol("[|2,1,0]"), PLUS, 2) is None
+
+
+#: (source family, tower sign, direction) of every scan: sp-to-o on both
+#: towers, o-to-sp on the tower of the source's family and on the wrong one.
+SCANS = [
+    (family, sign, direction)
+    for family, direction in (
+        (SymbolFamily.SP_UNIPOTENT, ThetaDirection.SP_TO_O),
+        (SymbolFamily.O_EVEN_PLUS, ThetaDirection.O_TO_SP),
+        (SymbolFamily.O_EVEN_MINUS, ThetaDirection.O_TO_SP),
+    )
+    for sign in (PLUS, MINUS)
+]
+
+
+def _scans(max_rank: int):
+    """(family, (source, sign, direction, bound)) for every source of rank
+    <= max_rank, at every bound from 0 to two past the default one."""
+    for n in range(max_rank + 1):
+        for family, sign, direction in SCANS:
+            for lam in enumerate_symbols(n, family):
+                for bound in range(default_scan_bound(lam) + 3):
+                    yield family, (lam, sign, direction, bound)
+
+
+def test_first_fiber_equals_the_rank_by_rank_scan():
+    """One set-up per source finds what a single-rank call per rank finds,
+    the fiber in the same order and ``None`` results included."""
+    for _, scan in _scans(8):
+        assert _first_fiber(*scan) == first_fiber_by_ranks(*scan), scan
+
+
+def test_first_fiber_sets_up_once_and_builds_only_its_fiber(monkeypatch):
+    """A counting spy: the source's ``upsilon`` is asked once per scan,
+    whatever the bound; every rank from 0 up is asked the layer bound in
+    turn; and strips are cut only at the rank the scan returns, after it
+    was asked, so an empty rank builds nothing.  A source on the wrong
+    tower asks nothing at all."""
+    events = []
+    upsilon, residual, inside = theta.upsilon, theta._layer_residual, theta._inside
+
+    def spy(kind, fn):
+        def spied(*args):
+            events.append((kind, args[0]))
+            return fn(*args)
+
+        return spied
+
+    monkeypatch.setattr(theta, "upsilon", spy("upsilon", upsilon))
+    monkeypatch.setattr(theta, "_layer_residual", spy("rank", residual))
+    monkeypatch.setattr(theta, "_inside", spy("inside", inside))
+    for family, (lam, sign, direction, bound) in _scans(6):
+        events.clear()
+        found, _ = _first_fiber(lam, sign, direction, bound)
+        if direction is ThetaDirection.O_TO_SP and sign != family.sign:
+            assert (found, events) == (None, [])
+            continue
+        assert [x for kind, x in events if kind == "upsilon"] == [lam]
+        ranks = [x for kind, x in events if kind == "rank"]
+        assert ranks == list(range((bound if found is None else found) + 1))
+        kinds = [kind for kind, _ in events]
+        built = kinds.count("inside")
+        assert (built > 0) == (found is not None)
+        if built:
+            last_rank = len(kinds) - 1 - kinds[::-1].index("rank")
+            assert "inside" not in kinds[:last_rank], (lam, sign, bound)
+
+
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_even_type_source_refused_before_the_scan(sign, monkeypatch):
+    """An sp-to-o scan of an even-type source raises ``theta_fiber``'s class
+    refusal even at a bound that scans no rank, and builds nothing."""
+    lam = parse_symbol("[1,0|]")
+    with pytest.raises(DefectClassMismatch) as fiber_err:
+        theta.theta_fiber(lam, sign, 0)
+    forbid_layer_builds(monkeypatch)
+    for bound in (-1, 0, 4):
+        with pytest.raises(DefectClassMismatch) as err:
+            brute_first_occurrence(lam, sign, bound)
+        assert str(err.value) == str(fiber_err.value) == "first symbol defect 2 not = 1 mod 4"
 
 
 def test_fiber_to_sp_equals_full_layer_filter():

@@ -31,6 +31,7 @@ from thetasym.core import (
     upsilon_inverse,
 )
 from thetasym.errors import DefectClassMismatch
+from thetasym.oracle import _first_fiber, brute_first_occurrence
 from thetasym.theta import (
     CuspidalThetaVariant,
     FirstOccurrence,
@@ -152,6 +153,29 @@ def test_bare_symbol_class_refusal_texts(call, argv, text, capsys):
 
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {text}\n")
+
+
+@pytest.mark.parametrize("sign", [0, 2, 3, -2])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sign: in_B(parse_symbol("[1|]"), EMPTY_SYMBOL, sign),
+        lambda sign: theta_fiber(parse_symbol("[1|]"), sign, 0),
+        lambda sign: first_occurrence_unipotent(parse_symbol("[1|]"), sign, ThetaDirection.SP_TO_O),
+        lambda sign: first_occurrence_unipotent(EMPTY_SYMBOL, sign, ThetaDirection.O_TO_SP),
+        lambda sign: brute_first_occurrence(parse_symbol("[1|]"), sign, 4),
+        lambda sign: _first_fiber(EMPTY_SYMBOL, sign, ThetaDirection.O_TO_SP, 4),
+    ],
+    ids=["in_B", "theta_fiber", "sp-to-o", "o-to-sp", "scan sp-to-o", "scan o-to-sp"],
+)
+def test_tower_sign_other_than_plus_or_minus_one_refused(call, sign, monkeypatch):
+    """Each entry that takes a tower sign refuses any other value than +1
+    or -1 with one text, before anything is built; a sign of 3 used to
+    read as the minus tower and 0 to fail an internal assertion."""
+    forbid_layer_builds(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        call(sign)
+    assert str(err.value) == f"tower sign must be +1 or -1, got {sign}"
 
 
 def test_in_G_examples():
@@ -302,7 +326,7 @@ def test_retired_case_table_names_are_gone():
 
 
 def test_closed_form_equals_brute_small():
-    from thetasym.oracle import brute_first_occurrence, default_scan_bound
+    from thetasym.oracle import default_scan_bound
 
     for n in range(5):
         for lam in enumerate_symbols(n, SymbolFamily.SP_UNIPOTENT):
