@@ -6,7 +6,7 @@ The package is organized in layers:
   symbols, with rank/defect invariants, the staircase bijection and
   deterministic enumeration;
 * :mod:`thetasym.catalog` - representation labels of finite symplectic and
-  orthogonal groups, cuspidal staircases, twists and the label grammar;
+  orthogonal groups, cuspidal staircases and the label grammar;
 * :mod:`thetasym.theta` - pair-membership predicates for the oscillator
   representation, closed-form first occurrences and the cuspidal chain;
 * :mod:`thetasym.ggp` - relevance, branching multiplicities, variant
@@ -28,7 +28,6 @@ from .catalog import (
     RhoDescriptor,
     Sign,
     TRIVIAL_RHO,
-    Twist,
     cuspidal_symbol,
     enumerate_labels,
     eps_minus_one_from_q,
@@ -45,7 +44,6 @@ from .catalog import (
     parse_sign,
     sp,
     symbol_regular_by_convention,
-    twist_label,
     unipotent_label,
 )
 from .core import (
@@ -71,7 +69,6 @@ from .core import (
 from .errors import (
     CaseMismatch,
     DefectClassMismatch,
-    InapplicableTwist,
     MultipleNonzero,
     NormalizationError,
     NotUnipotent,

@@ -43,6 +43,7 @@ from .core import (
     SymbolFamily,
     _check_bound,
     _set,
+    _staircase_row,
     enumerate_symbols,
     _parse_int,
     _parse_symbol,
@@ -54,7 +55,6 @@ from .core import (
 )
 from .errors import (
     DefectClassMismatch,
-    InapplicableTwist,
     ParseError,
     RankOverflow,
     SignMismatch,
@@ -296,10 +296,6 @@ def kh_of(label: RepLabel) -> KH:
 # ---------------------------------------------------------------------------
 
 
-def _staircase(top: int) -> tuple[int, ...]:
-    return tuple(range(top, -1, -1))
-
-
 def cuspidal_symbol(family: GroupFamily, k: int) -> Symbol:
     """Staircase symbol of the unique unipotent cuspidal representation.
 
@@ -315,7 +311,7 @@ def cuspidal_symbol(family: GroupFamily, k: int) -> Symbol:
         raise ValueError("cuspidal index must be nonnegative")
     top = 2 * k - 1 if family is GroupFamily.O_EVEN else 2 * k
     _check_bound(top + 1, f"the cuspidal staircase of index {k}", "entries")
-    rows = _staircase(top)
+    rows = _staircase_row((), top + 1)
     if family is GroupFamily.O_EVEN or k % 2 == 0:
         return Symbol(rows, ())
     return Symbol((), rows)
@@ -333,47 +329,6 @@ def is_unipotent_cuspidal(s: Symbol) -> bool:
         return s == cuspidal_symbol(GroupFamily.SP, (abs(d) - 1) // 2)
     stair = cuspidal_symbol(GroupFamily.O_EVEN, abs(d) // 2)
     return s in (stair, symbol_transpose(stair))
-
-
-# ---------------------------------------------------------------------------
-# Twists
-# ---------------------------------------------------------------------------
-
-
-class Twist(Enum):
-    SGN = "sgn"
-    CHI = "chi"
-    CONJ = "conj"
-
-
-def twist_label(label: RepLabel, twist: Twist) -> RepLabel:
-    """Sign, chi and conjugation twists acting on labels.
-
-    * SGN transposes both symbols on even orthogonal groups, flips the eps
-      flag on odd orthogonal groups, and is undefined on symplectic groups.
-    * CHI swaps the two symbols (orthogonal groups only).
-    * CONJ transposes the second symbol (symplectic and even orthogonal).
-    All three are involutive.
-    """
-    fam = label.group.family
-    if twist is Twist.SGN:
-        if fam is GroupFamily.O_EVEN:
-            return label._replace(
-                lam=symbol_transpose(label.lam),
-                lam_prime=symbol_transpose(label.lam_prime),
-            )
-        if fam is GroupFamily.O_ODD:
-            return label._replace(eps_flag=-label.eps_flag)
-        raise InapplicableTwist("sgn twist undefined on symplectic groups")
-    if twist is Twist.CHI:
-        if fam is GroupFamily.SP:
-            raise InapplicableTwist("chi twist undefined on symplectic groups")
-        return label._replace(lam=label.lam_prime, lam_prime=label.lam)
-    if twist is Twist.CONJ:
-        if fam is GroupFamily.O_ODD:
-            raise InapplicableTwist("conjugation twist undefined on odd orthogonal groups")
-        return label._replace(lam_prime=symbol_transpose(label.lam_prime))
-    raise ValueError(f"unknown twist {twist}")
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,6 @@ class SignMismatch(ThetasymError):
     """The even-orthogonal sign equation is violated by a label."""
 
 
-class InapplicableTwist(ThetasymError):
-    """The requested twist is not defined for the label's group family."""
-
-
 class CaseMismatch(ThetasymError):
     """Label pair does not match the requested restriction problem."""
 

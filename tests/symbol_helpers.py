@@ -4,7 +4,7 @@ definition-level references that the library itself no longer needs."""
 
 import thetasym.core as core
 import thetasym.theta as theta
-from thetasym.catalog import KH, Sign
+from thetasym.catalog import KH, GroupFamily, RepLabel, Sign
 from thetasym.ggp import FOURIER_JACOBI
 from thetasym.core import (
     Bipartition,
@@ -15,6 +15,7 @@ from thetasym.core import (
     admissible_defects,
     defect_rank_offset,
     symbol_defect,
+    symbol_transpose,
     upsilon,
     upsilon_inverse,
 )
@@ -119,6 +120,20 @@ def first_fiber_by_ranks(
         if fiber:
             return rank, fiber
     return None, []
+
+
+def sgn(label: RepLabel) -> RepLabel:
+    """The sign twist of an orthogonal label, the reference for the equivariance checks.
+
+    On an even orthogonal group it transposes both symbols; on an odd one it
+    flips the eps flag.  It is an involution, and undefined on symplectic groups.
+    """
+    if label.group.family is GroupFamily.O_EVEN:
+        return label._replace(
+            lam=symbol_transpose(label.lam), lam_prime=symbol_transpose(label.lam_prime)
+        )
+    assert label.group.family is GroupFamily.O_ODD, label
+    return label._replace(eps_flag=-label.eps_flag)
 
 
 def partition_transpose(p: Partition) -> Partition:

@@ -19,7 +19,6 @@ from thetasym.catalog import (
     RepLabel,
     RhoDescriptor,
     TRIVIAL_RHO,
-    Twist,
     cuspidal_symbol,
     enumerate_labels,
     eps_minus_one_from_q,
@@ -35,7 +34,6 @@ from thetasym.catalog import (
     parse_sign,
     sp,
     symbol_regular_by_convention,
-    twist_label,
     unipotent_label,
 )
 from thetasym.core import (
@@ -54,12 +52,13 @@ from thetasym.core import (
 )
 from thetasym.errors import (
     DefectClassMismatch,
-    InapplicableTwist,
     ParseError,
     RankOverflow,
     SignMismatch,
 )
 from thetasym.ggp import default_rho_catalog
+
+from symbol_helpers import sgn
 
 
 def test_make_label_examples():
@@ -202,10 +201,10 @@ def test_make_label_outcome_matrix():
 
 
 def test_cuspidal_symbol_refuses_an_oversized_staircase(monkeypatch):
-    def must_not_run(top):
+    def must_not_run(*args):
         raise AssertionError("a staircase was built for a refused index")
 
-    monkeypatch.setattr(catalog, "_staircase", must_not_run)
+    monkeypatch.setattr(catalog, "_staircase_row", must_not_run)
     cases = [(family, k) for family in GroupFamily for k in (500_001, 10**6, 10**30)]
     cases += [(GroupFamily.SP, 500_000), (GroupFamily.O_ODD, 500_000)]
     for family, k in cases:
@@ -267,47 +266,17 @@ def test_is_unipotent_cuspidal_examples():
     assert not is_unipotent_cuspidal(parse_symbol("[1|0]"))  # defect 0, not the empty staircase
 
 
-def test_twists():
-    even = make_label(
-        o_even(2, PLUS), TRIVIAL_RHO, parse_symbol("[2|0]"), EMPTY_SYMBOL
-    )
-    sgn = twist_label(even, Twist.SGN)
-    assert sgn.lam == parse_symbol("[0|2]") and sgn.lam_prime == EMPTY_SYMBOL
-    assert twist_label(sgn, Twist.SGN) == even
-
-    odd = make_label(
-        o_odd(1, PLUS), TRIVIAL_RHO, parse_symbol("[1|]"), parse_symbol("[0|]"), PLUS
-    )
-    assert twist_label(odd, Twist.SGN).eps_flag == MINUS
-    assert twist_label(twist_label(odd, Twist.SGN), Twist.SGN) == odd
-    chi = twist_label(odd, Twist.CHI)
-    assert chi.lam == parse_symbol("[0|]") and chi.lam_prime == parse_symbol("[1|]")
-    assert twist_label(chi, Twist.CHI) == odd
-
-    spl = make_label(sp(4), TRIVIAL_RHO, parse_symbol("[|2,1,0]"), parse_symbol("[|2,0]"))
-    conj = twist_label(spl, Twist.CONJ)
-    assert conj.lam_prime == parse_symbol("[2,0|]")
-    assert twist_label(conj, Twist.CONJ) == spl
-
-    with pytest.raises(InapplicableTwist):
-        twist_label(spl, Twist.SGN)
-    with pytest.raises(InapplicableTwist):
-        twist_label(spl, Twist.CHI)
-    with pytest.raises(InapplicableTwist):
-        twist_label(odd, Twist.CONJ)
-
-
 def test_sgn_twist_negates_kh_on_even_orthogonal():
     even = make_label(
         o_even(2, PLUS), TRIVIAL_RHO, parse_symbol("[2|0]"), EMPTY_SYMBOL
     )
     k, h = kh_of(even)
-    k2, h2 = kh_of(twist_label(even, Twist.SGN))
+    k2, h2 = kh_of(sgn(even))
     assert (k2, h2) == (-k, -h)
     odd = make_label(
         o_odd(1, PLUS), TRIVIAL_RHO, parse_symbol("[1|]"), parse_symbol("[0|]"), PLUS
     )
-    assert kh_of(twist_label(odd, Twist.SGN)) == kh_of(odd)
+    assert kh_of(sgn(odd)) == kh_of(odd)
 
 
 def test_unipotent_label_counts():

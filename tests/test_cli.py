@@ -394,10 +394,10 @@ def test_oversized_branch_table_refused_before_work(monkeypatch, capsys):
 def test_oversized_cuspidal_index_refused_before_work(k, variant, monkeypatch, capsys):
     import thetasym.catalog as catalog
 
-    def must_not_run(top):
+    def must_not_run(*args):
         raise AssertionError("a staircase was built for a refused index")
 
-    monkeypatch.setattr(catalog, "_staircase", must_not_run)
+    monkeypatch.setattr(catalog, "_staircase_row", must_not_run)
     code, out = run_cli(["theta-cuspidal", "--k", str(k), "--variant", variant])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == (

@@ -1,8 +1,9 @@
-"""The README's table of closed forms and their oracles, and the benchmark's
-per-layer metric names, stay true to the package."""
+"""The README's table of closed forms and their oracles, its golden deck
+size, and the benchmark's per-layer metric names, stay true to the package."""
 
 import importlib
 import json
+import random
 import re
 from pathlib import Path
 
@@ -43,19 +44,33 @@ def test_closed_form_table_has_one_row_per_public_closed_form():
         "ggp.ggp_multiplicity",
         "ggp.select_nonzero_variant",
         "ggp.branch_decomposition",
-        "catalog.twist_label",
     ]
 
 
 @pytest.mark.parametrize("row", ROWS, ids=lambda row: row[0].split("`")[1])
 def test_closed_form_table_row_is_current_and_gated(row):
     """Every name a row gives resolves, so a stale row fails; and the row
-    names an oracle or the open ROADMAP item that is to supply one."""
+    names an oracle or the open ROADMAP item that is to supply one.  A row
+    without an oracle names a caller in ``src/``: a closed form with
+    neither only waits to be deleted."""
     forms, oracle, _suite, _reach, callers = row
     for cell in (forms, oracle, callers):
         for name in NAME.findall(cell):
             _resolve(name)  # a stale name raises here
     assert NAME.search(oracle) or re.search(r"ROADMAP items? \d", oracle), forms
+    assert NAME.search(oracle) or NAME.search(callers), forms
+
+
+def test_readme_states_the_golden_deck_size():
+    """The request count the README gives for ``tests/golden_cli.py`` is
+    the size of the deck it draws; the deck is built, none of it run."""
+    import golden_cli
+
+    section = README.read_text().split("## Development\n", 1)[1]
+    stated = re.search(r"deck of ([\d,]+) command-line requests", section)
+    assert stated, "the Development section no longer states the deck size"
+    deck = golden_cli._deck(random.Random(golden_cli.SEED))
+    assert int(stated.group(1).replace(",", "")) == len(deck)
 
 
 LAYERS = ("core", "catalog", "theta", "ggp", "oracle")
