@@ -12,49 +12,17 @@ Verbs:
 
 Output formats: ``pretty`` (aligned text), ``json`` (one object per row),
 ``csv``.  Identical inputs produce byte-identical output.  Exit codes:
-0 success, 1 domain error, 2 verification failure.
+0 success, 1 domain error, 2 verification failure or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
 from . import __version__
-from .catalog import (
-    PLUS,
-    Sign,
-    eps_minus_one_from_q,
-    format_label,
-    format_sign,
-    parse_group,
-    parse_label,
-    parse_sign,
-)
-from .core import (
-    SymbolFamily,
-    enumerate_symbols,
-    format_bipartition,
-    format_symbol,
-    parse_symbol,
-    symbol_defect,
-    symbol_rank,
-    upsilon,
-)
+from .core import SymbolFamily
 from .errors import ThetasymError
-from .ggp import GGPCase, branch_decomposition, ggp_multiplicity
-from .oracle import verify_counts, verify_f1, verify_variant_uniqueness
-from .theta import (
-    CuspidalThetaVariant,
-    ThetaDirection,
-    TowerContext,
-    cuspidal_theta,
-    first_occurrence_unipotent,
-    theta_fiber,
-)
 
 #: Each family by its value, plus ``o-odd``: odd orthogonal groups use the symplectic symbols.
 _FAMILIES = {family.value: family for family in SymbolFamily} | {"o-odd": SymbolFamily.SP_UNIPOTENT}
@@ -68,11 +36,16 @@ _FAMILIES = {family.value: family for family in SymbolFamily} | {"o-odd": Symbol
 def _emit(columns: tuple[str, ...], rows: list[tuple], fmt: str, out) -> None:
     """Write a table whose rows are tuples in ``columns`` order."""
     if fmt == "json":
+        import json
+
         # objects built in sorted key order dump as with sort_keys=True
         order = sorted(range(len(columns)), key=columns.__getitem__)
         out.write("".join(json.dumps({columns[i]: row[i] for i in order}) + "\n" for row in rows))
         return
     if fmt == "csv":
+        import csv
+        import io
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
@@ -81,15 +54,40 @@ def _emit(columns: tuple[str, ...], rows: list[tuple], fmt: str, out) -> None:
         return
     table = [columns, *(tuple(map(str, row)) for row in rows)]
     widths = [max(map(len, cells)) for cells in zip(*table)]
-    out.write("".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n"
-        for line in table
-    ))
+    pattern = "  ".join(f"{{:<{w}}}" for w in widths)
+    out.write("".join(pattern.format(*line).rstrip() + "\n" for line in table))
 
 
 # ---------------------------------------------------------------------------
 # Shared option handling
 # ---------------------------------------------------------------------------
+
+
+class _StoreOnce(argparse.Action):
+    """The store action of every verb option: an option given twice is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest in parser.given:
+            raise argparse.ArgumentError(self, "given twice")
+        parser.given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+class _VerbParser(argparse.ArgumentParser):
+    """A verb's parser: ``options`` adds its options and command just before
+    it parses, so a call reads the choices of its own verb alone."""
+
+    def __init__(self, *args, options, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)  # the action of an option that names none
+        self.options = options
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.options is not None:
+            self.options(self)
+            self.options = None
+        self.given = set()
+        return super().parse_known_args(args, namespace)
 
 
 def _add_format(parser) -> None:
@@ -121,11 +119,17 @@ def _check_args(args) -> None:
             flag = "--" + name.replace("_", "-")
             raise ThetasymError(f"{flag} must be nonnegative, got {value}")
     if getattr(args, "q", None) is not None:
+        from .catalog import eps_minus_one_from_q
+
         eps_minus_one_from_q(args.q)
 
 
-def _context(args, default: Sign | None = None) -> TowerContext:
-    """The context of :func:`_add_context`'s flags; ``default`` is eps(-1) when neither eps flag is given."""
+def _context(args, default=None):
+    """The ``TowerContext`` of :func:`_add_context`'s flags; ``default`` is
+    eps(-1) when neither eps flag is given."""
+    from .catalog import eps_minus_one_from_q, parse_sign
+    from .theta import TowerContext
+
     if args.eps_minus_one is None and args.q is None and default is not None:
         eps = default
     elif (args.eps_minus_one is None) == (args.q is None):
@@ -144,11 +148,22 @@ def _mult_row(label_text: str, value) -> tuple[str, str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Verbs
+# Verbs: the options of each, then its command
 # ---------------------------------------------------------------------------
 
 
+def _symbols_enumerate_options(p) -> None:
+    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
+    _add_format(p)
+    p.set_defaults(func=_cmd_symbols_enumerate)
+
+
 def _cmd_symbols_enumerate(args, out) -> int:
+    from .core import (
+        enumerate_symbols, format_bipartition, format_symbol, symbol_defect, symbol_rank, upsilon
+    )
+
     symbols = enumerate_symbols(args.rank, _FAMILIES[args.family])
     rows = [
         (format_symbol(s), symbol_rank(s), symbol_defect(s), format_bipartition(upsilon(s)))
@@ -158,7 +173,19 @@ def _cmd_symbols_enumerate(args, out) -> int:
     return 0
 
 
+def _theta_fiber_options(p) -> None:
+    p.add_argument("--symbol", required=True)
+    p.add_argument("--sign", choices=("+", "-"), required=True)
+    p.add_argument("--target-rank", type=int, required=True)
+    _add_format(p)
+    p.set_defaults(func=_cmd_theta_fiber)
+
+
 def _cmd_theta_fiber(args, out) -> int:
+    from .catalog import parse_sign
+    from .core import format_symbol, parse_symbol, symbol_defect, symbol_rank
+    from .theta import theta_fiber
+
     lam = parse_symbol(args.symbol)
     fiber = theta_fiber(lam, parse_sign(args.sign), args.target_rank)
     rows = [(format_symbol(s), symbol_rank(s), symbol_defect(s)) for s in fiber]
@@ -166,7 +193,21 @@ def _cmd_theta_fiber(args, out) -> int:
     return 0
 
 
+def _theta_first_options(p) -> None:
+    from .theta import ThetaDirection
+
+    p.add_argument("--symbol", required=True)
+    p.add_argument("--sign", choices=("+", "-"), required=True)
+    p.add_argument("--direction", choices=[d.value for d in ThetaDirection], required=True)
+    _add_format(p)
+    p.set_defaults(func=_cmd_theta_first)
+
+
 def _cmd_theta_first(args, out) -> int:
+    from .catalog import parse_sign
+    from .core import format_symbol, parse_symbol
+    from .theta import ThetaDirection, first_occurrence_unipotent
+
     lam = parse_symbol(args.symbol)
     direction = ThetaDirection(args.direction)
     occ = first_occurrence_unipotent(lam, parse_sign(args.sign), direction)
@@ -175,7 +216,20 @@ def _cmd_theta_first(args, out) -> int:
     return 0
 
 
+def _theta_cuspidal_options(p) -> None:
+    from .theta import CuspidalThetaVariant
+
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--variant", choices=[v.value for v in CuspidalThetaVariant], required=True)
+    _add_format(p)
+    p.set_defaults(func=_cmd_theta_cuspidal)
+
+
 def _cmd_theta_cuspidal(args, out) -> int:
+    from .catalog import format_sign
+    from .core import format_symbol
+    from .theta import CuspidalThetaVariant, cuspidal_theta
+
     variant = CuspidalThetaVariant(args.variant)
     sp_symbol, o_symbol, sign = cuspidal_theta(args.k, variant)
     row = (
@@ -185,7 +239,21 @@ def _cmd_theta_cuspidal(args, out) -> int:
     return 0
 
 
+def _ggp_mult_options(p) -> None:
+    from .ggp import GGPCase
+
+    p.add_argument("--left", required=True)
+    p.add_argument("--right", required=True)
+    p.add_argument("--case", choices=[c.value for c in GGPCase], required=True)
+    _add_context(p)
+    _add_format(p)
+    p.set_defaults(func=_cmd_ggp_mult)
+
+
 def _cmd_ggp_mult(args, out) -> int:
+    from .catalog import format_label, parse_label
+    from .ggp import GGPCase, ggp_multiplicity
+
     ctx = _context(args)
     left = parse_label(args.left, ctx.eps_minus_one)
     right = parse_label(args.right, ctx.eps_minus_one)
@@ -195,7 +263,18 @@ def _cmd_ggp_mult(args, out) -> int:
     return 0
 
 
+def _ggp_branch_options(p) -> None:
+    p.add_argument("--pi", required=True)
+    p.add_argument("--target", required=True)
+    _add_context(p)
+    _add_format(p)
+    p.set_defaults(func=_cmd_ggp_branch)
+
+
 def _cmd_ggp_branch(args, out) -> int:
+    from .catalog import format_label, parse_group, parse_label
+    from .ggp import branch_decomposition
+
     ctx = _context(args)
     pi = parse_label(args.pi, ctx.eps_minus_one)
     target = parse_group(args.target)
@@ -207,7 +286,17 @@ def _cmd_ggp_branch(args, out) -> int:
     return 0
 
 
+def _verify_options(p) -> None:
+    p.add_argument("--suite", choices=("f1", "counts", "variants"), required=True)
+    p.add_argument("--max-rank", type=int, required=True)
+    _add_context(p)
+    p.set_defaults(func=_cmd_verify)
+
+
 def _cmd_verify(args, out) -> int:
+    from .catalog import PLUS
+    from .oracle import verify_counts, verify_f1, verify_variant_uniqueness
+
     if args.suite != "variants":
         for flag in ("--eps-minus-one", "--q", *_ORIENT_FLAGS):
             if getattr(args, flag[2:].replace("-", "_")) is not None:
@@ -233,54 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="symbol tables, theta first occurrences and branching multiplicities",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("symbols-enumerate", help="list symbols of a rank and family")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_symbols_enumerate)
-
-    p = sub.add_parser("theta-fiber", help="pairing partners at a target rank")
-    p.add_argument("--symbol", required=True)
-    p.add_argument("--sign", choices=("+", "-"), required=True)
-    p.add_argument("--target-rank", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_theta_fiber)
-
-    p = sub.add_parser("theta-first", help="closed-form first occurrence")
-    p.add_argument("--symbol", required=True)
-    p.add_argument("--sign", choices=("+", "-"), required=True)
-    p.add_argument("--direction", choices=[d.value for d in ThetaDirection], required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_theta_first)
-
-    p = sub.add_parser("theta-cuspidal", help="cuspidal chain at index k")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--variant", choices=[v.value for v in CuspidalThetaVariant], required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_theta_cuspidal)
-
-    p = sub.add_parser("ggp-mult", help="multiplicity of a label pair")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--case", choices=[c.value for c in GGPCase], required=True)
-    _add_context(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_ggp_mult)
-
-    p = sub.add_parser("ggp-branch", help="restriction decomposition of a unipotent label")
-    p.add_argument("--pi", required=True)
-    p.add_argument("--target", required=True)
-    _add_context(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_ggp_branch)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=("f1", "counts", "variants"), required=True)
-    p.add_argument("--max-rank", type=int, required=True)
-    _add_context(p)
-    p.set_defaults(func=_cmd_verify)
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=_VerbParser)
+    for verb, help_text, options in (
+        ("symbols-enumerate", "list symbols of a rank and family", _symbols_enumerate_options),
+        ("theta-fiber", "pairing partners at a target rank", _theta_fiber_options),
+        ("theta-first", "closed-form first occurrence", _theta_first_options),
+        ("theta-cuspidal", "cuspidal chain at index k", _theta_cuspidal_options),
+        ("ggp-mult", "multiplicity of a label pair", _ggp_mult_options),
+        ("ggp-branch", "restriction decomposition of a unipotent label", _ggp_branch_options),
+        ("verify", "run a verification suite", _verify_options),
+    ):
+        sub.add_parser(verb, help=help_text, options=options)
     return parser
 
 

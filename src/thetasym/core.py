@@ -489,13 +489,20 @@ def _check_sweep(max_rank: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _row_text(row: tuple[int, ...]) -> str:
+    """The entries of a row or partition, comma separated; kept per tuple,
+    as the symbols of a layer share their rows."""
+    return ",".join(map(str, row))
+
+
 def format_symbol(s: Symbol) -> str:
     """Render in the bracket grammar, e.g. ``[4,3,2,1,0|]`` or ``[|]``."""
-    return f"[{','.join(map(str, s.row_a))}|{','.join(map(str, s.row_b))}]"
+    return f"[{_row_text(s.row_a)}|{_row_text(s.row_b)}]"
 
 
 def format_bipartition(bp: Bipartition) -> str:
-    return f"([{','.join(map(str, bp.upper))}],[{','.join(map(str, bp.lower))}])"
+    return f"([{_row_text(bp.upper)}],[{_row_text(bp.lower)}])"
 
 
 #: Longest digit run the grammars accept, so that every number in them fits

@@ -12,7 +12,6 @@ scan never consults the closed-form index except to compare.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 from itertools import chain, product
@@ -98,6 +97,8 @@ class VerificationReport(Value):
             self.record(False, *describe())
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "checked": self.checked,

@@ -6,8 +6,12 @@ from contextlib import redirect_stdout
 
 import pytest
 
+import thetasym.catalog as catalog
 import thetasym.cli as cli
+import thetasym.core as core
 import thetasym.ggp as ggp
+import thetasym.oracle as oracle
+import thetasym.theta as theta
 from thetasym.catalog import MINUS, PLUS
 from thetasym.cli import main
 from thetasym.core import (
@@ -152,7 +156,7 @@ def test_rank_1_descriptor_named_trivial_refused_before_work(monkeypatch, capsys
     def must_not_run(*args, **kwargs):
         raise AssertionError("a pair was evaluated for a refused descriptor")
 
-    monkeypatch.setattr(cli, "ggp_multiplicity", must_not_run)
+    monkeypatch.setattr(ggp, "ggp_multiplicity", must_not_run)
     code, out = run_cli(
         ["ggp-mult", "--case", "fj", "--eps-minus-one", "+",
          "--left", "sp(2): rho=trivial:1:irr ; L=[0|] ; L'=[|]",
@@ -238,7 +242,7 @@ def test_q_must_be_odd_prime_power(q, code, monkeypatch, capsys):
         def must_not_run(*args, **kwargs):
             raise AssertionError("work started for a refused --q")
 
-        monkeypatch.setattr(cli, "parse_label", must_not_run)
+        monkeypatch.setattr(catalog, "parse_label", must_not_run)
     argv = [
         "ggp-mult",
         "--left",
@@ -269,12 +273,11 @@ def test_verify_exit_codes():
 
 
 def test_verify_failure_exit_code(monkeypatch):
-    import thetasym.cli as cli
     from thetasym.oracle import VerificationReport
 
     failing = VerificationReport()
     failing.record(False, "probe", 1, 2)
-    monkeypatch.setattr(cli, "verify_f1", lambda max_rank: failing)
+    monkeypatch.setattr(oracle, "verify_f1", lambda max_rank: failing)
     code, out = run_cli(["verify", "--suite", "f1", "--max-rank", "1"])
     assert code == 2
     assert "FAIL" in out and "probe" in out
@@ -365,6 +368,34 @@ def test_oversized_variant_sweep_refused_before_work(monkeypatch, capsys):
     assert max(group.rank for group in built) == 5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symbols-enumerate", "--rank", "2", "--family", "sp", "--rank", "3"],
+        ["theta-fiber", "--symbol", "[1,0|1]", "--sign", "+", "--target-rank", "1",
+         "--format", "json", "--format", "csv"],
+        ["theta-first", "--symbol", "[1,0|1]", "--sign", "+", "--symbol", "[1|0]", "--direction", "sp-to-o"],
+        ["theta-cuspidal", "--k", "1", "--variant", "down", "--variant", "up"],
+        ["ggp-mult", "--left", SP0_TRIVIAL, "--right", SP0_TRIVIAL, "--case", "fj",
+         "--eps-minus-one", "+", "--eps-minus-one", "-"],
+        ["ggp-branch", "--pi", "o+(3): rho=trivial:0:reg ; L=[1|] ; L'=[0|] ; eps=+", "--target", "o+(2)",
+         "--q", "5", "--q", "3"],
+        ["verify", "--suite", "counts", "--max-rank", "1", "--max-rank", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_option_given_twice_is_a_usage_error(argv, capsys):
+    """No repeated option silently wins: argparse refuses the second one,
+    naming it, before the verb runs."""
+    flag = next(arg for arg in argv if arg.startswith("--") and argv.count(arg) == 2)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument {flag}: given twice\n")
+
+
 def test_invalid_case_lists_the_cases_in_order(capsys):
     argv = ["ggp-mult", "--left", SP0_TRIVIAL, "--right", SP0_TRIVIAL, "--case", "gp", "--eps-minus-one", "+"]
     with pytest.raises(SystemExit) as exit_:
@@ -392,8 +423,6 @@ def test_oversized_branch_table_refused_before_work(monkeypatch, capsys):
 @pytest.mark.parametrize("k", [500_000, 10**6])
 @pytest.mark.parametrize("variant", ["down", "up"])
 def test_oversized_cuspidal_index_refused_before_work(k, variant, monkeypatch, capsys):
-    import thetasym.catalog as catalog
-
     def must_not_run(*args):
         raise AssertionError("a staircase was built for a refused index")
 
@@ -419,8 +448,10 @@ def test_negative_rank_refused_before_work(argv, monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started for a refused rank")
 
-    for name in ("verify_f1", "verify_counts", "enumerate_symbols", "theta_fiber"):
-        monkeypatch.setattr(cli, name, must_not_run)
+    for module, name in (
+        (oracle, "verify_f1"), (oracle, "verify_counts"), (core, "enumerate_symbols"), (theta, "theta_fiber")
+    ):
+        monkeypatch.setattr(module, name, must_not_run)
     code, out = run_cli(argv)
     assert code == 1
     assert out == ""
@@ -429,8 +460,6 @@ def test_negative_rank_refused_before_work(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("symbol, sign", [("[1|0]", "+"), ("[1,0|]", "-"), ("[|0]", "+")])
 def test_theta_fiber_refuses_non_symplectic_symbol_before_work(symbol, sign, monkeypatch, capsys):
-    import thetasym.theta as theta
-
     def must_not_run(*args, **kwargs):
         raise AssertionError("a partner was built for a refused symbol")
 
@@ -458,7 +487,7 @@ def test_verify_variant_only_flags_refused_before_work(suite, flags, monkeypatch
         raise AssertionError("work started for a refused flag")
 
     for name in ("verify_f1", "verify_counts", "verify_variant_uniqueness"):
-        monkeypatch.setattr(cli, name, must_not_run)
+        monkeypatch.setattr(oracle, name, must_not_run)
     code, out = run_cli(["verify", "--suite", suite, "--max-rank", "1", *flags])
     assert code == 1
     assert out == ""
@@ -520,7 +549,7 @@ def test_verify_variants_passes_its_context(flags, expected, monkeypatch):
         seen.append((max_rank, ctx))
         return VerificationReport(checked=1)
 
-    monkeypatch.setattr(cli, "verify_variant_uniqueness", spy)
+    monkeypatch.setattr(oracle, "verify_variant_uniqueness", spy)
     code, out = run_cli(["verify", "--suite", "variants", "--max-rank", "2", *flags])
     assert (code, out) == (0, "suite variants: pass (1 checks, 0 failures)\n")
     assert seen == [(2, expected)]
@@ -530,7 +559,7 @@ def test_verify_variants_refuses_both_eps_flags(monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started for a refused flag")
 
-    monkeypatch.setattr(cli, "verify_variant_uniqueness", must_not_run)
+    monkeypatch.setattr(oracle, "verify_variant_uniqueness", must_not_run)
     argv = ["verify", "--suite", "variants", "--max-rank", "1", "--q", "5", "--eps-minus-one", "+"]
     assert run_cli(argv) == (1, "")
     assert capsys.readouterr().err == "error: exactly one of --eps-minus-one and --q is required\n"

@@ -1,5 +1,8 @@
 """The value classes: start-up cost, the record rule and value semantics.
 
+Start-up: the package resolves its public names on first use, so a bare
+``import thetasym`` loads no layer and each command-line verb only its own.
+
 No value class is a dataclass, so that importing the package never loads
 ``dataclasses`` (and with it ``inspect``, ``ast``, ``dis`` and
 ``tokenize``), which every command-line call would pay for.  The record
@@ -109,19 +112,120 @@ def _samples(cls) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """A fresh interpreter (no site, no environment) imports the CLI module
-    without loading ``dataclasses`` or ``inspect``.  It must be a child
-    process: pytest itself has loaded both here."""
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import thetasym.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+#: The layers past ``core``, and the stdlib modules only the json and csv
+#: output formats use.
+LATE = ("thetasym.catalog", "thetasym.theta", "thetasym.ggp", "thetasym.oracle", "json", "csv")
+
+#: A fresh interpreter imports the module ``argv[2]``, runs the CLI on
+#: ``argv[4:]`` if any, and prints which of the names in ``argv[3]`` it has
+#: loaded.
+_CHILD = textwrap.dedent("""
+    import io, sys
+    sys.path.insert(0, sys.argv[1])
+    __import__(sys.argv[2])
+    if sys.argv[4:]:
+        sys.stdout = io.StringIO()
+        code = sys.modules["thetasym.cli"].main(sys.argv[4:])
+        sys.stdout = sys.__stdout__
+        assert code == 0, code
+    print(*sorted(set(sys.argv[3].split()) & set(sys.modules)))
+""")
+
+
+def _loaded_in_child(names, module="thetasym.cli", argv=()) -> list[str]:
+    """Which of ``names`` a fresh interpreter (no site, no environment) loads
+    to import ``module`` and run ``thetasym argv``.  It must be a child
+    process: pytest itself has loaded all of them here."""
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, str(SRC)], capture_output=True, text=True, timeout=60
+        [sys.executable, "-I", "-S", "-c", _CHILD, str(SRC), module, " ".join(names), *argv],
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.split()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Importing the CLI module loads neither ``dataclasses`` nor
+    ``inspect``, nor a layer past ``core``, ``json`` or ``csv``."""
+    assert _loaded_in_child(("dataclasses", "inspect", *LATE)) == []
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["symbols-enumerate", "--rank", "2", "--family", "sp", "--format", "pretty"], LATE),
+        (["theta-first", "--symbol", "[1,0|1]", "--sign", "+", "--direction", "sp-to-o"],
+         ("thetasym.ggp", "thetasym.oracle")),
+        (["ggp-mult", "--left", "sp(0): rho=trivial:0:reg ; L=[0|] ; L'=[|]",
+          "--right", "sp(2): rho=trivial:0:reg ; L=[1|] ; L'=[|]", "--case", "fj", "--eps-minus-one", "+"],
+         ("thetasym.oracle",)),
+    ],
+    ids=["symbols-enumerate", "theta-first", "ggp-mult"],
+)
+def test_a_verb_imports_only_its_own_layers(argv, unloaded):
+    assert _loaded_in_child(unloaded, argv=argv) == []
+
+
+#: The public names of the package, by the module that defines each: the
+#: names the package exported when it imported every layer up front.
+EXPORTS = {
+    "catalog": (
+        "KH", "MINUS", "PLUS", "GroupFamily", "GroupTag", "RepLabel", "RhoDescriptor", "Sign",
+        "TRIVIAL_RHO", "cuspidal_symbol", "enumerate_labels", "eps_minus_one_from_q", "format_label",
+        "format_sign", "is_unipotent_cuspidal", "is_unipotent_label", "kh_of", "make_label", "o_even",
+        "o_odd", "parse_group", "parse_label", "parse_sign", "sp", "symbol_regular_by_convention",
+        "unipotent_label",
+    ),
+    "core": (
+        "Bipartition", "EMPTY_SYMBOL", "Partition", "Symbol", "SymbolFamily", "ZERO_SYMBOL",
+        "close_dominates", "enumerate_symbols", "format_bipartition", "format_symbol", "parse_symbol",
+        "partition", "symbol_defect", "symbol_normalize", "symbol_rank", "symbol_transpose", "upsilon",
+        "upsilon_inverse",
+    ),
+    "errors": (
+        "CaseMismatch", "DefectClassMismatch", "MultipleNonzero", "NormalizationError", "NotUnipotent",
+        "ParseError", "RankMismatch", "RankOverflow", "SignMismatch", "ThetasymError",
+    ),
+    "ggp": (
+        "BESSEL", "FOURIER_JACOBI", "GGPCase", "Multiplicity", "VariantReport", "branch_decomposition",
+        "default_rho_catalog", "ggp_multiplicity", "is_strongly_relevant", "select_nonzero_variant",
+    ),
+    "oracle": (
+        "VerificationReport", "brute_first_occurrence", "verify_counts", "verify_f1",
+        "verify_orientation", "verify_variant_uniqueness",
+    ),
+    "theta": (
+        "CuspidalThetaVariant", "FirstOccurrence", "GVariant", "ThetaDirection", "TowerContext",
+        "cuspidal_theta", "first_occurrence_unipotent", "in_B", "in_G", "theta_fiber",
+    ),
+}
+
+
+def test_package_names_are_their_modules_objects():
+    """Each public name resolves, on first use, to the object its module
+    defines, and ``__all__`` and ``dir`` list every one of them."""
+    import thetasym
+
+    names = [name for group in EXPORTS.values() for name in group]
+    assert sorted(thetasym.__all__) == sorted(names)
+    assert set(names) | {"__version__"} <= set(dir(thetasym))
+    for module, group in EXPORTS.items():
+        home = __import__(f"thetasym.{module}", fromlist=["_"])
+        for name in group:
+            assert getattr(thetasym, name) is getattr(home, name), name
+    assert thetasym.__version__ == "0.1.0"
+
+
+def test_unknown_package_name_raises_attribute_error():
+    import thetasym
+
+    with pytest.raises(AttributeError, match="module 'thetasym' has no attribute 'no_such_name'"):
+        thetasym.no_such_name
+
+
+def test_bare_package_import_loads_no_layer():
+    layers = [f"thetasym.{module}" for module in (*EXPORTS, "cli")]
+    assert _loaded_in_child(layers, module="thetasym") == []
 
 
 def test_no_package_module_imports_dataclasses():
