@@ -66,11 +66,12 @@ def partition(parts: Iterable[int]) -> Partition:
 
 
 def close_dominates(lam: Partition, mu: Partition) -> bool:
-    """Band relation: mu_i - 1 <= lam_i <= mu_i for every i (zero padded).
+    """Whether mu / lam is a vertical strip: mu_i - 1 <= lam_i <= mu_i, zero padded.
 
-    A part of ``lam`` beyond the length of ``mu`` would face a 0, and the
-    parts of ``mu`` beyond the length of ``lam`` face a 0 and so must be at
-    most 1; as ``mu`` is weakly decreasing its first such part decides.
+    It is the twin of ``theta._interlaces``, the horizontal strip.  A part
+    of ``lam`` beyond the length of ``mu`` would face a 0, and the parts of
+    ``mu`` beyond the length of ``lam`` face a 0 and so must be at most 1;
+    as ``mu`` is weakly decreasing its first such part decides.
     """
     if len(lam) > len(mu):
         return False

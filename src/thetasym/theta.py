@@ -8,9 +8,9 @@ between transposed staircase-free rows together with a defect equation,
     def(L') = sign - def(L),  with sign +1 on the plus and -1 on the minus tower.
 
 This module implements that membership predicate, the four-way pair
-condition with untransposed rows that governs branching multiplicities, the
-closed-form first-occurrence index and lift for unipotent symbols, and the
-cuspidal staircase chains.
+condition governing branching multiplicities (the same band with vertical
+strips), the closed-form first-occurrence index and lift for unipotent
+symbols, and the cuspidal staircase chains.
 
 First occurrences along a pair of Witt towers come in a small/large branch
 pair whose assignment to the two tower signs is genuinely extra data (it
@@ -24,7 +24,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .catalog import (
     MINUS,
@@ -124,18 +124,19 @@ def _interlaces(inner: Partition, outer: Partition) -> bool:
     return True
 
 
-def _band(bp: Bipartition, bp2: Bipartition, sign: Sign) -> bool:
-    """The band relation of :func:`in_B` on staircase-free rows.
+def _band(bp: Bipartition, bp2: Bipartition, sign: Sign, strip: Callable) -> bool:
+    """The band relation on staircase-free rows; ``strip(inner, outer)`` tests outer / inner.
 
-    It is symmetric in ``bp`` and ``bp2``: swapping them only swaps its two
-    interlacing conditions, so either may belong to the symplectic-type
-    symbol.  The defect checks are the caller's.
+    :func:`in_B` passes :func:`_interlaces` (a horizontal strip) and
+    :func:`in_G` passes ``core.close_dominates`` (a vertical strip).  The
+    band is symmetric in ``bp`` and ``bp2``: swapping them only swaps its
+    two strip conditions.  The defect checks are the caller's.
     """
     up, lo = bp
     up2, lo2 = bp2
     if sign == PLUS:
-        return _interlaces(lo, up2) and _interlaces(lo2, up)
-    return _interlaces(up, lo2) and _interlaces(up2, lo)
+        return strip(lo, up2) and strip(lo2, up)
+    return strip(up, lo2) and strip(up2, lo)
 
 
 def in_B(lam: Symbol, lam_prime: Symbol, sign: Sign) -> bool:
@@ -159,7 +160,7 @@ def in_B(lam: Symbol, lam_prime: Symbol, sign: Sign) -> bool:
     _EVEN_TYPE.entry("second", d2)
     if d2 != sign - d:
         return False
-    return _band(upsilon(lam), upsilon(lam_prime), sign)
+    return _band(upsilon(lam), upsilon(lam_prime), sign, _interlaces)
 
 
 class GVariant(Enum):
@@ -172,24 +173,21 @@ class GVariant(Enum):
 def in_G(lam: Symbol, lam_prime: Symbol) -> GVariant | None:
     """Which of the four branching-gate sets contains the pair, if any.
 
-    These conditions are the band relation on the *untransposed*
-    staircase-free rows, where :func:`in_B` states it on transposed rows;
-    the asymmetry is intrinsic.  Pairs whose first defect is
-    zero (or otherwise outside every defect gate) return ``None``.
+    Each set is the :func:`in_B` band read with vertical strips and the
+    tower sign flipped, on the second symbol's rows transposed (which only
+    swaps them) or as given.  With e the sign of d = def(lam), the
+    transposed reading has def' = d - e and the direct one def' = -e - d.
+    Pairs with d = 0 or outside every defect gate return ``None``.
     """
     d, d2 = symbol_defect(lam), symbol_defect(lam_prime)
-    up, lo = upsilon(lam)
-    up2, lo2 = upsilon(lam_prime)
-    if d > 0:
-        if d2 == d - 1 and close_dominates(up, up2) and close_dominates(lo2, lo):
-            return GVariant.EVEN_PLUS
-        if d2 == MINUS - d and close_dominates(lo2, up) and close_dominates(lo, up2):
-            return GVariant.EVEN_MINUS
-    if d < 0:
-        if d2 == d + 1 and close_dominates(up2, up) and close_dominates(lo, lo2):
-            return GVariant.ODD_MINUS
-        if d2 == PLUS - d and close_dominates(up2, lo) and close_dominates(up, lo2):
-            return GVariant.ODD_PLUS
+    if d == 0:
+        return None
+    e = PLUS if d > 0 else MINUS
+    bp, bp2 = upsilon(lam), upsilon(lam_prime)
+    if d2 == d - e and _band(bp, bp2[::-1], -e, close_dominates):
+        return GVariant.EVEN_PLUS if d > 0 else GVariant.ODD_MINUS
+    if d2 == -e - d and _band(bp, bp2, e, close_dominates):
+        return GVariant.EVEN_MINUS if d > 0 else GVariant.ODD_PLUS
     return None
 
 

@@ -4,7 +4,7 @@ definition-level references that the library itself no longer needs."""
 
 import thetasym.core as core
 import thetasym.theta as theta
-from thetasym.catalog import KH, GroupFamily, RepLabel, Sign
+from thetasym.catalog import KH, MINUS, PLUS, GroupFamily, RepLabel, Sign
 from thetasym.ggp import FOURIER_JACOBI
 from thetasym.core import (
     Bipartition,
@@ -13,13 +13,14 @@ from thetasym.core import (
     SymbolFamily,
     _defect_layer,
     admissible_defects,
+    close_dominates,
     defect_rank_offset,
     symbol_defect,
     symbol_transpose,
     upsilon,
     upsilon_inverse,
 )
-from thetasym.theta import ThetaDirection, _band
+from thetasym.theta import GVariant, ThetaDirection, _band, _interlaces
 
 
 def random_symbol(rng, max_rank: int = 12) -> Symbol:
@@ -102,7 +103,26 @@ def partners_by_layer_filter(source: Symbol, sign: Sign, rank: int) -> list[Symb
     if want % 2 and not SymbolFamily.SP_UNIPOTENT.admits_defect(want):
         return []
     bp = upsilon(source)
-    return [s for s in _defect_layer(rank, want) if _band(bp, upsilon(s), sign)]
+    return [s for s in _defect_layer(rank, want) if _band(bp, upsilon(s), sign, _interlaces)]
+
+
+def in_G_by_hand(lam: Symbol, lam_prime: Symbol) -> GVariant | None:
+    """The reference for ``theta.in_G``: its four sets written out as eight
+    ``close_dominates`` tests on the untransposed rows, one pair per set."""
+    d, d2 = symbol_defect(lam), symbol_defect(lam_prime)
+    up, lo = upsilon(lam)
+    up2, lo2 = upsilon(lam_prime)
+    if d > 0:
+        if d2 == d - 1 and close_dominates(up, up2) and close_dominates(lo2, lo):
+            return GVariant.EVEN_PLUS
+        if d2 == MINUS - d and close_dominates(lo2, up) and close_dominates(lo, up2):
+            return GVariant.EVEN_MINUS
+    if d < 0:
+        if d2 == d + 1 and close_dominates(up2, up) and close_dominates(lo, lo2):
+            return GVariant.ODD_MINUS
+        if d2 == PLUS - d and close_dominates(up2, lo) and close_dominates(up, lo2):
+            return GVariant.ODD_PLUS
+    return None
 
 
 def first_fiber_by_ranks(

@@ -490,7 +490,10 @@ def test_each_rule_is_written_once():
     only in ``core`` and ``catalog`` (``q % 4``), a defect residue only in
     ``core`` (``SymbolFamily.admits_defect``), and the defect layers and the
     band are read only in ``core`` and ``theta`` (whose one partner scan
-    serves both theta directions), and a ``DefectClassMismatch`` is built
+    serves both theta directions).  The band relation is written once:
+    ``_band`` is called only by ``in_B`` and ``in_G``, and its two strip
+    tests, ``_interlaces`` and ``close_dominates``, are never called by
+    name, only passed to it.  A ``DefectClassMismatch`` is built
     only in ``_SlotKind.entry`` and the even orthogonal tower check of
     ``first_occurrence_unipotent``.  The slot sign equation is called only
     by label validation and the one label walk, ``enumerate_labels``, and
@@ -514,6 +517,15 @@ def test_each_rule_is_written_once():
     assert {name: n for name, n in counts.items() if n} == {"catalog.py": 1, "theta.py": 1}
     assert "DefectClassMismatch(" in inspect.getsource(catalog._SlotKind.entry)
     assert "DefectClassMismatch(" in inspect.getsource(theta.first_occurrence_unipotent)
+    # one band relation, called by in_B and in_G alone, and its strip tests only passed to it
+    for name in ("_interlaces", "close_dominates"):
+        assert not any(re.search(rf"(?<!def )\b{name}\(", text) for text in sources.values()), name
+    band = re.compile(r"(?<!def )\b_band\(")
+    calls = [len(band.findall(inspect.getsource(home))) for home in (theta.in_B, theta.in_G)]
+    assert all(calls)
+    assert {name: len(band.findall(text)) for name, text in sources.items() if band.search(text)} == {
+        "theta.py": sum(calls)
+    }
     # one label walk, one pair-condition check and one wiring of its keys
     for name, module, homes in (
         ("_signs_fit", "catalog.py", (catalog.make_label, catalog.enumerate_labels)),

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -39,6 +40,7 @@ from thetasym.theta import (
     ThetaDirection,
     TowerContext,
     _band,
+    _interlaces,
     _partners,
     cuspidal_theta,
     default_orientation,
@@ -48,7 +50,12 @@ from thetasym.theta import (
     theta_fiber,
 )
 
-from symbol_helpers import forbid_layer_builds, partition_transpose, partners_by_layer_filter
+from symbol_helpers import (
+    forbid_layer_builds,
+    in_G_by_hand,
+    partition_transpose,
+    partners_by_layer_filter,
+)
 
 
 def test_in_B_examples():
@@ -107,12 +114,19 @@ def test_in_B_matches_transposed_definition():
 
 
 def test_band_is_symmetric():
-    """Swapping the two bipartitions swaps the band's two conditions, which is
-    what lets one partner scan serve both theta directions."""
+    """Swapping the two bipartitions swaps the band's two conditions, for
+    either strip kind, which is what lets one partner scan serve both theta
+    directions.  Conjugating both partitions of both sides turns the
+    horizontal-strip band into the vertical-strip one, which is why the
+    branching gate ``in_G`` is the theta band read with vertical strips."""
     bps = [bp for n in range(7) for bp in bipartitions_of(n)]
+    conj = {bp: tuple(map(partition_transpose, bp)) for bp in bps}
     for a, b in itertools.product(bps, repeat=2):
         for sign in (PLUS, MINUS):
-            assert _band(a, b, sign) == _band(b, a, sign), (a, b, sign)
+            for strip in (_interlaces, close_dominates):
+                assert _band(a, b, sign, strip) == _band(b, a, sign, strip), (a, b, sign, strip)
+            horizontal = _band(a, b, sign, _interlaces)
+            assert horizontal == _band(conj[a], conj[b], sign, close_dominates), (a, b, sign)
 
 
 def test_theta_fiber_of_a_huge_row_transposes_nothing():
@@ -181,6 +195,8 @@ def test_tower_sign_other_than_plus_or_minus_one_refused(call, sign, monkeypatch
 def test_in_G_examples():
     assert in_G(parse_symbol("[1|]"), parse_symbol("[1|0]")) is GVariant.EVEN_PLUS
     assert in_G(parse_symbol("[|2,1,0]"), parse_symbol("[|2,0]")) is GVariant.ODD_MINUS
+    assert in_G(parse_symbol("[0|]"), parse_symbol("[|1,0]")) is GVariant.EVEN_MINUS
+    assert in_G(parse_symbol("[|2,1,0]"), parse_symbol("[3,2,1,0|]")) is GVariant.ODD_PLUS
     assert in_G(EMPTY_SYMBOL, parse_symbol("[1|0]")) is None
     assert in_G(EMPTY_SYMBOL, EMPTY_SYMBOL) is None
 
@@ -205,6 +221,33 @@ def test_in_G_defect_gates():
                             assert d < 0 and d2 == d + 1
                         else:
                             assert d < 0 and d2 == -d + 1
+
+
+def test_in_G_matches_the_hand_written_sets():
+    """Every (symplectic-type, even-type) pair of rank <= 6 gets the variant
+    that the eight written-out ``close_dominates`` tests give, and each of
+    the two ``_band`` readings is pinned by its own two variant counts."""
+    firsts = [s for n in range(7) for s in enumerate_symbols(n, SymbolFamily.SP_UNIPOTENT)]
+    seconds = [
+        s
+        for n in range(7)
+        for fam in (SymbolFamily.O_EVEN_PLUS, SymbolFamily.O_EVEN_MINUS)
+        for s in enumerate_symbols(n, fam)
+    ]
+    assert len(firsts) * len(seconds) == 53934
+    counts = Counter()
+    for lam in firsts:
+        for lam_prime in seconds:
+            tag = in_G(lam, lam_prime)
+            assert tag is in_G_by_hand(lam, lam_prime), (lam, lam_prime)
+            counts[tag] += 1
+    assert counts == {
+        None: 53934 - 3417,
+        GVariant.EVEN_PLUS: 1837,
+        GVariant.EVEN_MINUS: 1100,
+        GVariant.ODD_MINUS: 417,
+        GVariant.ODD_PLUS: 63,
+    }
 
 
 def test_theta_fiber_examples():
