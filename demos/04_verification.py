@@ -4,7 +4,8 @@
 The oracle layer recomputes everything from definitions: enumeration sizes
 from partition counting, first occurrences from fiber scans, and variant
 uniqueness from exhaustive evaluation.  A deliberate perturbation shows the
-harness actually detects failures.
+harness actually detects failures.  Each report prints as ``thetasym
+verify`` prints it: the status line, then one line per failure.
 """
 
 from types import SimpleNamespace
@@ -20,12 +21,12 @@ from thetasym import (
 
 print("== enumeration counts against partition counting ==")
 report = verify_counts(8)
-print(f"  {report}")
+print(f"suite counts: {report}")
 
 print()
 print("== closed-form first occurrence against fiber scanning ==")
 report = verify_f1(5)
-print(f"  {report}")
+print(f"suite f1: {report}")
 print(f"  JSON: {report.to_json()[:80]}...")
 
 print()
@@ -41,14 +42,12 @@ def shifted(*args):
 
 oracle.first_occurrence_unipotent = shifted
 try:
-    report = verify_f1(2)
+    report = verify_f1(1)
 finally:
     oracle.first_occurrence_unipotent = closed_form
-print(f"  {report}")
-for failure in report.failures[:3]:
-    print(f"    {failure['input']}: expected {failure['expected']}, got {failure['actual']}")
+print(f"suite f1: {report}")
 
 print()
 print("== transpose-variant uniqueness ==")
 report = verify_variant_uniqueness(2, TowerContext(eps_minus_one=PLUS))
-print(f"  {report}")
+print(f"suite variants: {report}")

@@ -325,10 +325,8 @@ def is_unipotent_cuspidal(s: Symbol) -> bool:
     orthogonal staircase or its transpose (the sign-twisted pair on one group).
     """
     d = symbol_defect(s)
-    if d % 2:
-        return s == cuspidal_symbol(GroupFamily.SP, (abs(d) - 1) // 2)
-    stair = cuspidal_symbol(GroupFamily.O_EVEN, abs(d) // 2)
-    return s in (stair, symbol_transpose(stair))
+    stair = cuspidal_symbol(GroupFamily.SP if d % 2 else GroupFamily.O_EVEN, abs(_slot_kh(d)))
+    return s == stair or (d % 2 == 0 and s == symbol_transpose(stair))
 
 
 # ---------------------------------------------------------------------------

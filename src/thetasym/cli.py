@@ -307,12 +307,7 @@ def _cmd_verify(args, out) -> int:
         report = verify_counts(args.max_rank)
     else:
         report = verify_variant_uniqueness(args.max_rank, _context(args, PLUS))
-    # elapsed time is deliberately omitted so output stays byte-identical
-    out.write(f"suite {args.suite}: {'pass' if report.passed else 'FAIL'} "
-              f"({report.checked} checks, {len(report.failures)} failures)\n")
-    for failure in report.failures:
-        out.write(f"  {failure['input']}: expected {failure['expected']}, "
-                  f"got {failure['actual']}\n")
+    out.write(f"suite {args.suite}: {report}\n")
     return 0 if report.passed else 2
 
 

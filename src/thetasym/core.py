@@ -38,8 +38,8 @@ from .errors import NormalizationError, ParseError
 Partition = tuple[int, ...]
 
 #: Enumeration refuses a (rank, defect) layer of more symbols than this,
-#: before building any of it; raise it explicitly if you really want the
-#: (very large) tables beyond desk scale.
+#: before building any of it, when the layer is first asked for; a refusal
+#: is not kept, so raise it explicitly for tables beyond desk scale.
 MAX_LAYER_SYMBOLS = 1_000_000
 
 
@@ -275,6 +275,9 @@ EMPTY_SYMBOL = Symbol((), ())
 #: factor; the empty symbol has defect 0 and fills the even-type slot).
 ZERO_SYMBOL = Symbol((0,), ())
 
+#: Sort key of a list of symbols on rows, the order of every defect layer.
+_ROWS = attrgetter("row_a", "row_b")
+
 
 def symbol_normalize(row_a: Iterable[int], row_b: Iterable[int]) -> Symbol:
     """Reduce raw rows: strip one 0 from each row and shift down while possible."""
@@ -404,18 +407,14 @@ def admissible_defects(rank: int, family: SymbolFamily) -> list[int]:
 _COUNTED_RESIDUAL = 256
 
 
+@cache
 def _layer_residual(rank: int, defect: int) -> int:
     """The residual ``rank - defect_rank_offset(defect)``, negative for an empty layer.
 
     The one refusal of a (rank, defect) layer of more than
     :data:`MAX_LAYER_SYMBOLS` symbols, which its builders ask for first.
+    Kept per layer, so the bound is read when a layer is first asked for.
     """
-    return _residual_within(rank, defect, MAX_LAYER_SYMBOLS)
-
-
-@cache
-def _residual_within(rank: int, defect: int, bound: int) -> int:
-    """:func:`_layer_residual` kept per layer and ``bound``, the bound in force."""
     residual = rank - defect_rank_offset(defect)
     if residual >= 0:
         # Layer sizes grow with the residual, so past _COUNTED_RESIDUAL the
@@ -437,7 +436,7 @@ def _defect_layer(rank: int, defect: int) -> tuple[Symbol, ...]:
     if residual < 0:
         return ()
     syms = [_symbol_of(bp, defect) for bp in bipartitions_of(residual)]
-    syms.sort(key=attrgetter("row_a", "row_b"))
+    syms.sort(key=_ROWS)
     return tuple(syms)
 
 

@@ -109,8 +109,11 @@ class VerificationReport(Value):
         )
 
     def __str__(self):
-        status = "pass" if self.passed else f"FAIL ({len(self.failures)} failures)"
-        return f"{status}: {self.checked} checks"
+        """What ``thetasym verify`` prints after ``suite NAME: ``; the elapsed time is left out."""
+        status = "pass" if self.passed else "FAIL"
+        lines = [f"{status} ({self.checked} checks, {len(self.failures)} failures)"]
+        lines += [f"  {f['input']}: expected {f['expected']}, got {f['actual']}" for f in self.failures]
+        return "\n".join(lines)
 
 
 def default_scan_bound(lam: Symbol) -> int:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .catalog import (
@@ -44,6 +43,7 @@ from .core import (
     Symbol,
     SymbolFamily,
     Value,
+    _ROWS,
     _layer_residual,
     _set,
     _symbol_of,
@@ -57,7 +57,6 @@ from .errors import DefectClassMismatch
 
 # A (symplectic-type, even-type) symbol pair is exactly the sp slot pair.
 _SP_TYPE, _EVEN_TYPE = _SLOTS[GroupFamily.SP]
-_ROWS = attrgetter("row_a", "row_b")
 
 
 def _check_sign(sign: Sign) -> None:
@@ -151,14 +150,13 @@ def in_B(lam: Symbol, lam_prime: Symbol, sign: Sign) -> bool:
     where <= is the band relation; the minus tower swaps the row roles and
     uses def' = -1 - def.  The band relation t(a) <= t(b) says that b / a
     is a horizontal strip, so it is read as interlacing of the
-    untransposed rows and no partition is transposed.  A sign other than
-    +1 or -1 raises ``ValueError``.
+    untransposed rows and no partition is transposed.  The source and sign
+    are refused by :func:`_fiber_source`, as in :func:`theta_fiber`.
     """
-    _check_sign(sign)
-    d, d2 = symbol_defect(lam), symbol_defect(lam_prime)
-    _SP_TYPE.entry("first", d)
+    _fiber_source(lam, sign)
+    d2 = symbol_defect(lam_prime)
     _EVEN_TYPE.entry("second", d2)
-    if d2 != sign - d:
+    if d2 != sign - symbol_defect(lam):
         return False
     return _band(upsilon(lam), upsilon(lam_prime), sign, _interlaces)
 
@@ -279,7 +277,7 @@ def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
 
 
 def _fiber_source(lam: Symbol, sign: Sign) -> None:
-    """The refusals of :func:`theta_fiber` that read only its source and sign."""
+    """The refusals of :func:`in_B` and :func:`theta_fiber` that read only the source and sign."""
     _check_sign(sign)
     _SP_TYPE.entry("first", symbol_defect(lam))
 

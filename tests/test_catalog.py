@@ -9,6 +9,7 @@ import thetasym.catalog as catalog
 import thetasym.cli as cli
 import thetasym.core as core
 import thetasym.ggp as ggp
+import thetasym.oracle as oracle
 import thetasym.theta as theta
 from thetasym.catalog import (
     KH,
@@ -502,8 +503,12 @@ def test_each_rule_is_written_once():
     its keys, calls.  ``ggp`` reads group families only in ``GGPCase``, and
     builds a ``CaseMismatch`` only where a pair is validated and where a
     branch table picks its case; ``cli`` names no case itself and reads
-    the square class of -1 only in ``_context``.  A copy anywhere else
-    fails here."""
+    the square class of -1 only in ``_context``.  Five facts have one
+    spelling each: the row sort key (``core._ROWS``), the failure line of a
+    verify report (``VerificationReport.__str__``), the sp-source check
+    (``theta._fiber_source``), the odd-slot index (``catalog._slot_kh``) and
+    the layer-check cache (``core._layer_residual``, with no forwarder
+    behind it).  A copy anywhere else fails here."""
     sources = {p.name: p.read_text() for p in Path(catalog.__file__).parent.glob("*.py")}
     assert sum(text.count("over the enumeration bound") for text in sources.values()) == 1
     assert "over the enumeration bound" in sources["core.py"]
@@ -545,6 +550,20 @@ def test_each_rule_is_written_once():
     assert not re.search(r"""["'](fj|bessel)["']""", sources["cli.py"])
     context = inspect.getsource(cli._context)
     assert sources["cli.py"].count("args.eps_minus_one") == context.count("args.eps_minus_one") > 0
+    # one row key, one report text, one sp-source check, one odd-slot index, one layer cache
+    for spelling, home in (
+        ('attrgetter("row_a", "row_b")', core),
+        (": expected ", oracle.VerificationReport.__str__),
+        ('_SP_TYPE.entry("first"', theta._fiber_source),
+    ):
+        assert sum(text.count(spelling) for text in sources.values()) == 1, spelling
+        assert spelling in inspect.getsource(home), spelling
+    odd_index = re.compile(r"\(abs\(.*\) - 1\) // 2")
+    assert {name: len(odd_index.findall(text)) for name, text in sources.items() if odd_index.search(text)} == {
+        "catalog.py": 1
+    }
+    assert odd_index.search(inspect.getsource(catalog._slot_kh))
+    assert not any("_residual_within" in text for text in sources.values())
 
 
 def test_negative_sizes_and_index_zero_give_empty_results():

@@ -280,7 +280,8 @@ def test_verify_failure_exit_code(monkeypatch):
     monkeypatch.setattr(oracle, "verify_f1", lambda max_rank: failing)
     code, out = run_cli(["verify", "--suite", "f1", "--max-rank", "1"])
     assert code == 2
-    assert "FAIL" in out and "probe" in out
+    assert out == "suite f1: FAIL (1 checks, 1 failures)\n  probe: expected 1, got 2\n"
+    assert out == f"suite f1: {failing}\n"
 
 
 def test_output_byte_identical():

@@ -371,7 +371,8 @@ def test_oversized_layer_refused_before_building(monkeypatch):
 def test_layer_bound_is_on_the_exact_layer_size(monkeypatch):
     import thetasym.core as core
 
-    build = core._defect_layer.__wrapped__  # bypass the per-process cache
+    build = core._defect_layer.__wrapped__  # bypass the per-process caches
+    monkeypatch.setattr(core, "_layer_residual", core._layer_residual.__wrapped__)
     monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", bipartition_count(6))
     assert len(build(6, 0)) == bipartition_count(6)
     forbid_layer_builds(monkeypatch)

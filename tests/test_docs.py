@@ -1,10 +1,14 @@
 """The README's table of closed forms and their oracles, its golden deck
-size, and the benchmark's per-layer metric names, stay true to the package."""
+size, its command-line examples, and the benchmark's per-layer metric
+names, stay true to the package."""
 
 import importlib
+import io
 import json
 import random
 import re
+import shlex
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -71,6 +75,38 @@ def test_readme_states_the_golden_deck_size():
     assert stated, "the Development section no longer states the deck size"
     deck = golden_cli._deck(random.Random(golden_cli.SEED))
     assert int(stated.group(1).replace(",", "")) == len(deck)
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``thetasym`` commands of README's "Command line" block, continuations joined."""
+    section = README.read_text().split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+COMMANDS = _readme_commands()
+
+
+def test_readme_command_block_shows_each_verb_once():
+    assert [argv[:2] for argv in COMMANDS] == [
+        ["thetasym", verb]
+        for verb in (
+            "symbols-enumerate", "theta-fiber", "theta-first", "theta-cuspidal",
+            "ggp-mult", "ggp-branch", "verify",
+        )
+    ]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[1])
+def test_readme_command_runs(argv):
+    """Each README example runs in-process, exits 0 and prints something."""
+    from thetasym.cli import main
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv[1:])
+    assert code == 0, argv
+    assert out.getvalue(), argv
 
 
 LAYERS = ("core", "catalog", "theta", "ggp", "oracle")

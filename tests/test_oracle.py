@@ -313,6 +313,7 @@ def test_report_over_zero_checks_does_not_pass():
     report = VerificationReport()
     assert report.checked == 0 and not report.failures
     assert not report.passed
+    assert str(report) == "FAIL (0 checks, 0 failures)"
 
 
 def _sweep_size(max_rank: int) -> int:
