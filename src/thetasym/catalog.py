@@ -44,6 +44,7 @@ from .core import (
     _check_bound,
     _set,
     _staircase_row,
+    _symbol_from_rows,
     enumerate_symbols,
     _parse_int,
     _parse_symbol,
@@ -313,8 +314,8 @@ def cuspidal_symbol(family: GroupFamily, k: int) -> Symbol:
     _check_bound(top + 1, f"the cuspidal staircase of index {k}", "entries")
     rows = _staircase_row((), top + 1)
     if family is GroupFamily.O_EVEN or k % 2 == 0:
-        return Symbol(rows, ())
-    return Symbol((), rows)
+        return _symbol_from_rows(rows, ())
+    return _symbol_from_rows((), rows)
 
 
 def is_unipotent_cuspidal(s: Symbol) -> bool:

@@ -157,6 +157,7 @@ def _check_row(row: tuple[int, ...], name: str) -> None:
 
 
 _set = object.__setattr__
+_new = object.__new__
 
 
 class Value:
@@ -224,10 +225,12 @@ class OrderedValue(Value):
 class Symbol(OrderedValue):
     """Reduced two-row symbol.
 
-    The constructor insists on the canonical reduced representative (rows
-    strictly decreasing, not both containing 0); use :func:`symbol_normalize`
-    to reduce raw row data.  Equality, hashing and ordering are structural
-    on the reduced form, so symbols can live in sets and sorted tables.
+    The constructor insists on the canonical reduced representative:
+    ``__new__`` checks that rows from outside strictly decrease and are
+    nonnegative, ``__init__`` that they do not both contain 0.  Use
+    :func:`symbol_normalize` to reduce raw row data.  Equality, hashing and
+    ordering are structural on the reduced form, so symbols can live in
+    sets and sorted tables.
 
     Data derived from the rows - :func:`upsilon` and
     :func:`symbol_transpose` - is computed at most once per instance and
@@ -238,9 +241,12 @@ class Symbol(OrderedValue):
     __slots__ = ("row_a", "row_b", "_upsilon", "_transpose")
     _fields = ("row_a", "row_b")
 
-    def __init__(self, row_a: tuple[int, ...], row_b: tuple[int, ...]):
+    def __new__(cls, row_a: tuple[int, ...], row_b: tuple[int, ...]):
         _check_row(row_a, "first")
         _check_row(row_b, "second")
+        return _new(cls)
+
+    def __init__(self, row_a: tuple[int, ...], row_b: tuple[int, ...]):
         if row_a and row_b and row_a[-1] == 0 and row_b[-1] == 0:
             raise NormalizationError(f"symbol {row_a}|{row_b} is not reduced (0 in both rows)")
         _set(self, "row_a", row_a)
@@ -261,6 +267,14 @@ class Symbol(OrderedValue):
 
     def __repr__(self):
         return f"Symbol({format_symbol(self)!r})"
+
+
+def _symbol_from_rows(row_a: tuple[int, ...], row_b: tuple[int, ...]) -> Symbol:
+    """A :class:`Symbol` of rows checked when they were built: its ``__init__``
+    (the reducedness test) without the row checks of its ``__new__``."""
+    s = _new(Symbol)
+    s.__init__(row_a, row_b)
+    return s
 
 
 def _keep(s: Symbol, slot: str, value):
@@ -305,14 +319,14 @@ def symbol_defect(s: Symbol) -> int:
 def symbol_transpose(s: Symbol) -> Symbol:
     """Swap the two rows; rank is preserved, defect is negated.
 
-    The partner is built once and the two symbols keep each other, so
-    transposing twice returns ``s`` itself.
+    The partner is built once, of rows already checked, and the two
+    symbols keep each other, so transposing twice returns ``s`` itself.
     """
     try:
         return s._transpose
     except AttributeError:
         pass
-    t = _keep(s, "_transpose", Symbol(s.row_b, s.row_a))
+    t = _keep(s, "_transpose", _symbol_from_rows(s.row_b, s.row_a))
     _keep(t, "_transpose", s)
     return t
 
@@ -351,21 +365,27 @@ def upsilon_inverse(bp: Bipartition | tuple[Partition, Partition], defect: int) 
 def _symbol_of(bp: Bipartition, defect: int) -> Symbol:
     """:func:`upsilon_inverse` of a bipartition of canonical partitions.
 
-    The symbol is still checked by its constructor, and keeps ``bp`` as its
-    :func:`upsilon`.  Its rows come from :func:`_staircase_row`, so symbols
-    that share a row share one tuple for it.
+    The symbol keeps ``bp`` as its :func:`upsilon`.  Its rows come from
+    :func:`_staircase_row`, so symbols that share a row share one tuple
+    for it, checked once.
     """
     up, lo = bp
     m2 = max(0, len(lo), len(up) - defect, -defect)
-    s = Symbol(_staircase_row(up, m2 + defect), _staircase_row(lo, m2))
+    s = _symbol_from_rows(_staircase_row(up, m2 + defect), _staircase_row(lo, m2))
     _keep(s, "_upsilon", bp)
     return s
 
 
 @cache
 def _staircase_row(p: Partition, m: int) -> tuple[int, ...]:
-    """``p`` padded with zeros to length m, plus the staircase (m-1, ..., 0); built once."""
-    return tuple(map(add, p + (0,) * (m - len(p)), range(m - 1, -1, -1)))
+    """``p`` padded with zeros to length m, plus the staircase (m-1, ..., 0);
+    built and checked once: a ``p`` of more than m parts, or not weakly
+    decreasing, raises ``NormalizationError``."""
+    if len(p) > m:
+        raise NormalizationError(f"partition {p} has more than {m} parts")
+    row = tuple(map(add, p + (0,) * (m - len(p)), range(m - 1, -1, -1)))
+    _check_row(row, "staircase")
+    return row
 
 
 class SymbolFamily(Enum):

@@ -88,11 +88,11 @@ def test_criterion_1_bijection_counts():
 
 def test_criterion_2_closed_form_equals_brute():
     start = time.monotonic()
-    report = verify_f1(17)
+    report = verify_f1(18)
     elapsed = time.monotonic() - start
     _report(
         2,
-        f"first-occurrence closed form == exhaustive scan, rank <= 17 ({report.checked} checks)",
+        f"first-occurrence closed form == exhaustive scan, rank <= 18 ({report.checked} checks)",
         report.passed and elapsed < 60.0,
         elapsed,
     )

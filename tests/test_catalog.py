@@ -1,3 +1,4 @@
+import ast
 import inspect
 import itertools
 import re
@@ -508,7 +509,12 @@ def test_each_rule_is_written_once():
     verify report (``VerificationReport.__str__``), the sp-source check
     (``theta._fiber_source``), the odd-slot index (``catalog._slot_kh``) and
     the layer-check cache (``core._layer_residual``, with no forwarder
-    behind it).  A copy anywhere else fails here."""
+    behind it).  ``Symbol(...)``, whose constructor checks rows from
+    outside, is called only by ``symbol_normalize`` and the two symbol
+    constants: every symbol the library builds itself comes from rows
+    checked when they were built, through ``core._symbol_from_rows``, which
+    runs ``Symbol.__init__``, the one home of the per-symbol reducedness
+    test.  A copy anywhere else fails here."""
     sources = {p.name: p.read_text() for p in Path(catalog.__file__).parent.glob("*.py")}
     assert sum(text.count("over the enumeration bound") for text in sources.values()) == 1
     assert "over the enumeration bound" in sources["core.py"]
@@ -564,6 +570,34 @@ def test_each_rule_is_written_once():
     }
     assert odd_index.search(inspect.getsource(catalog._slot_kh))
     assert not any("_residual_within" in text for text in sources.values())
+    # rows from outside are checked by the constructor, built rows once when built
+    assert sorted(
+        f"{name}:{home}" for name, text in sources.items() for home in _symbol_calls(text)
+    ) == ["core.py:EMPTY_SYMBOL", "core.py:ZERO_SYMBOL", "core.py:symbol_normalize"]
+    assert sum(text.count("0 in both rows") for text in sources.values()) == 1
+    assert "0 in both rows" in inspect.getsource(core.Symbol.__init__)
+    assert ".__init__(" in inspect.getsource(core._symbol_from_rows)
+
+
+def _symbol_calls(text: str) -> list[str]:
+    """The top-level function, method (``Class.name``) or assigned name that
+    holds each call of ``Symbol`` in a module's source, once per call."""
+    homes = []
+    for node in ast.parse(text).body:
+        inner = node.body if isinstance(node, ast.ClassDef) else [node]
+        for stmt in inner:
+            if isinstance(stmt, ast.Assign):
+                home = ast.unparse(stmt.targets[0])
+            else:
+                home = getattr(stmt, "name", "")
+            if stmt is not node:
+                home = f"{node.name}.{home}"
+            homes += (
+                home
+                for call in ast.walk(stmt)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", "")) == "Symbol"
+            )
+    return homes
 
 
 def test_negative_sizes_and_index_zero_give_empty_results():

@@ -1,11 +1,16 @@
 import copy
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thetasym.core as core
+import thetasym.theta as theta
 from thetasym.core import (
     Bipartition,
     EMPTY_SYMBOL,
@@ -32,7 +37,9 @@ from thetasym.core import (
     upsilon,
     upsilon_inverse,
 )
+from thetasym.catalog import MINUS, PLUS, GroupFamily, cuspidal_symbol
 from thetasym.errors import NormalizationError, ParseError
+from thetasym.theta import ThetaDirection, first_occurrence_unipotent
 
 from symbol_helpers import forbid_layer_builds, partition_transpose, random_symbol, shift_symbol
 
@@ -353,9 +360,76 @@ def test_symbol_rows_report_their_first_fault():
         Symbol((), (-1,))
 
 
-def test_oversized_layer_refused_before_building(monkeypatch):
-    import thetasym.core as core
+def test_staircase_row_refuses_what_it_cannot_check():
+    """A staircase row is checked once, when it is built: a partition of
+    more parts than the row has room for is refused, not cut short, and
+    one that is not weakly decreasing fails the row check.  ``__wrapped__``
+    bypasses the per-process cache."""
+    build = core._staircase_row.__wrapped__
+    assert build((2, 1), 3) == (4, 2, 0)
+    with pytest.raises(NormalizationError, match=r"partition \(3, 2, 1\) has more than 2 parts"):
+        build((3, 2, 1), 2)
+    with pytest.raises(NormalizationError, match=r"staircase row \(2, 2\) not strictly decreasing"):
+        build((1, 2), 2)
 
+
+def test_built_symbols_are_the_checked_ones():
+    """Every symbol the library builds from rows checked once is one the
+    constructor, which checks its rows again, accepts and equals: each
+    layer symbol of rank <= 8 and its transpose, each partner of the fiber
+    scan and each first-occurrence lift from a source of rank <= 6, and
+    each cuspidal staircase of index <= 6."""
+    built = []
+    for family in SymbolFamily:
+        for rank in range(9):
+            for s in enumerate_symbols(rank, family):
+                built += (s, symbol_transpose(s))
+    for family in SymbolFamily:
+        sp_source = family is SymbolFamily.SP_UNIPOTENT
+        direction = ThetaDirection.SP_TO_O if sp_source else ThetaDirection.O_TO_SP
+        for rank in range(7):
+            for s in enumerate_symbols(rank, family):
+                for sign in (PLUS, MINUS):
+                    built += (p for _, fiber in theta._partner_fibers(s, sign, range(7)) for p in fiber)
+                    if sp_source or sign == family.sign:
+                        built.append(first_occurrence_unipotent(s, sign, direction).lift)
+    built += (cuspidal_symbol(family, k) for family in GroupFamily for k in range(7))
+    for s in built:
+        assert Symbol(s.row_a, s.row_b) == s, s
+
+
+#: A fresh interpreter counts the row checks of ``verify_f1(5)`` and the
+#: staircase rows it caches.
+_COUNT_CHECKS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from thetasym import core, oracle
+calls = 0
+check = core._check_row
+def counted(row, name):
+    global calls
+    calls += 1
+    check(row, name)
+core._check_row = counted
+assert oracle.verify_f1(5).passed
+print(calls, core._staircase_row.cache_info().currsize)
+"""
+
+
+def test_each_staircase_row_is_checked_once():
+    """``verify_f1(5)`` runs the row check once per staircase row it builds,
+    not again in every symbol that shares the row.  It must run in a child
+    process, whose caches start empty."""
+    src = Path(core.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _COUNT_CHECKS, str(src)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["45", "45"]
+
+
+def test_oversized_layer_refused_before_building(monkeypatch):
     forbid_layer_builds(monkeypatch)
     with pytest.raises(ValueError) as err:
         _defect_layer(64, 1)
@@ -369,8 +443,6 @@ def test_oversized_layer_refused_before_building(monkeypatch):
 
 
 def test_layer_bound_is_on_the_exact_layer_size(monkeypatch):
-    import thetasym.core as core
-
     build = core._defect_layer.__wrapped__  # bypass the per-process caches
     monkeypatch.setattr(core, "_layer_residual", core._layer_residual.__wrapped__)
     monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", bipartition_count(6))

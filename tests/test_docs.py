@@ -1,6 +1,6 @@
-"""The README's table of closed forms and their oracles, its golden deck
-size, its command-line examples, and the benchmark's per-layer metric
-names, stay true to the package."""
+"""The README's table of closed forms and their oracles, the rank its f1
+row reaches, its golden deck size, its command-line examples, and the
+benchmark's per-layer metric names, stay true to the package."""
 
 import importlib
 import io
@@ -63,6 +63,17 @@ def test_closed_form_table_row_is_current_and_gated(row):
             _resolve(name)  # a stale name raises here
     assert NAME.search(oracle) or re.search(r"ROADMAP items? \d", oracle), forms
     assert NAME.search(oracle) or NAME.search(callers), forms
+
+
+def test_f1_rank_reached_is_the_rank_criterion_2_checks():
+    """The f1 row's "Rank reached" is the rank that acceptance criterion 2
+    passes to ``verify_f1``, read from that test's source."""
+    source = (ROOT / "tests" / "test_acceptance.py").read_text()
+    test = source.split("def test_criterion_2_closed_form_equals_brute(", 1)[1].split("\ndef ", 1)[0]
+    ranks = re.findall(r"\bverify_f1\((\d+)\)", test)
+    assert len(ranks) == 1, ranks
+    (row,) = [row for row in ROWS if "`theta.first_occurrence_unipotent`" in row[0]]
+    assert row[3] == ranks[0]
 
 
 def test_readme_states_the_golden_deck_size():
