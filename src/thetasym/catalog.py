@@ -42,9 +42,9 @@ from .core import (
     Symbol,
     SymbolFamily,
     _check_bound,
-    _set,
     _staircase_row,
     _symbol_from_rows,
+    _value,
     enumerate_symbols,
     _parse_int,
     _parse_symbol,
@@ -123,16 +123,14 @@ class GroupTag(OrderedValue):
 
     __slots__ = _fields = ("family", "rank", "sign")
 
-    def __init__(self, family: GroupFamily, rank: int, sign: Sign | None = None):
+    def __new__(cls, family: GroupFamily, rank: int, sign: Sign | None = None):
         if rank < 0:
             raise ValueError("group rank must be nonnegative")
         if family is GroupFamily.SP and sign is not None:
             raise ValueError("symplectic groups carry no sign")
         if family is not GroupFamily.SP and sign not in (PLUS, MINUS):
             raise ValueError("orthogonal groups need a sign")
-        _set(self, "family", family)
-        _set(self, "rank", rank)
-        _set(self, "sign", sign)
+        return _value(cls, family, rank, sign)
 
     @property
     def dimension(self) -> int:
@@ -169,7 +167,7 @@ class RhoDescriptor(OrderedValue):
 
     __slots__ = _fields = ("glu_rank", "regular", "id")
 
-    def __init__(self, glu_rank: int = 0, regular: bool = True, id: str = "trivial"):
+    def __new__(cls, glu_rank: int = 0, regular: bool = True, id: str = "trivial"):
         if glu_rank < 0:
             raise ValueError("descriptor rank must be nonnegative")
         if glu_rank == 0 and (id != "trivial" or not regular):
@@ -181,9 +179,7 @@ class RhoDescriptor(OrderedValue):
         if id != id.strip():
             # the label grammar strips field values, so this id could not round-trip
             raise ValueError(f"descriptor id {id!r} has leading or trailing whitespace")
-        _set(self, "glu_rank", glu_rank)
-        _set(self, "regular", regular)
-        _set(self, "id", id)
+        return _value(cls, glu_rank, regular, id)
 
     @property
     def is_trivial(self) -> bool:

@@ -160,6 +160,14 @@ _set = object.__setattr__
 _new = object.__new__
 
 
+def _value(cls, *values):
+    """A new ``cls`` holding ``values``, stored in its ``_fields`` order."""
+    value = _new(cls)
+    for name, field in zip(cls._fields, values):
+        _set(value, name, field)
+    return value
+
+
 class Value:
     """An immutable record of the attributes named in ``_fields``.
 
@@ -168,12 +176,13 @@ class Value:
     exception); a plain record is a ``typing.NamedTuple``.
 
     Each subclass lists its fields in ``_fields`` (and in ``__slots__``) and
-    writes its own ``__init__``, which checks its arguments and stores each
-    field with ``_set``.  Equality holds only between instances of one
-    class, field by field; the hash is the hash of the field tuple, and the
-    ``repr`` is ``Class(field=value, ...)``.  Assigning or deleting an
-    attribute raises ``AttributeError``.  Pickling and copying rebuild an
-    instance through its ``__init__``, from the field tuple in order.
+    writes ``__new__``, its one constructor, which checks its arguments and
+    stores them (:func:`_value`, or :func:`_symbol_from_rows` for a symbol);
+    no ``__init__`` can refill a built value.  Equality holds only between
+    instances of one class, field by field; the hash is the hash of the
+    field tuple, and the ``repr`` is ``Class(field=value, ...)``.  Assigning
+    or deleting an attribute raises ``AttributeError``.  Pickling and
+    copying rebuild through ``__new__``.
     """
 
     __slots__ = ()
@@ -225,12 +234,11 @@ class OrderedValue(Value):
 class Symbol(OrderedValue):
     """Reduced two-row symbol.
 
-    The constructor insists on the canonical reduced representative:
-    ``__new__`` checks that rows from outside strictly decrease and are
-    nonnegative, ``__init__`` that they do not both contain 0.  Use
-    :func:`symbol_normalize` to reduce raw row data.  Equality, hashing and
-    ordering are structural on the reduced form, so symbols can live in
-    sets and sorted tables.
+    The constructor checks rows from outside: tuples of int, strictly
+    decreasing and nonnegative; :func:`_symbol_from_rows` then insists on
+    the reduced representative.  Use :func:`symbol_normalize` to reduce
+    raw row data.  Equality, hashing and ordering are structural on the
+    reduced form, so symbols can live in sets and sorted tables.
 
     Data derived from the rows - :func:`upsilon` and
     :func:`symbol_transpose` - is computed at most once per instance and
@@ -242,15 +250,11 @@ class Symbol(OrderedValue):
     _fields = ("row_a", "row_b")
 
     def __new__(cls, row_a: tuple[int, ...], row_b: tuple[int, ...]):
-        _check_row(row_a, "first")
-        _check_row(row_b, "second")
-        return _new(cls)
-
-    def __init__(self, row_a: tuple[int, ...], row_b: tuple[int, ...]):
-        if row_a and row_b and row_a[-1] == 0 and row_b[-1] == 0:
-            raise NormalizationError(f"symbol {row_a}|{row_b} is not reduced (0 in both rows)")
-        _set(self, "row_a", row_a)
-        _set(self, "row_b", row_b)
+        for row, name in ((row_a, "first"), (row_b, "second")):
+            if type(row) is not tuple or not all(type(x) is int for x in row):
+                raise NormalizationError(f"{name} row {row!r} is not a tuple of int")
+            _check_row(row, name)
+        return _symbol_from_rows(row_a, row_b)
 
     # Symbols are hashed and compared in every gate lookup, so these two
     # skip the generic field tuple.
@@ -270,10 +274,13 @@ class Symbol(OrderedValue):
 
 
 def _symbol_from_rows(row_a: tuple[int, ...], row_b: tuple[int, ...]) -> Symbol:
-    """A :class:`Symbol` of rows checked when they were built: its ``__init__``
-    (the reducedness test) without the row checks of its ``__new__``."""
+    """The one builder of a :class:`Symbol`, of checked rows: it runs the
+    per-symbol reducedness test and stores the rows."""
+    if row_a and row_b and row_a[-1] == 0 and row_b[-1] == 0:
+        raise NormalizationError(f"symbol {row_a}|{row_b} is not reduced (0 in both rows)")
     s = _new(Symbol)
-    s.__init__(row_a, row_b)
+    _set(s, "row_a", row_a)
+    _set(s, "row_b", row_b)
     return s
 
 
@@ -302,7 +309,7 @@ def symbol_normalize(row_a: Iterable[int], row_b: Iterable[int]) -> Symbol:
     while a and b and a[-1] == 0 and b[-1] == 0:
         a = tuple(x - 1 for x in a[:-1])
         b = tuple(x - 1 for x in b[:-1])
-    return Symbol(a, b)
+    return _symbol_from_rows(a, b)
 
 
 def symbol_rank(s: Symbol) -> int:

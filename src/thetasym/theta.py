@@ -45,8 +45,8 @@ from .core import (
     Value,
     _ROWS,
     _layer_residual,
-    _set,
     _symbol_of,
+    _value,
     close_dominates,
     symbol_defect,
     symbol_rank,
@@ -96,10 +96,10 @@ class FirstOccurrence(Value):
 
     __slots__ = _fields = ("index", "lift")
 
-    def __init__(self, index: int, lift: Symbol):
-        assert symbol_rank(lift) == index
-        _set(self, "index", index)
-        _set(self, "lift", lift)
+    def __new__(cls, index: int, lift: Symbol):
+        if symbol_rank(lift) != index:
+            raise ValueError(f"lift {lift!r} has rank {symbol_rank(lift)}, not the index {index}")
+        return _value(cls, index, lift)
 
 
 # ---------------------------------------------------------------------------

@@ -510,11 +510,12 @@ def test_each_rule_is_written_once():
     (``theta._fiber_source``), the odd-slot index (``catalog._slot_kh``) and
     the layer-check cache (``core._layer_residual``, with no forwarder
     behind it).  ``Symbol(...)``, whose constructor checks rows from
-    outside, is called only by ``symbol_normalize`` and the two symbol
-    constants: every symbol the library builds itself comes from rows
-    checked when they were built, through ``core._symbol_from_rows``, which
-    runs ``Symbol.__init__``, the one home of the per-symbol reducedness
-    test.  A copy anywhere else fails here."""
+    outside, is called only by the two symbol constants: every other
+    symbol comes from rows checked once, when they were built or parsed,
+    through ``core._symbol_from_rows``, the one home of the per-symbol
+    reducedness test.  A value is made (``_new``) only there and in
+    ``core._value``, which stores the fields of the other checked values.
+    A copy anywhere else fails here."""
     sources = {p.name: p.read_text() for p in Path(catalog.__file__).parent.glob("*.py")}
     assert sum(text.count("over the enumeration bound") for text in sources.values()) == 1
     assert "over the enumeration bound" in sources["core.py"]
@@ -570,18 +571,21 @@ def test_each_rule_is_written_once():
     }
     assert odd_index.search(inspect.getsource(catalog._slot_kh))
     assert not any("_residual_within" in text for text in sources.values())
-    # rows from outside are checked by the constructor, built rows once when built
-    assert sorted(
-        f"{name}:{home}" for name, text in sources.items() for home in _symbol_calls(text)
-    ) == ["core.py:EMPTY_SYMBOL", "core.py:ZERO_SYMBOL", "core.py:symbol_normalize"]
+    # rows from outside are checked by the constructor, other rows once when built
+    for callee, homes in (
+        ("Symbol", ["core.py:EMPTY_SYMBOL", "core.py:ZERO_SYMBOL"]),
+        ("_new", ["core.py:_symbol_from_rows", "core.py:_value"]),
+    ):
+        assert sorted(
+            f"{name}:{home}" for name, text in sources.items() for home in _calls(callee, text)
+        ) == homes, callee
     assert sum(text.count("0 in both rows") for text in sources.values()) == 1
-    assert "0 in both rows" in inspect.getsource(core.Symbol.__init__)
-    assert ".__init__(" in inspect.getsource(core._symbol_from_rows)
+    assert "0 in both rows" in inspect.getsource(core._symbol_from_rows)
 
 
-def _symbol_calls(text: str) -> list[str]:
+def _calls(callee: str, text: str) -> list[str]:
     """The top-level function, method (``Class.name``) or assigned name that
-    holds each call of ``Symbol`` in a module's source, once per call."""
+    holds each call of ``callee`` in a module's source, once per call."""
     homes = []
     for node in ast.parse(text).body:
         inner = node.body if isinstance(node, ast.ClassDef) else [node]
@@ -595,7 +599,7 @@ def _symbol_calls(text: str) -> list[str]:
             homes += (
                 home
                 for call in ast.walk(stmt)
-                if isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", "")) == "Symbol"
+                if isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", "")) == callee
             )
     return homes
 

@@ -429,6 +429,17 @@ def test_each_staircase_row_is_checked_once():
     assert proc.stdout.split() == ["45", "45"]
 
 
+def test_each_parsed_row_is_checked_once(monkeypatch):
+    """``symbol_normalize`` checks each row before the shift, which keeps it
+    valid, and builds without checking it again."""
+    calls = []
+    check = core._check_row
+    monkeypatch.setattr(core, "_check_row", lambda row, name: calls.append(row) or check(row, name))
+    s = parse_symbol("[3,1,0|2,0]")
+    assert calls == [(3, 1, 0), (2, 0)]
+    assert (s.row_a, s.row_b) == ((2, 0), (1,))
+
+
 def test_oversized_layer_refused_before_building(monkeypatch):
     forbid_layer_builds(monkeypatch)
     with pytest.raises(ValueError) as err:

@@ -11,11 +11,12 @@ rule: a plain record is a ``typing.NamedTuple``, and a record is a
 record mutates (``VerificationReport``).  These tests pin that rule in the
 source and the semantics of both kinds: equality and hashing over the
 field tuple, a ``Value`` equal only within its class and a record also to
-its bare field tuple, ordering by the field tuple, refused assignment, the
-constructor refusals, ``repr`` and pickling.
+its bare field tuple, ordering by the field tuple, refused assignment and
+refilling, the constructor refusals, ``repr``, pickling and copying.
 """
 
 import ast
+import copy
 import inspect
 import operator
 import pickle
@@ -39,7 +40,7 @@ from thetasym.catalog import (
     o_odd,
     sp,
 )
-from thetasym.core import Bipartition, Symbol, Value, parse_symbol
+from thetasym.core import ZERO_SYMBOL, Bipartition, Symbol, Value, parse_symbol
 from thetasym.errors import NormalizationError
 from thetasym.ggp import FOURIER_JACOBI, MultKind, Multiplicity, VariantReport, ggp_multiplicity
 from thetasym.oracle import VerificationReport
@@ -322,6 +323,8 @@ def test_symbol_never_equals_a_bipartition_with_its_rows():
 
 @pytest.mark.parametrize("cls", CHECKED, ids=lambda c: c.__name__)
 def test_fields_refuse_assignment_and_deletion(cls):
+    """A built value refuses assignment and deletion, and calling its
+    ``__init__`` again leaves it as it was: its one constructor is ``__new__``."""
     a, _, c = _samples(cls)
     for name in FIELDS[cls]:
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
@@ -330,6 +333,7 @@ def test_fields_refuse_assignment_and_deletion(cls):
             delattr(a, name)
     with pytest.raises(AttributeError):
         a.extra = 1
+    a.__init__(*field_tuple(c))
     assert field_tuple(a) == field_tuple(_samples(cls)[0])
 
 
@@ -364,6 +368,11 @@ def test_record_fields_refuse_assignment_and_deletion(cls):
         (lambda: Symbol((1,), (1, 1)), NormalizationError, "second row (1, 1) not strictly decreasing"),
         (lambda: Symbol((1, 1), (-1,)), NormalizationError, "first row (1, 1) not strictly decreasing"),
         (lambda: Symbol((1, 0), (0,)), NormalizationError, "symbol (1, 0)|(0,) is not reduced (0 in both rows)"),
+        (lambda: Symbol([2, 0], (1,)), NormalizationError, "first row [2, 0] is not a tuple of int"),
+        (lambda: Symbol((2, 0), [1]), NormalizationError, "second row [1] is not a tuple of int"),
+        (lambda: Symbol(("a",), ()), NormalizationError, "first row ('a',) is not a tuple of int"),
+        (lambda: Symbol((1,), (True,)), NormalizationError, "second row (True,) is not a tuple of int"),
+        (lambda: FirstOccurrence(3, ZERO_SYMBOL), ValueError, "lift Symbol('[0|]') has rank 0, not the index 3"),
     ],
 )
 def test_constructor_refusals_keep_their_types_and_messages(build, kind, message):
@@ -371,6 +380,19 @@ def test_constructor_refusals_keep_their_types_and_messages(build, kind, message
         build()
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+def test_constructor_checks_survive_python_O():
+    """The checks are raised, not asserted, so ``python -O`` keeps them."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from thetasym.core import ZERO_SYMBOL; "
+        "from thetasym.theta import FirstOccurrence; FirstOccurrence(3, ZERO_SYMBOL)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-O", "-c", code, str(SRC)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "ValueError: lift Symbol('[0|]') has rank 0, not the index 3"
 
 
 def test_reprs():
@@ -385,13 +407,12 @@ def test_reprs():
     assert repr(VerificationReport()) == "VerificationReport(checked=0, failures=[], elapsed=0.0)"
 
 
-@pytest.mark.parametrize(
-    "cls", [Symbol, RepLabel, TowerContext, Multiplicity, VariantReport], ids=lambda c: c.__name__
-)
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
 def test_pickle_round_trip(cls):
+    """Pickling and deep copying rebuild a checked value through its ``__new__``."""
     a = _samples(cls)[0]
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        back = pickle.loads(pickle.dumps(a, protocol))
+    copies = [pickle.loads(pickle.dumps(a, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in copies + [copy.deepcopy(a)]:
         assert type(back) is cls and back == a and hash(back) == hash(a)
 
 
@@ -424,17 +445,21 @@ def _value_classes() -> list[type]:
     return found
 
 
-def _init_checks(cls) -> bool:
-    """Whether the class's own ``__init__`` holds a ``raise`` or an ``assert``."""
-    if "__init__" not in vars(cls):
+def _new_checks(cls) -> bool:
+    """Whether the class's own ``__new__`` holds a ``raise`` (an ``assert``
+    would not survive ``python -O``)."""
+    if "__new__" not in vars(cls):
         return False
-    tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
-    return any(isinstance(node, (ast.Raise, ast.Assert)) for node in ast.walk(tree))
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__new__)))
+    return any(isinstance(node, ast.Raise) for node in ast.walk(tree))
 
 
 def test_every_value_checks_its_arguments_but_the_mutable_report():
-    """A ``Value`` whose constructor only stores its fields should be a NamedTuple."""
+    """A ``Value`` whose constructor only stores its fields should be a
+    NamedTuple.  A checked value is built in one step, by its ``__new__``;
+    only the mutable report has an ``__init__``."""
     classes = _value_classes()
     assert set(classes) == {*CHECKED, VerificationReport}
-    assert [cls for cls in classes if not _init_checks(cls)] == [VerificationReport]
+    assert [cls for cls in classes if not _new_checks(cls)] == [VerificationReport]
+    assert [cls for cls in classes if "__init__" in vars(cls)] == [VerificationReport]
     assert VerificationReport.__setattr__ is object.__setattr__
