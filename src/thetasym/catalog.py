@@ -71,6 +71,12 @@ def format_sign(s: Sign) -> str:
     return "+" if s > 0 else "-"
 
 
+def _check_sign(value: Sign, name: str) -> None:
+    """Refuse a ``name`` other than +1 or -1 with a ``ValueError``, before any work."""
+    if value != PLUS and value != MINUS:
+        raise ValueError(f"{name} must be +1 or -1, got {value}")
+
+
 def parse_sign(text: str) -> Sign:
     if text == "+":
         return PLUS
@@ -253,7 +259,11 @@ def make_label(
     eps_flag: Sign | None = None,
     eps_minus_one: Sign = PLUS,
 ) -> RepLabel:
-    """Validate and build a label; see the module docstring for the rules."""
+    """Validate and build a label; see the module docstring for the rules.
+
+    An ``eps_minus_one`` other than +1 or -1 raises ``ValueError``.
+    """
+    _check_sign(eps_minus_one, "eps_minus_one")
     first, second = _SLOTS[group.family]
     family1 = first.entry("first", symbol_defect(lam), group)
     family2 = second.entry("second", symbol_defect(lam_prime), group)
@@ -392,8 +402,11 @@ def enumerate_labels(
     slot i (0 is ``lam``) holds a symbol s it rejects, asked once per symbol
     of each (slot, rank, family) the walk reads.  Order: descriptor,
     first-slot rank, first-slot symbol, second-slot symbol (each slot by
-    family, then in :func:`enumerate_symbols` order), eps flag.
+    family, then in :func:`enumerate_symbols` order), eps flag.  An
+    ``eps_minus_one`` other than +1 or -1 raises ``ValueError`` when the
+    walk starts.
     """
+    _check_sign(eps_minus_one, "eps_minus_one")
     kind, kind2 = _SLOTS[group.family]
     flags = _EPS_FLAGS[group.family]
 

@@ -37,9 +37,9 @@ from .errors import NormalizationError, ParseError
 
 Partition = tuple[int, ...]
 
-#: Enumeration refuses a (rank, defect) layer of more symbols than this,
-#: before building any of it, when the layer is first asked for; a refusal
-#: is not kept, so raise it explicitly for tables beyond desk scale.
+#: Every build that grows with its input - a layer, a sweep, a theta fiber,
+#: a variant sweep, a staircase - is refused over this size before it is
+#: built; the bound is read at each check, so raise it for larger tables.
 MAX_LAYER_SYMBOLS = 1_000_000
 
 
@@ -435,33 +435,21 @@ _COUNTED_RESIDUAL = 256
 
 
 @cache
-def _layer_residual(rank: int, defect: int) -> int:
-    """The residual ``rank - defect_rank_offset(defect)``, negative for an empty layer.
-
-    The one refusal of a (rank, defect) layer of more than
-    :data:`MAX_LAYER_SYMBOLS` symbols, which its builders ask for first.
-    Kept per layer, so the bound is read when a layer is first asked for.
-    """
-    residual = rank - defect_rank_offset(defect)
-    if residual >= 0:
-        # Layer sizes grow with the residual, so past _COUNTED_RESIDUAL the
-        # size is only bounded from below, which is enough to refuse it.
-        size = bipartition_count(min(residual, _COUNTED_RESIDUAL))
-        more = "" if residual <= _COUNTED_RESIDUAL else "more than "
-        _check_bound(size, f"the rank {rank}, defect {defect} layer", "symbols", more)
-    return residual
-
-
-@cache
 def _defect_layer(rank: int, defect: int) -> tuple[Symbol, ...]:
     """Reduced symbols of this rank and defect, sorted on rows; built once.
 
-    An oversized layer is refused by :func:`_layer_residual`, before
-    anything is built.
+    A layer of more than :data:`MAX_LAYER_SYMBOLS` symbols is refused
+    before anything is built.  A refusal is not kept, so the bound is read
+    whenever a layer not yet built is asked for.
     """
-    residual = _layer_residual(rank, defect)
+    residual = rank - defect_rank_offset(defect)
     if residual < 0:
         return ()
+    # Layer sizes grow with the residual, so past _COUNTED_RESIDUAL the
+    # size is only bounded from below, which is enough to refuse it.
+    size = bipartition_count(min(residual, _COUNTED_RESIDUAL))
+    more = "" if residual <= _COUNTED_RESIDUAL else "more than "
+    _check_bound(size, f"the rank {rank}, defect {defect} layer", "symbols", more)
     syms = [_symbol_of(bp, defect) for bp in bipartitions_of(residual)]
     syms.sort(key=_ROWS)
     return tuple(syms)

@@ -55,6 +55,7 @@ from .catalog import (
     RhoDescriptor,
     Sign,
     TRIVIAL_RHO,
+    _check_sign,
     enumerate_labels,
     is_unipotent_label,
     kh_of,
@@ -307,10 +308,16 @@ class _VariantRun:
     and the varied slots, and a slot's gate only on its two symbols, so a
     run under one context builds each of them once.  Sides are keyed by
     label identity; every entry holds its label, so no key is reused while
-    the run lives.  Nothing outlives the run.
+    the run lives.  Nothing outlives the run.  Every ``ggp`` answer comes
+    from a run, so a context whose eps(-1) is not +1 or -1, or whose bit is
+    neither of them nor ``None``, is refused here, naming the field.
     """
 
     def __init__(self, ctx: TowerContext):
+        _check_sign(ctx.eps_minus_one, "eps_minus_one")
+        for name, bit in zip(ctx._fields[1:], ctx[1:]):
+            if bit is not None:
+                _check_sign(bit, name)
         self.ctx = ctx
         # the supplied bits of the left and of the right argument
         self.bits: tuple[Bits, Bits] = (

@@ -22,6 +22,7 @@ from .catalog import (
     PLUS,
     GroupFamily,
     Sign,
+    _check_sign,
     cuspidal_symbol,
     enumerate_labels,
     format_sign,
@@ -52,7 +53,6 @@ from .ggp import BESSEL, FOURIER_JACOBI, _VariantRun
 from .theta import (
     ThetaDirection,
     TowerContext,
-    _check_sign,
     _fiber_source,
     _partner_fibers,
     default_orientation,
@@ -135,18 +135,19 @@ def _first_fiber(
 ) -> tuple[int | None, list[Symbol]]:
     """First target rank with a nonempty pairing fiber, plus that fiber.
 
-    Scans every rank from 0 up to ``max_rank``, and gives ``(None, [])``
+    Scans the ranks from 0 up to ``max_rank``, and gives ``(None, [])``
     when none pairs.  The refusals come once, before any rank is scanned:
     a sign other than +1 or -1, and for an sp-to-o source ``theta_fiber``'s
     class check, so an even-type source scanned that way is refused even
     when no rank is scanned.  An o-to-sp source has no class check.  One
-    partner builder then walks the ranks, reading the source once; at each
-    rank it asks the layer bound first, and an empty rank builds nothing.
+    partner builder then reads the source once and starts at the first
+    rank with room for a partner, which it refuses by its own fiber bound
+    or builds; the ranks below it are never visited.
     """
     if direction is ThetaDirection.SP_TO_O:
         _fiber_source(lam, sign)
     else:
-        _check_sign(sign)
+        _check_sign(sign, "tower sign")
     return next(_partner_fibers(lam, sign, range(max_rank + 1)), (None, []))
 
 

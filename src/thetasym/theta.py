@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache
-from typing import Callable, Iterable, Iterator, NamedTuple
+from math import prod
+from typing import Callable, Iterator, NamedTuple
 
 from .catalog import (
     MINUS,
@@ -32,11 +33,13 @@ from .catalog import (
     RepLabel,
     Sign,
     _SLOTS,
+    _check_sign,
     cuspidal_symbol,
     format_sign,
     kh_of,
     sign_pow,
 )
+from . import core
 from .core import (
     Bipartition,
     Partition,
@@ -44,10 +47,12 @@ from .core import (
     SymbolFamily,
     Value,
     _ROWS,
-    _layer_residual,
+    _check_bound,
     _symbol_of,
     _value,
     close_dominates,
+    defect_rank_offset,
+    format_symbol,
     symbol_defect,
     symbol_rank,
     symbol_transpose,
@@ -57,12 +62,6 @@ from .errors import DefectClassMismatch
 
 # A (symplectic-type, even-type) symbol pair is exactly the sp slot pair.
 _SP_TYPE, _EVEN_TYPE = _SLOTS[GroupFamily.SP]
-
-
-def _check_sign(sign: Sign) -> None:
-    """Refuse a tower sign other than +1 or -1, before any work."""
-    if sign != PLUS and sign != MINUS:
-        raise ValueError(f"tower sign must be +1 or -1, got {sign}")
 
 
 class TowerContext(NamedTuple):
@@ -207,8 +206,14 @@ def _inside(p: Partition, size: int) -> tuple[Partition, ...]:
     )
 
 
+@cache
+def _strips(p: Partition) -> int:
+    """How many q make p / q a horizontal strip: prod (p_i - p_(i+1) + 1), p padded with one 0."""
+    return prod(a - b + 1 for a, b in zip(p, p[1:] + (0,)))
+
+
 def _partner_fibers(
-    source: Symbol, sign: Sign, ranks: Iterable[int]
+    source: Symbol, sign: Sign, ranks: range
 ) -> Iterator[tuple[int, list[Symbol]]]:
     """``(rank, partners)`` at each rank of ``ranks`` where ``source`` pairs on the ``sign`` tower.
 
@@ -220,12 +225,13 @@ def _partner_fibers(
     strip sizes share out what the target residual leaves, and the partners
     are sorted on rows, the order of the target layer.
 
-    The source is read once, before the first rank: its partner defect, its
-    rows and the least residual that leaves room for a strip.  Each rank
-    then asks ``core._layer_residual`` first, which refuses an oversized
-    target layer before anything is built, and a rank whose residual is
-    below that least one is skipped after one comparison.  An even-type
-    source whose partner defect is not 1 mod 4 has no partners at any rank.
+    The source is read once: its partner defect, its rows and the least
+    residual with room for a strip.  The walk starts at the first rank of
+    ``ranks`` with that residual, and each rank from there on has partners.
+    A rank whose strip sizes times ``_strips(shrink[1:]) * _strips(grow)``,
+    the most cuts and grown rows at one size, exceed ``MAX_LAYER_SYMBOLS``
+    is refused before any partner is built.  An even-type source whose
+    partner defect is not 1 mod 4 has no partners at any rank.
     """
     want = sign - symbol_defect(source)
     if want % 2 and not SymbolFamily.SP_UNIPOTENT.admits_defect(want):
@@ -235,15 +241,20 @@ def _partner_fibers(
     total, need = sum(shrink), sum(grow)
     # size of the shrunk row: a strip takes at most shrink[0] boxes off it,
     # and the grown row takes at least sum(grow) of the residual, so a
-    # residual below ``least`` leaves no room for a partner
+    # residual below ``low + need`` leaves no room for a partner
     low = total - (shrink[0] if shrink else 0)
-    least = low + need
-    for rank in ranks:
-        residual = _layer_residual(rank, want)
-        if residual < least:
-            continue
+    offset = defect_rank_offset(want)
+    per_size = _strips(shrink[1:]) * _strips(grow)
+    skip = low + need + offset - ranks.start
+    for rank in ranks[skip:] if skip > 0 else ranks:
+        residual = rank - offset
+        top = min(total, residual - need)
+        bound = (top - low + 1) * per_size
+        if bound > core.MAX_LAYER_SYMBOLS:
+            subject = f"the rank {rank} fiber of {format_symbol(source)}"
+            _check_bound(bound, subject, "partners", "up to ")
         out = []
-        for size in range(low, min(total, residual - need) + 1):
+        for size in range(low, top + 1):
             # grow plus a strip, to n boxes in all, is what lies inside (n, *grow)
             n = residual - size
             grown = _inside((n,) + grow, n)
@@ -257,7 +268,7 @@ def _partner_fibers(
 
 def _partners(source: Symbol, sign: Sign, rank: int) -> list[Symbol]:
     """Symbols of ``rank`` pairing with ``source``: :func:`_partner_fibers` at that rank alone."""
-    return next(_partner_fibers(source, sign, (rank,)), (rank, []))[1]
+    return next(_partner_fibers(source, sign, range(rank, rank + 1)), (rank, []))[1]
 
 
 def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
@@ -267,9 +278,9 @@ def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
     even-type symbol of the target rank; :func:`_partners` builds only the
     members.  Refusals come in this order, before anything is built: a sign
     other than +1 or -1 raises ``ValueError``, a ``lam`` not of symplectic
-    type :class:`DefectClassMismatch`, as in ``in_B``, and a target layer
-    of more than ``MAX_LAYER_SYMBOLS`` symbols ``ValueError``.  The first
-    two are :func:`_fiber_source`, which the first-occurrence scan of
+    type :class:`DefectClassMismatch`, as in ``in_B``, and a fiber that
+    may hold more than ``MAX_LAYER_SYMBOLS`` partners ``ValueError``.  The
+    first two are :func:`_fiber_source`, which the first-occurrence scan of
     ``oracle`` runs once per source.
     """
     _fiber_source(lam, sign)
@@ -278,7 +289,7 @@ def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
 
 def _fiber_source(lam: Symbol, sign: Sign) -> None:
     """The refusals of :func:`in_B` and :func:`theta_fiber` that read only the source and sign."""
-    _check_sign(sign)
+    _check_sign(sign, "tower sign")
     _SP_TYPE.entry("first", symbol_defect(lam))
 
 
@@ -313,7 +324,7 @@ def first_occurrence_unipotent(
     the two towers have *different* closed forms rather than an unknown
     assignment.  A sign other than +1 or -1 raises ``ValueError``.
     """
-    _check_sign(sign)
+    _check_sign(sign, "tower sign")
     d = symbol_defect(lam)
     if direction is ThetaDirection.SP_TO_O:
         _SP_TYPE.entry("source", d)

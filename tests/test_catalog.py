@@ -162,6 +162,18 @@ def _make_label_reference(group, lam, lam_prime, flag, eps):
     return None, RepLabel(group, TRIVIAL_RHO, lam, lam_prime, flag)
 
 
+@pytest.mark.parametrize("eps", [0, 2, -2, None])
+def test_eps_minus_one_other_than_a_sign_is_refused(eps):
+    """An eps(-1) that is not +1 or -1 is refused, naming the field, where
+    it would otherwise fit no slot pair and silently list no label."""
+    message = rf"^eps_minus_one must be \+1 or -1, got {eps}$"
+    with pytest.raises(ValueError, match=message):
+        make_label(sp(1), TRIVIAL_RHO, parse_symbol("[1|]"), EMPTY_SYMBOL, None, eps)
+    for group in (o_even(2, PLUS), o_even(2, MINUS), sp(0)):
+        with pytest.raises(ValueError, match=message):
+            next(enumerate_labels(group, eps))
+
+
 def test_make_label_outcome_matrix():
     """Every group of rank <= 3 against every symbol pair of rank <= 3, all families."""
     symbols = [s for r in range(4) for f in SymbolFamily for s in enumerate_symbols(r, f)]
@@ -504,16 +516,16 @@ def test_each_rule_is_written_once():
     its keys, calls.  ``ggp`` reads group families only in ``GGPCase``, and
     builds a ``CaseMismatch`` only where a pair is validated and where a
     branch table picks its case; ``cli`` names no case itself and reads
-    the square class of -1 only in ``_context``.  Five facts have one
+    the square class of -1 only in ``_context``.  Six facts have one
     spelling each: the row sort key (``core._ROWS``), the failure line of a
     verify report (``VerificationReport.__str__``), the sp-source check
-    (``theta._fiber_source``), the odd-slot index (``catalog._slot_kh``) and
-    the layer-check cache (``core._layer_residual``, with no forwarder
-    behind it).  ``Symbol(...)``, whose constructor checks rows from
-    outside, is called only by the two symbol constants: every other
-    symbol comes from rows checked once, when they were built or parsed,
-    through ``core._symbol_from_rows``, the one home of the per-symbol
-    reducedness test.  A value is made (``_new``) only there and in
+    (``theta._fiber_source``), the odd-slot index (``catalog._slot_kh``),
+    the layer check (``core._defect_layer``, the one builder of layers) and
+    the sign check (``catalog._check_sign``).  ``Symbol(...)``, whose
+    constructor checks rows from outside, is called only by the two symbol
+    constants: every other symbol comes from rows checked once, when they
+    were built or parsed, through ``core._symbol_from_rows``, the one home
+    of the per-symbol reducedness test.  A value is made (``_new``) only there and in
     ``core._value``, which stores the fields of the other checked values.
     A copy anywhere else fails here."""
     sources = {p.name: p.read_text() for p in Path(catalog.__file__).parent.glob("*.py")}
@@ -557,11 +569,14 @@ def test_each_rule_is_written_once():
     assert not re.search(r"""["'](fj|bessel)["']""", sources["cli.py"])
     context = inspect.getsource(cli._context)
     assert sources["cli.py"].count("args.eps_minus_one") == context.count("args.eps_minus_one") > 0
-    # one row key, one report text, one sp-source check, one odd-slot index, one layer cache
+    # one row key, one report text, one sp-source check, one odd-slot index,
+    # one layer check and one sign check
     for spelling, home in (
         ('attrgetter("row_a", "row_b")', core),
         (": expected ", oracle.VerificationReport.__str__),
         ('_SP_TYPE.entry("first"', theta._fiber_source),
+        ("defect {defect} layer", core._defect_layer),
+        ("must be +1 or -1, got", catalog._check_sign),
     ):
         assert sum(text.count(spelling) for text in sources.values()) == 1, spelling
         assert spelling in inspect.getsource(home), spelling

@@ -346,6 +346,18 @@ def test_oversized_layer_refused_before_work(monkeypatch, capsys):
     )
 
 
+def test_oversized_fiber_refused_before_work(monkeypatch, capsys):
+    """``theta-fiber`` refuses by its own fiber's bound, read off the source."""
+    forbid_layer_builds(monkeypatch)
+    source, rank = "[|1000000000000,1,0]", "1000000000002"
+    code, out = run_cli(["theta-fiber", "--symbol", source, "--sign", "+", "--target-rank", rank])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: the rank {rank} fiber of {source} has up to 999999999999 partners, "
+        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}\n"
+    )
+
+
 @pytest.mark.parametrize("suite", ["counts", "f1", "variants"])
 def test_oversized_sweep_refused_before_work(suite, monkeypatch, capsys):
     forbid_layer_builds(monkeypatch)

@@ -188,6 +188,37 @@ def test_each_label_keeps_its_own_bits():
                 ), f"{left} / {right} under {ctx}"
 
 
+@pytest.mark.parametrize(
+    "ctx, field, value",
+    [
+        (TowerContext(0), "eps_minus_one", 0),
+        (TowerContext(None), "eps_minus_one", None),
+        (TowerContext(PLUS, 2, 2, 2, 2), "orient_left", 2),
+        (TowerContext(MINUS, PLUS, MINUS, None, 0), "orient_right_alt", 0),
+    ],
+)
+def test_context_other_than_signs_is_refused(ctx, field, value):
+    """Every ``ggp`` entry point, and the variant verifier, refuses an eps(-1)
+    that is not +1 or -1, or a bit that is neither nor ``None``, naming the
+    field, before any pair is evaluated."""
+    calls = [
+        lambda: ggp_multiplicity(st_sp2(), theta_sp2(), FOURIER_JACOBI, ctx),
+        lambda: select_nonzero_variant(st_sp2(), theta_sp2(), FOURIER_JACOBI, ctx),
+        lambda: is_strongly_relevant(st_sp2(), theta_sp2(), FOURIER_JACOBI, ctx),
+        lambda: branch_decomposition(st_sp2(), sp(1), ctx),
+        lambda: verify_variant_uniqueness(1, ctx),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^{field} must be \+1 or -1, got {value}$"):
+            call()
+
+
+def test_variant_sweep_reads_every_bessel_family():
+    """With eps(-1) = +1 the rank-1 sweep checks its Bessel families too;
+    an eps(-1) of 0 used to drop them all and still pass, on 43 checks."""
+    assert verify_variant_uniqueness(1, TowerContext(PLUS)).checked == 223
+
+
 @pytest.mark.xfail(
     strict=True, reason="the eps(-1) twist lands on the first copy until ROADMAP item 2 fixes it"
 )

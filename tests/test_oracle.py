@@ -12,6 +12,7 @@ from thetasym.core import (
     count_symbols,
     enumerate_symbols,
     parse_symbol,
+    symbol_rank,
 )
 from thetasym.errors import DefectClassMismatch
 from thetasym.oracle import (
@@ -24,7 +25,7 @@ from thetasym.oracle import (
     verify_orientation,
     verify_variant_uniqueness,
 )
-from thetasym.theta import ThetaDirection, TowerContext, _partners, in_B
+from thetasym.theta import ThetaDirection, TowerContext, _partners, first_occurrence_unipotent, in_B
 
 from symbol_helpers import first_fiber_by_ranks, forbid_layer_builds, forbid_variant_families
 
@@ -68,38 +69,60 @@ def test_first_fiber_equals_the_rank_by_rank_scan():
 
 def test_first_fiber_sets_up_once_and_builds_only_its_fiber(monkeypatch):
     """A counting spy: the source's ``upsilon`` is asked once per scan,
-    whatever the bound; every rank from 0 up is asked the layer bound in
-    turn; and strips are cut only at the rank the scan returns, after it
-    was asked, so an empty rank builds nothing.  A source on the wrong
-    tower asks nothing at all."""
+    whatever the bound; the walk visits no rank below the first one with
+    partners; and strips are cut and partners built only at the rank the
+    scan returns.  A source on the wrong tower asks nothing at all."""
     events = []
-    upsilon, residual, inside = theta.upsilon, theta._layer_residual, theta._inside
+    upsilon, inside, build = theta.upsilon, theta._inside, theta._symbol_of
 
     def spy(kind, fn):
         def spied(*args):
-            events.append((kind, args[0]))
-            return fn(*args)
+            value = fn(*args)
+            events.append((kind, value if kind == "partner" else args[0]))
+            return value
 
         return spied
 
     monkeypatch.setattr(theta, "upsilon", spy("upsilon", upsilon))
-    monkeypatch.setattr(theta, "_layer_residual", spy("rank", residual))
     monkeypatch.setattr(theta, "_inside", spy("inside", inside))
+    monkeypatch.setattr(theta, "_symbol_of", spy("partner", build))
     for family, (lam, sign, direction, bound) in _scans(6):
         events.clear()
-        found, _ = _first_fiber(lam, sign, direction, bound)
+        found, fiber = _first_fiber(lam, sign, direction, bound)
         if direction is ThetaDirection.O_TO_SP and sign != family.sign:
             assert (found, events) == (None, [])
             continue
         assert [x for kind, x in events if kind == "upsilon"] == [lam]
-        ranks = [x for kind, x in events if kind == "rank"]
-        assert ranks == list(range((bound if found is None else found) + 1))
         kinds = [kind for kind, _ in events]
-        built = kinds.count("inside")
-        assert (built > 0) == (found is not None)
-        if built:
-            last_rank = len(kinds) - 1 - kinds[::-1].index("rank")
-            assert "inside" not in kinds[:last_rank], (lam, sign, bound)
+        assert (kinds.count("inside") > 0) == (found is not None)
+        built = [x for kind, x in events if kind == "partner"]
+        assert sorted(built, key=core._ROWS) == fiber
+        assert all(symbol_rank(p) == found for p in built)
+        # every rank the walk visits has partners, so it visits none below ``found``
+        walk = list(theta._partner_fibers(lam, sign, range(bound + 1)))
+        assert all(partners for _, partners in walk)
+        assert [rank for rank, _ in walk][:1] == ([] if found is None else [found])
+
+
+@pytest.mark.parametrize("n", [40, 60])
+@pytest.mark.parametrize("sign", [PLUS, MINUS])
+def test_scan_reaches_sources_whose_target_layers_are_over_the_bound(n, sign):
+    """``[n|]`` is scanned to its closed-form first occurrence, and its one
+    partner there is the closed-form lift, although on the minus tower the
+    layers it passes hold more than ``MAX_LAYER_SYMBOLS`` symbols."""
+    lam = parse_symbol(f"[{n}|]")
+    closed = first_occurrence_unipotent(lam, sign, ThetaDirection.SP_TO_O)
+    assert brute_first_occurrence(lam, sign, n + 2) == closed.index
+    assert _first_fiber(lam, sign, ThetaDirection.SP_TO_O, n + 2) == (closed.index, [closed.lift])
+
+
+def test_scan_starts_at_the_first_rank_with_room():
+    """A source part of 10^12 boxes is refused or answered at once, not
+    after a walk through the 10^12 ranks below its first occurrence."""
+    lam = parse_symbol("[|1000000000000,1,0]")
+    with pytest.raises(ValueError, match=r"^the rank 1000000000002 fiber of \[\|1000000000000,1,0\] has up"):
+        brute_first_occurrence(lam, PLUS, 10**13)
+    assert brute_first_occurrence(lam, MINUS, 10**13) == 1
 
 
 @pytest.mark.parametrize("sign", [PLUS, MINUS])
@@ -190,7 +213,7 @@ def test_verify_f1_detects_injected_failure(monkeypatch):
 
 def test_failure_text_in_every_verifier(monkeypatch):
     """Failure text is built only for failing checks, and reads as before."""
-    from thetasym import oracle
+    from thetasym import ggp, oracle
     from thetasym.errors import MultipleNonzero
 
     shift_closed_form_index(monkeypatch)
@@ -213,7 +236,7 @@ def test_failure_text_in_every_verifier(monkeypatch):
         {"input": "count o+ rank 0", "expected": "0", "actual": "1"},
     ]
 
-    real = oracle._VariantRun.family
+    real = ggp._VariantRun.family
     calls = []
 
     def second_raises(run, left, right, case):
@@ -222,7 +245,7 @@ def test_failure_text_in_every_verifier(monkeypatch):
             raise MultipleNonzero("boom")
         return real(run, left, right, case)
 
-    monkeypatch.setattr(oracle._VariantRun, "family", second_raises)
+    monkeypatch.setattr(ggp._VariantRun, "family", second_raises)
     report = verify_variant_uniqueness(0, TowerContext(eps_minus_one=PLUS))
     assert report.checked == 5
     assert report.failures == [

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import thetasym.core as core
 from thetasym.catalog import (
     MINUS,
     PLUS,
@@ -428,16 +429,47 @@ def test_partners_equal_layer_filter():
 
 
 def test_theta_fiber_refuses_oversized_rank_before_building(monkeypatch):
+    """A fiber is bounded by its own strips, not by its target layer: on the
+    plus tower at rank 40, ``[39|]`` has 40 partners, one per strip size,
+    and ``[40|]``, with 41 strip sizes, is refused by a bound of 40 before
+    anything is built."""
+    monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", 40)
+    assert len(theta_fiber(parse_symbol("[39|]"), PLUS, 40)) == 40
     forbid_layer_builds(monkeypatch)
-    for sign in (PLUS, MINUS):
-        with pytest.raises(ValueError, match=f"MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"):
-            theta_fiber(parse_symbol("[1|]"), sign, 64)
     with pytest.raises(ValueError) as err:
-        theta_fiber(parse_symbol("[0|]"), PLUS, 60)
+        theta_fiber(parse_symbol("[40|]"), PLUS, 40)
     assert str(err.value) == (
-        f"the rank 60, defect 0 layer has {bipartition_count(60)} symbols, "
-        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+        "the rank 40 fiber of [40|] has up to 41 partners, "
+        "over the enumeration bound MAX_LAYER_SYMBOLS = 40"
     )
+
+
+def test_fiber_bound_refuses_one_below_every_fiber(monkeypatch):
+    """The fiber bound is safe: each nonempty fiber of a source of rank <= 7,
+    of any family, on either tower, at a target rank <= 11, is refused
+    before anything is built once the bound is one below its size."""
+    cases = [
+        (lam, sign, t, len(fiber))
+        for n in range(8)
+        for family in SymbolFamily
+        for lam in enumerate_symbols(n, family)
+        for sign, t in itertools.product((PLUS, MINUS), range(12))
+        if (fiber := _partners(lam, sign, t))
+    ]
+    assert len(cases) == 9055
+    forbid_layer_builds(monkeypatch)
+    for lam, sign, t, size in cases:
+        monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", size - 1)
+        with pytest.raises(ValueError, match=f"^the rank {t} fiber of .* has up to [0-9]+ partners"):
+            _partners(lam, sign, t)
+
+
+@pytest.mark.parametrize("sign, target", [(MINUS, 33), (MINUS, 40), (PLUS, 60)])
+def test_theta_fiber_answers_beyond_the_bound_on_its_layer(sign, target):
+    """A fiber of one partner whose target layer alone is over the bound."""
+    assert bipartition_count(target - 1) > MAX_LAYER_SYMBOLS
+    row = f"{target}|0" if sign == PLUS else f"|{target},0"
+    assert theta_fiber(parse_symbol("[0|]"), sign, target) == [parse_symbol(f"[{row}]")]
 
 
 @pytest.mark.parametrize("sign", [PLUS, MINUS])
