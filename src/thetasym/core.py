@@ -364,9 +364,13 @@ def upsilon_inverse(bp: Bipartition | tuple[Partition, Partition], defect: int) 
 
     Row lengths are the minimal ones compatible with the defect, which is
     exactly what reducedness requires.  The validated bipartition is kept on
-    the new symbol as its :func:`upsilon`.
+    the new symbol as its :func:`upsilon`.  A row of more than
+    ``MAX_LAYER_SYMBOLS`` entries raises ``ValueError`` before any is built.
     """
-    return _symbol_of(Bipartition(partition(bp[0]), partition(bp[1])), defect)
+    up, lo = bp = Bipartition(partition(bp[0]), partition(bp[1]))
+    longest = max(0, len(lo), len(up) - defect, -defect) + max(defect, 0)
+    _check_bound(longest, f"a row of the defect {defect} symbol", "entries")
+    return _symbol_of(bp, defect)
 
 
 def _symbol_of(bp: Bipartition, defect: int) -> Symbol:

@@ -22,7 +22,6 @@ from .catalog import (
     PLUS,
     GroupFamily,
     Sign,
-    _check_sign,
     cuspidal_symbol,
     enumerate_labels,
     format_sign,
@@ -53,8 +52,8 @@ from .ggp import BESSEL, FOURIER_JACOBI, _VariantRun
 from .theta import (
     ThetaDirection,
     TowerContext,
+    _fiber,
     _fiber_source,
-    _partner_fibers,
     default_orientation,
     first_occurrence_unipotent,
 )
@@ -126,29 +125,9 @@ def default_scan_bound(lam: Symbol) -> int:
 
 
 def brute_first_occurrence(lam: Symbol, sign: Sign, max_rank: int) -> int | None:
-    """Smallest target rank with a nonempty pairing fiber, scanning upward."""
-    return _first_fiber(lam, sign, ThetaDirection.SP_TO_O, max_rank)[0]
-
-
-def _first_fiber(
-    lam: Symbol, sign: Sign, direction: ThetaDirection, max_rank: int
-) -> tuple[int | None, list[Symbol]]:
-    """First target rank with a nonempty pairing fiber, plus that fiber.
-
-    Scans the ranks from 0 up to ``max_rank``, and gives ``(None, [])``
-    when none pairs.  The refusals come once, before any rank is scanned:
-    a sign other than +1 or -1, and for an sp-to-o source ``theta_fiber``'s
-    class check, so an even-type source scanned that way is refused even
-    when no rank is scanned.  An o-to-sp source has no class check.  One
-    partner builder then reads the source once and starts at the first
-    rank with room for a partner, which it refuses by its own fiber bound
-    or builds; the ranks below it are never visited.
-    """
-    if direction is ThetaDirection.SP_TO_O:
-        _fiber_source(lam, sign)
-    else:
-        _check_sign(sign, "tower sign")
-    return next(_partner_fibers(lam, sign, range(max_rank + 1)), (None, []))
+    """Smallest target rank <= ``max_rank`` with a nonempty fiber, or None; refused as ``theta_fiber`` is."""
+    _fiber_source(lam, sign)
+    return _fiber(lam, sign, range(max_rank + 1))[0]
 
 
 def verify_f1(max_rank: int) -> VerificationReport:
@@ -175,7 +154,7 @@ def verify_f1(max_rank: int) -> VerificationReport:
             for lam in enumerate_symbols(rank, family):
                 for sign in signs:
                     closed = first_occurrence_unipotent(lam, sign, direction)
-                    brute, fiber = _first_fiber(lam, sign, direction, default_scan_bound(lam))
+                    brute, fiber = _fiber(lam, sign, range(default_scan_bound(lam) + 1))
                     ok = brute == closed.index and len(fiber) == 1 and fiber[0] == closed.lift
                     report.check(
                         ok,
@@ -197,22 +176,26 @@ def verify_orientation(max_k: int) -> VerificationReport:
     even staircase and its transpose label one group, and each one's bit must
     be + exactly when its own scanned index in the symplectic tower is the
     smaller.  A failure shows the two indices: (plus, minus) or (own, transpose).
+    A run whose staircases, 4k + 1 entries for each k, hold more than
+    ``MAX_LAYER_SYMBOLS`` entries in all raises ``ValueError`` before any is built.
     """
+    entries = max(max_k + 1, 0) * (2 * max_k + 1)
+    _check_bound(entries, f"the k <= {max_k} orientation sweep", "staircase entries")
     report = VerificationReport()
     start = time.monotonic()
 
-    def scan(s: Symbol, sign: Sign, direction: ThetaDirection) -> int | None:
-        return _first_fiber(s, sign, direction, default_scan_bound(s))[0]
+    def scan(s: Symbol, sign: Sign) -> int | None:
+        return _fiber(s, sign, range(default_scan_bound(s) + 1))[0]
 
     cases = []
     for k in range(max_k + 1):
         lam = cuspidal_symbol(GroupFamily.SP, k)
-        indices = [scan(lam, sign, ThetaDirection.SP_TO_O) for sign in (PLUS, MINUS)]
+        indices = [scan(lam, sign) for sign in (PLUS, MINUS)]
         cases.append((unipotent_label(sp(symbol_rank(lam)), lam), indices))
         if k:  # the empty even staircase of k = 0 is its own transpose
             stair, tower = cuspidal_symbol(GroupFamily.O_EVEN, k), sign_pow(k)
             pair = (stair, symbol_transpose(stair))
-            own = [scan(s, tower, ThetaDirection.O_TO_SP) for s in pair]
+            own = [scan(s, tower) for s in pair]
             cases += [(unipotent_label(o_even(k * k, tower), s), own[::step])
                       for s, step in zip(pair, (1, -1))]
     for label, (mine, other) in cases:

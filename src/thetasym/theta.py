@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache
-from math import prod
-from typing import Callable, Iterator, NamedTuple
+from math import comb, prod
+from typing import Callable, NamedTuple
 
 from .catalog import (
     MINUS,
@@ -212,10 +212,8 @@ def _strips(p: Partition) -> int:
     return prod(a - b + 1 for a, b in zip(p, p[1:] + (0,)))
 
 
-def _partner_fibers(
-    source: Symbol, sign: Sign, ranks: range
-) -> Iterator[tuple[int, list[Symbol]]]:
-    """``(rank, partners)`` at each rank of ``ranks`` where ``source`` pairs on the ``sign`` tower.
+def _fiber(source: Symbol, sign: Sign, ranks: range) -> tuple[int | None, list[Symbol]]:
+    """The first rank of ``ranks`` (step 1) where ``source`` pairs on the ``sign`` tower, and the partners.
 
     The defect equation is its own inverse and :func:`_band` is symmetric,
     so this serves both directions.  The band is interlacing, so each side
@@ -226,16 +224,16 @@ def _partner_fibers(
     are sorted on rows, the order of the target layer.
 
     The source is read once: its partner defect, its rows and the least
-    residual with room for a strip.  The walk starts at the first rank of
-    ``ranks`` with that residual, and each rank from there on has partners.
-    A rank whose strip sizes times ``_strips(shrink[1:]) * _strips(grow)``,
-    the most cuts and grown rows at one size, exceed ``MAX_LAYER_SYMBOLS``
+    residual with room for a strip.  Every rank from that residual on has
+    partners, so the answer is the first rank of ``ranks`` at or above it,
+    or ``(None, [])`` when there is none.  A fiber whose strip sizes times
+    the most cuts and grown rows at one size exceed ``MAX_LAYER_SYMBOLS``
     is refused before any partner is built.  An even-type source whose
-    partner defect is not 1 mod 4 has no partners at any rank.
+    partner defect is not 1 mod 4 has no partners.
     """
     want = sign - symbol_defect(source)
     if want % 2 and not SymbolFamily.SP_UNIPOTENT.admits_defect(want):
-        return
+        return None, []
     up, lo = upsilon(source)
     grow, shrink = (lo, up) if sign == PLUS else (up, lo)
     total, need = sum(shrink), sum(grow)
@@ -244,47 +242,44 @@ def _partner_fibers(
     # residual below ``low + need`` leaves no room for a partner
     low = total - (shrink[0] if shrink else 0)
     offset = defect_rank_offset(want)
-    per_size = _strips(shrink[1:]) * _strips(grow)
-    skip = low + need + offset - ranks.start
-    for rank in ranks[skip:] if skip > 0 else ranks:
-        residual = rank - offset
-        top = min(total, residual - need)
-        bound = (top - low + 1) * per_size
-        if bound > core.MAX_LAYER_SYMBOLS:
-            subject = f"the rank {rank} fiber of {format_symbol(source)}"
-            _check_bound(bound, subject, "partners", "up to ")
-        out = []
-        for size in range(low, top + 1):
-            # grow plus a strip, to n boxes in all, is what lies inside (n, *grow)
-            n = residual - size
-            grown = _inside((n,) + grow, n)
-            for cut in _inside(shrink, size):
-                for row in grown:
-                    bp = Bipartition(row, cut) if sign == PLUS else Bipartition(cut, row)
-                    out.append(_symbol_of(bp, want))
-        out.sort(key=_ROWS)
-        yield rank, out
-
-
-def _partners(source: Symbol, sign: Sign, rank: int) -> list[Symbol]:
-    """Symbols of ``rank`` pairing with ``source``: :func:`_partner_fibers` at that rank alone."""
-    return next(_partner_fibers(source, sign, range(rank, rank + 1)), (rank, []))[1]
+    rank = max(ranks.start, low + need + offset)
+    if rank not in ranks:
+        return None, []
+    residual = rank - offset
+    top = min(total, residual - need)
+    cuts = (top - low + 1) * _strips(shrink[1:])
+    if cuts * _strips(grow) > core.MAX_LAYER_SYMBOLS:
+        # a strip of k boxes grows ``grow`` in at most C(k + len(grow), len(grow)) ways
+        k = residual - need - low
+        grown = min(_strips(grow), comb(k + len(grow), len(grow)))
+        subject = f"the rank {rank} fiber of {format_symbol(source)}"
+        _check_bound(cuts * grown, subject, "partners", "up to ")
+    out = []
+    for size in range(low, top + 1):
+        # grow plus a strip, to n boxes in all, is what lies inside (n, *grow)
+        n = residual - size
+        grown = _inside((n,) + grow, n)
+        for cut in _inside(shrink, size):
+            for row in grown:
+                bp = Bipartition(row, cut) if sign == PLUS else Bipartition(cut, row)
+                out.append(_symbol_of(bp, want))
+    out.sort(key=_ROWS)
+    return rank, out
 
 
 def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
     """All even-type symbols of the target rank pairing with ``lam``.
 
     The same list, in the same order, as :func:`in_B` against every
-    even-type symbol of the target rank; :func:`_partners` builds only the
+    even-type symbol of the target rank; :func:`_fiber` builds only the
     members.  Refusals come in this order, before anything is built: a sign
     other than +1 or -1 raises ``ValueError``, a ``lam`` not of symplectic
     type :class:`DefectClassMismatch`, as in ``in_B``, and a fiber that
     may hold more than ``MAX_LAYER_SYMBOLS`` partners ``ValueError``.  The
-    first two are :func:`_fiber_source`, which the first-occurrence scan of
-    ``oracle`` runs once per source.
+    first two are :func:`_fiber_source`.
     """
     _fiber_source(lam, sign)
-    return _partners(lam, sign, target_rank)
+    return _fiber(lam, sign, range(target_rank, target_rank + 1))[1]
 
 
 def _fiber_source(lam: Symbol, sign: Sign) -> None:

@@ -20,7 +20,7 @@ from thetasym.core import (
     upsilon,
     upsilon_inverse,
 )
-from thetasym.theta import GVariant, ThetaDirection, _band, _interlaces
+from thetasym.theta import GVariant, _band, _interlaces
 
 
 def random_symbol(rng, max_rank: int = 12) -> Symbol:
@@ -93,7 +93,7 @@ def forbid_variant_families(monkeypatch) -> list:
 
 
 def partners_by_layer_filter(source: Symbol, sign: Sign, rank: int) -> list[Symbol]:
-    """The reference for ``theta._partners``: the whole target layer, filtered by the band.
+    """The reference for ``theta._fiber`` at one rank: the whole target layer, filtered by the band.
 
     The defect equation names the one layer to read, and :func:`_band` is
     symmetric, so each member is tested with the band alone.  An even-type
@@ -125,18 +125,12 @@ def in_G_by_hand(lam: Symbol, lam_prime: Symbol) -> GVariant | None:
     return None
 
 
-def first_fiber_by_ranks(
-    lam: Symbol, sign: Sign, direction: ThetaDirection, max_rank: int
-) -> tuple[int | None, list[Symbol]]:
-    """The reference for ``oracle._first_fiber``: one single-rank call per rank.
-
-    An sp-to-o source asks ``theta_fiber`` and an o-to-sp one ``_partners``
-    at each rank from 0 up, so the source is set up again at every rank and
-    an sp-to-o source is class-checked only once a rank is scanned.
-    """
-    fiber_at = theta.theta_fiber if direction is ThetaDirection.SP_TO_O else theta._partners
+def first_fiber_by_ranks(lam: Symbol, sign: Sign, max_rank: int) -> tuple[int | None, list[Symbol]]:
+    """The reference for ``theta._fiber`` over ranks 0 to ``max_rank``: one
+    single-rank call per rank from 0 up, so the source is set up again at
+    every rank and no rank is skipped."""
     for rank in range(max_rank + 1):
-        fiber = fiber_at(lam, sign, rank)
+        fiber = theta._fiber(lam, sign, range(rank, rank + 1))[1]
         if fiber:
             return rank, fiber
     return None, []

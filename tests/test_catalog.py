@@ -527,7 +527,11 @@ def test_each_rule_is_written_once():
     were built or parsed, through ``core._symbol_from_rows``, the one home
     of the per-symbol reducedness test.  A value is made (``_new``) only there and in
     ``core._value``, which stores the fields of the other checked values.
-    A copy anywhere else fails here."""
+    Each theta fiber is built by one call of ``theta._fiber``, made only by
+    ``theta_fiber``, ``brute_first_occurrence``, ``verify_f1`` and
+    ``verify_orientation``; the rank generator, its single-rank call and
+    the oracle's scan wrapper it replaced are gone.  A copy anywhere else
+    fails here."""
     sources = {p.name: p.read_text() for p in Path(catalog.__file__).parent.glob("*.py")}
     assert sum(text.count("over the enumeration bound") for text in sources.values()) == 1
     assert "over the enumeration bound" in sources["core.py"]
@@ -596,6 +600,13 @@ def test_each_rule_is_written_once():
         ) == homes, callee
     assert sum(text.count("0 in both rows") for text in sources.values()) == 1
     assert "0 in both rows" in inspect.getsource(core._symbol_from_rows)
+    # one fiber builder, one call per fiber, and none of the names it replaced
+    assert sorted(f"{name}:{home}" for name, text in sources.items() for home in _calls("_fiber", text)) == [
+        "oracle.py:brute_first_occurrence", "oracle.py:verify_f1", "oracle.py:verify_orientation",
+        "theta.py:theta_fiber",
+    ]
+    retired = re.compile(r"\b(_partner_fibers|_partners|_first_fiber)\b")
+    assert not any(retired.search(text) for text in sources.values())
 
 
 def _calls(callee: str, text: str) -> list[str]:

@@ -347,13 +347,16 @@ def test_oversized_layer_refused_before_work(monkeypatch, capsys):
 
 
 def test_oversized_fiber_refused_before_work(monkeypatch, capsys):
-    """``theta-fiber`` refuses by its own fiber's bound, read off the source."""
+    """``theta-fiber`` refuses by its own fiber's bound, read off the source:
+    at rank 161 the staircase-free rows (12, ..., 1) of this rank-156 source
+    take 13 strip sizes times 2^11 cuts times 2^12 grown rows."""
     forbid_layer_builds(monkeypatch)
-    source, rank = "[|1000000000000,1,0]", "1000000000002"
+    source = "[" + ",".join(map(str, range(24, -1, -2))) + "|" + ",".join(map(str, range(23, 0, -2))) + "]"
+    rank = "161"
     code, out = run_cli(["theta-fiber", "--symbol", source, "--sign", "+", "--target-rank", rank])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == (
-        f"error: the rank {rank} fiber of {source} has up to 999999999999 partners, "
+        f"error: the rank {rank} fiber of {source} has up to 109051904 partners, "
         f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}\n"
     )
 

@@ -163,6 +163,40 @@ def test_upsilon_inverse_examples():
     assert upsilon_inverse(((), ()), 0) == EMPTY_SYMBOL
 
 
+@pytest.mark.parametrize(
+    "bp, defect, longest",
+    [
+        (((), ()), 3_000_001, 3_000_001),
+        (((), ()), -10**12, 10**12),
+        (((1,) * 1_000_001, ()), 0, 1_000_001),
+        (((), (1,) * 999_999), 2, 1_000_001),
+    ],
+    ids=["defect", "negative defect", "parts", "parts plus defect"],
+)
+def test_upsilon_inverse_refuses_an_oversized_row_before_building(bp, defect, longest, monkeypatch):
+    """A row of more than ``MAX_LAYER_SYMBOLS`` entries is refused by its
+    length, before any staircase is built."""
+    build = core.upsilon_inverse
+    forbid_layer_builds(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        build(bp, defect)
+    assert str(err.value) == (
+        f"a row of the defect {defect} symbol has {longest} entries, "
+        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+    )
+
+
+def test_upsilon_inverse_bound_is_on_the_longer_row(monkeypatch):
+    """The bound reads the exact length of the longer row: five parts fit
+    in rows of 5 and 4 entries at defect 1, but need 5 and 6 at defect -1."""
+    monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", 5)
+    assert upsilon_inverse(((), ()), 5) == parse_symbol("[4,3,2,1,0|]")
+    assert upsilon_inverse(((1,) * 5, ()), 1) == parse_symbol("[5,4,3,2,1|3,2,1,0]")
+    for bp, defect in ((((), ()), 6), (((1,) * 5, ()), -1)):
+        with pytest.raises(ValueError, match=f"^a row of the defect {defect} symbol has 6 entries"):
+            upsilon_inverse(bp, defect)
+
+
 def test_upsilon_inverse_rank_shift():
     for defect in (-4, -3, -2, 0, 1, 2, 4, 5):
         s = upsilon_inverse(((2, 1), (1,)), defect)
@@ -390,7 +424,7 @@ def test_built_symbols_are_the_checked_ones():
         for rank in range(7):
             for s in enumerate_symbols(rank, family):
                 for sign in (PLUS, MINUS):
-                    built += (p for _, fiber in theta._partner_fibers(s, sign, range(7)) for p in fiber)
+                    built += (p for t in range(7) for p in theta._fiber(s, sign, range(t, t + 1))[1])
                     if sp_source or sign == family.sign:
                         built.append(first_occurrence_unipotent(s, sign, direction).lift)
     built += (cuspidal_symbol(family, k) for family in GroupFamily for k in range(7))

@@ -1,3 +1,4 @@
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -17,7 +18,6 @@ from thetasym.core import (
 from thetasym.errors import DefectClassMismatch
 from thetasym.oracle import (
     VerificationReport,
-    _first_fiber,
     brute_first_occurrence,
     default_scan_bound,
     verify_counts,
@@ -25,7 +25,7 @@ from thetasym.oracle import (
     verify_orientation,
     verify_variant_uniqueness,
 )
-from thetasym.theta import ThetaDirection, TowerContext, _partners, first_occurrence_unipotent, in_B
+from thetasym.theta import ThetaDirection, TowerContext, _fiber, first_occurrence_unipotent, in_B
 
 from symbol_helpers import first_fiber_by_ranks, forbid_layer_builds, forbid_variant_families
 
@@ -37,41 +37,29 @@ def test_brute_first_occurrence_examples():
     assert brute_first_occurrence(parse_symbol("[|2,1,0]"), PLUS, 2) is None
 
 
-#: (source family, tower sign, direction) of every scan: sp-to-o on both
-#: towers, o-to-sp on the tower of the source's family and on the wrong one.
-SCANS = [
-    (family, sign, direction)
-    for family, direction in (
-        (SymbolFamily.SP_UNIPOTENT, ThetaDirection.SP_TO_O),
-        (SymbolFamily.O_EVEN_PLUS, ThetaDirection.O_TO_SP),
-        (SymbolFamily.O_EVEN_MINUS, ThetaDirection.O_TO_SP),
-    )
-    for sign in (PLUS, MINUS)
-]
-
-
 def _scans(max_rank: int):
-    """(family, (source, sign, direction, bound)) for every source of rank
-    <= max_rank, at every bound from 0 to two past the default one."""
+    """(family, (source, sign, bound)) for every source of rank <= max_rank
+    of every family, on both towers (an even-type source's wrong tower
+    included), at every bound from 0 to two past the default one."""
     for n in range(max_rank + 1):
-        for family, sign, direction in SCANS:
+        for family, sign in itertools.product(SymbolFamily, (PLUS, MINUS)):
             for lam in enumerate_symbols(n, family):
                 for bound in range(default_scan_bound(lam) + 3):
-                    yield family, (lam, sign, direction, bound)
+                    yield family, (lam, sign, bound)
 
 
 def test_first_fiber_equals_the_rank_by_rank_scan():
-    """One set-up per source finds what a single-rank call per rank finds,
-    the fiber in the same order and ``None`` results included."""
-    for _, scan in _scans(8):
-        assert _first_fiber(*scan) == first_fiber_by_ranks(*scan), scan
+    """One ``_fiber`` call over ranks 0 to a bound finds what a single-rank
+    call per rank finds, the fiber in the same order and ``None`` results
+    included."""
+    for _, (lam, sign, bound) in _scans(8):
+        assert _fiber(lam, sign, range(bound + 1)) == first_fiber_by_ranks(lam, sign, bound), (lam, sign, bound)
 
 
 def test_first_fiber_sets_up_once_and_builds_only_its_fiber(monkeypatch):
     """A counting spy: the source's ``upsilon`` is asked once per scan,
-    whatever the bound; the walk visits no rank below the first one with
-    partners; and strips are cut and partners built only at the rank the
-    scan returns.  A source on the wrong tower asks nothing at all."""
+    whatever the bound, and strips are cut and partners built only at the
+    rank the scan returns.  A source on the wrong tower asks nothing at all."""
     events = []
     upsilon, inside, build = theta.upsilon, theta._inside, theta._symbol_of
 
@@ -86,10 +74,10 @@ def test_first_fiber_sets_up_once_and_builds_only_its_fiber(monkeypatch):
     monkeypatch.setattr(theta, "upsilon", spy("upsilon", upsilon))
     monkeypatch.setattr(theta, "_inside", spy("inside", inside))
     monkeypatch.setattr(theta, "_symbol_of", spy("partner", build))
-    for family, (lam, sign, direction, bound) in _scans(6):
+    for family, (lam, sign, bound) in _scans(6):
         events.clear()
-        found, fiber = _first_fiber(lam, sign, direction, bound)
-        if direction is ThetaDirection.O_TO_SP and sign != family.sign:
+        found, fiber = _fiber(lam, sign, range(bound + 1))
+        if family is not SymbolFamily.SP_UNIPOTENT and sign != family.sign:
             assert (found, events) == (None, [])
             continue
         assert [x for kind, x in events if kind == "upsilon"] == [lam]
@@ -98,10 +86,6 @@ def test_first_fiber_sets_up_once_and_builds_only_its_fiber(monkeypatch):
         built = [x for kind, x in events if kind == "partner"]
         assert sorted(built, key=core._ROWS) == fiber
         assert all(symbol_rank(p) == found for p in built)
-        # every rank the walk visits has partners, so it visits none below ``found``
-        walk = list(theta._partner_fibers(lam, sign, range(bound + 1)))
-        assert all(partners for _, partners in walk)
-        assert [rank for rank, _ in walk][:1] == ([] if found is None else [found])
 
 
 @pytest.mark.parametrize("n", [40, 60])
@@ -113,15 +97,16 @@ def test_scan_reaches_sources_whose_target_layers_are_over_the_bound(n, sign):
     lam = parse_symbol(f"[{n}|]")
     closed = first_occurrence_unipotent(lam, sign, ThetaDirection.SP_TO_O)
     assert brute_first_occurrence(lam, sign, n + 2) == closed.index
-    assert _first_fiber(lam, sign, ThetaDirection.SP_TO_O, n + 2) == (closed.index, [closed.lift])
+    assert _fiber(lam, sign, range(n + 3)) == (closed.index, [closed.lift])
 
 
 def test_scan_starts_at_the_first_rank_with_room():
-    """A source part of 10^12 boxes is refused or answered at once, not
-    after a walk through the 10^12 ranks below its first occurrence."""
+    """A source part of 10^12 boxes is answered at once, not after a walk
+    through the 10^12 ranks below its first occurrence, and its one plus
+    tower partner is not refused by the 10^12 rows that interlace with it."""
     lam = parse_symbol("[|1000000000000,1,0]")
-    with pytest.raises(ValueError, match=r"^the rank 1000000000002 fiber of \[\|1000000000000,1,0\] has up"):
-        brute_first_occurrence(lam, PLUS, 10**13)
+    assert _fiber(lam, PLUS, range(10**13)) == (1000000000002, [parse_symbol("[1000000000001,2,1,0|]")])
+    assert brute_first_occurrence(lam, PLUS, 10**13) == 1000000000002
     assert brute_first_occurrence(lam, MINUS, 10**13) == 1
 
 
@@ -155,7 +140,7 @@ def test_fiber_to_sp_equals_full_layer_filter():
                         for s in enumerate_symbols(t, SymbolFamily.SP_UNIPOTENT)
                         if in_B(s, lam_prime, sign)
                     ]
-                    assert _partners(lam_prime, sign, t) == full
+                    assert _fiber(lam_prime, sign, range(t, t + 1)) == (t if full else None, full)
 
 
 @pytest.mark.parametrize("max_rank", [5, 10])
@@ -278,6 +263,31 @@ def test_verify_orientation_checks_one_sp_and_two_even_labels_per_k(max_k, check
     the even staircase and its transpose."""
     report = verify_orientation(max_k)
     assert report.passed and report.checked == checked
+
+
+def test_verify_orientation_refuses_an_oversized_run_before_building(monkeypatch):
+    """The staircases of k <= K hold (K + 1)(2K + 1) entries: k <= 3 holds
+    28, which a bound of 28 lets through and one of 27 refuses, and the
+    default bound refuses k <= 707 (1,001,820) before any staircase is built."""
+    from thetasym import oracle
+
+    monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", 28)
+    assert verify_orientation(3).checked == 10
+
+    def must_not_run(*args):
+        raise AssertionError("a staircase was built for a refused run")
+
+    monkeypatch.setattr(oracle, "cuspidal_symbol", must_not_run)
+    huge = 10**12
+    for bound, max_k, entries in ((27, 3, 28), (MAX_LAYER_SYMBOLS, 707, 1_001_820),
+                                  (MAX_LAYER_SYMBOLS, huge, (huge + 1) * (2 * huge + 1))):
+        monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", bound)
+        with pytest.raises(ValueError) as err:
+            verify_orientation(max_k)
+        assert str(err.value) == (
+            f"the k <= {max_k} orientation sweep has {entries} staircase entries, "
+            f"over the enumeration bound MAX_LAYER_SYMBOLS = {bound}"
+        )
 
 
 def test_verify_orientation_over_no_staircase_does_not_pass():

@@ -33,7 +33,7 @@ from thetasym.core import (
     upsilon_inverse,
 )
 from thetasym.errors import DefectClassMismatch
-from thetasym.oracle import _first_fiber, brute_first_occurrence
+from thetasym.oracle import brute_first_occurrence
 from thetasym.theta import (
     CuspidalThetaVariant,
     FirstOccurrence,
@@ -41,8 +41,8 @@ from thetasym.theta import (
     ThetaDirection,
     TowerContext,
     _band,
+    _fiber,
     _interlaces,
-    _partners,
     cuspidal_theta,
     default_orientation,
     first_occurrence_unipotent,
@@ -179,9 +179,8 @@ def test_bare_symbol_class_refusal_texts(call, argv, text, capsys):
         lambda sign: first_occurrence_unipotent(parse_symbol("[1|]"), sign, ThetaDirection.SP_TO_O),
         lambda sign: first_occurrence_unipotent(EMPTY_SYMBOL, sign, ThetaDirection.O_TO_SP),
         lambda sign: brute_first_occurrence(parse_symbol("[1|]"), sign, 4),
-        lambda sign: _first_fiber(EMPTY_SYMBOL, sign, ThetaDirection.O_TO_SP, 4),
     ],
-    ids=["in_B", "theta_fiber", "sp-to-o", "o-to-sp", "scan sp-to-o", "scan o-to-sp"],
+    ids=["in_B", "theta_fiber", "sp-to-o", "o-to-sp", "scan sp-to-o"],
 )
 def test_tower_sign_other_than_plus_or_minus_one_refused(call, sign, monkeypatch):
     """Each entry that takes a tower sign refuses any other value than +1
@@ -419,13 +418,15 @@ def test_theta_fiber_equals_full_layer_filter():
 
 
 def test_partners_equal_layer_filter():
-    """The strip generator gives the filter's list, in its order, in both
-    directions: sp sources to even partners and even sources to sp ones."""
+    """The strip builder at one rank gives the filter's list, in its order,
+    in both directions: sp sources to even partners and even sources to sp
+    ones; the rank comes back with a nonempty fiber and ``None`` with none."""
     for n in range(9):
         for family in SymbolFamily:
             for lam in enumerate_symbols(n, family):
                 for sign, t in itertools.product((PLUS, MINUS), range(11)):
-                    assert _partners(lam, sign, t) == partners_by_layer_filter(lam, sign, t), (lam, sign, t)
+                    full = partners_by_layer_filter(lam, sign, t)
+                    assert _fiber(lam, sign, range(t, t + 1)) == (t if full else None, full), (lam, sign, t)
 
 
 def test_theta_fiber_refuses_oversized_rank_before_building(monkeypatch):
@@ -454,14 +455,32 @@ def test_fiber_bound_refuses_one_below_every_fiber(monkeypatch):
         for family in SymbolFamily
         for lam in enumerate_symbols(n, family)
         for sign, t in itertools.product((PLUS, MINUS), range(12))
-        if (fiber := _partners(lam, sign, t))
+        if (fiber := _fiber(lam, sign, range(t, t + 1))[1])
     ]
     assert len(cases) == 9055
     forbid_layer_builds(monkeypatch)
     for lam, sign, t, size in cases:
         monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", size - 1)
         with pytest.raises(ValueError, match=f"^the rank {t} fiber of .* has up to [0-9]+ partners"):
-            _partners(lam, sign, t)
+            _fiber(lam, sign, range(t, t + 1))
+
+
+def test_fiber_bound_counts_the_rows_a_short_strip_can_grow(monkeypatch):
+    """1,999,999 rows interlace with the grown row (1999998) of
+    ``[|2000000,1,0]``, but a strip of k boxes grows it in at most k + 1
+    ways, so at rank 2000002 (k = 0) its one partner is built, and with the
+    bound at 10 the fiber of k = 9 is built and that of k = 10 refused."""
+    lam = parse_symbol("[|2000000,1,0]")
+    assert theta_fiber(lam, PLUS, 2000002) == [parse_symbol("[2000001,2,1,0|]")]
+    monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", 10)
+    assert len(theta_fiber(lam, PLUS, 2000011)) == 10
+    forbid_layer_builds(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        theta_fiber(lam, PLUS, 2000012)
+    assert str(err.value) == (
+        "the rank 2000012 fiber of [|2000000,1,0] has up to 11 partners, "
+        "over the enumeration bound MAX_LAYER_SYMBOLS = 10"
+    )
 
 
 @pytest.mark.parametrize("sign, target", [(MINUS, 33), (MINUS, 40), (PLUS, 60)])
