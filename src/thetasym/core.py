@@ -52,6 +52,12 @@ def _check_bound(size: int, subject: str, unit: str, more: str = "") -> None:
         )
 
 
+def _check_int(value, name: str) -> None:
+    """The one refusal of an argument that is not an int, or is a bool, as ``TypeError``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def partition(parts: Iterable[int]) -> Partition:
     """Validate and canonicalize a partition: weakly decreasing, zeros trimmed."""
     p = tuple(int(x) for x in parts)
@@ -161,7 +167,7 @@ _new = object.__new__
 
 
 def _value(cls, *values):
-    """A new ``cls`` holding ``values``, stored in its ``_fields`` order."""
+    """A new ``cls`` holding ``values`` in its ``_fields`` order: the store of a :class:`Value`."""
     value = _new(cls)
     for name, field in zip(cls._fields, values):
         _set(value, name, field)
@@ -176,13 +182,13 @@ class Value:
     exception); a plain record is a ``typing.NamedTuple``.
 
     Each subclass lists its fields in ``_fields`` (and in ``__slots__``) and
-    writes ``__new__``, its one constructor, which checks its arguments and
-    stores them (:func:`_value`, or :func:`_symbol_from_rows` for a symbol);
-    no ``__init__`` can refill a built value.  Equality holds only between
-    instances of one class, field by field; the hash is the hash of the
-    field tuple, and the ``repr`` is ``Class(field=value, ...)``.  Assigning
-    or deleting an attribute raises ``AttributeError``.  Pickling and
-    copying rebuild through ``__new__``.
+    writes ``__new__``, its one constructor, which checks its arguments and stores
+    them with :func:`_value`; a symbol (:func:`_symbol_from_rows`) and
+    ``theta.FirstOccurrence``, built per check of a sweep, set their two fields
+    directly.  No ``__init__`` can refill a built value.  Equality holds only between
+    instances of one class, field by field; the hash is the hash of the field tuple,
+    and the ``repr`` is ``Class(field=value, ...)``.  Assigning or deleting an
+    attribute raises ``AttributeError``.  Pickling and copying rebuild through ``__new__``.
     """
 
     __slots__ = ()
@@ -364,9 +370,10 @@ def upsilon_inverse(bp: Bipartition | tuple[Partition, Partition], defect: int) 
 
     Row lengths are the minimal ones compatible with the defect, which is
     exactly what reducedness requires.  The validated bipartition is kept on
-    the new symbol as its :func:`upsilon`.  A row of more than
-    ``MAX_LAYER_SYMBOLS`` entries raises ``ValueError`` before any is built.
+    the new symbol as its :func:`upsilon`.  A non-int defect raises ``TypeError``, and a
+    row of more than ``MAX_LAYER_SYMBOLS`` entries ``ValueError``, before any is built.
     """
+    _check_int(defect, "defect")
     up, lo = bp = Bipartition(partition(bp[0]), partition(bp[1]))
     longest = max(0, len(lo), len(up) - defect, -defect) + max(defect, 0)
     _check_bound(longest, f"a row of the defect {defect} symbol", "entries")
@@ -376,14 +383,14 @@ def upsilon_inverse(bp: Bipartition | tuple[Partition, Partition], defect: int) 
 def _symbol_of(bp: Bipartition, defect: int) -> Symbol:
     """:func:`upsilon_inverse` of a bipartition of canonical partitions.
 
-    The symbol keeps ``bp`` as its :func:`upsilon`.  Its rows come from
-    :func:`_staircase_row`, so symbols that share a row share one tuple
-    for it, checked once.
+    The symbol keeps ``bp`` as its :func:`upsilon`, set in place; its rows
+    come from :func:`_staircase_row`, so symbols that share a row share one
+    tuple for it, checked once.
     """
     up, lo = bp
     m2 = max(0, len(lo), len(up) - defect, -defect)
     s = _symbol_from_rows(_staircase_row(up, m2 + defect), _staircase_row(lo, m2))
-    _keep(s, "_upsilon", bp)
+    _set(s, "_upsilon", bp)
     return s
 
 
@@ -492,10 +499,11 @@ def _check_sweep(max_rank: int) -> None:
     A sweep keeps every layer it builds, so :data:`MAX_LAYER_SYMBOLS`
     bounds the sum of their sizes, counted as :func:`count_symbols` does,
     and the ``ValueError`` states the sum and the bound.  The f1 fiber scan
-    builds its partners without a layer, so an f1 sweep reads none above
-    max_rank either.  Counting stops at the first rank that puts the sum
-    over the bound; below ``max_rank`` the message then says "more than".
+    builds its partners without a layer, so an f1 sweep reads none above max_rank
+    either.  Counting stops at the first rank that puts the sum over the bound; below
+    ``max_rank`` the message then says "more than".  A non-int ``max_rank`` is a ``TypeError``.
     """
+    _check_int(max_rank, "max_rank")
     total = 0
     for rank in range(max_rank + 1):
         total += sum(count_symbols(rank, family) for family in SymbolFamily)

@@ -48,8 +48,9 @@ from .core import (
     Value,
     _ROWS,
     _check_bound,
+    _new,
+    _set,
     _symbol_of,
-    _value,
     close_dominates,
     defect_rank_offset,
     format_symbol,
@@ -91,14 +92,17 @@ class TowerContext(NamedTuple):
 
 
 class FirstOccurrence(Value):
-    """First-occurrence index plus the lift there, a symbol of that rank."""
+    """First-occurrence index plus its lift, of that rank; one per f1 check, so set directly."""
 
     __slots__ = _fields = ("index", "lift")
 
     def __new__(cls, index: int, lift: Symbol):
         if symbol_rank(lift) != index:
             raise ValueError(f"lift {lift!r} has rank {symbol_rank(lift)}, not the index {index}")
-        return _value(cls, index, lift)
+        value = _new(cls)
+        _set(value, "index", index)
+        _set(value, "lift", lift)
+        return value
 
 
 # ---------------------------------------------------------------------------

@@ -525,8 +525,9 @@ def test_each_rule_is_written_once():
     constructor checks rows from outside, is called only by the two symbol
     constants: every other symbol comes from rows checked once, when they
     were built or parsed, through ``core._symbol_from_rows``, the one home
-    of the per-symbol reducedness test.  A value is made (``_new``) only there and in
-    ``core._value``, which stores the fields of the other checked values.
+    of the per-symbol reducedness test.  A value is made (``_new``) only there, in
+    ``theta.FirstOccurrence``, built once per f1 check, and in ``core._value``,
+    which stores the fields of the other checked values.
     Each theta fiber is built by one call of ``theta._fiber``, made only by
     ``theta_fiber``, ``brute_first_occurrence``, ``verify_f1`` and
     ``verify_orientation``; the rank generator, its single-rank call and
@@ -593,7 +594,7 @@ def test_each_rule_is_written_once():
     # rows from outside are checked by the constructor, other rows once when built
     for callee, homes in (
         ("Symbol", ["core.py:EMPTY_SYMBOL", "core.py:ZERO_SYMBOL"]),
-        ("_new", ["core.py:_symbol_from_rows", "core.py:_value"]),
+        ("_new", ["core.py:_symbol_from_rows", "core.py:_value", "theta.py:FirstOccurrence.__new__"]),
     ):
         assert sorted(
             f"{name}:{home}" for name, text in sources.items() for home in _calls(callee, text)

@@ -186,6 +186,17 @@ def test_upsilon_inverse_refuses_an_oversized_row_before_building(bp, defect, lo
     )
 
 
+@pytest.mark.parametrize("defect", [1.5, "1", True, None])
+def test_upsilon_inverse_refuses_a_defect_that_is_not_an_int(defect, monkeypatch):
+    """A float, string, bool or missing defect is a ``TypeError`` that names
+    the argument, raised before any staircase is built."""
+    build = core.upsilon_inverse
+    forbid_layer_builds(monkeypatch)
+    with pytest.raises(TypeError) as err:
+        build(((), ()), defect)
+    assert str(err.value) == f"defect must be an int, got {defect!r}"
+
+
 def test_upsilon_inverse_bound_is_on_the_longer_row(monkeypatch):
     """The bound reads the exact length of the longer row: five parts fit
     in rows of 5 and 4 entries at defect 1, but need 5 and 6 at defect -1."""

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -382,6 +383,61 @@ def test_variant_sweep_refused_by_its_family_count(eps, monkeypatch):
         f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
     )
     assert max(group.rank for group in built) == 5
+
+
+@pytest.mark.parametrize("bad", [2.5, True])
+@pytest.mark.parametrize(
+    "verify, name",
+    [
+        (verify_f1, "max_rank"),
+        (verify_counts, "max_rank"),
+        (lambda max_rank: verify_variant_uniqueness(max_rank, TowerContext()), "max_rank"),
+        (verify_orientation, "max_k"),
+    ],
+    ids=["f1", "counts", "variants", "orientation"],
+)
+def test_a_bound_that_is_not_an_int_is_refused_before_building(verify, name, bad, monkeypatch):
+    """A float or bool bound is a ``TypeError`` naming the argument, before
+    any layer, staircase or family is built; ``True`` no longer runs rank 1."""
+    forbid_layer_builds(monkeypatch)
+    forbid_variant_families(monkeypatch)
+    with pytest.raises(TypeError) as err:
+        verify(bad)
+    assert str(err.value) == f"{name} must be an int, got {bad!r}"
+
+
+def test_a_passing_f1_sweep_does_only_its_per_check_work(monkeypatch):
+    """A cold ``verify_f1(5)`` builds its 248 layer symbols and two symbols
+    per check, the lift and the one fiber partner; one ``FirstOccurrence``
+    per check; one scan bound per source; and no failure text."""
+    from thetasym import catalog, oracle
+
+    calls = Counter()
+
+    def count(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(core, "_symbol_from_rows", count("symbols", core._symbol_from_rows))
+    monkeypatch.setattr(oracle, "default_scan_bound", count("scan bounds", default_scan_bound))
+    monkeypatch.setattr(theta.FirstOccurrence, "__new__", count("first occurrences", theta.FirstOccurrence.__new__))
+
+    def must_not_run(*args):
+        raise AssertionError("failure text was built for a passing check")
+
+    for module in (core, catalog, theta, oracle):
+        for name in ("format_symbol", "format_sign"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, must_not_run)
+    core._defect_layer.cache_clear()
+    report = verify_f1(5)
+    assert (report.checked, report.failures) == (340, [])
+    sources = sum(count_symbols(n, family) for n in range(6) for family in SymbolFamily)
+    assert sources == 248
+    assert calls == {"symbols": sources + 2 * 340, "first occurrences": 340, "scan bounds": sources}
 
 
 def test_sweep_bound_is_on_the_sum_of_its_layers(monkeypatch):
