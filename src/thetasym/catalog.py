@@ -42,6 +42,7 @@ from .core import (
     Symbol,
     SymbolFamily,
     _check_bound,
+    _check_int,
     _staircase_row,
     _symbol_from_rows,
     _value,
@@ -130,6 +131,7 @@ class GroupTag(OrderedValue):
     __slots__ = _fields = ("family", "rank", "sign")
 
     def __new__(cls, family: GroupFamily, rank: int, sign: Sign | None = None):
+        _check_int(rank, "rank")
         if rank < 0:
             raise ValueError("group rank must be nonnegative")
         if family is GroupFamily.SP and sign is not None:
@@ -174,6 +176,7 @@ class RhoDescriptor(OrderedValue):
     __slots__ = _fields = ("glu_rank", "regular", "id")
 
     def __new__(cls, glu_rank: int = 0, regular: bool = True, id: str = "trivial"):
+        _check_int(glu_rank, "glu_rank")
         if glu_rank < 0:
             raise ValueError("descriptor rank must be nonnegative")
         if glu_rank == 0 and (id != "trivial" or not regular):
@@ -311,9 +314,10 @@ def cuspidal_symbol(family: GroupFamily, k: int) -> Symbol:
     Even orthogonal: rank k^2, staircase 2k-1..0 in the first row (defect
     2k); its transpose carries the sign twist of the same group.
 
-    A staircase of more than ``MAX_LAYER_SYMBOLS`` entries raises
-    ``ValueError`` before any of it is built.
+    A non-int ``k`` raises ``TypeError``, and a staircase of more than
+    ``MAX_LAYER_SYMBOLS`` entries ``ValueError``, before any of it is built.
     """
+    _check_int(k, "k")
     if k < 0:
         raise ValueError("cuspidal index must be nonnegative")
     top = 2 * k - 1 if family is GroupFamily.O_EVEN else 2 * k

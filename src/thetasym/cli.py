@@ -111,17 +111,13 @@ def _add_context(parser) -> None:
 
 
 def _check_args(args) -> None:
-    """Refuse a negative rank option or a --q that is no odd prime power
-    before any work starts."""
+    """Refuse a negative rank option before any work starts; ``--q`` is read
+    by :func:`_context` alone, which each verb that takes it calls first."""
     for name in ("rank", "max_rank", "target_rank"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             flag = "--" + name.replace("_", "-")
             raise ThetasymError(f"{flag} must be nonnegative, got {value}")
-    if getattr(args, "q", None) is not None:
-        from .catalog import eps_minus_one_from_q
-
-        eps_minus_one_from_q(args.q)
 
 
 def _context(args, default=None):

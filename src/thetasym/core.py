@@ -3,7 +3,7 @@
 A *symbol* is a pair of strictly decreasing sequences of nonnegative
 integers.  Symbols are taken up to the shift equivalence generated by
 
-    (a_1, ..., a_r | b_1, ..., s_t)  ~  (a_1+1, ..., a_r+1, 0 | b_1+1, ..., b_t+1, 0),
+    (a_1, ..., a_r | b_1, ..., b_t)  ~  (a_1+1, ..., a_r+1, 0 | b_1+1, ..., b_t+1, 0),
 
 and every equivalence class has a unique *reduced* representative in which
 the two rows do not both contain the entry 0.  Two class invariants drive
@@ -59,8 +59,10 @@ def _check_int(value, name: str) -> None:
 
 
 def partition(parts: Iterable[int]) -> Partition:
-    """Validate and canonicalize a partition: weakly decreasing, zeros trimmed."""
-    p = tuple(int(x) for x in parts)
+    """Validate and canonicalize a partition of int parts: weakly decreasing, zeros trimmed."""
+    p = tuple(parts)
+    if not all(type(x) is int for x in p):
+        raise NormalizationError(f"partition {p} is not a tuple of int")
     while p and p[-1] == 0:
         p = p[:-1]
     for i, x in enumerate(p):
@@ -152,6 +154,9 @@ def bipartition_count(n: int) -> int:
 
 
 def _check_row(row: tuple[int, ...], name: str) -> None:
+    """The one row check: int entries (a bool is refused), strictly decreasing, nonnegative."""
+    if not all(type(x) is int for x in row):
+        raise NormalizationError(f"{name} row {row!r} is not a tuple of int")
     if all(map(gt, row, row[1:])) and (not row or row[-1] >= 0):
         return
     # Find the first fault in order, for the message.
@@ -257,7 +262,7 @@ class Symbol(OrderedValue):
 
     def __new__(cls, row_a: tuple[int, ...], row_b: tuple[int, ...]):
         for row, name in ((row_a, "first"), (row_b, "second")):
-            if type(row) is not tuple or not all(type(x) is int for x in row):
+            if type(row) is not tuple:
                 raise NormalizationError(f"{name} row {row!r} is not a tuple of int")
             _check_row(row, name)
         return _symbol_from_rows(row_a, row_b)
@@ -308,8 +313,8 @@ _ROWS = attrgetter("row_a", "row_b")
 
 def symbol_normalize(row_a: Iterable[int], row_b: Iterable[int]) -> Symbol:
     """Reduce raw rows: strip one 0 from each row and shift down while possible."""
-    a = tuple(int(x) for x in row_a)
-    b = tuple(int(x) for x in row_b)
+    a = tuple(row_a)
+    b = tuple(row_b)
     _check_row(a, "first")
     _check_row(b, "second")
     while a and b and a[-1] == 0 and b[-1] == 0:
@@ -474,8 +479,10 @@ def enumerate_symbols(rank: int, family: SymbolFamily) -> list[Symbol]:
     list, which the caller may mutate, of the per-defect layers; each is
     built once and kept for the life of the process with whatever derived
     data its symbols accumulate.  A defect layer of more than
-    :data:`MAX_LAYER_SYMBOLS` symbols raises ``ValueError``.
+    :data:`MAX_LAYER_SYMBOLS` symbols raises ``ValueError``, and a non-int
+    ``rank`` ``TypeError``.
     """
+    _check_int(rank, "rank")
     # The family's first defect has the largest layer, so an oversized rank
     # is refused here, before its list of defects is built.
     _defect_layer(rank, family.defect_residue)
@@ -487,6 +494,7 @@ def enumerate_symbols(rank: int, family: SymbolFamily) -> list[Symbol]:
 
 def count_symbols(rank: int, family: SymbolFamily) -> int:
     """Symbol count by bipartition counting; independent of the generator."""
+    _check_int(rank, "rank")
     return sum(
         bipartition_count(rank - defect_rank_offset(d))
         for d in admissible_defects(rank, family)

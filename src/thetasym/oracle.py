@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from itertools import chain, product
-from typing import Callable
 
 from .catalog import (
     MINUS,
@@ -64,7 +63,11 @@ class VerificationReport(Value):
     """Outcome of one verifier run: counts, failures and elapsed time.
 
     The one mutable ``Value``: it grows while its run checks, so unlike the
-    checked values it takes assignment and has no hash.
+    checked values it takes assignment and has no hash.  A verifier records
+    each check through :meth:`record`; a hot loop counts a pass in place
+    (``report.checked += 1``) and calls ``record(False, ...)`` only when the
+    check fails, so a passing check builds no failure text.  No verifier
+    builds a closure per check.
     """
 
     __slots__ = _fields = ("checked", "failures", "elapsed")
@@ -83,18 +86,12 @@ class VerificationReport(Value):
         return self.checked > 0 and not self.failures
 
     def record(self, ok: bool, input_repr: str, expected, actual) -> None:
+        """Count one check, and keep its text as a failure unless ``ok``."""
         self.checked += 1
         if not ok:
             self.failures.append(
                 {"input": input_repr, "expected": str(expected), "actual": str(actual)}
             )
-
-    def check(self, ok: bool, describe: Callable[[], tuple[str, object, object]]) -> None:
-        """:meth:`record`, building the (input, expected, actual) text only on failure."""
-        if ok:
-            self.checked += 1
-        else:
-            self.record(False, *describe())
 
     def to_json(self) -> str:
         import json
@@ -127,6 +124,7 @@ def default_scan_bound(lam: Symbol) -> int:
 
 def brute_first_occurrence(lam: Symbol, sign: Sign, max_rank: int) -> int | None:
     """Smallest target rank <= ``max_rank`` with a nonempty fiber, or None; refused as ``theta_fiber`` is."""
+    _check_int(max_rank, "max_rank")
     _fiber_source(lam, sign)
     return _fiber(lam, sign, range(max_rank + 1))[0]
 
@@ -159,7 +157,7 @@ def verify_f1(max_rank: int) -> VerificationReport:
                     brute, fiber = _fiber(lam, sign, scan)
                     if brute == closed.index and len(fiber) == 1 and fiber[0] == closed.lift:
                         report.checked += 1
-                    else:  # no closure: it would turn every name of this loop into a cell
+                    else:
                         report.record(
                             False,
                             f"{format_symbol(lam)} sign {format_sign(sign)} {direction.value}",
@@ -190,24 +188,19 @@ def verify_orientation(max_k: int) -> VerificationReport:
     def scan(s: Symbol, sign: Sign) -> int | None:
         return _fiber(s, sign, range(default_scan_bound(s) + 1))[0]
 
-    cases = []
     for k in range(max_k + 1):
         lam = cuspidal_symbol(GroupFamily.SP, k)
-        indices = [scan(lam, sign) for sign in (PLUS, MINUS)]
-        cases.append((unipotent_label(sp(symbol_rank(lam)), lam), indices))
+        cases = [(unipotent_label(sp(symbol_rank(lam)), lam), scan(lam, PLUS), scan(lam, MINUS))]
         if k:  # the empty even staircase of k = 0 is its own transpose
             stair, tower = cuspidal_symbol(GroupFamily.O_EVEN, k), sign_pow(k)
-            pair = (stair, symbol_transpose(stair))
-            own = [scan(s, tower) for s in pair]
-            cases += [(unipotent_label(o_even(k * k, tower), s), own[::step])
-                      for s, step in zip(pair, (1, -1))]
-    for label, (mine, other) in cases:
-        small, bit = PLUS if mine < other else MINUS, default_orientation(label)
-        report.check(
-            bit == small,
-            lambda: (str(label), f"{format_sign(small)} from indices {(mine, other)}",
-                     bit if bit is None else format_sign(bit)),
-        )
+            twin, group = symbol_transpose(stair), o_even(k * k, tower)
+            own, twin_own = scan(stair, tower), scan(twin, tower)
+            cases += [(unipotent_label(group, stair), own, twin_own),
+                      (unipotent_label(group, twin), twin_own, own)]
+        for label, mine, other in cases:
+            small, bit = PLUS if mine < other else MINUS, default_orientation(label)
+            report.record(bit == small, str(label), f"{format_sign(small)} from indices {(mine, other)}",
+                          bit if bit is None else format_sign(bit))
     report.elapsed = time.monotonic() - start
     return report
 
@@ -226,21 +219,15 @@ def verify_counts(max_rank: int) -> VerificationReport:
         for rank in range(max_rank + 1):
             symbols = enumerate_symbols(rank, family)
             expected = count_symbols(rank, family)
-            report.check(
-                len(symbols) == expected,
-                lambda: (f"count {family.value} rank {rank}", expected, len(symbols)),
-            )
+            report.record(len(symbols) == expected, f"count {family.value} rank {rank}", expected, len(symbols))
             cuspidals = Counter(symbol_defect(s) for s in symbols if is_unipotent_cuspidal(s))
             for defect in admissible_defects(rank, family):
-                cusp_rank = defect_rank_offset(defect)
-                expected_count = 1 if rank == cusp_rank else 0
-                report.check(
+                expected_count = 1 if rank == defect_rank_offset(defect) else 0
+                report.record(
                     cuspidals[defect] == expected_count,
-                    lambda: (
-                        f"cuspidal pattern {family.value} rank {rank} defect {defect}",
-                        expected_count,
-                        cuspidals[defect],
-                    ),
+                    f"cuspidal pattern {family.value} rank {rank} defect {defect}",
+                    expected_count,
+                    cuspidals[defect],
                 )
     report.elapsed = time.monotonic() - start
     return report
@@ -293,13 +280,12 @@ def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationR
     report = VerificationReport()
     start = time.monotonic()
     run = _VariantRun(ctx)
-    pairs = _variant_families(max_rank, ctx.eps_minus_one)
-    for left, right, case in pairs:
+    for left, right, case in _variant_families(max_rank, ctx.eps_minus_one):
         try:
             run.family(left, right, case)
-            error = None
         except MultipleNonzero as err:
-            error = str(err)
-        report.check(error is None, lambda: (f"{left} / {right}", "<=1 class", error))
+            report.record(False, f"{left} / {right}", "<=1 class", err)
+        else:
+            report.checked += 1
     report.elapsed = time.monotonic() - start
     return report

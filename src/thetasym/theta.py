@@ -48,6 +48,7 @@ from .core import (
     Value,
     _ROWS,
     _check_bound,
+    _check_int,
     _new,
     _set,
     _symbol_of,
@@ -276,12 +277,14 @@ def theta_fiber(lam: Symbol, sign: Sign, target_rank: int) -> list[Symbol]:
 
     The same list, in the same order, as :func:`in_B` against every
     even-type symbol of the target rank; :func:`_fiber` builds only the
-    members.  Refusals come in this order, before anything is built: a sign
-    other than +1 or -1 raises ``ValueError``, a ``lam`` not of symplectic
-    type :class:`DefectClassMismatch`, as in ``in_B``, and a fiber that
-    may hold more than ``MAX_LAYER_SYMBOLS`` partners ``ValueError``.  The
-    first two are :func:`_fiber_source`.
+    members.  Refusals come in this order, before anything is built: a
+    non-int ``target_rank`` raises ``TypeError``, a sign other than +1 or -1
+    ``ValueError``, a ``lam`` not of symplectic type
+    :class:`DefectClassMismatch`, as in ``in_B``, and a fiber that may hold
+    more than ``MAX_LAYER_SYMBOLS`` partners ``ValueError``.  The sign and
+    class refusals are :func:`_fiber_source`.
     """
+    _check_int(target_rank, "target_rank")
     _fiber_source(lam, sign)
     return _fiber(lam, sign, range(target_rank, target_rank + 1))[1]
 
@@ -360,8 +363,9 @@ def cuspidal_theta(k: int, variant: CuspidalThetaVariant) -> tuple[Symbol, Symbo
     of sign (-1)^k; UP with the rank (k+1)^2 cuspidal on the tower of sign
     (-1)^(k+1).  Returns (symplectic symbol, orthogonal symbol, tower sign).
     """
+    sp_symbol = cuspidal_symbol(GroupFamily.SP, k)  # first: it refuses a k that is not an int
     j = k if variant is CuspidalThetaVariant.DOWN else k + 1
-    sp_symbol, stair = cuspidal_symbol(GroupFamily.SP, k), cuspidal_symbol(GroupFamily.O_EVEN, j)
+    stair = cuspidal_symbol(GroupFamily.O_EVEN, j)
     o_symbol = symbol_transpose(stair) if k % 2 == 0 else stair
     return sp_symbol, o_symbol, sign_pow(j)
 

@@ -516,9 +516,10 @@ def test_each_rule_is_written_once():
     its keys, calls.  ``ggp`` reads group families only in ``GGPCase``, and
     builds a ``CaseMismatch`` only where a pair is validated and where a
     branch table picks its case; ``cli`` names no case itself and reads
-    the square class of -1 only in ``_context``.  Six facts have one
-    spelling each: the row sort key (``core._ROWS``), the failure line of a
-    verify report (``VerificationReport.__str__``), the sp-source check
+    the square class of -1, by ``--eps-minus-one`` or by ``--q``, only in
+    ``_context``.  Six facts have one spelling each: the row sort key
+    (``core._ROWS``), the failure line of a verify report
+    (``VerificationReport.__str__``), the sp-source check
     (``theta._fiber_source``), the odd-slot index (``catalog._slot_kh``),
     the layer check (``core._defect_layer``, the one builder of layers) and
     the sign check (``catalog._check_sign``).  ``Symbol(...)``, whose
@@ -573,7 +574,9 @@ def test_each_rule_is_written_once():
     assert all(built.search(inspect.getsource(home)) for home in (ggp._VariantRun.pairs, ggp.branch_decomposition))
     assert not re.search(r"""["'](fj|bessel)["']""", sources["cli.py"])
     context = inspect.getsource(cli._context)
-    assert sources["cli.py"].count("args.eps_minus_one") == context.count("args.eps_minus_one") > 0
+    for name in ("eps_minus_one", "q"):
+        read = re.compile(rf"\bargs\.{name}\b")
+        assert len(read.findall(sources["cli.py"])) == len(read.findall(context)) > 0, name
     # one row key, one report text, one sp-source check, one odd-slot index,
     # one layer check and one sign check
     for spelling, home in (

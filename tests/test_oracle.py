@@ -1,15 +1,20 @@
+import ast
 import itertools
 import json
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import thetasym.catalog as catalog
 import thetasym.core as core
+import thetasym.oracle as oracle
 import thetasym.theta as theta
-from thetasym.catalog import MINUS, PLUS
+from thetasym.catalog import MINUS, PLUS, GroupFamily, cuspidal_symbol
 from thetasym.core import (
     MAX_LAYER_SYMBOLS,
+    ZERO_SYMBOL,
     SymbolFamily,
     count_symbols,
     enumerate_symbols,
@@ -26,7 +31,16 @@ from thetasym.oracle import (
     verify_orientation,
     verify_variant_uniqueness,
 )
-from thetasym.theta import ThetaDirection, TowerContext, _fiber, first_occurrence_unipotent, in_B
+from thetasym.theta import (
+    CuspidalThetaVariant,
+    ThetaDirection,
+    TowerContext,
+    _fiber,
+    cuspidal_theta,
+    first_occurrence_unipotent,
+    in_B,
+    theta_fiber,
+)
 
 from symbol_helpers import first_fiber_by_ranks, forbid_layer_builds, forbid_variant_families
 
@@ -393,14 +407,26 @@ def test_variant_sweep_refused_by_its_family_count(eps, monkeypatch):
         (verify_counts, "max_rank"),
         (lambda max_rank: verify_variant_uniqueness(max_rank, TowerContext()), "max_rank"),
         (verify_orientation, "max_k"),
+        (lambda rank: enumerate_symbols(rank, SymbolFamily.SP_UNIPOTENT), "rank"),
+        (lambda rank: count_symbols(rank, SymbolFamily.O_EVEN_PLUS), "rank"),
+        (lambda rank: theta_fiber(ZERO_SYMBOL, PLUS, rank), "target_rank"),
+        (lambda rank: brute_first_occurrence(ZERO_SYMBOL, MINUS, rank), "max_rank"),
+        (lambda k: cuspidal_symbol(GroupFamily.SP, k), "k"),
+        (lambda k: cuspidal_theta(k, CuspidalThetaVariant.UP), "k"),
     ],
-    ids=["f1", "counts", "variants", "orientation"],
+    ids=["f1", "counts", "variants", "orientation", "enumerate", "count", "fiber", "first", "cuspidal", "chain"],
 )
 def test_a_bound_that_is_not_an_int_is_refused_before_building(verify, name, bad, monkeypatch):
-    """A float or bool bound is a ``TypeError`` naming the argument, before
-    any layer, staircase or family is built; ``True`` no longer runs rank 1."""
+    """A float or bool rank, bound or index is a ``TypeError`` naming the
+    argument, before any layer, fiber, staircase or family is built;
+    ``True`` is no longer read as 1."""
     forbid_layer_builds(monkeypatch)
     forbid_variant_families(monkeypatch)
+
+    def must_not_run(*args):
+        raise AssertionError("a staircase was built for a refused index")
+
+    monkeypatch.setattr(catalog, "_staircase_row", must_not_run)
     with pytest.raises(TypeError) as err:
         verify(bad)
     assert str(err.value) == f"{name} must be an int, got {bad!r}"
@@ -438,6 +464,17 @@ def test_a_passing_f1_sweep_does_only_its_per_check_work(monkeypatch):
     sources = sum(count_symbols(n, family) for n in range(6) for family in SymbolFamily)
     assert sources == 248
     assert calls == {"symbols": sources + 2 * 340, "first occurrences": 340, "scan bounds": sources}
+
+
+def test_every_check_is_recorded_without_a_closure():
+    """A verifier records through ``VerificationReport.record``, or counts a
+    pass in place: ``oracle`` holds no lambda, the report has no ``check``
+    that takes one, and no verifier keeps a name in a cell."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    assert not any(isinstance(node, ast.Lambda) for node in ast.walk(tree))
+    assert not hasattr(VerificationReport, "check")
+    for verify in (verify_f1, verify_orientation, verify_counts, verify_variant_uniqueness):
+        assert verify.__code__.co_cellvars == (), verify.__name__
 
 
 def test_sweep_bound_is_on_the_sum_of_its_layers(monkeypatch):

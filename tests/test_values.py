@@ -40,7 +40,16 @@ from thetasym.catalog import (
     o_odd,
     sp,
 )
-from thetasym.core import ZERO_SYMBOL, Bipartition, Symbol, Value, parse_symbol
+from thetasym.core import (
+    ZERO_SYMBOL,
+    Bipartition,
+    Symbol,
+    Value,
+    parse_symbol,
+    partition,
+    symbol_normalize,
+    upsilon_inverse,
+)
 from thetasym.errors import NormalizationError
 from thetasym.ggp import FOURIER_JACOBI, MultKind, Multiplicity, VariantReport, ggp_multiplicity
 from thetasym.oracle import VerificationReport
@@ -358,12 +367,18 @@ def test_record_fields_refuse_assignment_and_deletion(cls):
         (lambda: GroupTag(GroupFamily.SP, 1, PLUS), ValueError, "symplectic groups carry no sign"),
         (lambda: GroupTag(GroupFamily.O_ODD, 1), ValueError, "orthogonal groups need a sign"),
         (lambda: GroupTag(GroupFamily.O_EVEN, 1, 0), ValueError, "orthogonal groups need a sign"),
+        (lambda: GroupTag(GroupFamily.SP, 2.5), TypeError, "rank must be an int, got 2.5"),
+        (lambda: GroupTag(GroupFamily.O_EVEN, 2.0, PLUS), TypeError, "rank must be an int, got 2.0"),
+        (lambda: GroupTag(GroupFamily.SP, True), TypeError, "rank must be an int, got True"),
+        (lambda: GroupTag(GroupFamily.SP, "3"), TypeError, "rank must be an int, got '3'"),
         (lambda: RhoDescriptor(-1), ValueError, "descriptor rank must be nonnegative"),
         (lambda: RhoDescriptor(0, False), ValueError, "rank-0 descriptor must be trivial and regular"),
         (lambda: RhoDescriptor(0, True, "x"), ValueError, "rank-0 descriptor must be trivial and regular"),
         (lambda: RhoDescriptor(1), ValueError, "descriptor id 'trivial' is reserved for rank 0"),
         (lambda: RhoDescriptor(1, True, "a:b"), ValueError, "descriptor id 'a:b' contains reserved characters"),
         (lambda: RhoDescriptor(1, True, " a"), ValueError, "descriptor id ' a' has leading or trailing whitespace"),
+        (lambda: RhoDescriptor("2", True, "x"), TypeError, "glu_rank must be an int, got '2'"),
+        (lambda: RhoDescriptor(1.0, True, "x"), TypeError, "glu_rank must be an int, got 1.0"),
         (lambda: Symbol((0, -1), ()), NormalizationError, "negative entry -1 in first row (0, -1)"),
         (lambda: Symbol((1,), (1, 1)), NormalizationError, "second row (1, 1) not strictly decreasing"),
         (lambda: Symbol((1, 1), (-1,)), NormalizationError, "first row (1, 1) not strictly decreasing"),
@@ -372,6 +387,13 @@ def test_record_fields_refuse_assignment_and_deletion(cls):
         (lambda: Symbol((2, 0), [1]), NormalizationError, "second row [1] is not a tuple of int"),
         (lambda: Symbol(("a",), ()), NormalizationError, "first row ('a',) is not a tuple of int"),
         (lambda: Symbol((1,), (True,)), NormalizationError, "second row (True,) is not a tuple of int"),
+        (lambda: symbol_normalize([2.5], []), NormalizationError, "first row (2.5,) is not a tuple of int"),
+        (lambda: symbol_normalize([], ["7"]), NormalizationError, "second row ('7',) is not a tuple of int"),
+        (lambda: symbol_normalize([True], []), NormalizationError, "first row (True,) is not a tuple of int"),
+        (lambda: partition("321"), NormalizationError, "partition ('3', '2', '1') is not a tuple of int"),
+        (lambda: partition([2.5, 1]), NormalizationError, "partition (2.5, 1) is not a tuple of int"),
+        (lambda: partition([2, True]), NormalizationError, "partition (2, True) is not a tuple of int"),
+        (lambda: upsilon_inverse(("21", ""), 1), NormalizationError, "partition ('2', '1') is not a tuple of int"),
         (lambda: FirstOccurrence(3, ZERO_SYMBOL), ValueError, "lift Symbol('[0|]') has rank 0, not the index 3"),
     ],
 )
