@@ -131,6 +131,8 @@ class GroupTag(OrderedValue):
     __slots__ = _fields = ("family", "rank", "sign")
 
     def __new__(cls, family: GroupFamily, rank: int, sign: Sign | None = None):
+        if type(family) is not GroupFamily:
+            raise TypeError(f"family must be a GroupFamily, got {family!r}")
         _check_int(rank, "rank")
         if rank < 0:
             raise ValueError("group rank must be nonnegative")
@@ -177,6 +179,10 @@ class RhoDescriptor(OrderedValue):
 
     def __new__(cls, glu_rank: int = 0, regular: bool = True, id: str = "trivial"):
         _check_int(glu_rank, "glu_rank")
+        if type(regular) is not bool:
+            raise TypeError(f"regular must be a bool, got {regular!r}")
+        if not isinstance(id, str):
+            raise TypeError(f"id must be a str, got {id!r}")
         if glu_rank < 0:
             raise ValueError("descriptor rank must be nonnegative")
         if glu_rank == 0 and (id != "trivial" or not regular):

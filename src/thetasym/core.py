@@ -60,7 +60,10 @@ def _check_int(value, name: str) -> None:
 
 def partition(parts: Iterable[int]) -> Partition:
     """Validate and canonicalize a partition of int parts: weakly decreasing, zeros trimmed."""
-    p = tuple(parts)
+    try:
+        p = tuple(parts)
+    except TypeError:
+        raise NormalizationError(f"partition {parts} is not a tuple of int") from None
     if not all(type(x) is int for x in p):
         raise NormalizationError(f"partition {p} is not a tuple of int")
     while p and p[-1] == 0:
@@ -313,8 +316,14 @@ _ROWS = attrgetter("row_a", "row_b")
 
 def symbol_normalize(row_a: Iterable[int], row_b: Iterable[int]) -> Symbol:
     """Reduce raw rows: strip one 0 from each row and shift down while possible."""
-    a = tuple(row_a)
-    b = tuple(row_b)
+    try:
+        a = tuple(row_a)
+    except TypeError:
+        raise NormalizationError(f"first row {row_a!r} is not a tuple of int") from None
+    try:
+        b = tuple(row_b)
+    except TypeError:
+        raise NormalizationError(f"second row {row_b!r} is not a tuple of int") from None
     _check_row(a, "first")
     _check_row(b, "second")
     while a and b and a[-1] == 0 and b[-1] == 0:

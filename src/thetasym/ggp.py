@@ -121,7 +121,7 @@ class Multiplicity(NamedTuple):
 
     @property
     def is_nonzero(self) -> bool:
-        return self.kind in (MultKind.ONE, MultKind.SYMBOLIC)
+        return self.kind in _NONZERO
 
     @property
     def is_undetermined(self) -> bool:
@@ -137,6 +137,7 @@ class Multiplicity(NamedTuple):
         return f"undetermined({self.reason})"
 
 
+_NONZERO = (MultKind.ONE, MultKind.SYMBOLIC)
 # Multiplicity compares by value, so the common values are shared.
 _ZERO = Multiplicity(MultKind.ZERO)
 _ONE = Multiplicity(MultKind.ONE)
@@ -148,29 +149,26 @@ _ORIENTATION_OPEN = Multiplicity(MultKind.UNDETERMINED, reason="orientation")
 # ---------------------------------------------------------------------------
 
 
-def _one_sided(dist: int, other: int, match: bool | None) -> bool | None:
+Bit = Sign | None
+Bits = tuple[Bit, Bit]
+
+
+def _one_sided(dist: int, other: int, mine: Bit, theirs: Bit, twist: Sign = PLUS) -> bool | None:
     """One relevance condition: distance band plus tower match.
 
     ``dist`` is the small-branch distance of the picked side (>= 0),
-    ``other`` the absolute slot parameter of the opposing side, ``match``
-    whether the opposing small branch sits on the matching tower (None when
-    unknown).  With ``other`` = 0 the opposing branches coincide and no
-    match bit is needed.
+    ``other`` the absolute slot parameter of the opposing side.  Once the
+    band holds, the opposing small branch sits on the matching tower when
+    ``mine * twist == theirs`` (None when either bit is open).  With
+    ``other`` = 0 the opposing branches coincide and no bit is read.
     """
     if other == 0:
         return dist == 0
     if dist not in (other - 1, other):
         return False
-    return match
-
-
-def _match_bit(a: Sign | None, b: Sign | None, twist: Sign = PLUS) -> bool | None:
-    if a is None or b is None:
+    if mine is None or theirs is None:
         return None
-    return a * twist == b
-
-
-Bits = tuple[Sign | None, Sign | None]
+    return mine * twist == theirs
 
 
 class _Side(NamedTuple):
@@ -179,12 +177,17 @@ class _Side(NamedTuple):
     ``kh`` is the label's (k, h) and ``bits`` its resolved orientation bits,
     entry i of each for slot i.  A defect-0 slot and its transpose pass the
     same gates (the band uses the absolute slot parameter, the pair condition
-    both transposes), so within a family ``kh`` names the variant class.
+    both transposes), so within a family ``kh`` names the variant class.  The
+    gates' label reads are stored per variant: ``order`` (:func:`_fj_order`), ``unipotent``
+    (:func:`is_unipotent_label`) and ``regular`` (:func:`symbol_regular_by_convention` per slot).
     """
 
     label: RepLabel
     kh: tuple[int, int]
     bits: Bits
+    order: tuple
+    unipotent: bool
+    regular: tuple[bool, bool]
 
 
 def _strong_relevance(left: _Side, right: _Side, case: GGPCase, ctx: TowerContext) -> bool | None:
@@ -198,11 +201,11 @@ def _strong_relevance(left: _Side, right: _Side, case: GGPCase, ctx: TowerContex
     (kr, hr), bits_right = right.kh, right.bits
     if case is FOURIER_JACOBI:
         # the second side's twist is eps(-1) times the oscillator twist eps(-1): always +
-        c1 = _one_sided(kl, abs(hr), _match_bit(bits_left[0], bits_right[1], ctx.eps_minus_one))
-        c2 = _one_sided(kr, abs(hl), _match_bit(bits_right[0], bits_left[1]))
+        c1 = _one_sided(kl, abs(hr), bits_left[0], bits_right[1], ctx.eps_minus_one)
+        c2 = _one_sided(kr, abs(hl), bits_right[0], bits_left[1])
     else:
-        c1 = _one_sided(kl, abs(kr), _match_bit(bits_left[0], bits_right[0]))
-        c2 = _one_sided(hl, abs(hr), _match_bit(bits_left[1], bits_right[1]))
+        c1 = _one_sided(kl, abs(kr), bits_left[0], bits_right[0])
+        c2 = _one_sided(hl, abs(hr), bits_left[1], bits_right[1])
     if c1 is False or c2 is False:
         return False
     return c1 and c2  # True, or None when a needed bit is open
@@ -219,10 +222,10 @@ def _fj_order(label: RepLabel):
 def _in_order(left: _Side, right: _Side, case: GGPCase) -> tuple[_Side, _Side]:
     """A side pair in normalized order; each side keeps its own bits.
 
-    A Fourier-Jacobi pair goes in :func:`_fj_order`; a Bessel pair from
-    :meth:`_VariantRun.pairs` already has the odd orthogonal side first.
+    A Fourier-Jacobi pair goes in :func:`_fj_order` (each side's ``order``); a Bessel
+    pair from :meth:`_VariantRun.pairs` already has the odd orthogonal side first.
     """
-    if case is FOURIER_JACOBI and _fj_order(left.label) > _fj_order(right.label):
+    if case is FOURIER_JACOBI and left.order > right.order:
         return right, left
     return left, right
 
@@ -258,7 +261,7 @@ def _base_multiplicity(left: RepLabel, right: RepLabel) -> Multiplicity:
     return Multiplicity(MultKind.SYMBOLIC, rl, rr)
 
 
-def _unipotent_slot_gates(left: RepLabel, right: RepLabel, case: GGPCase) -> bool:
+def _unipotent_slot_gates(left: _Side, right: _Side, case: GGPCase) -> bool:
     """Regularity forced on one slot of the other label by a unipotent side.
 
     Applied when the unipotent side has at least the rank of the other.  A
@@ -267,12 +270,10 @@ def _unipotent_slot_gates(left: RepLabel, right: RepLabel, case: GGPCase) -> boo
     ``lam_prime``: a unipotent even side is never read, even when larger.
     """
     fj = case is FOURIER_JACOBI
-    checks: list[Symbol] = []
-    if is_unipotent_label(left) and left.group.rank >= right.group.rank:
-        checks.append(right.lam if fj else right.lam_prime)
-    if fj and is_unipotent_label(right) and right.group.rank >= left.group.rank:
-        checks.append(left.lam)
-    return all(symbol_regular_by_convention(s) for s in checks)
+    rl, rr = left.label.group.rank, right.label.group.rank
+    if left.unipotent and rl >= rr and not right.regular[0 if fj else 1]:
+        return False
+    return not (fj and right.unipotent and rr >= rl and not left.regular[0])
 
 
 class VariantReport(NamedTuple):
@@ -352,7 +353,8 @@ class _VariantRun:
                     bits[i] = -bits[i]
                 out.append((RepLabel(v.group, v.rho, *syms, v.eps_flag), tuple(bits)))
         sides = self._sides[key] = [
-            _Side(v, kh_of(v), (default_orientation(v) if p is None else p, s))
+            _Side(v, kh_of(v), (default_orientation(v) if p is None else p, s), _fj_order(v),
+                  is_unipotent_label(v), tuple(map(symbol_regular_by_convention, (v.lam, v.lam_prime))))
             for v, (p, s) in out
         ]
         return sides
@@ -413,6 +415,7 @@ class _VariantRun:
         both slots of the second gate label, tries each varied slot in both
         transposes and is symmetric for Fourier-Jacobi, so all side pairs share
         it: it is read at most once, and only if relevance is not definitely false.
+        Once it reads closed, every pair is Zero and the remaining ones are not read.
         """
         pairs = self.pairs(left, right, case, varied)
         first, second = pairs[0][0].label, pairs[0][1].label
@@ -424,13 +427,15 @@ class _VariantRun:
             if strong is not False and gate is None:
                 slot = self.candidate_gate
                 gate = slot(first, 0, second.lam, case) and slot(first, 1, second.lam_prime, case)
-            if strong is False or not gate:
+                if not gate:  # the pairs before this one failed relevance
+                    return [(lv, rv, _ZERO) for lv, rv in pairs]
+            if strong is False:
                 value = _ZERO
             elif strong is None:
                 value = _ORIENTATION_OPEN
             else:
                 value = _base_multiplicity(a.label, b.label)
-                if not (value.is_zero or _unipotent_slot_gates(a.label, b.label, case)):
+                if not (value.is_zero or _unipotent_slot_gates(a, b, case)):
                     value = _ZERO
             out.append((lv, rv, value))
         return out
@@ -443,10 +448,10 @@ class _VariantRun:
                 "(trivial or regular descriptors)"
             )
         results = self.evaluate(left, right, case, True)
-        classes = {(lv.kh, rv.kh) for lv, rv, value in results if value.is_nonzero}
+        classes = {(lv.kh, rv.kh) for lv, rv, value in results if value.kind in _NONZERO}
         if len(classes) > 1:
             raise MultipleNonzero(f"{len(classes)} variant classes nonzero for {left} / {right}")
-        return VariantReport(tuple((lv.label, rv.label, value) for lv, rv, value in results))
+        return VariantReport(tuple([(lv.label, rv.label, value) for lv, rv, value in results]))
 
 
 def ggp_multiplicity(
@@ -491,8 +496,8 @@ def select_nonzero_variant(
     condition: it happens with eps(-1) = - and supplied orientation bits
     (see :class:`MultipleNonzero`).
 
-    The pair is validated once per family, and the pair-condition gate,
-    which all variants share, is evaluated at most once.
+    The pair is validated once per family.  The pair-condition gate, which all
+    variants share, is read at most once; closed, it makes the whole family Zero.
     """
     return _VariantRun(ctx).family(left, right, case)
 

@@ -1,6 +1,6 @@
 """Random and shifted symbols for the fuzz and round-trip tests, guards
-that fail any layer build or variant family evaluation, and
-definition-level references that the library itself no longer needs."""
+that fail any layer build or variant family evaluation, a call-count spy,
+and definition-level references that the library itself no longer needs."""
 
 import thetasym.core as core
 import thetasym.theta as theta
@@ -90,6 +90,20 @@ def forbid_variant_families(monkeypatch) -> list:
     monkeypatch.setattr(_VariantRun, "family", must_not_run)
     monkeypatch.setattr(oracle, "enumerate_labels", spy)
     return built
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Replace ``owner.name`` by a spy that calls through; the returned list
+    collects the positional arguments of each call, in order."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
 
 
 def partners_by_layer_filter(source: Symbol, sign: Sign, rank: int) -> list[Symbol]:

@@ -13,7 +13,6 @@ from thetasym.catalog import (
     TRIVIAL_RHO,
     enumerate_labels,
     is_unipotent_label,
-    kh_of,
     make_label,
     o_even,
     o_odd,
@@ -48,7 +47,7 @@ from thetasym.ggp import (
 from thetasym.oracle import _variant_families, verify_variant_uniqueness
 from thetasym.theta import TowerContext, in_G
 
-from symbol_helpers import forbid_layer_builds, relevance_necessary, sgn
+from symbol_helpers import count_calls, forbid_layer_builds, relevance_necessary, sgn
 
 CTX = TowerContext(eps_minus_one=PLUS)
 
@@ -548,14 +547,7 @@ def test_sweep_reads_kh_once_per_label_and_role(monkeypatch):
     bits are supplied, so a symplectic label's left and right
     Fourier-Jacobi roles are one role.
     """
-    calls = 0
-
-    def counting_kh_of(label):
-        nonlocal calls
-        calls += 1
-        return kh_of(label)
-
-    monkeypatch.setattr(ggp, "kh_of", counting_kh_of)
+    calls = count_calls(monkeypatch, ggp, "kh_of")
     assert verify_variant_uniqueness(2, CTX).passed
     roles = {
         (label, slots)
@@ -567,7 +559,83 @@ def test_sweep_reads_kh_once_per_label_and_role(monkeypatch):
         # a slot equal to its own transpose gives no second variant
         varied = [(label.lam, label.lam_prime)[i] for i in slots]
         variants += 2 ** sum(symbol_transpose(s) != s for s in varied)
-    assert calls == variants
+    assert len(calls) == variants
+
+
+def test_one_sided_is_the_band_then_the_bit_match():
+    """``_one_sided`` takes the two bits and reads them only once the band
+    holds; it answers as the band rule applied to the match bit, both
+    written out here, over every distance, bit pair and twist."""
+
+    def match_bit(a, b, twist):
+        if a is None or b is None:
+            return None
+        return a * twist == b
+
+    def band_then_match(dist, other, match):
+        if other == 0:
+            return dist == 0
+        if dist not in (other - 1, other):
+            return False
+        return match
+
+    for dist, other in itertools.product(range(4), repeat=2):
+        for mine, theirs in itertools.product((None, PLUS, MINUS), repeat=2):
+            for twist in (PLUS, MINUS):
+                expected = band_then_match(dist, other, match_bit(mine, theirs, twist))
+                assert ggp._one_sided(dist, other, mine, theirs, twist) is expected
+            assert ggp._one_sided(dist, other, mine, theirs) is ggp._one_sided(dist, other, mine, theirs, PLUS)
+
+
+@pytest.mark.parametrize("eps", [PLUS, MINUS], ids=["eps+", "eps-"])
+@pytest.mark.parametrize("bits", [(None,) * 4, (PLUS, MINUS, MINUS, PLUS)], ids=["none", "+--+"])
+def test_each_side_stores_its_gate_inputs(eps, bits):
+    """Every side of the rank <= 2 sweep holds its label's Fourier-Jacobi
+    order key, unipotence and slot regularity, as the label functions give them."""
+    run = _VariantRun(TowerContext(eps, *bits))
+    sides = {
+        side
+        for left, right, case in _variant_families(2, eps)
+        for pair in run.pairs(left, right, case, True)
+        for side in pair
+    }
+    assert {side.unipotent for side in sides} == {True, False}
+    for side in sides:
+        label = side.label
+        assert side.order == ggp._fj_order(label)
+        assert side.unipotent == is_unipotent_label(label)
+        assert side.regular == (
+            symbol_regular_by_convention(label.lam),
+            symbol_regular_by_convention(label.lam_prime),
+        )
+
+
+def test_a_closed_gate_ends_its_family(monkeypatch):
+    """The rank-2 sweep reads the pair-condition gate 6,876 times and asks
+    ``in_G`` 107 times, and a family whose gate reads closed reads the
+    relevance of no later pair: 8,331 relevance reads, where reading every
+    pair made 11,721.  The reads each family should make are counted from a
+    reference run first: every pair up to the first one not definitely
+    irrelevant, and all of them when the gate there is open."""
+    reference = _VariantRun(CTX)
+    expected = 0
+    for left, right, case in _variant_families(2, PLUS):
+        pairs = reference.pairs(left, right, case, True)
+        first, second = pairs[0][0].label, pairs[0][1].label
+        for n, (a, b) in enumerate(pairs, 1):
+            if ggp._strong_relevance(*ggp._in_order(a, b, case), case, CTX) is not False:
+                slots = (second.lam, second.lam_prime)
+                gate = all(reference.candidate_gate(first, i, s, case) for i, s in enumerate(slots))
+                expected += len(pairs) if gate else n
+                break
+        else:
+            expected += len(pairs)
+    assert expected == 8331
+    gates = count_calls(monkeypatch, _VariantRun, "candidate_gate")
+    in_G_calls = count_calls(monkeypatch, ggp, "in_G")
+    reads = count_calls(monkeypatch, ggp, "_strong_relevance")
+    assert verify_variant_uniqueness(2, CTX).passed
+    assert (len(gates), len(in_G_calls), len(reads)) == (6876, 107, expected)
 
 
 def test_select_entry_kinds_rank_2():
@@ -750,19 +818,6 @@ def test_branch_matches_per_candidate_reference(eps, bits):
                 assert branch_decomposition(pi, target, ctx) == expected, f"{pi} -> {target}"
 
 
-def count_in_G(monkeypatch) -> list:
-    """Record each ``in_G`` call that ``ggp`` makes."""
-    calls = []
-    real = ggp.in_G
-
-    def counting_in_G(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(ggp, "in_G", counting_in_G)
-    return calls
-
-
 @pytest.mark.parametrize(
     "pi, target, rows, keys",
     [
@@ -776,15 +831,8 @@ def test_branch_evaluates_only_gated_candidates(pi, target, rows, keys, monkeypa
     rows, not the 11,487 and 9,430 labels of these targets, and asks in_G
     once per transpose class of each gate key: 1,586 and 2,009 calls, where
     asking per symbol made 2,580 and 3,993."""
-    calls = count_in_G(monkeypatch)
-    evaluated = []
-    evaluate = _VariantRun.evaluate
-
-    def counting_evaluate(self, left, right, case, varied):
-        evaluated.append(right)
-        return evaluate(self, left, right, case, varied)
-
-    monkeypatch.setattr(_VariantRun, "evaluate", counting_evaluate)
+    calls = count_calls(monkeypatch, ggp, "in_G")
+    evaluated = count_calls(monkeypatch, _VariantRun, "evaluate")
     assert len(branch_decomposition(pi, target, CTX)) == rows
     assert len(evaluated) <= rows
     assert len(calls) <= keys
@@ -793,7 +841,7 @@ def test_branch_evaluates_only_gated_candidates(pi, target, rows, keys, monkeypa
 def test_slot_gate_answers_once_per_transpose_class(monkeypatch):
     """A slot gate's answer holds for both transposes of the varied symbol,
     so asking for the other transpose makes no new in_G call."""
-    calls = count_in_G(monkeypatch)
+    calls = count_calls(monkeypatch, ggp, "in_G")
     answers = set()
     for n in range(3):
         for fixed in enumerate_symbols(n, SymbolFamily.SP_UNIPOTENT):

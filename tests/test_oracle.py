@@ -1,7 +1,6 @@
 import ast
 import itertools
 import json
-from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -42,7 +41,7 @@ from thetasym.theta import (
     theta_fiber,
 )
 
-from symbol_helpers import first_fiber_by_ranks, forbid_layer_builds, forbid_variant_families
+from symbol_helpers import count_calls, first_fiber_by_ranks, forbid_layer_builds, forbid_variant_families
 
 
 def test_brute_first_occurrence_examples():
@@ -438,18 +437,9 @@ def test_a_passing_f1_sweep_does_only_its_per_check_work(monkeypatch):
     per check; one scan bound per source; and no failure text."""
     from thetasym import catalog, oracle
 
-    calls = Counter()
-
-    def count(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return counted
-
-    monkeypatch.setattr(core, "_symbol_from_rows", count("symbols", core._symbol_from_rows))
-    monkeypatch.setattr(oracle, "default_scan_bound", count("scan bounds", default_scan_bound))
-    monkeypatch.setattr(theta.FirstOccurrence, "__new__", count("first occurrences", theta.FirstOccurrence.__new__))
+    symbols = count_calls(monkeypatch, core, "_symbol_from_rows")
+    scan_bounds = count_calls(monkeypatch, oracle, "default_scan_bound")
+    first_occurrences = count_calls(monkeypatch, theta.FirstOccurrence, "__new__")
 
     def must_not_run(*args):
         raise AssertionError("failure text was built for a passing check")
@@ -463,6 +453,7 @@ def test_a_passing_f1_sweep_does_only_its_per_check_work(monkeypatch):
     assert (report.checked, report.failures) == (340, [])
     sources = sum(count_symbols(n, family) for n in range(6) for family in SymbolFamily)
     assert sources == 248
+    calls = {"symbols": len(symbols), "first occurrences": len(first_occurrences), "scan bounds": len(scan_bounds)}
     assert calls == {"symbols": sources + 2 * 340, "first occurrences": 340, "scan bounds": sources}
 
 

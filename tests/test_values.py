@@ -371,6 +371,8 @@ def test_record_fields_refuse_assignment_and_deletion(cls):
         (lambda: GroupTag(GroupFamily.O_EVEN, 2.0, PLUS), TypeError, "rank must be an int, got 2.0"),
         (lambda: GroupTag(GroupFamily.SP, True), TypeError, "rank must be an int, got True"),
         (lambda: GroupTag(GroupFamily.SP, "3"), TypeError, "rank must be an int, got '3'"),
+        (lambda: GroupTag("sp", 1), TypeError, "family must be a GroupFamily, got 'sp'"),
+        (lambda: GroupTag(None, -1), TypeError, "family must be a GroupFamily, got None"),
         (lambda: RhoDescriptor(-1), ValueError, "descriptor rank must be nonnegative"),
         (lambda: RhoDescriptor(0, False), ValueError, "rank-0 descriptor must be trivial and regular"),
         (lambda: RhoDescriptor(0, True, "x"), ValueError, "rank-0 descriptor must be trivial and regular"),
@@ -379,6 +381,12 @@ def test_record_fields_refuse_assignment_and_deletion(cls):
         (lambda: RhoDescriptor(1, True, " a"), ValueError, "descriptor id ' a' has leading or trailing whitespace"),
         (lambda: RhoDescriptor("2", True, "x"), TypeError, "glu_rank must be an int, got '2'"),
         (lambda: RhoDescriptor(1.0, True, "x"), TypeError, "glu_rank must be an int, got 1.0"),
+        (lambda: RhoDescriptor(1, "no", "x"), TypeError, "regular must be a bool, got 'no'"),
+        (lambda: RhoDescriptor(1, 1, "x"), TypeError, "regular must be a bool, got 1"),
+        (lambda: RhoDescriptor(1, True, 5), TypeError, "id must be a str, got 5"),
+        (lambda: RhoDescriptor(0, "no"), TypeError, "regular must be a bool, got 'no'"),
+        (lambda: RhoDescriptor(0, True, None), TypeError, "id must be a str, got None"),
+        (lambda: RhoDescriptor(-1, None), TypeError, "regular must be a bool, got None"),
         (lambda: Symbol((0, -1), ()), NormalizationError, "negative entry -1 in first row (0, -1)"),
         (lambda: Symbol((1,), (1, 1)), NormalizationError, "second row (1, 1) not strictly decreasing"),
         (lambda: Symbol((1, 1), (-1,)), NormalizationError, "first row (1, 1) not strictly decreasing"),
@@ -390,9 +398,12 @@ def test_record_fields_refuse_assignment_and_deletion(cls):
         (lambda: symbol_normalize([2.5], []), NormalizationError, "first row (2.5,) is not a tuple of int"),
         (lambda: symbol_normalize([], ["7"]), NormalizationError, "second row ('7',) is not a tuple of int"),
         (lambda: symbol_normalize([True], []), NormalizationError, "first row (True,) is not a tuple of int"),
+        (lambda: symbol_normalize(5, []), NormalizationError, "first row 5 is not a tuple of int"),
+        (lambda: symbol_normalize([], None), NormalizationError, "second row None is not a tuple of int"),
         (lambda: partition("321"), NormalizationError, "partition ('3', '2', '1') is not a tuple of int"),
         (lambda: partition([2.5, 1]), NormalizationError, "partition (2.5, 1) is not a tuple of int"),
         (lambda: partition([2, True]), NormalizationError, "partition (2, True) is not a tuple of int"),
+        (lambda: partition(5), NormalizationError, "partition 5 is not a tuple of int"),
         (lambda: upsilon_inverse(("21", ""), 1), NormalizationError, "partition ('2', '1') is not a tuple of int"),
         (lambda: FirstOccurrence(3, ZERO_SYMBOL), ValueError, "lift Symbol('[0|]') has rank 0, not the index 3"),
     ],
