@@ -38,17 +38,21 @@ from .errors import NormalizationError, ParseError
 Partition = tuple[int, ...]
 
 #: Every build that grows with its input - a layer, a sweep, a theta fiber,
-#: a variant sweep, a staircase - is refused over this size before it is
-#: built; the bound is read at each check, so raise it for larger tables.
+#: a staircase - is refused over this size before it is built; the bound
+#: is read at each check, so raise it for larger tables.  The variant
+#: sweep's family count has its own bound, ``oracle.MAX_VARIANT_FAMILIES``.
 MAX_LAYER_SYMBOLS = 1_000_000
 
 
-def _check_bound(size: int, subject: str, unit: str, more: str = "") -> None:
-    """The one ``ValueError`` of every bounded build, raised if ``size`` > MAX_LAYER_SYMBOLS."""
-    if size > MAX_LAYER_SYMBOLS:
+def _check_bound(size: int, subject: str, unit: str, more: str = "",
+                 name: str = "MAX_LAYER_SYMBOLS", bound: int | None = None) -> None:
+    """The one ``ValueError`` of every bounded build, raised if ``size`` is over
+    ``bound``, the bound called ``name``: by default MAX_LAYER_SYMBOLS, read at each call."""
+    if bound is None:
+        bound = MAX_LAYER_SYMBOLS
+    if size > bound:
         raise ValueError(
-            f"{subject} has {more}{size} {unit}, "
-            f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+            f"{subject} has {more}{size} {unit}, over the enumeration bound {name} = {bound}"
         )
 
 

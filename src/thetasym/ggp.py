@@ -177,17 +177,14 @@ class _Side(NamedTuple):
     ``kh`` is the label's (k, h) and ``bits`` its resolved orientation bits,
     entry i of each for slot i.  A defect-0 slot and its transpose pass the
     same gates (the band uses the absolute slot parameter, the pair condition
-    both transposes), so within a family ``kh`` names the variant class.  The
-    gates' label reads are stored per variant: ``order`` (:func:`_fj_order`), ``unipotent``
-    (:func:`is_unipotent_label`) and ``regular`` (:func:`symbol_regular_by_convention` per slot).
+    both transposes), so within a family ``kh`` names the variant class.
+    ``order`` is the label's :func:`_fj_order`, which every side pair reads.
     """
 
     label: RepLabel
     kh: tuple[int, int]
     bits: Bits
     order: tuple
-    unipotent: bool
-    regular: tuple[bool, bool]
 
 
 def _strong_relevance(left: _Side, right: _Side, case: GGPCase, ctx: TowerContext) -> bool | None:
@@ -261,7 +258,7 @@ def _base_multiplicity(left: RepLabel, right: RepLabel) -> Multiplicity:
     return Multiplicity(MultKind.SYMBOLIC, rl, rr)
 
 
-def _unipotent_slot_gates(left: _Side, right: _Side, case: GGPCase) -> bool:
+def _unipotent_slot_gates(left: RepLabel, right: RepLabel, case: GGPCase) -> bool:
     """Regularity forced on one slot of the other label by a unipotent side.
 
     Applied when the unipotent side has at least the rank of the other.  A
@@ -270,10 +267,13 @@ def _unipotent_slot_gates(left: _Side, right: _Side, case: GGPCase) -> bool:
     ``lam_prime``: a unipotent even side is never read, even when larger.
     """
     fj = case is FOURIER_JACOBI
-    rl, rr = left.label.group.rank, right.label.group.rank
-    if left.unipotent and rl >= rr and not right.regular[0 if fj else 1]:
-        return False
-    return not (fj and right.unipotent and rr >= rl and not left.regular[0])
+    rl, rr = left.group.rank, right.group.rank
+    if rl >= rr and is_unipotent_label(left):
+        if not symbol_regular_by_convention(right.lam if fj else right.lam_prime):
+            return False
+    if fj and rr >= rl and is_unipotent_label(right):
+        return symbol_regular_by_convention(left.lam)
+    return True
 
 
 class VariantReport(NamedTuple):
@@ -308,8 +308,12 @@ class _VariantRun:
     label's sides depend only on the label, its supplied orientation bits
     and the varied slots, and a slot's gate only on its two symbols, so a
     run under one context builds each of them once.  Sides are keyed by
-    label identity; every entry holds its label, so no key is reused while
-    the run lives.  Nothing outlives the run.  Every ``ggp`` answer comes
+    label identity, and a side list's profile by list identity; every entry
+    holds its label or list, so no key is reused while the run lives.  A
+    variant sweep (:func:`~thetasym.oracle.verify_variant_uniqueness`)
+    reads a family's gate before anything else and, when it is open,
+    evaluates the family only at a new :meth:`signature`, the key of its
+    per-run memo.  Nothing outlives the run.  Every ``ggp`` answer comes
     from a run, so a context whose eps(-1) is not +1 or -1, or whose bit is
     neither of them nor ``None``, is refused here, naming the field.
     """
@@ -327,6 +331,9 @@ class _VariantRun:
         )
         self._sides: dict[tuple, list[_Side]] = {}
         self._gates: dict[tuple[Symbol, Symbol], bool] = {}
+        # the profile of each side list, by list identity, and the profiles interned
+        self._profiles: dict[int, int] = {}
+        self._interned: dict[tuple, int] = {}
 
     def sides(self, label: RepLabel, supplied: Bits, slots: tuple[int, ...]) -> list[_Side]:
         """``label`` and its transposes in the varied slots, in family order.
@@ -353,8 +360,7 @@ class _VariantRun:
                     bits[i] = -bits[i]
                 out.append((RepLabel(v.group, v.rho, *syms, v.eps_flag), tuple(bits)))
         sides = self._sides[key] = [
-            _Side(v, kh_of(v), (default_orientation(v) if p is None else p, s), _fj_order(v),
-                  is_unipotent_label(v), tuple(map(symbol_regular_by_convention, (v.lam, v.lam_prime))))
+            _Side(v, kh_of(v), (default_orientation(v) if p is None else p, s), _fj_order(v))
             for v, (p, s) in out
         ]
         return sides
@@ -435,23 +441,64 @@ class _VariantRun:
                 value = _ORIENTATION_OPEN
             else:
                 value = _base_multiplicity(a.label, b.label)
-                if not (value.is_zero or _unipotent_slot_gates(a, b, case)):
+                if not (value.is_zero or _unipotent_slot_gates(a.label, b.label, case)):
                     value = _ZERO
             out.append((lv, rv, value))
         return out
 
     def family(self, left: RepLabel, right: RepLabel, case: GGPCase) -> VariantReport:
-        """:func:`select_nonzero_variant` on this run; a variant class is its sides' (k, h) pair."""
+        """:func:`select_nonzero_variant` on this run."""
         if not (left.rho.regular and right.rho.regular):
             raise ValueError(
                 "variant selection expects a definite base factor "
                 "(trivial or regular descriptors)"
             )
         results = self.evaluate(left, right, case, True)
-        classes = {(lv.kh, rv.kh) for lv, rv, value in results if value.kind in _NONZERO}
-        if len(classes) > 1:
-            raise MultipleNonzero(f"{len(classes)} variant classes nonzero for {left} / {right}")
+        classes = _nonzero_classes(results)
+        if classes > 1:
+            raise _too_many_nonzero(classes, left, right)
         return VariantReport(tuple([(lv.label, rv.label, value) for lv, rv, value in results]))
+
+    def signature(self, left: RepLabel, right: RepLabel, case: GGPCase, gate: bool) -> tuple:
+        """The memo key of a normalized variant family whose pair-condition gate reads ``gate``.
+
+        What :meth:`evaluate` makes of a family past its gate depends only on
+        this key: the case, the gate, the interned profile of each side list
+        (each side's ``kh``, resolved bits, unipotence, slot regularity, rank
+        and descriptor) and, at equal Fourier-Jacobi ranks, which side pairs
+        :func:`_in_order` swaps (at unequal ranks the ranks decide it).
+        """
+        lsides = self.sides(left, self.bits[0], case.slots[0])
+        rsides = self.sides(right, self.bits[1], case.slots[1])
+        swaps = None
+        if case is FOURIER_JACOBI and left.group.rank == right.group.rank:
+            swaps = tuple([a.order > b.order for a in lsides for b in rsides])
+        return case, gate, self._profile(lsides), self._profile(rsides), swaps
+
+    def _profile(self, sides: list[_Side]) -> int:
+        """The interned profile of a side list, read once per list; see :meth:`signature`."""
+        key = id(sides)
+        profile = self._profiles.get(key)
+        if profile is None:
+            facts = []
+            for side in sides:
+                v = side.label
+                regular = symbol_regular_by_convention(v.lam), symbol_regular_by_convention(v.lam_prime)
+                facts.append((side.kh, side.bits, is_unipotent_label(v), regular, v.group.rank, v.rho))
+            interned = self._interned
+            profile = self._profiles[key] = interned.setdefault(tuple(facts), len(interned))
+        return profile
+
+
+def _nonzero_classes(results: list[tuple[_Side, _Side, Multiplicity]]) -> int:
+    """How many variant classes, the sides' (k, h) pairs, come out nonzero in
+    the ``results`` of :meth:`_VariantRun.evaluate`."""
+    return len({(lv.kh, rv.kh) for lv, rv, value in results if value.kind in _NONZERO})
+
+
+def _too_many_nonzero(classes: int, left: RepLabel, right: RepLabel) -> MultipleNonzero:
+    """The error of a family with more than one nonzero variant class."""
+    return MultipleNonzero(f"{classes} variant classes nonzero for {left} / {right}")
 
 
 def ggp_multiplicity(

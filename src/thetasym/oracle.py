@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from itertools import chain, product
+from itertools import product
 
 from .catalog import (
     MINUS,
     PLUS,
     GroupFamily,
+    RepLabel,
     Sign,
     cuspidal_symbol,
     enumerate_labels,
@@ -47,8 +48,7 @@ from .core import (
     symbol_rank,
     symbol_transpose,
 )
-from .errors import MultipleNonzero
-from .ggp import BESSEL, FOURIER_JACOBI, _VariantRun
+from .ggp import BESSEL, FOURIER_JACOBI, GGPCase, _nonzero_classes, _too_many_nonzero, _VariantRun
 from .theta import (
     ThetaDirection,
     TowerContext,
@@ -233,15 +233,27 @@ def verify_counts(max_rank: int) -> VerificationReport:
     return report
 
 
-def _variant_families(max_rank: int, eps_minus_one: Sign):
-    """The (left, right, case) families of a variant sweep, counted before any is evaluated.
+#: Families a variant sweep may check.  Families are streamed block by
+#: block, never stored, so this bound guards time, not memory: rank 5
+#: (3,412,100 families) runs, and rank 6 (21,656,970) is refused before any
+#: family is read.  Read at each check; no command-line option sets it.
+MAX_VARIANT_FAMILIES = 5_000_000
 
-    The trivial-descriptor label lists are built once each, rank by rank,
-    while the families they give are counted: Fourier-Jacobi pairs an sp(n)
-    label with an sp(m) label, m <= n, and Bessel every odd with every even
-    orthogonal label.  A count over ``MAX_LAYER_SYMBOLS`` raises
-    ``ValueError`` at its first rank; below ``max_rank`` the message then
-    says "more than".
+
+def _variant_families(max_rank: int, eps_minus_one: Sign) -> list[tuple[list, list, GGPCase]]:
+    """The (lefts, rights, case) blocks of a variant sweep, counted before any is read.
+
+    A block's families are its (left, right) pairs, left by left, and the
+    blocks come in family order: Fourier-Jacobi pairs an sp(n) label with an
+    sp(m) label, m <= n, and Bessel every odd with every even orthogonal
+    label.  The trivial-descriptor label lists are built once each, rank by
+    rank, while the families they give are counted, and a block holds the
+    lists themselves, so one list is the right list of many blocks: the
+    sweep reads a block's gates left label by left label, counts its
+    closed-gate families in bulk and evaluates an open family only at a new
+    signature (:func:`verify_variant_uniqueness`).  A count over
+    ``MAX_VARIANT_FAMILIES`` raises ``ValueError`` at its first rank; below
+    ``max_rank`` the message then says "more than".
     """
     ranks, signs = range(max_rank + 1), (PLUS, MINUS)
     sps, odd, even = [], {}, {}
@@ -254,13 +266,26 @@ def _variant_families(max_rank: int, eps_minus_one: Sign):
             even[n, e] = list(enumerate_labels(o_even(n, e), eps_minus_one))
         families = fj + sum(map(len, odd.values())) * sum(map(len, even.values()))
         more = "" if n == max_rank else "more than "
-        _check_bound(families, f"the rank <= {max_rank} variant sweep", "families", more)
-    return chain(
-        ((left, right, FOURIER_JACOBI) for n in ranks for m in range(n + 1)
-         for left, right in product(sps[n], sps[m])),
-        ((left, right, BESSEL) for n, m, e, e2 in product(ranks, ranks, signs, signs)
-         for left, right in product(odd[n, e], even[m, e2])),
-    )
+        _check_bound(families, f"the rank <= {max_rank} variant sweep", "families", more,
+                     "MAX_VARIANT_FAMILIES", MAX_VARIANT_FAMILIES)
+    return [(sps[n], sps[m], FOURIER_JACOBI) for n in ranks for m in range(n + 1)] + [
+        (odd[n, e], even[m, e2], BESSEL) for n, m, e, e2 in product(ranks, ranks, signs, signs)
+    ]
+
+
+def _gate_slots(rights: list[RepLabel]) -> tuple[list, list[Symbol]]:
+    """A right list indexed by the symbols the pair-condition gate reads.
+
+    The gate reads a key of each slot of the right label.  The index holds
+    each distinct ``lam`` with the (position, ``lam_prime`` number) of every
+    label that has it, and the distinct ``lam_prime`` symbols, numbered.
+    """
+    seconds: dict[Symbol, int] = {}
+    firsts: dict[Symbol, list[tuple[int, int]]] = {}
+    for j, right in enumerate(rights):
+        k = seconds.setdefault(right.lam_prime, len(seconds))
+        firsts.setdefault(right.lam, []).append((j, k))
+    return list(firsts.items()), list(seconds)
 
 
 def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationReport:
@@ -268,24 +293,60 @@ def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationR
 
     Runs over all case-compatible pairs of trivial-descriptor labels up to
     the rank bound; defect-0 slots collapse with their transposes into a
-    single variant (they pass identical gates).  Variant families whose
-    evaluation raises the multiple-nonzero error are recorded as failures.
-    Each family is evaluated as :func:`~thetasym.ggp.select_nonzero_variant`
-    does, but the families of one run share each label's variant sides and
-    each symbol pair's gate.  Oversized sweeps are refused as in
-    :func:`verify_f1`, and then a sweep of more than ``MAX_LAYER_SYMBOLS``
-    families (rank 5 and up) as in :func:`_variant_families`.
+    single variant (they pass identical gates).  A family with more than one
+    nonzero variant class is recorded as a failure, with the text of the
+    :class:`~thetasym.errors.MultipleNonzero` that
+    :func:`~thetasym.ggp.select_nonzero_variant` raises for it.
+
+    The sweep walks the blocks of :func:`_variant_families` and reads the
+    pair-condition gate first.  Each right list is indexed once per run by
+    its gate-slot symbols (:func:`_gate_slots`), and each gate key once per
+    left label and distinct symbol (a ``lam_prime`` key only behind an open
+    ``lam`` key).  A family whose gate is closed is all Zero, so it is
+    counted as a passed check in bulk and never evaluated.  An open family
+    takes its number of nonzero variant classes from a per-run memo keyed
+    by :meth:`~thetasym.ggp._VariantRun.signature` (the case, the gate, an
+    interned profile of each side list and, at equal Fourier-Jacobi ranks,
+    the normalized order's swap pattern), filled by
+    :meth:`~thetasym.ggp._VariantRun.evaluate`.  Checks and failures come
+    in family order.  Oversized sweeps are refused as in :func:`verify_f1`,
+    and then a sweep of more than ``MAX_VARIANT_FAMILIES`` families (rank 6
+    and up) as in :func:`_variant_families`.
     """
     _check_sweep(max_rank)
     report = VerificationReport()
     start = time.monotonic()
     run = _VariantRun(ctx)
-    for left, right, case in _variant_families(max_rank, ctx.eps_minus_one):
-        try:
-            run.family(left, right, case)
-        except MultipleNonzero as err:
-            report.record(False, f"{left} / {right}", "<=1 class", err)
-        else:
-            report.checked += 1
+    gate_slots: dict[int, tuple[list, list[Symbol]]] = {}  # by right list identity
+    classes: dict[tuple, int] = {}  # nonzero variant classes by family signature
+    for lefts, rights, case in _variant_families(max_rank, ctx.eps_minus_one):
+        index = gate_slots.get(id(rights))
+        if index is None:
+            index = gate_slots[id(rights)] = _gate_slots(rights)
+        firsts, seconds = index
+        for left in lefts:
+            second_gates: list[bool | None] = [None] * len(seconds)
+            opened = []
+            for lam, members in firsts:
+                if run.candidate_gate(left, 0, lam, case):
+                    for j, k in members:
+                        gate = second_gates[k]
+                        if gate is None:
+                            gate = second_gates[k] = run.candidate_gate(left, 1, seconds[k], case)
+                        if gate:
+                            opened.append(j)
+            report.checked += len(rights) - len(opened)
+            opened.sort()
+            for j in opened:
+                right = rights[j]
+                key = run.signature(left, right, case, True)
+                count = classes.get(key)
+                if count is None:
+                    count = classes[key] = _nonzero_classes(run.evaluate(left, right, case, True))
+                if count > 1:
+                    error = _too_many_nonzero(count, left, right)
+                    report.record(False, f"{left} / {right}", "<=1 class", error)
+                else:
+                    report.checked += 1
     report.elapsed = time.monotonic() - start
     return report

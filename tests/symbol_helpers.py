@@ -1,6 +1,9 @@
 """Random and shifted symbols for the fuzz and round-trip tests, guards
-that fail any layer build or variant family evaluation, a call-count spy,
-and definition-level references that the library itself no longer needs."""
+that fail any layer build or variant family read, a call-count spy, the
+variant sweep's families one by one, and definition-level references that
+the library itself no longer needs."""
+
+from itertools import product
 
 import thetasym.core as core
 import thetasym.theta as theta
@@ -72,13 +75,14 @@ def forbid_layer_builds(monkeypatch) -> None:
 
 
 def forbid_variant_families(monkeypatch) -> list:
-    """Make every variant family evaluation fail, for refusal tests; the
-    returned list collects each group whose labels ``oracle`` lists."""
+    """Make every read of a variant family fail, its gate or its evaluation,
+    for refusal tests; the returned list collects each group whose labels
+    ``oracle`` lists."""
     import thetasym.oracle as oracle
     from thetasym.ggp import _VariantRun
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError("a family was evaluated in a refused sweep")
+        raise AssertionError("a family was read in a refused sweep")
 
     built = []
     enumerate_labels = oracle.enumerate_labels
@@ -87,9 +91,21 @@ def forbid_variant_families(monkeypatch) -> list:
         built.append(group)
         return enumerate_labels(group, *args)
 
-    monkeypatch.setattr(_VariantRun, "family", must_not_run)
+    for name in ("slot_gate", "evaluate"):
+        monkeypatch.setattr(_VariantRun, name, must_not_run)
     monkeypatch.setattr(oracle, "enumerate_labels", spy)
     return built
+
+
+def variant_families(max_rank: int, eps_minus_one: Sign) -> list[tuple[RepLabel, RepLabel, object]]:
+    """The families of a variant sweep, one (left, right, case) each, in sweep order."""
+    from thetasym.oracle import _variant_families
+
+    return [
+        (left, right, case)
+        for lefts, rights, case in _variant_families(max_rank, eps_minus_one)
+        for left, right in product(lefts, rights)
+    ]
 
 
 def count_calls(monkeypatch, owner, name: str) -> list:

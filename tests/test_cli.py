@@ -22,6 +22,7 @@ from thetasym.core import (
     symbol_rank,
     upsilon,
 )
+from thetasym.oracle import MAX_VARIANT_FAMILIES
 from thetasym.theta import TowerContext
 
 from symbol_helpers import forbid_layer_builds, forbid_variant_families
@@ -373,15 +374,15 @@ def test_oversized_sweep_refused_before_work(suite, monkeypatch, capsys):
 
 
 def test_oversized_variant_sweep_refused_before_work(monkeypatch, capsys):
-    """Ranks 5-22 pass the symbol sweep bound; counting their families stops at rank 5."""
+    """Ranks 6-22 pass the symbol sweep bound; counting their families stops at rank 6."""
     built = forbid_variant_families(monkeypatch)
     code, out = run_cli(["verify", "--suite", "variants", "--max-rank", "22"])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == (
-        "error: the rank <= 22 variant sweep has more than 3412100 families, "
-        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}\n"
+        "error: the rank <= 22 variant sweep has more than 21656970 families, "
+        f"over the enumeration bound MAX_VARIANT_FAMILIES = {MAX_VARIANT_FAMILIES}\n"
     )
-    assert max(group.rank for group in built) == 5
+    assert max(group.rank for group in built) == 6
 
 
 @pytest.mark.parametrize(

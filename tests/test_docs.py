@@ -77,6 +77,17 @@ def test_f1_rank_reached_is_the_rank_criterion_2_checks():
     assert row[3] == ranks[0]
 
 
+def test_ggp_rank_reached_is_the_rank_criterion_5_checks():
+    """The ggp row's "Rank reached" starts with the rank that acceptance
+    criterion 5 passes to ``verify_variant_uniqueness``, read from that test's source."""
+    source = (ROOT / "tests" / "test_acceptance.py").read_text()
+    test = source.split("def test_criterion_5_variant_uniqueness(", 1)[1].split("\ndef ", 1)[0]
+    ranks = re.findall(r"\bverify_variant_uniqueness\((\d+), ", test)
+    assert len(ranks) == 1, ranks
+    (row,) = [row for row in ROWS if "`ggp.ggp_multiplicity`" in row[0]]
+    assert row[3].split(",")[0] == ranks[0]
+
+
 def test_readme_states_the_golden_deck_size():
     """The request count the README gives for ``tests/golden_cli.py`` is
     the size of the deck it draws; the deck is built, none of it run."""

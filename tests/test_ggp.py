@@ -37,6 +37,7 @@ from thetasym.ggp import (
     FOURIER_JACOBI,
     MultKind,
     VariantReport,
+    _Side,
     _VariantRun,
     branch_decomposition,
     default_rho_catalog,
@@ -44,10 +45,10 @@ from thetasym.ggp import (
     is_strongly_relevant,
     select_nonzero_variant,
 )
-from thetasym.oracle import _variant_families, verify_variant_uniqueness
+from thetasym.oracle import verify_variant_uniqueness
 from thetasym.theta import TowerContext, in_G
 
-from symbol_helpers import count_calls, forbid_layer_builds, relevance_necessary, sgn
+from symbol_helpers import count_calls, forbid_layer_builds, relevance_necessary, sgn, variant_families
 
 CTX = TowerContext(eps_minus_one=PLUS)
 
@@ -168,7 +169,7 @@ def test_each_label_keeps_its_own_bits():
     for eps in (PLUS, MINUS):
         fj = [l for n in range(3) for l in enumerate_labels(sp(n), eps, default_rho_catalog(n))]
         pairs = [(x, y, FOURIER_JACOBI) for x, y in itertools.combinations(fj, 2)]
-        pairs += [family for family in _variant_families(1, eps) if family[2] is BESSEL]
+        pairs += [family for family in variant_families(1, eps) if family[2] is BESSEL]
         for (a, a_alt), (b, b_alt) in itertools.product(
             itertools.product(bit_values, repeat=2), repeat=2
         ):
@@ -517,7 +518,7 @@ SWEEP_CONTEXTS = pytest.mark.parametrize(
 @SWEEP_CONTEXTS
 def test_select_matches_reference(ctx):
     """Every rank <= 2 family of the uniqueness sweep, in both argument orders."""
-    families = _variant_families(2, ctx.eps_minus_one)
+    families = variant_families(2, ctx.eps_minus_one)
     for left, right, case in families:
         for a, b in ((left, right), (right, left)):
             assert _outcome(select_nonzero_variant, a, b, case, ctx) == _outcome(
@@ -532,26 +533,37 @@ def test_shared_run_matches_fresh_calls(ctx):
     A side or gate that leaked from one family into another would show here.
     """
     run = _VariantRun(ctx)
-    families = _variant_families(3, ctx.eps_minus_one)
+    families = variant_families(3, ctx.eps_minus_one)
     for left, right, case in families:
         for a, b in ((left, right), (right, left)):
             shared = _outcome(lambda l, r, c, _: run.family(l, r, c), a, b, case, ctx)
             assert shared == _outcome(select_nonzero_variant, a, b, case, ctx), f"{a} / {b}"
 
 
+def _open_families(max_rank: int, ctx: TowerContext) -> list:
+    """The families of a sweep whose pair-condition gate reads open, on a run of their own."""
+    run = _VariantRun(ctx)
+    return [
+        (left, right, case)
+        for left, right, case in variant_families(max_rank, ctx.eps_minus_one)
+        if run.candidate_gate(left, 0, right.lam, case) and run.candidate_gate(left, 1, right.lam_prime, case)
+    ]
+
+
 def test_sweep_reads_kh_once_per_label_and_role(monkeypatch):
-    """A rank-2 sweep builds each label's sides once per role, not once per family.
+    """A rank-2 sweep builds each label's sides once per role, not once per
+    family, and only for the roles of families whose gate reads open.
 
     Each side reads its variant's (k, h) once, so the run reads ``kh_of``
-    once per variant of each (label, varied slots) role.  Under ``CTX`` no
-    bits are supplied, so a symplectic label's left and right
-    Fourier-Jacobi roles are one role.
+    once per variant of each (label, varied slots) role of an open family.
+    Under ``CTX`` no bits are supplied, so a symplectic label's left and
+    right Fourier-Jacobi roles are one role.
     """
     calls = count_calls(monkeypatch, ggp, "kh_of")
     assert verify_variant_uniqueness(2, CTX).passed
     roles = {
         (label, slots)
-        for left, right, case in _variant_families(2, PLUS)
+        for left, right, case in _open_families(2, CTX)
         for label, slots in zip((left, right), case.slots)
     }
     variants = 0
@@ -589,59 +601,99 @@ def test_one_sided_is_the_band_then_the_bit_match():
 
 @pytest.mark.parametrize("eps", [PLUS, MINUS], ids=["eps+", "eps-"])
 @pytest.mark.parametrize("bits", [(None,) * 4, (PLUS, MINUS, MINUS, PLUS)], ids=["none", "+--+"])
-def test_each_side_stores_its_gate_inputs(eps, bits):
-    """Every side of the rank <= 2 sweep holds its label's Fourier-Jacobi
-    order key, unipotence and slot regularity, as the label functions give them."""
+def test_signature_profiles_each_side_list(eps, bits):
+    """A side stores only what every side pair reads: its label, (k, h),
+    resolved bits and Fourier-Jacobi order key.  Over every rank <= 2
+    family, two side lists get one interned profile in the signature
+    exactly when they agree, side by side, on the (k, h), bits, unipotence,
+    slot regularity, rank and descriptor that the label functions give."""
+    assert _Side._fields == ("label", "kh", "bits", "order")
     run = _VariantRun(TowerContext(eps, *bits))
-    sides = {
-        side
-        for left, right, case in _variant_families(2, eps)
-        for pair in run.pairs(left, right, case, True)
-        for side in pair
-    }
-    assert {side.unipotent for side in sides} == {True, False}
-    for side in sides:
-        label = side.label
-        assert side.order == ggp._fj_order(label)
-        assert side.unipotent == is_unipotent_label(label)
-        assert side.regular == (
-            symbol_regular_by_convention(label.lam),
-            symbol_regular_by_convention(label.lam_prime),
-        )
+    interned = {}
+    unipotent = set()
+    for left, right, case in variant_families(2, eps):
+        signature = run.signature(left, right, case, True)
+        assert signature[:2] == (case, True)
+        for label, supplied, slots, profile in zip((left, right), run.bits, case.slots, signature[2:4]):
+            sides = run.sides(label, supplied, slots)
+            facts = tuple(
+                (side.kh, side.bits, is_unipotent_label(side.label),
+                 symbol_regular_by_convention(side.label.lam),
+                 symbol_regular_by_convention(side.label.lam_prime),
+                 side.label.group.rank, side.label.rho)
+                for side in sides
+            )
+            assert interned.setdefault(facts, profile) == profile
+            assert all(side.order == ggp._fj_order(side.label) for side in sides)
+            unipotent.update(fact[2] for fact in facts)
+    assert len(set(interned.values())) == len(interned)
+    assert unipotent == {True, False}
 
 
 def test_a_closed_gate_ends_its_family(monkeypatch):
-    """The rank-2 sweep reads the pair-condition gate 6,876 times and asks
-    ``in_G`` 107 times, and a family whose gate reads closed reads the
-    relevance of no later pair: 8,331 relevance reads, where reading every
-    pair made 11,721.  The reads each family should make are counted from a
-    reference run first: every pair up to the first one not definitely
+    """The rank-2 sweep reads each family's pair-condition gate first, and a
+    family whose gate reads closed is counted without being evaluated.  Of
+    the 4,345 families, the 1,861 open ones are evaluated only at a new
+    signature: 332 evaluations and 995 relevance reads, where evaluating
+    every family made 4,345 and 8,331.  Reading every family's gate asks
+    ``in_G`` 115 times: the 107 keys that evaluating every family read (it
+    read no gate of a family whose pairs are all definitely irrelevant),
+    and the keys of those families.  The sweep reads each key once per left
+    label and distinct right symbol: 5,123 gate reads, not 6,876.  A family
+    evaluated on its own still reads the relevance of no pair after a
+    closed gate: 8,331 reads over the 4,345 families, counted from a
+    reference run as every pair up to the first one not definitely
     irrelevant, and all of them when the gate there is open."""
+    in_G_calls = count_calls(monkeypatch, ggp, "in_G")
     reference = _VariantRun(CTX)
-    expected = 0
-    for left, right, case in _variant_families(2, PLUS):
+    alone = 0
+    for left, right, case in variant_families(2, PLUS):
         pairs = reference.pairs(left, right, case, True)
-        first, second = pairs[0][0].label, pairs[0][1].label
         for n, (a, b) in enumerate(pairs, 1):
             if ggp._strong_relevance(*ggp._in_order(a, b, case), case, CTX) is not False:
-                slots = (second.lam, second.lam_prime)
-                gate = all(reference.candidate_gate(first, i, s, case) for i, s in enumerate(slots))
-                expected += len(pairs) if gate else n
+                slots = (right.lam, right.lam_prime)
+                gate = all(reference.candidate_gate(left, i, s, case) for i, s in enumerate(slots))
+                alone += len(pairs) if gate else n
                 break
         else:
-            expected += len(pairs)
-    assert expected == 8331
+            alone += len(pairs)
+    relevant = len(in_G_calls)
+    opened = _open_families(2, CTX)
+    every = len(in_G_calls) - relevant
+    assert (relevant, every, len(opened)) == (107, 115, 1861)
+
+    del in_G_calls[:]
     gates = count_calls(monkeypatch, _VariantRun, "candidate_gate")
-    in_G_calls = count_calls(monkeypatch, ggp, "in_G")
     reads = count_calls(monkeypatch, ggp, "_strong_relevance")
-    assert verify_variant_uniqueness(2, CTX).passed
-    assert (len(gates), len(in_G_calls), len(reads)) == (6876, 107, expected)
+    evaluations = count_calls(monkeypatch, _VariantRun, "evaluate")
+    signatures = []
+    signature = _VariantRun.signature
+
+    def spy(run, *args):
+        signatures.append(signature(run, *args))
+        return signatures[-1]
+
+    monkeypatch.setattr(_VariantRun, "signature", spy)
+    report = verify_variant_uniqueness(2, CTX)
+    assert (report.checked, report.passed) == (4345, True)
+    assert len(signatures) == len(opened)
+    assert len(evaluations) == len(set(signatures)) == 332
+    assert {args[1:4] for args in evaluations} <= set(opened)
+    assert len(in_G_calls) == every
+    pairs = sum(len(reference.pairs(*args[1:])) for args in evaluations)
+    assert (len(reads), pairs, len(gates)) == (995, 995, 5123)
+
+    del reads[:]
+    run = _VariantRun(CTX)
+    for left, right, case in variant_families(2, PLUS):
+        run.family(left, right, case)
+    assert len(reads) == alone == 8331
 
 
 def test_select_entry_kinds_rank_2():
     """Entry kinds over the rank-2 uniqueness sweep at eps_{-1} = + (an invariant)."""
     tally = collections.Counter()
-    for left, right, case in _variant_families(2, PLUS):
+    for left, right, case in variant_families(2, PLUS):
         report = select_nonzero_variant(left, right, case, CTX)
         tally.update(value.kind for _, _, value in report.entries)
     assert tally == {MultKind.ZERO: 6468, MultKind.ONE: 1977, MultKind.UNDETERMINED: 3276}

@@ -20,8 +20,10 @@ from thetasym.core import (
     parse_symbol,
     symbol_rank,
 )
-from thetasym.errors import DefectClassMismatch
+from thetasym.errors import DefectClassMismatch, MultipleNonzero
+from thetasym.ggp import _VariantRun
 from thetasym.oracle import (
+    MAX_VARIANT_FAMILIES,
     VerificationReport,
     brute_first_occurrence,
     default_scan_bound,
@@ -41,7 +43,13 @@ from thetasym.theta import (
     theta_fiber,
 )
 
-from symbol_helpers import count_calls, first_fiber_by_ranks, forbid_layer_builds, forbid_variant_families
+from symbol_helpers import (
+    count_calls,
+    first_fiber_by_ranks,
+    forbid_layer_builds,
+    forbid_variant_families,
+    variant_families,
+)
 
 
 def test_brute_first_occurrence_examples():
@@ -212,8 +220,7 @@ def test_verify_f1_detects_injected_failure(monkeypatch):
 
 def test_failure_text_in_every_verifier(monkeypatch):
     """Failure text is built only for failing checks, and reads as before."""
-    from thetasym import ggp, oracle
-    from thetasym.errors import MultipleNonzero
+    from thetasym import oracle
 
     shift_closed_form_index(monkeypatch)
     report = verify_f1(1)
@@ -235,25 +242,25 @@ def test_failure_text_in_every_verifier(monkeypatch):
         {"input": "count o+ rank 0", "expected": "0", "actual": "1"},
     ]
 
-    real = ggp._VariantRun.family
+    # the four rank-0 Bessel families share one signature: its one count fails all four
+    real = oracle._nonzero_classes
     calls = []
 
-    def second_raises(run, left, right, case):
+    def second_counts_two(results):
         calls.append(1)
-        if len(calls) == 2:
-            raise MultipleNonzero("boom")
-        return real(run, left, right, case)
+        return 2 if len(calls) == 2 else real(results)
 
-    monkeypatch.setattr(ggp._VariantRun, "family", second_raises)
+    monkeypatch.setattr(oracle, "_nonzero_classes", second_counts_two)
     report = verify_variant_uniqueness(0, TowerContext(eps_minus_one=PLUS))
-    assert report.checked == 5
+    assert (report.checked, len(calls)) == (5, 2)
+    even = "o+(0): rho=trivial:0:reg ; L=[|] ; L'=[|]"
+    inputs = [
+        f"o{sign}(1): rho=trivial:0:reg ; L=[0|] ; L'=[0|] ; eps={flag} / {even}"
+        for sign in "+-" for flag in "+-"
+    ]
     assert report.failures == [
-        {
-            "input": "o+(1): rho=trivial:0:reg ; L=[0|] ; L'=[0|] ; eps=+ / "
-            "o+(0): rho=trivial:0:reg ; L=[|] ; L'=[|]",
-            "expected": "<=1 class",
-            "actual": "boom",
-        }
+        {"input": text, "expected": "<=1 class", "actual": f"2 variant classes nonzero for {text}"}
+        for text in inputs
     ]
 
 
@@ -386,16 +393,50 @@ def test_oversized_sweep_refused_before_building(verify, monkeypatch):
 
 @pytest.mark.parametrize("eps", [PLUS, MINUS])
 def test_variant_sweep_refused_by_its_family_count(eps, monkeypatch):
-    """Rank 5 passes the symbol sweep bound but has 3,412,100 families; the
-    labels of rank <= 5 are listed to count them, and no family is evaluated."""
+    """Rank 6 passes the symbol sweep bound but has 21,656,970 families, over
+    the family bound that rank 5 (3,412,100) stays under; the labels of rank
+    <= 6 are listed to count them, and no family's gate or value is read."""
+    assert 3_412_100 <= MAX_VARIANT_FAMILIES < 21_656_970
     built = forbid_variant_families(monkeypatch)
     with pytest.raises(ValueError) as err:
-        verify_variant_uniqueness(5, TowerContext(eps_minus_one=eps))
+        verify_variant_uniqueness(6, TowerContext(eps_minus_one=eps))
     assert str(err.value) == (
-        "the rank <= 5 variant sweep has 3412100 families, "
-        f"over the enumeration bound MAX_LAYER_SYMBOLS = {MAX_LAYER_SYMBOLS}"
+        "the rank <= 6 variant sweep has 21656970 families, "
+        f"over the enumeration bound MAX_VARIANT_FAMILIES = {MAX_VARIANT_FAMILIES}"
     )
-    assert max(group.rank for group in built) == 5
+    assert max(group.rank for group in built) == 6
+
+
+@pytest.mark.parametrize(
+    "ctx, max_rank, failures",
+    [
+        (TowerContext(PLUS), 2, 0),
+        (TowerContext(MINUS), 2, 0),
+        (TowerContext(PLUS, MINUS, None, None, PLUS), 2, 0),
+        (TowerContext(MINUS, MINUS, None, None, PLUS), 2, 6),
+        (TowerContext(PLUS, PLUS, PLUS, PLUS, PLUS), 2, 0),
+        (TowerContext(MINUS, PLUS, PLUS, PLUS, PLUS), 2, 15),
+        (TowerContext(MINUS, PLUS, PLUS, PLUS, PLUS), 3, 47),
+        (TowerContext(MINUS, PLUS, MINUS, MINUS, PLUS), 3, 47),
+    ],
+    ids=["eps+", "eps-", "two-bits+", "two-bits-", "four-bits+", "four-bits-", "rank3-++++", "rank3-+--+"],
+)
+def test_sweep_matches_the_family_by_family_loop(ctx, max_rank, failures):
+    """The sweep's gate-first bulk count and signature memo report what one
+    ``_VariantRun.family`` call per family reports: the same checks, and the
+    same failures in the same order, failing contexts included."""
+    run = _VariantRun(ctx)
+    report = VerificationReport()
+    for left, right, case in variant_families(max_rank, ctx.eps_minus_one):
+        try:
+            run.family(left, right, case)
+        except MultipleNonzero as err:
+            report.record(False, f"{left} / {right}", "<=1 class", err)
+        else:
+            report.checked += 1
+    assert len(report.failures) == failures
+    sweep = verify_variant_uniqueness(max_rank, ctx)
+    assert (sweep.checked, sweep.failures) == (report.checked, report.failures)
 
 
 @pytest.mark.parametrize("bad", [2.5, True])
