@@ -31,7 +31,8 @@ for Fourier-Jacobi; for Bessel only an odd side is read, forcing ``lam_prime``.
 
 Each case's facts live on its :class:`GGPCase` member: its command-line
 name, the group families of a normalized pair, the slots a variant family
-varies and its refusal text.  The gates above read the case by hand.
+varies, the fixed slot each key of the pair-condition gate reads and its
+refusal text.  The gates above read the case by hand.
 
 There is one evaluation path: a run validates a pair, builds each label's
 sides and runs the gates above on each side pair in normalized order.  A
@@ -70,10 +71,10 @@ class GGPCase(Enum):
     """Which restriction problem, by its command-line name, with its facts.
 
     Each case carries the group ``families`` of a normalized pair, the
-    ``slots`` a transpose-variant family varies on each side (0 is ``lam``)
+    ``slots`` a transpose-variant family varies on each side (0 is ``lam``),
+    the ``fixed_slots`` its gate keys read (:meth:`_VariantRun.candidate_gate`)
     and the ``mismatch`` text that refuses a pair of other families.  The
-    oscillator twist of the Fourier-Jacobi case is the square class of -1
-    from the evaluation context.
+    oscillator twist of the Fourier-Jacobi case is the square class of -1.
     """
 
     FOURIER_JACOBI = "fj"
@@ -81,9 +82,9 @@ class GGPCase(Enum):
 
     def __init__(self, value: str):
         sp, odd, even = GroupFamily.SP, GroupFamily.O_ODD, GroupFamily.O_EVEN
-        self.families, self.slots, self.mismatch = {
-            "fj": ((sp, sp), ((1,), (1,)), "Fourier-Jacobi needs two symplectic labels"),
-            "bessel": ((odd, even), ((), (0, 1)), "Bessel needs one odd and one even orthogonal label"),
+        self.families, self.slots, self.fixed_slots, self.mismatch = {
+            "fj": ((sp, sp), ((1,), (1,)), (1, 0), "Fourier-Jacobi needs two symplectic labels"),
+            "bessel": ((odd, even), ((), (0, 1)), (0, 1), "Bessel needs one odd and one even orthogonal label"),
         }[value]
 
 
@@ -308,17 +309,20 @@ class _VariantRun:
     label's sides depend only on the label, its supplied orientation bits
     and the varied slots, and a slot's gate only on its two symbols, so a
     run under one context builds each of them once.  Sides are keyed by
-    label identity, and a side list's profile by list identity; every entry
-    holds its label or list, so no key is reused while the run lives.  A
-    variant sweep (:func:`~thetasym.oracle.verify_variant_uniqueness`)
-    reads a family's gate before anything else and, when it is open,
-    evaluates the family only at a new :meth:`signature`, the key of its
-    per-run memo.  Nothing outlives the run.  Every ``ggp`` answer comes
-    from a run, so a context whose eps(-1) is not +1 or -1, or whose bit is
-    neither of them nor ``None``, is refused here, naming the field.
+    label identity, and a list's gate rows and side profile by list
+    identity; every entry holds its label or list, so no key is reused
+    while the run lives.  A variant sweep
+    (:func:`~thetasym.oracle.verify_variant_uniqueness`) reads
+    :meth:`gate_mask` first and evaluates an open family only at a new
+    :meth:`signature`.  Nothing outlives the run.  Every ``ggp`` answer
+    comes from a run, so a ``ctx`` that is not a ``TowerContext`` is
+    refused here with ``TypeError``, and an eps(-1) other than +1 or -1, or
+    a bit neither of them nor ``None``, with ``ValueError`` naming the field.
     """
 
     def __init__(self, ctx: TowerContext):
+        if not isinstance(ctx, TowerContext):
+            raise TypeError(f"ctx must be a TowerContext, got {ctx!r}")
         _check_sign(ctx.eps_minus_one, "eps_minus_one")
         for name, bit in zip(ctx._fields[1:], ctx[1:]):
             if bit is not None:
@@ -331,6 +335,7 @@ class _VariantRun:
         )
         self._sides: dict[tuple, list[_Side]] = {}
         self._gates: dict[tuple[Symbol, Symbol], bool] = {}
+        self._rows: dict[tuple[int, int], tuple[list[RepLabel], dict[Symbol, int], dict]] = {}
         # the profile of each side list, by list identity, and the profiles interned
         self._profiles: dict[int, int] = {}
         self._interned: dict[tuple, int] = {}
@@ -402,14 +407,39 @@ class _VariantRun:
     def candidate_gate(self, fixed: RepLabel, i: int, s: Symbol, case: GGPCase) -> bool:
         """Whether ``s`` in slot i (0 is ``lam``) of a candidate passes its key against ``fixed``.
 
-        The one wiring of slots to :meth:`slot_gate`: Fourier-Jacobi pairs each
-        ``lam`` with the other, varied ``lam_prime``; Bessel slot i with slot i.
+        The one wiring of slots to :meth:`slot_gate`: key i reads slot ``case.fixed_slots[i]``
+        of ``fixed``, lower slot first, the fixed one at a tie.  So Fourier-Jacobi pairs
+        each ``lam`` with the other, varied ``lam_prime``, and Bessel slot i with slot i.
         """
-        if case is FOURIER_JACOBI:
-            fixed_slot, varied = (s, fixed.lam_prime) if i == 0 else (fixed.lam, s)
-        else:
-            fixed_slot, varied = (fixed.lam_prime if i else fixed.lam), s
-        return self.slot_gate(fixed_slot, varied)
+        j = case.fixed_slots[i]
+        f = (fixed.lam, fixed.lam_prime)[j]
+        return self.slot_gate(*((s, f) if j > i else (f, s)))
+
+    def gate_mask(self, fixed: RepLabel, labels: list[RepLabel], case: GGPCase) -> int:
+        """The families of ``fixed`` against ``labels`` whose pair-condition gate is open.
+
+        Bit j stands for ``labels[j]``.  The mask ANDs one row per key, built once per
+        run for its list, slot and fixed symbol by one :meth:`candidate_gate` per distinct
+        symbol in that slot of the list; the second row is read only if a bit is left.
+        """
+        mask = -1
+        for i, j in enumerate(case.fixed_slots):
+            entry = self._rows.get((id(labels), i))
+            if entry is None:
+                index = {}
+                for n, label in enumerate(labels):
+                    s = (label.lam, label.lam_prime)[i]
+                    index[s] = index.get(s, 0) | 1 << n
+                entry = self._rows[id(labels), i] = labels, index, {}
+            _, index, rows = entry
+            f = (fixed.lam, fixed.lam_prime)[j]
+            row = rows.get((case, f))
+            if row is None:
+                row = rows[case, f] = sum(bits for s, bits in index.items() if self.candidate_gate(fixed, i, s, case))
+            mask &= row
+            if not mask:
+                break
+        return mask
 
     def evaluate(
         self, left: RepLabel, right: RepLabel, case: GGPCase, varied: bool
@@ -459,13 +489,13 @@ class _VariantRun:
             raise _too_many_nonzero(classes, left, right)
         return VariantReport(tuple([(lv.label, rv.label, value) for lv, rv, value in results]))
 
-    def signature(self, left: RepLabel, right: RepLabel, case: GGPCase, gate: bool) -> tuple:
-        """The memo key of a normalized variant family whose pair-condition gate reads ``gate``.
+    def signature(self, left: RepLabel, right: RepLabel, case: GGPCase) -> tuple:
+        """The memo key of a normalized variant family whose pair-condition gate is open.
 
-        What :meth:`evaluate` makes of a family past its gate depends only on
-        this key: the case, the gate, the interned profile of each side list
-        (each side's ``kh``, resolved bits, unipotence, slot regularity, rank
-        and descriptor) and, at equal Fourier-Jacobi ranks, which side pairs
+        What :meth:`evaluate` makes of such a family depends only on this
+        key: the case, the interned profile of each side list (each side's
+        ``kh``, resolved bits, unipotence, slot regularity, rank and
+        descriptor) and, at equal Fourier-Jacobi ranks, which side pairs
         :func:`_in_order` swaps (at unequal ranks the ranks decide it).
         """
         lsides = self.sides(left, self.bits[0], case.slots[0])
@@ -473,7 +503,7 @@ class _VariantRun:
         swaps = None
         if case is FOURIER_JACOBI and left.group.rank == right.group.rank:
             swaps = tuple([a.order > b.order for a in lsides for b in rsides])
-        return case, gate, self._profile(lsides), self._profile(rsides), swaps
+        return case, self._profile(lsides), self._profile(rsides), swaps
 
     def _profile(self, sides: list[_Side]) -> int:
         """The interned profile of a side list, read once per list; see :meth:`signature`."""

@@ -20,7 +20,6 @@ from .catalog import (
     MINUS,
     PLUS,
     GroupFamily,
-    RepLabel,
     Sign,
     cuspidal_symbol,
     enumerate_labels,
@@ -249,7 +248,7 @@ def _variant_families(max_rank: int, eps_minus_one: Sign) -> list[tuple[list, li
     label.  The trivial-descriptor label lists are built once each, rank by
     rank, while the families they give are counted, and a block holds the
     lists themselves, so one list is the right list of many blocks: the
-    sweep reads a block's gates left label by left label, counts its
+    sweep reads a block's gates as one mask per left label, counts its
     closed-gate families in bulk and evaluates an open family only at a new
     signature (:func:`verify_variant_uniqueness`).  A count over
     ``MAX_VARIANT_FAMILIES`` raises ``ValueError`` at its first rank; below
@@ -273,21 +272,6 @@ def _variant_families(max_rank: int, eps_minus_one: Sign) -> list[tuple[list, li
     ]
 
 
-def _gate_slots(rights: list[RepLabel]) -> tuple[list, list[Symbol]]:
-    """A right list indexed by the symbols the pair-condition gate reads.
-
-    The gate reads a key of each slot of the right label.  The index holds
-    each distinct ``lam`` with the (position, ``lam_prime`` number) of every
-    label that has it, and the distinct ``lam_prime`` symbols, numbered.
-    """
-    seconds: dict[Symbol, int] = {}
-    firsts: dict[Symbol, list[tuple[int, int]]] = {}
-    for j, right in enumerate(rights):
-        k = seconds.setdefault(right.lam_prime, len(seconds))
-        firsts.setdefault(right.lam, []).append((j, k))
-    return list(firsts.items()), list(seconds)
-
-
 def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationReport:
     """At most one transpose variant per family receives nonzero multiplicity.
 
@@ -298,16 +282,15 @@ def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationR
     :class:`~thetasym.errors.MultipleNonzero` that
     :func:`~thetasym.ggp.select_nonzero_variant` raises for it.
 
-    The sweep walks the blocks of :func:`_variant_families` and reads the
-    pair-condition gate first.  Each right list is indexed once per run by
-    its gate-slot symbols (:func:`_gate_slots`), and each gate key once per
-    left label and distinct symbol (a ``lam_prime`` key only behind an open
-    ``lam`` key).  A family whose gate is closed is all Zero, so it is
-    counted as a passed check in bulk and never evaluated.  An open family
-    takes its number of nonzero variant classes from a per-run memo keyed
-    by :meth:`~thetasym.ggp._VariantRun.signature` (the case, the gate, an
-    interned profile of each side list and, at equal Fourier-Jacobi ranks,
-    the normalized order's swap pattern), filled by
+    The sweep walks the blocks of :func:`_variant_families`, and for each
+    left label one :meth:`~thetasym.ggp._VariantRun.gate_mask` marks the
+    block's families whose pair-condition gate is open.  A closed family is
+    all Zero, so it is counted as a passed check in bulk and never
+    evaluated.  The open ones, in list order, take their number of nonzero
+    variant classes from a per-run memo keyed by
+    :meth:`~thetasym.ggp._VariantRun.signature` (the case, an interned
+    profile of each side list and, at equal Fourier-Jacobi ranks, the
+    normalized order's swap pattern), filled by
     :meth:`~thetasym.ggp._VariantRun.evaluate`.  Checks and failures come
     in family order.  Oversized sweeps are refused as in :func:`verify_f1`,
     and then a sweep of more than ``MAX_VARIANT_FAMILIES`` families (rank 6
@@ -317,29 +300,15 @@ def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationR
     report = VerificationReport()
     start = time.monotonic()
     run = _VariantRun(ctx)
-    gate_slots: dict[int, tuple[list, list[Symbol]]] = {}  # by right list identity
     classes: dict[tuple, int] = {}  # nonzero variant classes by family signature
     for lefts, rights, case in _variant_families(max_rank, ctx.eps_minus_one):
-        index = gate_slots.get(id(rights))
-        if index is None:
-            index = gate_slots[id(rights)] = _gate_slots(rights)
-        firsts, seconds = index
         for left in lefts:
-            second_gates: list[bool | None] = [None] * len(seconds)
-            opened = []
-            for lam, members in firsts:
-                if run.candidate_gate(left, 0, lam, case):
-                    for j, k in members:
-                        gate = second_gates[k]
-                        if gate is None:
-                            gate = second_gates[k] = run.candidate_gate(left, 1, seconds[k], case)
-                        if gate:
-                            opened.append(j)
-            report.checked += len(rights) - len(opened)
-            opened.sort()
-            for j in opened:
-                right = rights[j]
-                key = run.signature(left, right, case, True)
+            mask = run.gate_mask(left, rights, case)
+            report.checked += len(rights) - mask.bit_count()
+            while mask:
+                right = rights[(mask & -mask).bit_length() - 1]
+                mask &= mask - 1
+                key = run.signature(left, right, case)
                 count = classes.get(key)
                 if count is None:
                     count = classes[key] = _nonzero_classes(run.evaluate(left, right, case, True))

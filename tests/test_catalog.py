@@ -513,7 +513,12 @@ def test_each_rule_is_written_once():
     by label validation and the one label walk, ``enumerate_labels``, and
     the pair condition ``in_G`` only by ``_VariantRun.slot_gate``, which
     only ``_VariantRun.candidate_gate``, the one wiring of label slots to
-    its keys, calls.  ``ggp`` reads group families only in ``GGPCase``, and
+    its keys, calls.  Which slot of the fixed label each key reads has one
+    spelling, ``GGPCase.fixed_slots``, read only by ``candidate_gate`` and
+    by ``_VariantRun.gate_mask``, the one walk of a label list's gate rows,
+    and no other code picks a slot of the fixed label; ``oracle`` names
+    neither gate method, and its gate-slot index ``_gate_slots`` is gone.
+    ``ggp`` reads group families only in ``GGPCase``, and
     builds a ``CaseMismatch`` only where a pair is validated and where a
     branch table picks its case; ``cli`` names no case itself and reads
     the square class of -1, by ``--eps-minus-one`` or by ``--q``, only in
@@ -566,6 +571,21 @@ def test_each_rule_is_written_once():
         counts = {file: len(called.findall(text)) for file, text in sources.items()}
         assert {file: n for file, n in counts.items() if n} == {module: len(homes)}
         assert all(called.search(inspect.getsource(home)) for home in homes)
+    # one fixed-slot table, read where a key is wired and where its row is keyed,
+    # the only two places that pick a slot of the fixed label
+    readers = {"ggp.py:_VariantRun.candidate_gate", "ggp.py:_VariantRun.gate_mask"}
+    for hit, homes in (
+        (lambda node: node.attr == "fixed_slots", {"ggp.py:GGPCase.__init__", *readers}),
+        (lambda node: node.attr in ("lam", "lam_prime") and getattr(node.value, "id", "") == "fixed", readers),
+    ):
+        found = {
+            f"{name}:{home}"
+            for name, text in sources.items()
+            for home in _homes(text, lambda node: isinstance(node, ast.Attribute) and hit(node))
+        }
+        assert found == homes
+    assert not re.search(r"\b(candidate_gate|slot_gate)\b", sources["oracle.py"])
+    assert not any("_gate_slots" in text for text in sources.values())
     # each case carries its own facts, and the CLI resolves its context once
     assert sources["ggp.py"].count("GroupFamily.") == inspect.getsource(ggp.GGPCase).count("GroupFamily.") > 0
     built = re.compile(r"(?<!class )\bCaseMismatch\(")
@@ -616,6 +636,13 @@ def test_each_rule_is_written_once():
 def _calls(callee: str, text: str) -> list[str]:
     """The top-level function, method (``Class.name``) or assigned name that
     holds each call of ``callee`` in a module's source, once per call."""
+    return _homes(
+        text, lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) == callee
+    )
+
+
+def _homes(text: str, hit) -> list[str]:
+    """The home, as :func:`_calls` names it, of each node of a module's source that ``hit`` accepts."""
     homes = []
     for node in ast.parse(text).body:
         inner = node.body if isinstance(node, ast.ClassDef) else [node]
@@ -626,11 +653,7 @@ def _calls(callee: str, text: str) -> list[str]:
                 home = getattr(stmt, "name", "")
             if stmt is not node:
                 home = f"{node.name}.{home}"
-            homes += (
-                home
-                for call in ast.walk(stmt)
-                if isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", "")) == callee
-            )
+            homes += (home for sub in ast.walk(stmt) if hit(sub))
     return homes
 
 
