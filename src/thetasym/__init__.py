@@ -13,6 +13,9 @@ The package is organized in layers:
   selection and restriction decompositions;
 * :mod:`thetasym.oracle` - brute-force verifiers that gate the closed
   forms;
+* :mod:`thetasym.degrees` - character degrees of unipotent symbols and
+  trivial-descriptor labels, an oracle that imports no ``ggp`` or
+  ``oracle`` code;
 * :mod:`thetasym.cli` - table generation and verification from the shell.
 
 All values are immutable and all operations pure functions.

@@ -309,15 +309,17 @@ class _VariantRun:
     label's sides depend only on the label, its supplied orientation bits
     and the varied slots, and a slot's gate only on its two symbols, so a
     run under one context builds each of them once.  Sides are keyed by
-    label identity, and a list's gate rows and side profile by list
+    label identity, and a list's gate rows and profile rows by list
     identity; every entry holds its label or list, so no key is reused
     while the run lives.  A variant sweep
     (:func:`~thetasym.oracle.verify_variant_uniqueness`) reads
-    :meth:`gate_mask` first and evaluates an open family only at a new
-    :meth:`signature`.  Nothing outlives the run.  Every ``ggp`` answer
-    comes from a run, so a ``ctx`` that is not a ``TowerContext`` is
-    refused here with ``TypeError``, and an eps(-1) other than +1 or -1, or
-    a bit neither of them nor ``None``, with ``ValueError`` naming the field.
+    :meth:`gate_mask` first, splits the open families by :meth:`groups`
+    over the right list's :meth:`profile_row`, and evaluates one family of
+    a group only at a new memo key.  Nothing outlives the run.  Every
+    ``ggp`` answer comes from a run, so a ``ctx`` that is not a
+    ``TowerContext`` is refused here with ``TypeError``, and an eps(-1)
+    other than +1 or -1, or a bit neither of them nor ``None``, with
+    ``ValueError`` naming the field.
     """
 
     def __init__(self, ctx: TowerContext):
@@ -336,8 +338,8 @@ class _VariantRun:
         self._sides: dict[tuple, list[_Side]] = {}
         self._gates: dict[tuple[Symbol, Symbol], bool] = {}
         self._rows: dict[tuple[int, int], tuple[list[RepLabel], dict[Symbol, int], dict]] = {}
-        # the profile of each side list, by list identity, and the profiles interned
-        self._profiles: dict[int, int] = {}
+        # each list's profile row, by list identity, position and case, and the profiles interned
+        self._profile_rows: dict[tuple, tuple] = {}
         self._interned: dict[tuple, int] = {}
 
     def sides(self, label: RepLabel, supplied: Bits, slots: tuple[int, ...]) -> list[_Side]:
@@ -489,35 +491,69 @@ class _VariantRun:
             raise _too_many_nonzero(classes, left, right)
         return VariantReport(tuple([(lv.label, rv.label, value) for lv, rv, value in results]))
 
-    def signature(self, left: RepLabel, right: RepLabel, case: GGPCase) -> tuple:
-        """The memo key of a normalized variant family whose pair-condition gate is open.
+    def profile_row(self, labels: list[RepLabel], position: int, case: GGPCase) -> tuple:
+        """The profile row of ``labels`` in argument ``position`` (0 is left) of ``case``.
 
-        What :meth:`evaluate` makes of such a family depends only on this
-        key: the case, the interned profile of each side list (each side's
-        ``kh``, resolved bits, unipotence, slot regularity, rank and
-        descriptor) and, at equal Fourier-Jacobi ranks, which side pairs
-        :func:`_in_order` swaps (at unequal ranks the ranks decide it).
+        ``labels`` lists the labels of one group, as each list of a variant
+        sweep does.  The row is ``(labels, rank, sides, profiles, masks)``: the
+        group rank, each label's :meth:`sides` in that position, each side
+        list's interned profile and, for each profile, the bit mask of the
+        positions that have it (bit j stands for ``labels[j]``).  A profile
+        holds what :meth:`evaluate` reads of each side of an open family but
+        the group rank: its ``kh``, resolved bits, unipotence, slot
+        regularity and descriptor.  Built once per run for its list,
+        position and case, and held with its list.
         """
-        lsides = self.sides(left, self.bits[0], case.slots[0])
-        rsides = self.sides(right, self.bits[1], case.slots[1])
-        swaps = None
-        if case is FOURIER_JACOBI and left.group.rank == right.group.rank:
-            swaps = tuple([a.order > b.order for a in lsides for b in rsides])
-        return case, self._profile(lsides), self._profile(rsides), swaps
+        key = (id(labels), position, case)
+        row = self._profile_rows.get(key)
+        if row is None:
+            supplied, slots, interned = self.bits[position], case.slots[position], self._interned
+            sides = [self.sides(label, supplied, slots) for label in labels]
+            profiles, masks = [], {}
+            for j, variants in enumerate(sides):
+                facts = []
+                for side in variants:
+                    v = side.label
+                    regular = symbol_regular_by_convention(v.lam), symbol_regular_by_convention(v.lam_prime)
+                    facts.append((side.kh, side.bits, is_unipotent_label(v), regular, v.rho))
+                profile = interned.setdefault(tuple(facts), len(interned))
+                profiles.append(profile)
+                masks[profile] = masks.get(profile, 0) | 1 << j
+            rank = labels[0].group.rank if labels else 0
+            row = self._profile_rows[key] = labels, rank, sides, profiles, masks
+        return row
 
-    def _profile(self, sides: list[_Side]) -> int:
-        """The interned profile of a side list, read once per list; see :meth:`signature`."""
-        key = id(sides)
-        profile = self._profiles.get(key)
-        if profile is None:
-            facts = []
-            for side in sides:
-                v = side.label
-                regular = symbol_regular_by_convention(v.lam), symbol_regular_by_convention(v.lam_prime)
-                facts.append((side.kh, side.bits, is_unipotent_label(v), regular, v.group.rank, v.rho))
-            interned = self._interned
-            profile = self._profiles[key] = interned.setdefault(tuple(facts), len(interned))
-        return profile
+    def groups(
+        self, case: GGPCase, left_row: tuple, i: int, right_row: tuple, mask: int
+    ) -> list[tuple[tuple, int]]:
+        """The families in ``mask`` of left label i against the right row, grouped by memo key.
+
+        Each ``(key, group)`` masks families of ``left_row``'s label i
+        against ``right_row``'s labels, and what :meth:`evaluate` makes of
+        each family in it whose pair-condition gate is open depends only on
+        ``key``.  This is the one builder of that key: the case, the two
+        :meth:`profile_row` profiles and, at unequal ranks, the sign of
+        rank(left) - rank(right), which is all that the order of
+        :func:`_in_order` and the rank comparisons of
+        :func:`_unipotent_slot_gates` read of the ranks.  So the families of
+        one right profile form one group.  At equal Fourier-Jacobi ranks the
+        left list is the right list and which side pairs :func:`_in_order`
+        swaps belongs to the pair, so that pattern takes the sign's place and
+        each family is a group of one.  Groups come in no particular order.
+        """
+        _, lrank, lsides, lprofiles, _ = left_row
+        _, rrank, rsides, rprofiles, rmasks = right_row
+        if case is FOURIER_JACOBI and lrank == rrank:
+            groups = []
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                j = low.bit_length() - 1
+                groups.append((rprofiles[j], low, tuple([a.order > b.order for a in lsides[i] for b in rsides[j]])))
+        else:
+            sign = (lrank > rrank) - (lrank < rrank)
+            groups = [(profile, mask & positions, sign) for profile, positions in rmasks.items()]
+        return [((case, lprofiles[i], profile, order), group) for profile, group, order in groups if group]
 
 
 def _nonzero_classes(results: list[tuple[_Side, _Side, Multiplicity]]) -> int:

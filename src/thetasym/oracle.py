@@ -233,10 +233,10 @@ def verify_counts(max_rank: int) -> VerificationReport:
 
 
 #: Families a variant sweep may check.  Families are streamed block by
-#: block, never stored, so this bound guards time, not memory: rank 5
-#: (3,412,100 families) runs, and rank 6 (21,656,970) is refused before any
-#: family is read.  Read at each check; no command-line option sets it.
-MAX_VARIANT_FAMILIES = 5_000_000
+#: block, never stored, so this bound guards time, not memory: rank 6
+#: (21,656,970 families) runs, and rank 7 (121,512,138) is refused before
+#: any family is read.  Read at each check; no command-line option sets it.
+MAX_VARIANT_FAMILIES = 25_000_000
 
 
 def _variant_families(max_rank: int, eps_minus_one: Sign) -> list[tuple[list, list, GGPCase]]:
@@ -247,10 +247,11 @@ def _variant_families(max_rank: int, eps_minus_one: Sign) -> list[tuple[list, li
     sp(m) label, m <= n, and Bessel every odd with every even orthogonal
     label.  The trivial-descriptor label lists are built once each, rank by
     rank, while the families they give are counted, and a block holds the
-    lists themselves, so one list is the right list of many blocks: the
-    sweep reads a block's gates as one mask per left label, counts its
-    closed-gate families in bulk and evaluates an open family only at a new
-    signature (:func:`verify_variant_uniqueness`).  A count over
+    lists themselves, so one list is the right list of many blocks, and
+    each list holds the labels of one group: the sweep reads a block's
+    gates as one mask per left label, counts its closed-gate families in
+    bulk and its open ones in groups of one memo key, read off each list's
+    profile row (:func:`verify_variant_uniqueness`).  A count over
     ``MAX_VARIANT_FAMILIES`` raises ``ValueError`` at its first rank; below
     ``max_rank`` the message then says "more than".
     """
@@ -286,36 +287,43 @@ def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationR
     left label one :meth:`~thetasym.ggp._VariantRun.gate_mask` marks the
     block's families whose pair-condition gate is open.  A closed family is
     all Zero, so it is counted as a passed check in bulk and never
-    evaluated.  The open ones, in list order, take their number of nonzero
-    variant classes from a per-run memo keyed by
-    :meth:`~thetasym.ggp._VariantRun.signature` (the case, an interned
-    profile of each side list and, at equal Fourier-Jacobi ranks, the
-    normalized order's swap pattern), filled by
-    :meth:`~thetasym.ggp._VariantRun.evaluate`.  Checks and failures come
-    in family order.  Oversized sweeps are refused as in :func:`verify_f1`,
-    and then a sweep of more than ``MAX_VARIANT_FAMILIES`` families (rank 6
-    and up) as in :func:`_variant_families`.
+    evaluated.  :meth:`~thetasym.ggp._VariantRun.groups` splits the open
+    ones by memo key (the case, the interned profile of each side list from
+    the lists' :meth:`~thetasym.ggp._VariantRun.profile_row`, and the sign
+    of rank(left) - rank(right) or, at equal Fourier-Jacobi ranks, the
+    normalized order's swap pattern), one group per right profile.  Each
+    group reads a per-run memo of the number of nonzero variant classes
+    once; a new key is filled by :meth:`~thetasym.ggp._VariantRun.evaluate`
+    on the group's first family.  A group then counts its families as
+    passed checks in bulk, or fails them all; a left label's failing
+    families are recorded after its groups, in list order, so checks and
+    failures come in family order.  Oversized sweeps are refused as in
+    :func:`verify_f1`, and then a sweep of more than
+    ``MAX_VARIANT_FAMILIES`` families (rank 7 and up) as in
+    :func:`_variant_families`.
     """
     _check_sweep(max_rank)
     report = VerificationReport()
     start = time.monotonic()
     run = _VariantRun(ctx)
-    classes: dict[tuple, int] = {}  # nonzero variant classes by family signature
+    classes: dict[tuple, int] = {}  # nonzero variant classes by memo key
     for lefts, rights, case in _variant_families(max_rank, ctx.eps_minus_one):
-        for left in lefts:
+        left_row, right_row = run.profile_row(lefts, 0, case), run.profile_row(rights, 1, case)
+        for i, left in enumerate(lefts):
             mask = run.gate_mask(left, rights, case)
-            report.checked += len(rights) - mask.bit_count()
-            while mask:
-                right = rights[(mask & -mask).bit_length() - 1]
-                mask &= mask - 1
-                key = run.signature(left, right, case)
+            failed = {}  # the count of each failing family, by right position
+            for key, group in run.groups(case, left_row, i, right_row, mask):
                 count = classes.get(key)
                 if count is None:
+                    right = rights[(group & -group).bit_length() - 1]
                     count = classes[key] = _nonzero_classes(run.evaluate(left, right, case, True))
                 if count > 1:
-                    error = _too_many_nonzero(count, left, right)
-                    report.record(False, f"{left} / {right}", "<=1 class", error)
-                else:
-                    report.checked += 1
+                    for j in range(group.bit_length()):
+                        if group >> j & 1:
+                            failed[j] = count
+            report.checked += len(rights) - len(failed)
+            for j in sorted(failed):
+                error = _too_many_nonzero(failed[j], left, rights[j])
+                report.record(False, f"{left} / {rights[j]}", "<=1 class", error)
     report.elapsed = time.monotonic() - start
     return report

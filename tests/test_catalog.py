@@ -518,6 +518,10 @@ def test_each_rule_is_written_once():
     by ``_VariantRun.gate_mask``, the one walk of a label list's gate rows,
     and no other code picks a slot of the fixed label; ``oracle`` names
     neither gate method, and its gate-slot index ``_gate_slots`` is gone.
+    The variant sweep's memo key is built in one place,
+    ``_VariantRun.groups``, the only reader of a profile row's interned
+    profiles; ``oracle`` keys its memo only by the keys ``groups`` gives and
+    builds none itself, and the per-family ``signature`` is gone.
     ``ggp`` reads group families only in ``GGPCase``, and
     builds a ``CaseMismatch`` only where a pair is validated and where a
     branch table picks its case; ``cli`` names no case itself and reads
@@ -586,6 +590,25 @@ def test_each_rule_is_written_once():
         assert found == homes
     assert not re.search(r"\b(candidate_gate|slot_gate)\b", sources["oracle.py"])
     assert not any("_gate_slots" in text for text in sources.values())
+    # one memo key: only _VariantRun.groups reads the interned profiles of a
+    # profile row, and the sweep keys its memo only by the keys groups gives
+    found = {
+        f"{name}:{home}"
+        for name, text in sources.items()
+        for home in _homes(text, lambda node: isinstance(node, ast.Name) and node.id.endswith("profiles"))
+    }
+    assert found == {"ggp.py:_VariantRun.profile_row", "ggp.py:_VariantRun.groups"}
+    sweep = ast.parse(inspect.getsource(oracle.verify_variant_uniqueness))
+    memo = [
+        node.slice if isinstance(node, ast.Subscript) else node.args[0]
+        for node in ast.walk(sweep)
+        if (isinstance(node, ast.Subscript) and getattr(node.value, "id", "") == "classes")
+        or (isinstance(node, ast.Call) and ast.unparse(node.func) == "classes.get")
+    ]
+    assert len(memo) == 2 and all(getattr(key, "id", "") == "key" for key in memo)
+    bound = [node for node in ast.walk(sweep) if isinstance(node, ast.For) and "key" in ast.unparse(node.target)]
+    assert [ast.unparse(node.iter).split("(")[0] for node in bound] == ["run.groups"]
+    assert not any(re.search(r"\b(signature|_profile)\(", text) for text in sources.values())
     # each case carries its own facts, and the CLI resolves its context once
     assert sources["ggp.py"].count("GroupFamily.") == inspect.getsource(ggp.GGPCase).count("GroupFamily.") > 0
     built = re.compile(r"(?<!class )\bCaseMismatch\(")

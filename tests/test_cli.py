@@ -374,15 +374,15 @@ def test_oversized_sweep_refused_before_work(suite, monkeypatch, capsys):
 
 
 def test_oversized_variant_sweep_refused_before_work(monkeypatch, capsys):
-    """Ranks 6-22 pass the symbol sweep bound; counting their families stops at rank 6."""
+    """Ranks 7-22 pass the symbol sweep bound; counting their families stops at rank 7."""
     built = forbid_variant_families(monkeypatch)
     code, out = run_cli(["verify", "--suite", "variants", "--max-rank", "22"])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == (
-        "error: the rank <= 22 variant sweep has more than 21656970 families, "
+        "error: the rank <= 22 variant sweep has more than 121512138 families, "
         f"over the enumeration bound MAX_VARIANT_FAMILIES = {MAX_VARIANT_FAMILIES}\n"
     )
-    assert max(group.rank for group in built) == 6
+    assert max(group.rank for group in built) == 7
 
 
 @pytest.mark.parametrize(

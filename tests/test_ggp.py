@@ -47,7 +47,7 @@ from thetasym.ggp import (
     is_strongly_relevant,
     select_nonzero_variant,
 )
-from thetasym.oracle import verify_variant_uniqueness
+from thetasym.oracle import _variant_families, verify_variant_uniqueness
 from thetasym.theta import TowerContext, in_G
 
 from symbol_helpers import (
@@ -671,51 +671,106 @@ def test_one_sided_is_the_band_then_the_bit_match():
             assert ggp._one_sided(dist, other, mine, theirs) is ggp._one_sided(dist, other, mine, theirs, PLUS)
 
 
+def _families_by_key(run: _VariantRun, max_rank: int):
+    """Each open family of a sweep on ``run``, with the memo key and group that
+    :meth:`_VariantRun.groups` gives it: ``(left, right, case, key, group)``,
+    where ``key`` is asked for the family alone and ``group`` is the bit
+    mask, among the left label's open families, of the group it falls in."""
+    out = []
+    for lefts, rights, case in _variant_families(max_rank, run.ctx.eps_minus_one):
+        left_row, right_row = run.profile_row(lefts, 0, case), run.profile_row(rights, 1, case)
+        for i, left in enumerate(lefts):
+            mask = run.gate_mask(left, rights, case)
+            groups = list(run.groups(case, left_row, i, right_row, mask))
+            # the groups split the open families, and no family is in two of them
+            assert sum(group for _, group in groups) == mask
+            for key, group in groups:
+                for j, right in enumerate(rights):
+                    if group >> j & 1:
+                        [(alone, bit)] = run.groups(case, left_row, i, right_row, 1 << j)
+                        assert (alone, bit) == (key, 1 << j)
+                        out.append((left, right, case, key, group))
+    return out
+
+
 @pytest.mark.parametrize("eps", [PLUS, MINUS], ids=["eps+", "eps-"])
 @pytest.mark.parametrize("bits", [(None,) * 4, (PLUS, MINUS, MINUS, PLUS)], ids=["none", "+--+"])
-def test_signature_profiles_each_side_list(eps, bits):
+def test_profile_rows_profile_each_side_list(eps, bits):
     """A side stores only what every side pair reads: its label, (k, h),
-    resolved bits and Fourier-Jacobi order key.  The signature takes no
-    gate, since only open families are memoized.  Over every rank <= 2
-    family, two side lists get one interned profile in the signature
-    exactly when they agree, side by side, on the (k, h), bits, unipotence,
-    slot regularity, rank and descriptor that the label functions give."""
+    resolved bits and Fourier-Jacobi order key.  Over every list of the
+    rank <= 2 sweep, in each position and case, a profile row holds the
+    list's group rank and each label's side list, and two side lists get
+    one interned profile exactly when they agree, side by side, on the
+    (k, h), bits, unipotence, slot regularity and descriptor that the label
+    functions give; the rank is not in the profile.  The row's masks are
+    the positions of each profile, and a memo key holds the case and the
+    two profiles of its family."""
     assert _Side._fields == ("label", "kh", "bits", "order")
-    assert list(inspect.signature(_VariantRun.signature).parameters) == ["self", "left", "right", "case"]
+    params = ["self", "case", "left_row", "i", "right_row", "mask"]
+    assert list(inspect.signature(_VariantRun.groups).parameters) == params
     run = _VariantRun(TowerContext(eps, *bits))
     interned = {}
     unipotent = set()
-    for left, right, case in variant_families(2, eps):
-        signature = run.signature(left, right, case)
-        assert len(signature) == 4 and signature[0] is case
-        for label, supplied, slots, profile in zip((left, right), run.bits, case.slots, signature[1:3]):
-            sides = run.sides(label, supplied, slots)
-            facts = tuple(
-                (side.kh, side.bits, is_unipotent_label(side.label),
-                 symbol_regular_by_convention(side.label.lam),
-                 symbol_regular_by_convention(side.label.lam_prime),
-                 side.label.group.rank, side.label.rho)
-                for side in sides
-            )
-            assert interned.setdefault(facts, profile) == profile
-            assert all(side.order == ggp._fj_order(side.label) for side in sides)
-            unipotent.update(fact[2] for fact in facts)
+    for lefts, rights, case in _variant_families(2, eps):
+        for position, labels in enumerate((lefts, rights)):
+            row = run.profile_row(labels, position, case)
+            assert run.profile_row(labels, position, case) is row
+            held, rank, sides, profiles, masks = row
+            assert held is labels and {label.group.rank for label in labels} <= {rank}
+            assert masks == {p: sum(1 << j for j, q in enumerate(profiles) if q == p) for p in profiles}
+            for label, variants, profile in zip(labels, sides, profiles):
+                assert variants is run.sides(label, run.bits[position], case.slots[position])
+                facts = tuple(
+                    (side.kh, side.bits, is_unipotent_label(side.label),
+                     symbol_regular_by_convention(side.label.lam),
+                     symbol_regular_by_convention(side.label.lam_prime),
+                     side.label.rho)
+                    for side in variants
+                )
+                assert interned.setdefault(facts, profile) == profile
+                assert all(side.order == ggp._fj_order(side.label) for side in variants)
+                unipotent.update(fact[2] for fact in facts)
     assert len(set(interned.values())) == len(interned)
     assert unipotent == {True, False}
+    for left, right, case, key, _ in _families_by_key(run, 2):
+        assert len(key) == 4 and key[0] is case and {key[1], key[2]} <= set(interned.values())
+
+
+@pytest.mark.parametrize("eps", [PLUS, MINUS], ids=["eps+", "eps-"])
+@pytest.mark.parametrize("bits", [(None,) * 4, (PLUS,) * 4, (PLUS, MINUS, MINUS, PLUS)], ids=["none", "++++", "+--+"])
+def test_families_that_share_a_memo_key_evaluate_alike(eps, bits):
+    """The sweep evaluates one family per memo key, so every family of a
+    key must evaluate as that one does.  Over every open family of rank
+    <= 2, asked for alone and within its group, families of one key give
+    the same sequence of side (k, h) pairs and value kinds, and a group
+    holds families of one right profile, or one family at equal
+    Fourier-Jacobi ranks.  A key without the sign of rank(left) -
+    rank(right) fails here, though it leaves every sweep report unchanged."""
+    run = _VariantRun(TowerContext(eps, *bits))
+    seen = {}
+    families = _families_by_key(run, 2)
+    for left, right, case, key, group in families:
+        evaluated = [(lv.kh, rv.kh, value.kind) for lv, rv, value in run.evaluate(left, right, case, True)]
+        assert seen.setdefault(key, evaluated) == evaluated, (left, right)
+        if case is FOURIER_JACOBI and left.group.rank == right.group.rank:
+            assert group.bit_count() == 1
+    assert len(seen) < len(families)
 
 
 def test_a_closed_gate_ends_its_family(monkeypatch):
     """The rank-2 sweep reads each family's pair-condition gate first, and a
     family whose gate reads closed is counted without being evaluated.  Of
-    the 4,345 families, the 1,861 open ones are evaluated only at a new
-    signature: 332 evaluations and 995 relevance reads, where evaluating
-    every family made 4,345 and 8,331.  Reading every family's gate asks
-    ``in_G`` 115 times: the 107 keys that evaluating every family read (it
-    read no gate of a family whose pairs are all definitely irrelevant),
-    and the keys of those families.  The sweep reads each key once per
-    right list, slot, fixed symbol and distinct symbol in that slot of the
-    list: 1,494 gate reads, where one read per left label and distinct right
-    symbol made 5,123 and one per family 6,876.  A family
+    the 4,345 families, the 1,861 open ones are split into groups by memo
+    key, and a group is evaluated only at a new key: 271 evaluations and
+    849 relevance reads, where evaluating every family made 4,345 and
+    8,331.  Reading every family's gate asks ``in_G`` 115 times: the 107
+    keys that evaluating every family read (it read no gate of a family
+    whose pairs are all definitely irrelevant), and the keys of those
+    families.  The sweep reads each gate key once per right list, slot,
+    fixed symbol and distinct symbol in that slot of the list, and each
+    evaluation reads the family's gate once more if some pair is not
+    definitely irrelevant: 1,372 gate reads, where one read per left label
+    and distinct right symbol made 5,123 and one per family 6,876.  A family
     evaluated on its own still reads the relevance of no pair after a
     closed gate: 8,331 reads over the 4,345 families, counted from a
     reference run as every pair up to the first one not definitely
@@ -742,22 +797,23 @@ def test_a_closed_gate_ends_its_family(monkeypatch):
     gates = count_calls(monkeypatch, _VariantRun, "candidate_gate")
     reads = count_calls(monkeypatch, ggp, "_strong_relevance")
     evaluations = count_calls(monkeypatch, _VariantRun, "evaluate")
-    signatures = []
-    signature = _VariantRun.signature
+    keys = []
+    groups = _VariantRun.groups
 
     def spy(run, *args):
-        signatures.append(signature(run, *args))
-        return signatures[-1]
+        found = groups(run, *args)
+        keys.extend(found)
+        return found
 
-    monkeypatch.setattr(_VariantRun, "signature", spy)
+    monkeypatch.setattr(_VariantRun, "groups", spy)
     report = verify_variant_uniqueness(2, CTX)
     assert (report.checked, report.passed) == (4345, True)
-    assert len(signatures) == len(opened)
-    assert len(evaluations) == len(set(signatures)) == 332
+    assert sum(group.bit_count() for _, group in keys) == len(opened)
+    assert len(evaluations) == len({key for key, _ in keys}) == 271
     assert {args[1:4] for args in evaluations} <= set(opened)
     assert len(in_G_calls) == every
     pairs = sum(len(reference.pairs(*args[1:])) for args in evaluations)
-    assert (len(reads), pairs, len(gates)) == (995, 995, 1494)
+    assert (len(reads), pairs, len(gates)) == (849, 849, 1372)
 
     del reads[:]
     run = _VariantRun(CTX)

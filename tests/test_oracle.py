@@ -264,6 +264,29 @@ def test_failure_text_in_every_verifier(monkeypatch):
     ]
 
 
+def test_failing_groups_are_recorded_in_family_order(monkeypatch):
+    """A group of one memo key fails all of its families at once, yet the
+    failures come in family order.  With every key made to fail, the rank-2
+    sweep fails exactly the open families, left label by left label and in
+    list order within one, though the groups of some left label interleave
+    in the right list."""
+    monkeypatch.setattr(oracle, "_nonzero_classes", lambda results: 2)
+    ctx = TowerContext(eps_minus_one=PLUS)
+    report = verify_variant_uniqueness(2, ctx)
+    run = _VariantRun(ctx)
+    opened, interleaved = [], False
+    for lefts, rights, case in oracle._variant_families(2, PLUS):
+        left_row, right_row = run.profile_row(lefts, 0, case), run.profile_row(rights, 1, case)
+        for i, left in enumerate(lefts):
+            mask = run.gate_mask(left, rights, case)
+            opened += [f"{left} / {right}" for j, right in enumerate(rights) if mask >> j & 1]
+            spans = sorted((group & -group, group) for _, group in run.groups(case, left_row, i, right_row, mask))
+            interleaved |= any(group > later for (_, group), (later, _) in zip(spans, spans[1:]))
+    assert interleaved
+    assert report.checked == 4345
+    assert [failure["input"] for failure in report.failures] == opened
+
+
 def test_verify_counts():
     report = verify_counts(6)
     assert report.passed
@@ -393,18 +416,18 @@ def test_oversized_sweep_refused_before_building(verify, monkeypatch):
 
 @pytest.mark.parametrize("eps", [PLUS, MINUS])
 def test_variant_sweep_refused_by_its_family_count(eps, monkeypatch):
-    """Rank 6 passes the symbol sweep bound but has 21,656,970 families, over
-    the family bound that rank 5 (3,412,100) stays under; the labels of rank
-    <= 6 are listed to count them, and no family's gate or value is read."""
-    assert 3_412_100 <= MAX_VARIANT_FAMILIES < 21_656_970
+    """Rank 7 passes the symbol sweep bound but has 121,512,138 families, over
+    the family bound that rank 6 (21,656,970) stays under; the labels of rank
+    <= 7 are listed to count them, and no family's gate or value is read."""
+    assert 21_656_970 <= MAX_VARIANT_FAMILIES < 121_512_138
     built = forbid_variant_families(monkeypatch)
     with pytest.raises(ValueError) as err:
-        verify_variant_uniqueness(6, TowerContext(eps_minus_one=eps))
+        verify_variant_uniqueness(7, TowerContext(eps_minus_one=eps))
     assert str(err.value) == (
-        "the rank <= 6 variant sweep has 21656970 families, "
+        "the rank <= 7 variant sweep has 121512138 families, "
         f"over the enumeration bound MAX_VARIANT_FAMILIES = {MAX_VARIANT_FAMILIES}"
     )
-    assert max(group.rank for group in built) == 6
+    assert max(group.rank for group in built) == 7
 
 
 @pytest.mark.parametrize(
