@@ -16,6 +16,9 @@ The package is organized in layers:
 * :mod:`thetasym.degrees` - character degrees of unipotent symbols and
   trivial-descriptor labels, an oracle that imports no ``ggp`` or
   ``oracle`` code;
+* :mod:`thetasym.weil` - orbit counts of the Weil representation on small
+  finite orthogonal groups, a group-level oracle for ``in_B`` that imports
+  no ``theta``, ``ggp`` or ``oracle`` code;
 * :mod:`thetasym.cli` - table generation and verification from the shell.
 
 All values are immutable and all operations pure functions.

@@ -309,13 +309,16 @@ class _VariantRun:
     label's sides depend only on the label, its supplied orientation bits
     and the varied slots, and a slot's gate only on its two symbols, so a
     run under one context builds each of them once.  Sides are keyed by
-    label identity, and a list's gate rows and profile rows by list
-    identity; every entry holds its label or list, so no key is reused
-    while the run lives.  A variant sweep
-    (:func:`~thetasym.oracle.verify_variant_uniqueness`) reads
-    :meth:`gate_mask` first, splits the open families by :meth:`groups`
-    over the right list's :meth:`profile_row`, and evaluates one family of
-    a group only at a new memo key.  Nothing outlives the run.  Every
+    label identity and a profile row by the identities of its lists; every
+    entry holds its label or lists, so no key is reused while the run
+    lives.  A variant sweep
+    (:func:`~thetasym.oracle.verify_variant_uniqueness`) walks each left
+    list once against its universe, the labels of its right lists in one
+    list, which the :meth:`profile_row` of those lists holds with its gate
+    rows.  Per left label it reads one :meth:`gate_mask` over the universe,
+    splits the open families by :meth:`groups`, one group per right
+    profile and rank sign, and evaluates one family of a group only at a
+    new memo key.  Nothing outlives the run.  Every
     ``ggp`` answer comes from a run, so a ``ctx`` that is not a
     ``TowerContext`` is refused here with ``TypeError``, and an eps(-1)
     other than +1 or -1, or a bit neither of them nor ``None``, with
@@ -337,8 +340,7 @@ class _VariantRun:
         )
         self._sides: dict[tuple, list[_Side]] = {}
         self._gates: dict[tuple[Symbol, Symbol], bool] = {}
-        self._rows: dict[tuple[int, int], tuple[list[RepLabel], dict[Symbol, int], dict]] = {}
-        # each list's profile row, by list identity, position and case, and the profiles interned
+        # each profile row by its lists' identities, position and case, and the profiles interned
         self._profile_rows: dict[tuple, tuple] = {}
         self._interned: dict[tuple, int] = {}
 
@@ -417,28 +419,22 @@ class _VariantRun:
         f = (fixed.lam, fixed.lam_prime)[j]
         return self.slot_gate(*((s, f) if j > i else (f, s)))
 
-    def gate_mask(self, fixed: RepLabel, labels: list[RepLabel], case: GGPCase) -> int:
-        """The families of ``fixed`` against ``labels`` whose pair-condition gate is open.
+    def gate_mask(self, fixed: RepLabel, row: tuple, case: GGPCase) -> int:
+        """The families of ``fixed`` against the labels of ``row``, a :meth:`profile_row`
+        of ``case``, whose pair-condition gate is open.
 
-        Bit j stands for ``labels[j]``.  The mask ANDs one row per key, built once per
-        run for its list, slot and fixed symbol by one :meth:`candidate_gate` per distinct
-        symbol in that slot of the list; the second row is read only if a bit is left.
+        Bit j stands for the row's label j.  The mask ANDs one gate row per key, built once
+        per profile row, slot and fixed symbol by one :meth:`candidate_gate` per distinct
+        symbol in that slot of the row's labels, and held with the row; the second gate row
+        is read only if a bit is left.
         """
-        mask = -1
+        mask, (*_, index, rows, _) = -1, row
         for i, j in enumerate(case.fixed_slots):
-            entry = self._rows.get((id(labels), i))
-            if entry is None:
-                index = {}
-                for n, label in enumerate(labels):
-                    s = (label.lam, label.lam_prime)[i]
-                    index[s] = index.get(s, 0) | 1 << n
-                entry = self._rows[id(labels), i] = labels, index, {}
-            _, index, rows = entry
             f = (fixed.lam, fixed.lam_prime)[j]
-            row = rows.get((case, f))
-            if row is None:
-                row = rows[case, f] = sum(bits for s, bits in index.items() if self.candidate_gate(fixed, i, s, case))
-            mask &= row
+            gate = rows.get((i, f))
+            if gate is None:
+                gate = rows[i, f] = sum(bits for s, bits in index[i].items() if self.candidate_gate(fixed, i, s, case))
+            mask &= gate
             if not mask:
                 break
         return mask
@@ -491,37 +487,42 @@ class _VariantRun:
             raise _too_many_nonzero(classes, left, right)
         return VariantReport(tuple([(lv.label, rv.label, value) for lv, rv, value in results]))
 
-    def profile_row(self, labels: list[RepLabel], position: int, case: GGPCase) -> tuple:
-        """The profile row of ``labels`` in argument ``position`` (0 is left) of ``case``.
+    def profile_row(self, lists: tuple[list[RepLabel], ...], position: int, case: GGPCase) -> tuple:
+        """The profile row of the labels of ``lists``, in order, in argument ``position`` of ``case``.
 
-        ``labels`` lists the labels of one group, as each list of a variant
-        sweep does.  The row is ``(labels, rank, sides, profiles, masks)``: the
-        group rank, each label's :meth:`sides` in that position, each side
-        list's interned profile and, for each profile, the bit mask of the
-        positions that have it (bit j stands for ``labels[j]``).  A profile
-        holds what :meth:`evaluate` reads of each side of an open family but
-        the group rank: its ``kh``, resolved bits, unipotence, slot
-        regularity and descriptor.  Built once per run for its list,
-        position and case, and held with its list.
+        Position 0 is left.  ``lists`` is a variant sweep's left list alone, or
+        a walk's right lists, whose labels in one list make the walk's
+        universe.  The row is
+        ``(labels, sides, profiles, index, rows, tables)``: those labels, each
+        label's :meth:`sides` in that position, each side list's interned
+        profile, for each slot the bit mask of the positions of each symbol in
+        it, the gate rows that :meth:`gate_mask` builds on the row and the
+        mask tables that :meth:`groups` builds on it (bit j stands for
+        ``labels[j]``).  A profile holds what :meth:`evaluate` reads of each
+        side of an open family but the group rank: its ``kh``, resolved bits,
+        unipotence, slot regularity and descriptor.  Built once per run for
+        each tuple of lists, position and case, and held with the lists, so
+        walks with the same right lists share one universe, its gate rows and
+        its mask tables.
         """
-        key = (id(labels), position, case)
-        row = self._profile_rows.get(key)
-        if row is None:
+        key = (*map(id, lists), position, case)
+        entry = self._profile_rows.get(key)
+        if entry is None:
             supplied, slots, interned = self.bits[position], case.slots[position], self._interned
+            labels = [label for part in lists for label in part]
             sides = [self.sides(label, supplied, slots) for label in labels]
-            profiles, masks = [], {}
-            for j, variants in enumerate(sides):
+            profiles, index = [], ({}, {})
+            for j, (label, variants) in enumerate(zip(labels, sides)):
                 facts = []
                 for side in variants:
                     v = side.label
                     regular = symbol_regular_by_convention(v.lam), symbol_regular_by_convention(v.lam_prime)
                     facts.append((side.kh, side.bits, is_unipotent_label(v), regular, v.rho))
-                profile = interned.setdefault(tuple(facts), len(interned))
-                profiles.append(profile)
-                masks[profile] = masks.get(profile, 0) | 1 << j
-            rank = labels[0].group.rank if labels else 0
-            row = self._profile_rows[key] = labels, rank, sides, profiles, masks
-        return row
+                profiles.append(interned.setdefault(tuple(facts), len(interned)))
+                for s, held in zip((label.lam, label.lam_prime), index):
+                    held[s] = held.get(s, 0) | 1 << j
+            entry = self._profile_rows[key] = lists, (labels, sides, profiles, index, {}, {})
+        return entry[1]
 
     def groups(
         self, case: GGPCase, left_row: tuple, i: int, right_row: tuple, mask: int
@@ -536,23 +537,32 @@ class _VariantRun:
         rank(left) - rank(right), which is all that the order of
         :func:`_in_order` and the rank comparisons of
         :func:`_unipotent_slot_gates` read of the ranks.  So the families of
-        one right profile form one group.  At equal Fourier-Jacobi ranks the
-        left list is the right list and which side pairs :func:`_in_order`
-        swaps belongs to the pair, so that pattern takes the sign's place and
-        each family is a group of one.  Groups come in no particular order.
+        one right profile and rank sign form one group, read off a mask
+        table of the right row, one bit mask per (right profile, rank sign),
+        built once per left rank.  At equal Fourier-Jacobi ranks the left
+        list is one of the right row's lists, and which side pairs
+        :func:`_in_order` swaps belongs to the pair, so that pattern takes
+        the sign's place and each family is a group of one.  Groups come in
+        no particular order.
         """
-        _, lrank, lsides, lprofiles, _ = left_row
-        _, rrank, rsides, rprofiles, rmasks = right_row
-        if case is FOURIER_JACOBI and lrank == rrank:
-            groups = []
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                j = low.bit_length() - 1
-                groups.append((rprofiles[j], low, tuple([a.order > b.order for a in lsides[i] for b in rsides[j]])))
-        else:
-            sign = (lrank > rrank) - (lrank < rrank)
-            groups = [(profile, mask & positions, sign) for profile, positions in rmasks.items()]
+        lefts, lsides, lprofiles, *_ = left_row
+        rights, rsides, rprofiles, *_, tables = right_row
+        rank, groups = lefts[i].group.rank, []
+        table = tables.get(rank)
+        if table is None:  # each (right profile, rank sign) mask, built once per left rank
+            table = tables[rank] = {}
+            for j, (profile, right) in enumerate(zip(rprofiles, rights)):
+                at = profile, (rank > right.group.rank) - (rank < right.group.rank)
+                table[at] = table.get(at, 0) | 1 << j
+        for (profile, sign), positions in table.items():
+            group = mask & positions
+            if case is FOURIER_JACOBI and not sign:
+                while group:
+                    j = (group & -group).bit_length() - 1
+                    group ^= 1 << j
+                    groups.append((rprofiles[j], 1 << j, tuple([a.order > b.order for a in lsides[i] for b in rsides[j]])))
+            else:
+                groups.append((profile, group, sign))
         return [((case, lprofiles[i], profile, order), group) for profile, group, order in groups if group]
 
 

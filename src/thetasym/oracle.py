@@ -13,8 +13,9 @@ scan never consults the closed-form index except to compare.
 from __future__ import annotations
 
 import time
+from bisect import bisect
 from collections import Counter
-from itertools import product
+from itertools import accumulate, count, product
 
 from .catalog import (
     MINUS,
@@ -232,32 +233,32 @@ def verify_counts(max_rank: int) -> VerificationReport:
     return report
 
 
-#: Families a variant sweep may check.  Families are streamed block by
-#: block, never stored, so this bound guards time, not memory: rank 6
+#: Families a variant sweep may check.  Families are streamed walk by
+#: walk, never stored, so this bound guards time, not memory: rank 6
 #: (21,656,970 families) runs, and rank 7 (121,512,138) is refused before
 #: any family is read.  Read at each check; no command-line option sets it.
 MAX_VARIANT_FAMILIES = 25_000_000
 
 
-def _variant_families(max_rank: int, eps_minus_one: Sign) -> list[tuple[list, list, GGPCase]]:
-    """The (lefts, rights, case) blocks of a variant sweep, counted before any is read.
+def _variant_families(max_rank: int, eps_minus_one: Sign) -> list[tuple[list, tuple, GGPCase, list]]:
+    """The (lefts, rights, case, blocks) walks of a variant sweep, counted before any is read.
 
-    A block's families are its (left, right) pairs, left by left, and the
-    blocks come in family order: Fourier-Jacobi pairs an sp(n) label with an
-    sp(m) label, m <= n, and Bessel every odd with every even orthogonal
-    label.  The trivial-descriptor label lists are built once each, rank by
-    rank, while the families they give are counted, and a block holds the
-    lists themselves, so one list is the right list of many blocks, and
-    each list holds the labels of one group: the sweep reads a block's
-    gates as one mask per left label, counts its closed-gate families in
-    bulk and its open ones in groups of one memo key, read off each list's
-    profile row (:func:`verify_variant_uniqueness`).  A count over
+    A walk pairs one left label list with the right lists it meets, and its
+    families are its (left, right) pairs, left by left, over the right lists
+    in order.  A block is one left list against one right list, and
+    ``blocks[k]`` is the place of the block of ``rights[k]`` in family order:
+    Fourier-Jacobi pairs an sp(n) label with an sp(m) label, m <= n, and
+    Bessel every odd with every even orthogonal label, n, m, then the sign of
+    each.  So the two Bessel walks of one rank, one per sign, interleave
+    their blocks.  The trivial-descriptor label lists are built once each,
+    rank by rank, while the families they give are counted, and a walk
+    holds the lists themselves, each the labels of one group; every Bessel
+    walk holds the same right lists.  A count over
     ``MAX_VARIANT_FAMILIES`` raises ``ValueError`` at its first rank; below
     ``max_rank`` the message then says "more than".
     """
     ranks, signs = range(max_rank + 1), (PLUS, MINUS)
-    sps, odd, even = [], {}, {}
-    fj = 0
+    sps, odd, even, fj = [], {}, {}, 0
     for n in ranks:
         sps.append(list(enumerate_labels(sp(n))))
         fj += len(sps[n]) * sum(map(len, sps))
@@ -268,9 +269,12 @@ def _variant_families(max_rank: int, eps_minus_one: Sign) -> list[tuple[list, li
         more = "" if n == max_rank else "more than "
         _check_bound(families, f"the rank <= {max_rank} variant sweep", "families", more,
                      "MAX_VARIANT_FAMILIES", MAX_VARIANT_FAMILIES)
-    return [(sps[n], sps[m], FOURIER_JACOBI) for n in ranks for m in range(n + 1)] + [
-        (odd[n, e], even[m, e2], BESSEL) for n, m, e, e2 in product(ranks, ranks, signs, signs)
-    ]
+    place = count()  # each block's place in family order
+    walks = [(sps[n], tuple(sps[: n + 1]), FOURIER_JACOBI, [next(place) for _ in ranks[: n + 1]]) for n in ranks]
+    bessel = {(n, e): (odd[n, e], tuple(even.values()), BESSEL, []) for n, e in product(ranks, signs)}
+    for n, _, e, _ in product(ranks, ranks, signs, signs):
+        bessel[n, e][3].append(next(place))
+    return walks + list(bessel.values())
 
 
 def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationReport:
@@ -283,21 +287,26 @@ def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationR
     :class:`~thetasym.errors.MultipleNonzero` that
     :func:`~thetasym.ggp.select_nonzero_variant` raises for it.
 
-    The sweep walks the blocks of :func:`_variant_families`, and for each
-    left label one :meth:`~thetasym.ggp._VariantRun.gate_mask` marks the
-    block's families whose pair-condition gate is open.  A closed family is
+    The sweep walks each left list of :func:`_variant_families` once,
+    against its universe: the labels of its right lists in one list, held
+    by the :meth:`~thetasym.ggp._VariantRun.profile_row` of those lists, so
+    that every Bessel walk shares one universe.  For each left label one
+    :meth:`~thetasym.ggp._VariantRun.gate_mask` marks the families of the
+    universe whose pair-condition gate is open.  A closed family is
     all Zero, so it is counted as a passed check in bulk and never
     evaluated.  :meth:`~thetasym.ggp._VariantRun.groups` splits the open
     ones by memo key (the case, the interned profile of each side list from
-    the lists' :meth:`~thetasym.ggp._VariantRun.profile_row`, and the sign
-    of rank(left) - rank(right) or, at equal Fourier-Jacobi ranks, the
-    normalized order's swap pattern), one group per right profile.  Each
-    group reads a per-run memo of the number of nonzero variant classes
-    once; a new key is filled by :meth:`~thetasym.ggp._VariantRun.evaluate`
-    on the group's first family.  A group then counts its families as
-    passed checks in bulk, or fails them all; a left label's failing
-    families are recorded after its groups, in list order, so checks and
-    failures come in family order.  Oversized sweeps are refused as in
+    the profile rows of the left list and of the universe, and the sign of
+    rank(left) - rank(right) or, at equal Fourier-Jacobi ranks, the
+    normalized order's swap pattern), one group per right profile and rank
+    sign.  Each group reads a per-run memo of the number of nonzero variant
+    classes once; a new key is filled by
+    :meth:`~thetasym.ggp._VariantRun.evaluate` on the group's first family.
+    A group then counts its families as passed checks in bulk, or fails them
+    all.  Failing families are kept with their block's place in family
+    order and their left and universe positions, and recorded at the end in
+    that order, so failures come in family order though the blocks of two
+    Bessel walks interleave.  Oversized sweeps are refused as in
     :func:`verify_f1`, and then a sweep of more than
     ``MAX_VARIANT_FAMILIES`` families (rank 7 and up) as in
     :func:`_variant_families`.
@@ -307,23 +316,23 @@ def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationR
     start = time.monotonic()
     run = _VariantRun(ctx)
     classes: dict[tuple, int] = {}  # nonzero variant classes by memo key
-    for lefts, rights, case in _variant_families(max_rank, ctx.eps_minus_one):
-        left_row, right_row = run.profile_row(lefts, 0, case), run.profile_row(rights, 1, case)
+    failed = []  # (block, left position, universe position, left, right, nonzero classes) of each failing family
+    for lefts, rights, case, blocks in _variant_families(max_rank, ctx.eps_minus_one):
+        left_row, right_row = run.profile_row((lefts,), 0, case), run.profile_row(rights, 1, case)
+        universe, ends = right_row[0], list(accumulate(map(len, rights)))
+        report.checked += len(lefts) * len(universe)
         for i, left in enumerate(lefts):
-            mask = run.gate_mask(left, rights, case)
-            failed = {}  # the count of each failing family, by right position
-            for key, group in run.groups(case, left_row, i, right_row, mask):
-                count = classes.get(key)
-                if count is None:
-                    right = rights[(group & -group).bit_length() - 1]
-                    count = classes[key] = _nonzero_classes(run.evaluate(left, right, case, True))
-                if count > 1:
+            for key, group in run.groups(case, left_row, i, right_row, run.gate_mask(left, right_row, case)):
+                nonzero = classes.get(key)
+                if nonzero is None:
+                    right = universe[(group & -group).bit_length() - 1]
+                    nonzero = classes[key] = _nonzero_classes(run.evaluate(left, right, case, True))
+                if nonzero > 1:
                     for j in range(group.bit_length()):
                         if group >> j & 1:
-                            failed[j] = count
-            report.checked += len(rights) - len(failed)
-            for j in sorted(failed):
-                error = _too_many_nonzero(failed[j], left, rights[j])
-                report.record(False, f"{left} / {rights[j]}", "<=1 class", error)
+                            failed.append((blocks[bisect(ends, j)], i, j, left, universe[j], nonzero))
+    report.checked -= len(failed)  # recorded below, in family order
+    for *_, left, right, nonzero in sorted(failed):
+        report.record(False, f"{left} / {right}", "<=1 class", _too_many_nonzero(nonzero, left, right))
     report.elapsed = time.monotonic() - start
     return report

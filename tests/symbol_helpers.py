@@ -97,13 +97,26 @@ def forbid_variant_families(monkeypatch) -> list:
     return built
 
 
-def variant_families(max_rank: int, eps_minus_one: Sign) -> list[tuple[RepLabel, RepLabel, object]]:
-    """The families of a variant sweep, one (left, right, case) each, in sweep order."""
+def variant_blocks(max_rank: int, eps_minus_one: Sign) -> list[tuple[list, list, object]]:
+    """The blocks of a variant sweep's walks, one (lefts, rights, case) each, in
+    family order: by the place each walk gives its blocks, which must number
+    them 0, 1, 2, ... with none left out or given twice."""
     from thetasym.oracle import _variant_families
 
+    blocks = {}
+    for lefts, rights, case, places in _variant_families(max_rank, eps_minus_one):
+        assert len(places) == len(rights)
+        for place, labels in zip(places, rights):
+            assert blocks.setdefault(place, (lefts, labels, case))[1] is labels
+    assert sorted(blocks) == list(range(len(blocks)))
+    return [blocks[place] for place in range(len(blocks))]
+
+
+def variant_families(max_rank: int, eps_minus_one: Sign) -> list[tuple[RepLabel, RepLabel, object]]:
+    """The families of a variant sweep, one (left, right, case) each, in family order."""
     return [
         (left, right, case)
-        for lefts, rights, case in _variant_families(max_rank, eps_minus_one)
+        for lefts, rights, case in variant_blocks(max_rank, eps_minus_one)
         for left, right in product(lefts, rights)
     ]
 

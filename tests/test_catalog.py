@@ -520,8 +520,13 @@ def test_each_rule_is_written_once():
     neither gate method, and its gate-slot index ``_gate_slots`` is gone.
     The variant sweep's memo key is built in one place,
     ``_VariantRun.groups``, the only reader of a profile row's interned
-    profiles; ``oracle`` keys its memo only by the keys ``groups`` gives and
-    builds none itself, and the per-family ``signature`` is gone.
+    profiles and the only place that writes a rank sign; ``oracle`` keys
+    its memo only by the keys ``groups`` gives and builds none itself,
+    looks nothing up by a tuple in the sweep, and the per-family
+    ``signature`` is gone.  A walk's universe, its right lists in one
+    list, is built only by ``_VariantRun.profile_row``, the one place that
+    flattens a list of label lists, and its (right profile, rank sign) mask
+    tables only by ``groups``.
     ``ggp`` reads group families only in ``GGPCase``, and
     builds a ``CaseMismatch`` only where a pair is validated and where a
     branch table picks its case; ``cli`` names no case itself and reads
@@ -609,6 +614,28 @@ def test_each_rule_is_written_once():
     bound = [node for node in ast.walk(sweep) if isinstance(node, ast.For) and "key" in ast.unparse(node.target)]
     assert [ast.unparse(node.iter).split("(")[0] for node in bound] == ["run.groups"]
     assert not any(re.search(r"\b(signature|_profile)\(", text) for text in sources.values())
+    # one home each for the universe, the mask tables and the rank sign; no key built in the sweep
+    for hit, homes in (
+        (_flattens, {"ggp.py:_VariantRun.profile_row"}),
+        (lambda node: isinstance(node, ast.Name) and node.id == "tables", {"ggp.py:_VariantRun.groups"}),
+        (
+            lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Compare) and isinstance(node.right, ast.Compare),
+            {"ggp.py:_VariantRun.groups"},
+        ),
+    ):
+        assert {f"{name}:{home}" for name, text in sources.items() for home in _homes(text, hit)} == homes
+    assert not re.search(r"\b(chain|from_iterable)\(", sources["oracle.py"])
+    for node in ast.walk(sweep):  # an annotation builds nothing
+        if isinstance(node, ast.AnnAssign):
+            node.annotation = ast.Constant(None)
+    assert not [
+        ast.unparse(node)
+        for node in ast.walk(sweep)
+        if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple))
+        or (isinstance(node, ast.Call) and getattr(node.func, "attr", "") in ("get", "setdefault")
+            and any(isinstance(arg, ast.Tuple) for arg in node.args))
+    ]
     # each case carries its own facts, and the CLI resolves its context once
     assert sources["ggp.py"].count("GroupFamily.") == inspect.getsource(ggp.GGPCase).count("GroupFamily.") > 0
     built = re.compile(r"(?<!class )\bCaseMismatch\(")
@@ -654,6 +681,13 @@ def test_each_rule_is_written_once():
     ]
     retired = re.compile(r"\b(_partner_fibers|_partners|_first_fiber)\b")
     assert not any(retired.search(text) for text in sources.values())
+
+
+def _flattens(node) -> bool:
+    """Whether ``node`` is a comprehension that flattens a list of lists:
+    its second loop runs over the first loop's target."""
+    loops = getattr(node, "generators", [])
+    return len(loops) > 1 and getattr(loops[1].iter, "id", None) == getattr(loops[0].target, "id", "")
 
 
 def _calls(callee: str, text: str) -> list[str]:

@@ -675,21 +675,33 @@ def _families_by_key(run: _VariantRun, max_rank: int):
     """Each open family of a sweep on ``run``, with the memo key and group that
     :meth:`_VariantRun.groups` gives it: ``(left, right, case, key, group)``,
     where ``key`` is asked for the family alone and ``group`` is the bit
-    mask, among the left label's open families, of the group it falls in."""
+    mask, among the left label's open families in its walk's universe, of
+    the group it falls in.  Each universe row holds, for each left rank of
+    its walks, the mask of each (right profile, rank sign)."""
     out = []
-    for lefts, rights, case in _variant_families(max_rank, run.ctx.eps_minus_one):
-        left_row, right_row = run.profile_row(lefts, 0, case), run.profile_row(rights, 1, case)
+    for lefts, rights, case, _ in _variant_families(max_rank, run.ctx.eps_minus_one):
+        left_row, right_row = run.profile_row((lefts,), 0, case), run.profile_row(rights, 1, case)
+        universe, profiles = right_row[0], right_row[2]
         for i, left in enumerate(lefts):
-            mask = run.gate_mask(left, rights, case)
+            mask = run.gate_mask(left, right_row, case)
             groups = list(run.groups(case, left_row, i, right_row, mask))
             # the groups split the open families, and no family is in two of them
             assert sum(group for _, group in groups) == mask
             for key, group in groups:
-                for j, right in enumerate(rights):
+                for j, right in enumerate(universe):
                     if group >> j & 1:
                         [(alone, bit)] = run.groups(case, left_row, i, right_row, 1 << j)
                         assert (alone, bit) == (key, 1 << j)
+                        # a group keyed by a rank sign, not a swap pattern, has one right profile and sign
+                        ranks = left.group.rank, right.group.rank
+                        assert key[2] == profiles[j]
+                        assert isinstance(key[3], tuple) or key[3] == (ranks[0] > ranks[1]) - (ranks[0] < ranks[1])
                         out.append((left, right, case, key, group))
+        # the groups read the mask table of the left rank: each (right profile, rank sign) mask
+        for rank in {left.group.rank for left in lefts}:
+            keys = [(p, (rank > r.group.rank) - (rank < r.group.rank)) for p, r in zip(profiles, universe)]
+            table = {at: sum(1 << j for j, held in enumerate(keys) if held == at) for at in keys}
+            assert right_row[5][rank] == table
     return out
 
 
@@ -697,27 +709,33 @@ def _families_by_key(run: _VariantRun, max_rank: int):
 @pytest.mark.parametrize("bits", [(None,) * 4, (PLUS, MINUS, MINUS, PLUS)], ids=["none", "+--+"])
 def test_profile_rows_profile_each_side_list(eps, bits):
     """A side stores only what every side pair reads: its label, (k, h),
-    resolved bits and Fourier-Jacobi order key.  Over every list of the
+    resolved bits and Fourier-Jacobi order key.  Over every walk of the
     rank <= 2 sweep, in each position and case, a profile row holds the
-    list's group rank and each label's side list, and two side lists get
-    one interned profile exactly when they agree, side by side, on the
-    (k, h), bits, unipotence, slot regularity and descriptor that the label
-    functions give; the rank is not in the profile.  The row's masks are
-    the positions of each profile, and a memo key holds the case and the
-    two profiles of its family."""
+    labels of its lists in one list (a walk's universe, for its right
+    lists) and each label's side list, and two side lists get one interned
+    profile exactly when they agree, side by side, on the (k, h), bits,
+    unipotence, slot regularity and descriptor that the label functions
+    give; the rank is not in the profile.  The row's masks are the
+    positions of each symbol in each slot and, once the sweep has asked
+    for a left rank, of each (profile, sign of left rank - group rank);
+    the Bessel walks share one universe row, and a memo key holds the case
+    and the two profiles of its family."""
     assert _Side._fields == ("label", "kh", "bits", "order")
     params = ["self", "case", "left_row", "i", "right_row", "mask"]
     assert list(inspect.signature(_VariantRun.groups).parameters) == params
     run = _VariantRun(TowerContext(eps, *bits))
     interned = {}
     unipotent = set()
-    for lefts, rights, case in _variant_families(2, eps):
-        for position, labels in enumerate((lefts, rights)):
-            row = run.profile_row(labels, position, case)
-            assert run.profile_row(labels, position, case) is row
-            held, rank, sides, profiles, masks = row
-            assert held is labels and {label.group.rank for label in labels} <= {rank}
-            assert masks == {p: sum(1 << j for j, q in enumerate(profiles) if q == p) for p in profiles}
+    universes = collections.defaultdict(set)
+    for lefts, rights, case, _ in _variant_families(2, eps):
+        for position, lists in enumerate(((lefts,), rights)):
+            row = run.profile_row(lists, position, case)
+            assert run.profile_row(tuple(lists), position, case) is row
+            labels, sides, profiles, index, _, _ = row
+            assert labels == [label for labels in lists for label in labels]
+            for i, held in enumerate(index):
+                slot = [(label.lam, label.lam_prime)[i] for label in labels]
+                assert held == {s: sum(1 << j for j, t in enumerate(slot) if t == s) for s in slot}
             for label, variants, profile in zip(labels, sides, profiles):
                 assert variants is run.sides(label, run.bits[position], case.slots[position])
                 facts = tuple(
@@ -730,6 +748,8 @@ def test_profile_rows_profile_each_side_list(eps, bits):
                 assert interned.setdefault(facts, profile) == profile
                 assert all(side.order == ggp._fj_order(side.label) for side in variants)
                 unipotent.update(fact[2] for fact in facts)
+        universes[case].add(id(run.profile_row(rights, 1, case)[0]))
+    assert len(universes[BESSEL]) == 1 and len(universes[FOURIER_JACOBI]) == 3
     assert len(set(interned.values())) == len(interned)
     assert unipotent == {True, False}
     for left, right, case, key, _ in _families_by_key(run, 2):
@@ -766,11 +786,14 @@ def test_a_closed_gate_ends_its_family(monkeypatch):
     8,331.  Reading every family's gate asks ``in_G`` 115 times: the 107
     keys that evaluating every family read (it read no gate of a family
     whose pairs are all definitely irrelevant), and the keys of those
-    families.  The sweep reads each gate key once per right list, slot,
-    fixed symbol and distinct symbol in that slot of the list, and each
-    evaluation reads the family's gate once more if some pair is not
-    definitely irrelevant: 1,372 gate reads, where one read per left label
-    and distinct right symbol made 5,123 and one per family 6,876.  A family
+    families.  The sweep walks each left list once against its universe:
+    one gate mask and one set of groups per left label, 114 of each, where
+    one per left label and right list made 586.  It reads each gate key once
+    per universe, slot, fixed symbol and distinct symbol in that slot of the
+    universe, and each evaluation reads the family's gate once more if some
+    pair is not definitely irrelevant: 1,078 gate reads, where one read per
+    right list made 1,372, one per left label and distinct right symbol
+    5,123 and one per family 6,876.  A family
     evaluated on its own still reads the relevance of no pair after a
     closed gate: 8,331 reads over the 4,345 families, counted from a
     reference run as every pair up to the first one not definitely
@@ -797,12 +820,14 @@ def test_a_closed_gate_ends_its_family(monkeypatch):
     gates = count_calls(monkeypatch, _VariantRun, "candidate_gate")
     reads = count_calls(monkeypatch, ggp, "_strong_relevance")
     evaluations = count_calls(monkeypatch, _VariantRun, "evaluate")
-    keys = []
+    masks = count_calls(monkeypatch, _VariantRun, "gate_mask")
+    keys, asked = [], []
     groups = _VariantRun.groups
 
     def spy(run, *args):
         found = groups(run, *args)
         keys.extend(found)
+        asked.append(args)
         return found
 
     monkeypatch.setattr(_VariantRun, "groups", spy)
@@ -813,7 +838,11 @@ def test_a_closed_gate_ends_its_family(monkeypatch):
     assert {args[1:4] for args in evaluations} <= set(opened)
     assert len(in_G_calls) == every
     pairs = sum(len(reference.pairs(*args[1:])) for args in evaluations)
-    assert (len(reads), pairs, len(gates)) == (849, 849, 1372)
+    assert (len(reads), pairs, len(gates)) == (849, 849, 1078)
+    # one gate mask and one set of groups per left label, each over its walk's universe
+    lefts = [(left, case) for lefts, _, case, _ in _variant_families(2, PLUS) for left in lefts]
+    assert len(masks) == len(asked) == len(lefts) == 114
+    assert [(args[1], args[3]) for args in masks] == lefts
 
     del reads[:]
     run = _VariantRun(CTX)

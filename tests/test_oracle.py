@@ -48,6 +48,7 @@ from symbol_helpers import (
     first_fiber_by_ranks,
     forbid_layer_builds,
     forbid_variant_families,
+    variant_blocks,
     variant_families,
 )
 
@@ -265,26 +266,39 @@ def test_failure_text_in_every_verifier(monkeypatch):
 
 
 def test_failing_groups_are_recorded_in_family_order(monkeypatch):
-    """A group of one memo key fails all of its families at once, yet the
-    failures come in family order.  With every key made to fail, the rank-2
-    sweep fails exactly the open families, left label by left label and in
-    list order within one, though the groups of some left label interleave
-    in the right list."""
+    """A group of one memo key fails all of its families at once, and a walk
+    spans many blocks, yet the failures come in family order.  With every
+    key made to fail, the rank-2 sweep fails exactly the open families,
+    block by block in family order, left label by left label and in list
+    order within a block.  Some left label's groups interleave in its
+    walk's universe, and the blocks of the o+(2n+1) and o-(2n+1) walks of
+    one rank alternate, so the failures of two left lists interleave:
+    recording them group by group, or left list by left list, fails here."""
     monkeypatch.setattr(oracle, "_nonzero_classes", lambda results: 2)
     ctx = TowerContext(eps_minus_one=PLUS)
     report = verify_variant_uniqueness(2, ctx)
     run = _VariantRun(ctx)
-    opened, interleaved = [], False
-    for lefts, rights, case in oracle._variant_families(2, PLUS):
-        left_row, right_row = run.profile_row(lefts, 0, case), run.profile_row(rights, 1, case)
-        for i, left in enumerate(lefts):
-            mask = run.gate_mask(left, rights, case)
+    opened = []
+    for lefts, rights, case in variant_blocks(2, PLUS):
+        row = run.profile_row((rights,), 1, case)
+        for left in lefts:
+            mask = run.gate_mask(left, row, case)
             opened += [f"{left} / {right}" for j, right in enumerate(rights) if mask >> j & 1]
+    interleaved = False
+    for lefts, rights, case, _ in oracle._variant_families(2, PLUS):
+        left_row, right_row = run.profile_row((lefts,), 0, case), run.profile_row(rights, 1, case)
+        for i, left in enumerate(lefts):
+            mask = run.gate_mask(left, right_row, case)
             spans = sorted((group & -group, group) for _, group in run.groups(case, left_row, i, right_row, mask))
             interleaved |= any(group > later for (_, group), (later, _) in zip(spans, spans[1:]))
     assert interleaved
     assert report.checked == 4345
-    assert [failure["input"] for failure in report.failures] == opened
+    inputs = [failure["input"] for failure in report.failures]
+    assert inputs == opened
+    # the left groups, in the order their failures come: the two odd lists of a rank alternate, m by m
+    runs = [group for group, _ in itertools.groupby(text.split(":")[0] for text in inputs)]
+    odd = [f"o{e}({2 * n + 1})" for n in range(3) for _ in range(3) for e in "+-"]
+    assert runs == ["sp(0)", "sp(2)", "sp(4)", *odd]
 
 
 def test_verify_counts():
