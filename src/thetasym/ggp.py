@@ -64,7 +64,7 @@ from .catalog import (
 )
 from .core import Symbol, _check_sweep, symbol_defect, symbol_transpose
 from .errors import CaseMismatch, MultipleNonzero, NotUnipotent, RankMismatch
-from .theta import TowerContext, default_orientation, in_G
+from .theta import TowerContext, _default_orientation, in_G
 
 
 class GGPCase(Enum):
@@ -209,12 +209,22 @@ def _strong_relevance(left: _Side, right: _Side, case: GGPCase, ctx: TowerContex
     return c1 and c2  # True, or None when a needed bit is open
 
 
-def _fj_order(label: RepLabel):
+def _fj_order(label: RepLabel) -> tuple:
     """Fourier-Jacobi order key: the larger rank first, a canonical key at ties.
 
     Both labels are symplectic, so group family, sign and eps flag never differ.
+    The key holds plain values: -rank, the descriptor's fields, then the two
+    rows of ``lam`` and of ``lam_prime``.  It orders as
+    ``(-rank, rho, lam, lam_prime)`` would, since descriptors and symbols
+    order by those same field tuples, but compares without their methods.
+    The fields stand in one flat tuple, which a run holds per side: a
+    nested descriptor tuple took 1.7 MB more at rank 6.
     """
-    return (-label.group.rank, label.rho, label.lam, label.lam_prime)
+    rho, lam, lam_prime = label.rho, label.lam, label.lam_prime
+    return (
+        -label.group.rank, rho.glu_rank, rho.regular, rho.id,
+        lam.row_a, lam.row_b, lam_prime.row_a, lam_prime.row_b,
+    )
 
 
 def _in_order(left: _Side, right: _Side, case: GGPCase) -> tuple[_Side, _Side]:
@@ -312,13 +322,14 @@ class _VariantRun:
     label identity and a profile row by the identities of its lists; every
     entry holds its label or lists, so no key is reused while the run
     lives.  A variant sweep
-    (:func:`~thetasym.oracle.verify_variant_uniqueness`) walks each left
-    list once against its universe, the labels of its right lists in one
-    list, which the :meth:`profile_row` of those lists holds with its gate
-    rows.  Per left label it reads one :meth:`gate_mask` over the universe,
-    splits the open families by :meth:`groups`, one group per right
-    profile and rank sign, and evaluates one family of a group only at a
-    new memo key.  Nothing outlives the run.  Every
+    (:func:`~thetasym.oracle.verify_variant_uniqueness`) walks its left
+    lists against one universe per case, the labels of the case's right
+    lists in one list, which the :meth:`profile_row` of those lists holds
+    with its gate rows.  Per distinct :meth:`left_key` it reads one
+    :meth:`gate_mask` over the universe, splits the open families by
+    :meth:`groups`, one group per right profile and rank sign, and
+    evaluates one family of a group only at a new memo key.  Nothing
+    outlives the run.  Every
     ``ggp`` answer comes from a run, so a ``ctx`` that is not a
     ``TowerContext`` is refused here with ``TypeError``, and an eps(-1)
     other than +1 or -1, or a bit neither of them nor ``None``, with
@@ -350,7 +361,8 @@ class _VariantRun:
         Transposing slot i (0 is ``lam``, 1 ``lam_prime``) negates entry i of
         the variant's supplied bits, an open bit staying open.  A slot equal
         to its own transpose gives no new variant.  Bits are resolved last:
-        an open first bit takes its cuspidal-chain default.
+        an open first bit takes its cuspidal-chain default, worked out from
+        the variant's (k, h), which each side reads once.
         """
         key = (id(label), supplied, slots)
         sides = self._sides.get(key)
@@ -368,10 +380,10 @@ class _VariantRun:
                 if bits[i] is not None:
                     bits[i] = -bits[i]
                 out.append((RepLabel(v.group, v.rho, *syms, v.eps_flag), tuple(bits)))
-        sides = self._sides[key] = [
-            _Side(v, kh_of(v), (default_orientation(v) if p is None else p, s), _fj_order(v))
-            for v, (p, s) in out
-        ]
+        sides = self._sides[key] = []
+        for v, (p, s) in out:
+            kh = kh_of(v)
+            sides.append(_Side(v, kh, (_default_orientation(v, kh) if p is None else p, s), _fj_order(v)))
         return sides
 
     def pairs(
@@ -491,8 +503,8 @@ class _VariantRun:
         """The profile row of the labels of ``lists``, in order, in argument ``position`` of ``case``.
 
         Position 0 is left.  ``lists`` is a variant sweep's left list alone, or
-        a walk's right lists, whose labels in one list make the walk's
-        universe.  The row is
+        a case's right lists, whose labels in one list make the universe of
+        the case's walks.  The row is
         ``(labels, sides, profiles, index, rows, tables)``: those labels, each
         label's :meth:`sides` in that position, each side list's interned
         profile, for each slot the bit mask of the positions of each symbol in
@@ -503,7 +515,8 @@ class _VariantRun:
         unipotence, slot regularity and descriptor.  Built once per run for
         each tuple of lists, position and case, and held with the lists, so
         walks with the same right lists share one universe, its gate rows and
-        its mask tables.
+        its mask tables.  Every walk of a case holds the same right lists, so
+        the walks of one case share one universe row.
         """
         key = (*map(id, lists), position, case)
         entry = self._profile_rows.get(key)
@@ -541,9 +554,11 @@ class _VariantRun:
         table of the right row, one bit mask per (right profile, rank sign),
         built once per left rank.  At equal Fourier-Jacobi ranks the left
         list is one of the right row's lists, and which side pairs
-        :func:`_in_order` swaps belongs to the pair, so that pattern takes
-        the sign's place and each family is a group of one.  Groups come in
-        no particular order.
+        :func:`_in_order` swaps belongs to the pair, so that pattern, read
+        off the plain :func:`_fj_order` keys of the two side lists, takes the
+        sign's place and each family is a group of one.  Groups come in no
+        particular order.  What this reads of the left label, :meth:`left_key`
+        holds, so labels of one left key get the same groups.
         """
         lefts, lsides, lprofiles, *_ = left_row
         rights, rsides, rprofiles, *_, tables = right_row
@@ -564,6 +579,25 @@ class _VariantRun:
             else:
                 groups.append((profile, group, sign))
         return [((case, lprofiles[i], profile, order), group) for profile, group, order in groups if group]
+
+    def left_key(self, case: GGPCase, left_row: tuple, i: int, right_row: tuple) -> tuple:
+        """What :meth:`gate_mask` and :meth:`groups` read of left label i of ``left_row`` against ``right_row``.
+
+        Left labels with one key get one gate mask over the right row and one
+        set of groups, the same memo keys included, so a variant sweep walks
+        each key once.  The key holds the case, the right row (by identity),
+        both slot symbols of the label (the gate rows read each of them in
+        either case), its interned :meth:`profile_row` profile and its group
+        rank.  The profile holds the descriptor and the rest of the label's
+        sides are the transposes of its symbols, so the key also fixes the
+        :func:`_fj_order` of each side, which :meth:`groups` reads at equal
+        Fourier-Jacobi ranks.  Nothing else of the label is read: the odd
+        orthogonal labels of one rank and symbols share a key across both
+        group signs and eps flags.
+        """
+        lefts, _, lprofiles, *_ = left_row
+        left = lefts[i]
+        return case, id(right_row), left.lam, left.lam_prime, lprofiles[i], left.group.rank
 
 
 def _nonzero_classes(results: list[tuple[_Side, _Side, Multiplicity]]) -> int:

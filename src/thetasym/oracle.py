@@ -243,19 +243,23 @@ MAX_VARIANT_FAMILIES = 25_000_000
 def _variant_families(max_rank: int, eps_minus_one: Sign) -> list[tuple[list, tuple, GGPCase, list]]:
     """The (lefts, rights, case, blocks) walks of a variant sweep, counted before any is read.
 
-    A walk pairs one left label list with the right lists it meets, and its
-    families are its (left, right) pairs, left by left, over the right lists
-    in order.  A block is one left list against one right list, and
-    ``blocks[k]`` is the place of the block of ``rights[k]`` in family order:
-    Fourier-Jacobi pairs an sp(n) label with an sp(m) label, m <= n, and
-    Bessel every odd with every even orthogonal label, n, m, then the sign of
-    each.  So the two Bessel walks of one rank, one per sign, interleave
-    their blocks.  The trivial-descriptor label lists are built once each,
-    rank by rank, while the families they give are counted, and a walk
-    holds the lists themselves, each the labels of one group; every Bessel
-    walk holds the same right lists.  A count over
-    ``MAX_VARIANT_FAMILIES`` raises ``ValueError`` at its first rank; below
-    ``max_rank`` the message then says "more than".
+    A walk pairs one left label list with a prefix of its case's right
+    lists, and its families are its (left, right) pairs, left by left, over
+    the right lists of that prefix in order.  A block is one left list
+    against one right list, and ``blocks[k]`` is the place of the block of
+    ``rights[k]`` in family order; the walk meets the first ``len(blocks)``
+    right lists.  Fourier-Jacobi pairs an sp(n) label with an sp(m) label,
+    m <= n, so every Fourier-Jacobi walk holds the same right lists,
+    sp(0..max_rank), and the walk of sp(n) has n + 1 blocks.  Bessel pairs
+    every odd with every even orthogonal label, n, m, then the sign of
+    each, so every Bessel walk holds every even list and the two Bessel
+    walks of one rank, one per sign, interleave their blocks.  The
+    trivial-descriptor label lists are built once each, rank by rank,
+    while the families they give are counted, and a walk holds the lists
+    themselves, each the labels of one group; the walks of one case hold
+    one tuple of right lists.  A count over ``MAX_VARIANT_FAMILIES`` raises
+    ``ValueError`` at its first rank; below ``max_rank`` the message then
+    says "more than".
     """
     ranks, signs = range(max_rank + 1), (PLUS, MINUS)
     sps, odd, even, fj = [], {}, {}, 0
@@ -269,9 +273,10 @@ def _variant_families(max_rank: int, eps_minus_one: Sign) -> list[tuple[list, tu
         more = "" if n == max_rank else "more than "
         _check_bound(families, f"the rank <= {max_rank} variant sweep", "families", more,
                      "MAX_VARIANT_FAMILIES", MAX_VARIANT_FAMILIES)
+    symplectic, orthogonal = tuple(sps), tuple(even.values())  # the right lists of each case's walks
     place = count()  # each block's place in family order
-    walks = [(sps[n], tuple(sps[: n + 1]), FOURIER_JACOBI, [next(place) for _ in ranks[: n + 1]]) for n in ranks]
-    bessel = {(n, e): (odd[n, e], tuple(even.values()), BESSEL, []) for n, e in product(ranks, signs)}
+    walks = [(sps[n], symplectic, FOURIER_JACOBI, [next(place) for _ in ranks[: n + 1]]) for n in ranks]
+    bessel = {(n, e): (odd[n, e], orthogonal, BESSEL, []) for n, e in product(ranks, signs)}
     for n, _, e, _ in product(ranks, ranks, signs, signs):
         bessel[n, e][3].append(next(place))
     return walks + list(bessel.values())
@@ -287,50 +292,64 @@ def verify_variant_uniqueness(max_rank: int, ctx: TowerContext) -> VerificationR
     :class:`~thetasym.errors.MultipleNonzero` that
     :func:`~thetasym.ggp.select_nonzero_variant` raises for it.
 
-    The sweep walks each left list of :func:`_variant_families` once,
-    against its universe: the labels of its right lists in one list, held
-    by the :meth:`~thetasym.ggp._VariantRun.profile_row` of those lists, so
-    that every Bessel walk shares one universe.  For each left label one
-    :meth:`~thetasym.ggp._VariantRun.gate_mask` marks the families of the
-    universe whose pair-condition gate is open.  A closed family is
-    all Zero, so it is counted as a passed check in bulk and never
-    evaluated.  :meth:`~thetasym.ggp._VariantRun.groups` splits the open
-    ones by memo key (the case, the interned profile of each side list from
-    the profile rows of the left list and of the universe, and the sign of
+    The sweep walks the left lists of :func:`_variant_families` against one
+    universe per case: the labels of the case's right lists in one list,
+    held by the :meth:`~thetasym.ggp._VariantRun.profile_row` of those
+    lists.  A walk meets the prefix of its universe that its blocks cover
+    (the labels of rank <= n, for sp(n)), and counts its checks over that
+    prefix.  Left labels with one
+    :meth:`~thetasym.ggp._VariantRun.left_key` are walked once: the first
+    of them reads one :meth:`~thetasym.ggp._VariantRun.gate_mask`, ANDed
+    with its walk's prefix, which marks the families whose pair-condition
+    gate is open.  A closed family is all Zero, so it is counted as a
+    passed check in bulk and never evaluated.
+    :meth:`~thetasym.ggp._VariantRun.groups` splits the open ones by memo
+    key (the case, the interned profile of each side list from the profile
+    rows of the left list and of the universe, and the sign of
     rank(left) - rank(right) or, at equal Fourier-Jacobi ranks, the
     normalized order's swap pattern), one group per right profile and rank
     sign.  Each group reads a per-run memo of the number of nonzero variant
     classes once; a new key is filled by
     :meth:`~thetasym.ggp._VariantRun.evaluate` on the group's first family.
     A group then counts its families as passed checks in bulk, or fails them
-    all.  Failing families are kept with their block's place in family
-    order and their left and universe positions, and recorded at the end in
-    that order, so failures come in family order though the blocks of two
-    Bessel walks interleave.  Oversized sweeps are refused as in
-    :func:`verify_f1`, and then a sweep of more than
-    ``MAX_VARIANT_FAMILIES`` families (rank 7 and up) as in
-    :func:`_variant_families`.
+    all; the left key keeps its failing groups, and every left label of the
+    key fails their families.  Failing families are kept with their block's
+    place in family order and their left and universe positions, and
+    recorded at the end in that order, so failures come in family order
+    though the blocks of two Bessel walks interleave and a left key spans
+    walks.  Oversized sweeps are refused as in :func:`verify_f1`, and then
+    a sweep of more than ``MAX_VARIANT_FAMILIES`` families (rank 7 and up)
+    as in :func:`_variant_families`.
     """
     _check_sweep(max_rank)
     report = VerificationReport()
     start = time.monotonic()
     run = _VariantRun(ctx)
     classes: dict[tuple, int] = {}  # nonzero variant classes by memo key
+    walked: dict[tuple, list] = {}  # the failing (group, nonzero classes) of each left key
     failed = []  # (block, left position, universe position, left, right, nonzero classes) of each failing family
     for lefts, rights, case, blocks in _variant_families(max_rank, ctx.eps_minus_one):
         left_row, right_row = run.profile_row((lefts,), 0, case), run.profile_row(rights, 1, case)
         universe, ends = right_row[0], list(accumulate(map(len, rights)))
-        report.checked += len(lefts) * len(universe)
+        end = ends[len(blocks) - 1]  # the walk meets the universe's labels up to here
+        report.checked += len(lefts) * end
         for i, left in enumerate(lefts):
-            for key, group in run.groups(case, left_row, i, right_row, run.gate_mask(left, right_row, case)):
-                nonzero = classes.get(key)
-                if nonzero is None:
-                    right = universe[(group & -group).bit_length() - 1]
-                    nonzero = classes[key] = _nonzero_classes(run.evaluate(left, right, case, True))
-                if nonzero > 1:
-                    for j in range(group.bit_length()):
-                        if group >> j & 1:
-                            failed.append((blocks[bisect(ends, j)], i, j, left, universe[j], nonzero))
+            left_key = run.left_key(case, left_row, i, right_row)
+            failing = walked.get(left_key)
+            if failing is None:
+                failing = walked[left_key] = []
+                mask = run.gate_mask(left, right_row, case) & (1 << end) - 1
+                for key, group in run.groups(case, left_row, i, right_row, mask):
+                    nonzero = classes.get(key)
+                    if nonzero is None:
+                        right = universe[(group & -group).bit_length() - 1]
+                        nonzero = classes[key] = _nonzero_classes(run.evaluate(left, right, case, True))
+                    if nonzero > 1:
+                        failing.append((group, nonzero))
+            for group, nonzero in failing:
+                for j in range(group.bit_length()):
+                    if group >> j & 1:
+                        failed.append((blocks[bisect(ends, j)], i, j, left, universe[j], nonzero))
     report.checked -= len(failed)  # recorded below, in family order
     for *_, left, right, nonzero in sorted(failed):
         report.record(False, f"{left} / {right}", "<=1 class", _too_many_nonzero(nonzero, left, right))

@@ -388,8 +388,16 @@ def default_orientation(label: RepLabel) -> Sign | None:
       staircase); the swapped-slot bit is degenerate;
     * everything else (odd orthogonal sign pairs, swapped-slot data, theta
       shapes with h != 0, nontrivial descriptors): no default.
+
+    A caller that has already read ``(k, h)``, as each side of a pair
+    evaluation has, calls :func:`_default_orientation` with it instead.
     """
-    k, h = kh_of(label)
+    return _default_orientation(label, kh_of(label))
+
+
+def _default_orientation(label: RepLabel, kh: tuple[int, int]) -> Sign | None:
+    """:func:`default_orientation` of ``label``, whose ``kh_of`` is ``kh``."""
+    k, h = kh
     if not label.rho.is_trivial or h != 0:
         return None
     if label.group.family is GroupFamily.SP:

@@ -519,11 +519,12 @@ def test_each_rule_is_written_once():
     and no other code picks a slot of the fixed label; ``oracle`` names
     neither gate method, and its gate-slot index ``_gate_slots`` is gone.
     The variant sweep's memo key is built in one place,
-    ``_VariantRun.groups``, the only reader of a profile row's interned
-    profiles and the only place that writes a rank sign; ``oracle`` keys
-    its memo only by the keys ``groups`` gives and builds none itself,
-    looks nothing up by a tuple in the sweep, and the per-family
-    ``signature`` is gone.  A walk's universe, its right lists in one
+    ``_VariantRun.groups``, and its left key in another beside it,
+    ``_VariantRun.left_key``; they are the only readers of a profile row's
+    interned profiles but ``profile_row`` itself, and ``groups`` is the only
+    place that writes a rank sign.  ``oracle`` keys its two memos only by
+    the keys those two methods give and builds none itself, looks nothing
+    up by a tuple in the sweep, and the per-family ``signature`` is gone.  A walk's universe, its right lists in one
     list, is built only by ``_VariantRun.profile_row``, the one place that
     flattens a list of label lists, and its (right profile, rank sign) mask
     tables only by ``groups``.
@@ -595,24 +596,31 @@ def test_each_rule_is_written_once():
         assert found == homes
     assert not re.search(r"\b(candidate_gate|slot_gate)\b", sources["oracle.py"])
     assert not any("_gate_slots" in text for text in sources.values())
-    # one memo key: only _VariantRun.groups reads the interned profiles of a
-    # profile row, and the sweep keys its memo only by the keys groups gives
+    # one memo key and one left key: only _VariantRun.groups and left_key read
+    # the interned profiles of a profile row, and the sweep keys its memos
+    # only by the keys those two give
     found = {
         f"{name}:{home}"
         for name, text in sources.items()
         for home in _homes(text, lambda node: isinstance(node, ast.Name) and node.id.endswith("profiles"))
     }
-    assert found == {"ggp.py:_VariantRun.profile_row", "ggp.py:_VariantRun.groups"}
+    assert found == {"ggp.py:_VariantRun.profile_row", "ggp.py:_VariantRun.groups", "ggp.py:_VariantRun.left_key"}
     sweep = ast.parse(inspect.getsource(oracle.verify_variant_uniqueness))
-    memo = [
-        node.slice if isinstance(node, ast.Subscript) else node.args[0]
-        for node in ast.walk(sweep)
-        if (isinstance(node, ast.Subscript) and getattr(node.value, "id", "") == "classes")
-        or (isinstance(node, ast.Call) and ast.unparse(node.func) == "classes.get")
-    ]
-    assert len(memo) == 2 and all(getattr(key, "id", "") == "key" for key in memo)
+    for held, name in (("classes", "key"), ("walked", "left_key")):
+        memo = [
+            node.slice if isinstance(node, ast.Subscript) else node.args[0]
+            for node in ast.walk(sweep)
+            if (isinstance(node, ast.Subscript) and getattr(node.value, "id", "") == held)
+            or (isinstance(node, ast.Call) and ast.unparse(node.func) == f"{held}.get")
+        ]
+        assert len(memo) == 2 and all(getattr(key, "id", "") == name for key in memo), held
     bound = [node for node in ast.walk(sweep) if isinstance(node, ast.For) and "key" in ast.unparse(node.target)]
     assert [ast.unparse(node.iter).split("(")[0] for node in bound] == ["run.groups"]
+    bound = [
+        node.value for node in ast.walk(sweep) if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", "") == "left_key" for target in node.targets)
+    ]
+    assert [ast.unparse(node).split("(")[0] for node in bound] == ["run.left_key"]
     assert not any(re.search(r"\b(signature|_profile)\(", text) for text in sources.values())
     # one home each for the universe, the mask tables and the rank sign; no key built in the sweep
     for hit, homes in (

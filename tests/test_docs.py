@@ -100,6 +100,18 @@ def test_readme_states_the_golden_deck_size():
     assert int(stated.group(1).replace(",", "")) == len(deck)
 
 
+
+def test_readme_states_the_variant_report_contexts():
+    """The context count the README gives for ``tests/variant_reports.py``
+    is the number of contexts it runs; the contexts are built, none run."""
+    import variant_reports
+
+    section = README.read_text().split("## Development\n", 1)[1]
+    stated = re.search(r"`verify_variant_uniqueness` in ([\d,]+) contexts", section.replace("\n", " "))
+    assert stated, "the Development section no longer states the context count"
+    assert int(stated.group(1).replace(",", "")) == len(variant_reports._contexts()) == 168
+
+
 def _readme_commands() -> list[list[str]]:
     """The ``thetasym`` commands of README's "Command line" block, continuations joined."""
     section = README.read_text().split("## Command line\n", 1)[1]

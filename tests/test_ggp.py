@@ -1,3 +1,4 @@
+import ast
 import collections
 import inspect
 import itertools
@@ -671,19 +672,39 @@ def test_one_sided_is_the_band_then_the_bit_match():
             assert ggp._one_sided(dist, other, mine, theirs) is ggp._one_sided(dist, other, mine, theirs, PLUS)
 
 
+
+def test_fj_order_holds_plain_values_that_order_as_the_label_fields():
+    """``_fj_order`` compares without the descriptor and symbol methods, yet
+    orders two symplectic labels as ``(-rank, rho, lam, lam_prime)`` does.
+    Each key is a literal of plain values (a repr that reads back as the
+    key), and over the sp labels of rank <= 2 built from the default
+    descriptors and an irregular one of rank 1, every pair compares alike
+    under both keys, ties included."""
+    catalog = default_rho_catalog(2) + (RhoDescriptor(1, False, "irregular"),)
+    labels = [label for n in range(3) for label in enumerate_labels(sp(n), PLUS, catalog)]
+    keys = {label: ggp._fj_order(label) for label in labels}
+    assert all(ast.literal_eval(repr(key)) == key for key in keys.values())
+    for a, b in itertools.product(labels, repeat=2):
+        fields = (-a.group.rank, a.rho, a.lam, a.lam_prime), (-b.group.rank, b.rho, b.lam, b.lam_prime)
+        assert (keys[a] < keys[b], keys[a] == keys[b]) == (fields[0] < fields[1], fields[0] == fields[1])
+    assert len({label.rho for label in labels}) == len(catalog)
+
+
 def _families_by_key(run: _VariantRun, max_rank: int):
     """Each open family of a sweep on ``run``, with the memo key and group that
     :meth:`_VariantRun.groups` gives it: ``(left, right, case, key, group)``,
     where ``key`` is asked for the family alone and ``group`` is the bit
-    mask, among the left label's open families in its walk's universe, of
-    the group it falls in.  Each universe row holds, for each left rank of
-    its walks, the mask of each (right profile, rank sign)."""
+    mask, among the left label's open families in the prefix of its case's
+    universe that its walk meets, of the group it falls in.  Each universe
+    row holds, for each left rank of its walks, the mask of each (right
+    profile, rank sign)."""
     out = []
-    for lefts, rights, case, _ in _variant_families(max_rank, run.ctx.eps_minus_one):
+    for lefts, rights, case, blocks in _variant_families(max_rank, run.ctx.eps_minus_one):
         left_row, right_row = run.profile_row((lefts,), 0, case), run.profile_row(rights, 1, case)
         universe, profiles = right_row[0], right_row[2]
+        prefix = (1 << sum(map(len, rights[: len(blocks)]))) - 1
         for i, left in enumerate(lefts):
-            mask = run.gate_mask(left, right_row, case)
+            mask = run.gate_mask(left, right_row, case) & prefix
             groups = list(run.groups(case, left_row, i, right_row, mask))
             # the groups split the open families, and no family is in two of them
             assert sum(group for _, group in groups) == mask
@@ -718,8 +739,8 @@ def test_profile_rows_profile_each_side_list(eps, bits):
     give; the rank is not in the profile.  The row's masks are the
     positions of each symbol in each slot and, once the sweep has asked
     for a left rank, of each (profile, sign of left rank - group rank);
-    the Bessel walks share one universe row, and a memo key holds the case
-    and the two profiles of its family."""
+    the walks of each case share one universe row, and a memo key holds
+    the case and the two profiles of its family."""
     assert _Side._fields == ("label", "kh", "bits", "order")
     params = ["self", "case", "left_row", "i", "right_row", "mask"]
     assert list(inspect.signature(_VariantRun.groups).parameters) == params
@@ -749,7 +770,7 @@ def test_profile_rows_profile_each_side_list(eps, bits):
                 assert all(side.order == ggp._fj_order(side.label) for side in variants)
                 unipotent.update(fact[2] for fact in facts)
         universes[case].add(id(run.profile_row(rights, 1, case)[0]))
-    assert len(universes[BESSEL]) == 1 and len(universes[FOURIER_JACOBI]) == 3
+    assert len(universes[BESSEL]) == len(universes[FOURIER_JACOBI]) == 1
     assert len(set(interned.values())) == len(interned)
     assert unipotent == {True, False}
     for left, right, case, key, _ in _families_by_key(run, 2):
@@ -777,6 +798,43 @@ def test_families_that_share_a_memo_key_evaluate_alike(eps, bits):
     assert len(seen) < len(families)
 
 
+
+@pytest.mark.parametrize("eps", [PLUS, MINUS], ids=["eps+", "eps-"])
+@pytest.mark.parametrize("bits", [(None,) * 4, (PLUS, MINUS, MINUS, PLUS)], ids=["none", "+--+"])
+def test_left_labels_that_share_a_left_key_evaluate_alike(eps, bits):
+    """The sweep reads the gate mask and groups of one left label per left
+    key, so every left label of a key must evaluate as that one does.  Over
+    the left lists of the rank <= 2 sweep, and beside them the labels of
+    each left group built from the trivial descriptor and a regular and an
+    irregular one of rank 1, labels of one key give the same number of
+    nonzero variant classes against every right label of their case's
+    universe.  The odd orthogonal labels of one rank and symbols share a
+    key across both signs and eps flags, so some key spans two walks.  A
+    key without the left profile puts the two rank-1 descriptors of one
+    symbol pair in one key, and one without ``lam_prime`` two labels whose
+    gate masks differ: either fails here."""
+    run = _VariantRun(TowerContext(eps, *bits))
+    catalog = (TRIVIAL_RHO, RhoDescriptor(1, True, "regular"), RhoDescriptor(1, False, "irregular"))
+    members, universes = collections.defaultdict(list), {}
+    for lefts, rights, case, _ in _variant_families(2, eps):
+        right_row = run.profile_row(rights, 1, case)
+        universes[case] = right_row[0]
+        for labels in (lefts, list(enumerate_labels(lefts[0].group, eps, catalog))):
+            left_row = run.profile_row((labels,), 0, case)
+            for i, left in enumerate(labels):
+                members[run.left_key(case, left_row, i, right_row)].append(left)
+    spanned = set()
+    for (case, *_), labels in members.items():
+        if len({label.group for label in labels}) > 1:
+            spanned.add(case)
+        classes = [
+            [ggp._nonzero_classes(run.evaluate(left, right, case, True)) for right in universes[case]]
+            for left in labels
+        ]
+        assert classes == classes[:1] * len(labels), labels
+    assert spanned == {BESSEL}
+
+
 def test_a_closed_gate_ends_its_family(monkeypatch):
     """The rank-2 sweep reads each family's pair-condition gate first, and a
     family whose gate reads closed is counted without being evaluated.  Of
@@ -786,14 +844,17 @@ def test_a_closed_gate_ends_its_family(monkeypatch):
     8,331.  Reading every family's gate asks ``in_G`` 115 times: the 107
     keys that evaluating every family read (it read no gate of a family
     whose pairs are all definitely irrelevant), and the keys of those
-    families.  The sweep walks each left list once against its universe:
-    one gate mask and one set of groups per left label, 114 of each, where
-    one per left label and right list made 586.  It reads each gate key once
-    per universe, slot, fixed symbol and distinct symbol in that slot of the
-    universe, and each evaluation reads the family's gate once more if some
-    pair is not definitely irrelevant: 1,078 gate reads, where one read per
-    right list made 1,372, one per left label and distinct right symbol
-    5,123 and one per family 6,876.  A family
+    families.  The sweep walks each distinct left key once against one
+    universe per case: one gate mask and one set of groups per key, 51 of
+    each (30 sp labels and 21 odd orthogonal symbol pairs, each pair
+    shared by both group signs and both eps flags), where one per left
+    label made 114 and one per left label and right list 586.  It reads
+    each gate key once per universe, slot, fixed symbol and distinct symbol
+    in that slot of the universe, and each evaluation reads the family's
+    gate once more if some pair is not definitely irrelevant: 1,046 gate
+    reads, where one universe per left list made 1,078, one read per right
+    list 1,372, one per left label and distinct right symbol 5,123 and one
+    per family 6,876.  A family
     evaluated on its own still reads the relevance of no pair after a
     closed gate: 8,331 reads over the 4,345 families, counted from a
     reference run as every pair up to the first one not definitely
@@ -827,22 +888,32 @@ def test_a_closed_gate_ends_its_family(monkeypatch):
     def spy(run, *args):
         found = groups(run, *args)
         keys.extend(found)
-        asked.append(args)
+        asked.append((args, found))
         return found
 
     monkeypatch.setattr(_VariantRun, "groups", spy)
     report = verify_variant_uniqueness(2, CTX)
     assert (report.checked, report.passed) == (4345, True)
-    assert sum(group.bit_count() for _, group in keys) == len(opened)
+    # one gate mask and one set of groups per distinct left key, asked by its first label
+    firsts, shared = {}, collections.Counter()
+    for labels, _, case, _ in _variant_families(2, PLUS):
+        for left in labels:
+            at = case, left.lam, left.lam_prime, left.group.rank
+            firsts.setdefault(at, left)
+            shared[at] += 1
+    assert len(masks) == len(asked) == len(firsts) == 51 and shared.total() == 114
+    assert [(args[1], args[3]) for args in masks] == [(left, case) for (case, *_), left in firsts.items()]
+    # each key's groups stand for the open families of every left label that shares it
+    opens = 0
+    for (case, left_row, i, *_), found in asked:
+        left = left_row[0][i]
+        opens += shared[case, left.lam, left.lam_prime, left.group.rank] * sum(group.bit_count() for _, group in found)
+    assert opens == len(opened)
     assert len(evaluations) == len({key for key, _ in keys}) == 271
     assert {args[1:4] for args in evaluations} <= set(opened)
     assert len(in_G_calls) == every
     pairs = sum(len(reference.pairs(*args[1:])) for args in evaluations)
-    assert (len(reads), pairs, len(gates)) == (849, 849, 1078)
-    # one gate mask and one set of groups per left label, each over its walk's universe
-    lefts = [(left, case) for lefts, _, case, _ in _variant_families(2, PLUS) for left in lefts]
-    assert len(masks) == len(asked) == len(lefts) == 114
-    assert [(args[1], args[3]) for args in masks] == lefts
+    assert (len(reads), pairs, len(gates)) == (849, 849, 1046)
 
     del reads[:]
     run = _VariantRun(CTX)
