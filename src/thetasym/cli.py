@@ -21,7 +21,7 @@ import argparse
 import sys
 
 from . import __version__
-from .core import SymbolFamily
+from .core import MAX_INT_DIGITS, SymbolFamily
 from .errors import ThetasymError
 
 #: Each family by its value, plus ``o-odd``: odd orthogonal groups use the symplectic symbols.
@@ -111,13 +111,16 @@ def _add_context(parser) -> None:
 
 
 def _check_args(args) -> None:
-    """Refuse a negative rank option before any work starts; ``--q`` is read
+    """Refuse a negative rank option, and a ``--target-rank`` longer than the symbol grammar
+    reads (its fiber prints entries up to it), before any work starts; ``--q`` is read
     by :func:`_context` alone, which each verb that takes it calls first."""
     for name in ("rank", "max_rank", "target_rank"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             flag = "--" + name.replace("_", "-")
             raise ThetasymError(f"{flag} must be nonnegative, got {value}")
+    if getattr(args, "target_rank", 0) >= 10**MAX_INT_DIGITS:
+        raise ThetasymError(f"--target-rank has more than {MAX_INT_DIGITS} digits, got {args.target_rank}")
 
 
 def _context(args, default=None):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache
+from itertools import repeat
 from operator import add, attrgetter, ge, gt, le, lt
 from typing import Iterable, Iterator, NamedTuple
 
@@ -479,9 +480,13 @@ def _defect_layer(rank: int, defect: int) -> tuple[Symbol, ...]:
     size = bipartition_count(min(residual, _COUNTED_RESIDUAL))
     more = "" if residual <= _COUNTED_RESIDUAL else "more than "
     _check_bound(size, f"the rank {rank}, defect {defect} layer", "symbols", more)
-    syms = [_symbol_of(bp, defect) for bp in bipartitions_of(residual)]
-    syms.sort(key=_ROWS)
-    return tuple(syms)
+    return tuple(sorted(_layer_symbols(rank, defect), key=_ROWS))
+
+
+def _layer_symbols(rank: int, defect: int) -> Iterator[Symbol]:
+    """The symbols of the rank and defect layer in :func:`bipartitions_of` order, built as
+    they are read and kept by no one; unbounded, so a caller bounds the layer first."""
+    return map(_symbol_of, bipartitions_of(rank - defect_rank_offset(defect)), repeat(defect))
 
 
 def enumerate_symbols(rank: int, family: SymbolFamily) -> list[Symbol]:
@@ -517,12 +522,12 @@ def count_symbols(rank: int, family: SymbolFamily) -> int:
 def _check_sweep(max_rank: int) -> None:
     """Refuse a sweep over every family and rank <= max_rank, before any build.
 
-    A sweep keeps every layer it builds, so :data:`MAX_LAYER_SYMBOLS`
-    bounds the sum of their sizes, counted as :func:`count_symbols` does,
-    and the ``ValueError`` states the sum and the bound.  The f1 fiber scan
-    builds its partners without a layer, so an f1 sweep reads none above max_rank
-    either.  Counting stops at the first rank that puts the sum over the bound; below
-    ``max_rank`` the message then says "more than".  A non-int ``max_rank`` is a ``TypeError``.
+    :data:`MAX_LAYER_SYMBOLS` bounds the sum of the layer sizes, counted as
+    :func:`count_symbols` does, and the ``ValueError`` states the sum and the
+    bound.  The sum is what a sweep that keeps its layers holds, and what the f1
+    sweep, which streams its sources and keeps none, builds.  Counting stops at the
+    first rank that puts the sum over the bound; below ``max_rank`` the message then
+    says "more than".  A non-int ``max_rank`` is a ``TypeError``.
     """
     _check_int(max_rank, "max_rank")
     total = 0

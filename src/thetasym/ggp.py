@@ -179,13 +179,14 @@ class _Side(NamedTuple):
     entry i of each for slot i.  A defect-0 slot and its transpose pass the
     same gates (the band uses the absolute slot parameter, the pair condition
     both transposes), so within a family ``kh`` names the variant class.
-    ``order`` is the label's :func:`_fj_order`, which every side pair reads.
+    ``order`` is a symplectic label's :func:`_fj_order`, which every Fourier-Jacobi
+    side pair reads, and ``None`` for an orthogonal one, which only Bessel pairs hold.
     """
 
     label: RepLabel
     kh: tuple[int, int]
     bits: Bits
-    order: tuple
+    order: tuple | None
 
 
 def _strong_relevance(left: _Side, right: _Side, case: GGPCase, ctx: TowerContext) -> bool | None:
@@ -217,7 +218,7 @@ def _fj_order(label: RepLabel) -> tuple:
     rows of ``lam`` and of ``lam_prime``.  It orders as
     ``(-rank, rho, lam, lam_prime)`` would, since descriptors and symbols
     order by those same field tuples, but compares without their methods.
-    The fields stand in one flat tuple, which a run holds per side: a
+    The fields stand in one flat tuple, which a run holds per symplectic side: a
     nested descriptor tuple took 1.7 MB more at rank 6.
     """
     rho, lam, lam_prime = label.rho, label.lam, label.lam_prime
@@ -383,7 +384,8 @@ class _VariantRun:
         sides = self._sides[key] = []
         for v, (p, s) in out:
             kh = kh_of(v)
-            sides.append(_Side(v, kh, (_default_orientation(v, kh) if p is None else p, s), _fj_order(v)))
+            order = _fj_order(v) if v.group.family in FOURIER_JACOBI.families else None
+            sides.append(_Side(v, kh, (_default_orientation(v, kh) if p is None else p, s), order))
         return sides
 
     def pairs(

@@ -39,6 +39,7 @@ from .core import (
     _check_bound,
     _check_int,
     _check_sweep,
+    _layer_symbols,
     admissible_defects,
     count_symbols,
     defect_rank_offset,
@@ -135,10 +136,12 @@ def verify_f1(max_rank: int) -> VerificationReport:
     Covers every symplectic-type symbol of rank <= max_rank in both towers
     and every even-type symbol in its own tower; checks the index, that the
     fiber at the index is a singleton, and that its member is the closed
-    form's lift.  The fiber scan builds partners from the source's rows and
-    reads no layer, so the layers the sweep keeps are its sources', of rank
-    <= max_rank.  A sweep whose layers hold more than ``MAX_LAYER_SYMBOLS``
-    symbols in all raises ``ValueError`` before any layer is built.
+    form's lift.  The sources are streamed, each defect layer built once as
+    it is read and kept by no one, and the fiber scan builds partners from
+    the source's rows, so the sweep reads no layer; within one rank, family
+    and defect, failures come in bipartition order, not row order.  A sweep
+    whose layers hold more than ``MAX_LAYER_SYMBOLS`` symbols in all raises
+    ``ValueError`` before any symbol is built.
     """
     _check_sweep(max_rank)
     report = VerificationReport()
@@ -150,20 +153,21 @@ def verify_f1(max_rank: int) -> VerificationReport:
     ]
     for rank in range(max_rank + 1):
         for family, signs, direction in sources:
-            for lam in enumerate_symbols(rank, family):
-                scan = range(default_scan_bound(lam) + 1)
-                for sign in signs:
-                    closed = first_occurrence_unipotent(lam, sign, direction)
-                    brute, fiber = _fiber(lam, sign, scan)
-                    if brute == closed.index and len(fiber) == 1 and fiber[0] == closed.lift:
-                        report.checked += 1
-                    else:
-                        report.record(
-                            False,
-                            f"{format_symbol(lam)} sign {format_sign(sign)} {direction.value}",
-                            f"index {closed.index}, lift {format_symbol(closed.lift)}",
-                            f"index {brute}, fiber {[format_symbol(s) for s in fiber]}",
-                        )
+            for defect in admissible_defects(rank, family):
+                for lam in _layer_symbols(rank, defect):
+                    scan = range(default_scan_bound(lam) + 1)
+                    for sign in signs:
+                        closed = first_occurrence_unipotent(lam, sign, direction)
+                        brute, fiber = _fiber(lam, sign, scan)
+                        if brute == closed.index and len(fiber) == 1 and fiber[0] == closed.lift:
+                            report.checked += 1
+                        else:
+                            report.record(
+                                False,
+                                f"{format_symbol(lam)} sign {format_sign(sign)} {direction.value}",
+                                f"index {closed.index}, lift {format_symbol(closed.lift)}",
+                                f"index {brute}, fiber {[format_symbol(s) for s in fiber]}",
+                            )
     report.elapsed = time.monotonic() - start
     return report
 

@@ -14,7 +14,8 @@ domain and usage refusals, the failing
 runs (``counts`` to rank 12, ``f1`` to rank 13, ``variants`` to rank 4),
 which took 7 to 10 of its 18 to 26 s on a 2-vCPU Intel Xeon KVM guest with
 Python 3.11.7 (the whole deck took up to 41 s there under load).  The deck ends with the
-trivial ``sp(28)`` branch table and a rank-30 table over the sweep bound.
+trivial ``sp(28)`` branch table, a rank-30 table over the sweep bound, and a
+``theta-fiber`` at an 18-digit target rank beside a refused 20-digit one.
 Each stdout line is ``index digest exit argv`` (the digest covers stdout,
 stderr and the exit code of that request), and the digest of all of them
 goes to stderr.  Run it on two checkouts and ``diff`` the outputs to see
@@ -220,6 +221,11 @@ def _deck(rng: random.Random) -> list[list[str]]:
          "--eps-minus-one", "+"],
         ["ggp-branch", "--pi", "sp(60): rho=trivial:0:reg ; L=[30|] ; L'=[|]", "--target", "sp(60)",
          "--eps-minus-one", "+"],
+    ]
+    # appended too: the longest target rank whose fiber the symbol grammar reads back, and one digit more
+    deck += [
+        ["theta-fiber", "--symbol", "[0|]", "--sign", "+", "--target-rank", "9" * 18],
+        ["theta-fiber", "--symbol", "[0|]", "--sign", "+", "--target-rank", "9" * 20],
     ]
     return deck
 

@@ -475,6 +475,27 @@ def test_negative_rank_refused_before_work(argv, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: --")
 
 
+def test_target_rank_past_the_grammar_refused_before_work(monkeypatch, capsys):
+    """No entry of a rank-n symbol exceeds n, so a target rank of at most
+    ``MAX_INT_DIGITS`` digits prints a fiber that parses back, and one
+    digit more is refused before any fiber is built."""
+    assert core.MAX_INT_DIGITS == 18
+    for sign in "+-":
+        code, out = run_cli(["theta-fiber", "--symbol", "[0|]", "--sign", sign,
+                             "--target-rank", "9" * 18, "--format", "json"])
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and rows
+        assert all(core.format_symbol(core.parse_symbol(row["symbol"])) == row["symbol"] for row in rows)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a fiber was built for a refused target rank")
+
+    monkeypatch.setattr(theta, "theta_fiber", must_not_run)
+    code, out = run_cli(["theta-fiber", "--symbol", "[0|]", "--sign", "+", "--target-rank", "1" + "0" * 18])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: --target-rank has more than 18 digits, got {10**18}\n"
+
+
 @pytest.mark.parametrize("symbol, sign", [("[1|0]", "+"), ("[1,0|]", "-"), ("[|0]", "+")])
 def test_theta_fiber_refuses_non_symplectic_symbol_before_work(symbol, sign, monkeypatch, capsys):
     def must_not_run(*args, **kwargs):

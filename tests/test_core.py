@@ -552,3 +552,17 @@ def test_row_entries_follow_the_integer_rule(entry):
     with pytest.raises(ParseError) as err:
         parse_symbol(f"[2,{entry}|]")
     assert err.value.offset == 3
+
+
+def test_layer_symbols_yield_each_layer_once():
+    """The streamed layer, sorted on rows, is the kept one: for ranks <= 10 in
+    every family the streamed defect layers, each sorted, are
+    ``enumerate_symbols``, so each symbol comes exactly once."""
+    for family in SymbolFamily:
+        for rank in range(11):
+            streamed = [
+                s
+                for defect in admissible_defects(rank, family)
+                for s in sorted(core._layer_symbols(rank, defect), key=core._ROWS)
+            ]
+            assert streamed == enumerate_symbols(rank, family), (family, rank)

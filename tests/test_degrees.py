@@ -5,7 +5,7 @@ integrality and against Olsson's hook formula."""
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, prod
 from pathlib import Path
 
@@ -23,9 +23,12 @@ from thetasym.catalog import (
     o_even,
     o_odd,
     sp,
+    unipotent_label,
 )
 from thetasym.core import EMPTY_SYMBOL, SymbolFamily, enumerate_symbols, parse_symbol, symbol_rank
 from thetasym.degrees import label_degree, o_degree, symbol_degree
+from thetasym.ggp import MultKind, branch_decomposition
+from thetasym.theta import TowerContext
 
 QS = (3, 5, 7, 9)
 
@@ -140,3 +143,37 @@ def test_the_oracle_stands_apart():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["thetasym", "thetasym.catalog", "thetasym.core", "thetasym.degrees", "thetasym.errors"]
     assert "degrees" not in Path(cli.__file__).read_text()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1's degree bounds break until ROADMAP item 2 fixes the pair gate")
+def test_branch_tables_keep_their_degree_bounds():
+    """ROADMAP item 1's bounds on the branch table of every unipotent pi of
+    ranks 1-4, at q = 3, 5, 7 and 9, each under its own eps(-1).  Over the
+    rows of value One (m = 1) with a trivial descriptor, the sum of deg sigma
+    is at most deg pi for Bessel, o+-(2n+1) to o+-(2n), and the sum of
+    deg pi' at most deg pi * q^n for Fourier-Jacobi, sp(2n) to sp(2n).  Each q
+    has 360 Bessel and 45 Fourier-Jacobi tables; the bounds break in 44, 16,
+    16 and 16 Bessel and 12, 4, 4 and 4 Fourier-Jacobi tables.  A table reads
+    eps(-1) but not q, so each is built once per eps(-1)."""
+    rows = {}  # the One, trivial-descriptor labels of each (eps(-1), pi, target) table
+    tables = {}
+    for q in QS:
+        eps = eps_minus_one_from_q(q)
+        counts = {"bessel": [0, 0], "fj": [0, 0]}  # broken tables, tables
+        for n in range(1, 5):
+            for lam in enumerate_symbols(n, SymbolFamily.SP_UNIPOTENT):
+                cases = [("fj", unipotent_label(sp(n), lam), sp(n), q**n)] + [
+                    ("bessel", unipotent_label(o_odd(n, sign), lam, flag, eps), o_even(n, target), 1)
+                    for sign, flag, target in product((PLUS, MINUS), repeat=3)
+                ]
+                for case, pi, target, factor in cases:
+                    key = eps, pi, target
+                    if key not in rows:
+                        rows[key] = [label for label, m in branch_decomposition(pi, target, TowerContext(eps))
+                                     if m.kind is MultKind.ONE and label.rho.is_trivial]
+                    broken = sum(label_degree(label, q) for label in rows[key]) > label_degree(pi, q) * factor
+                    counts[case][0] += broken
+                    counts[case][1] += 1
+        tables[q] = counts
+    assert tables == {q: {"bessel": [0, 360], "fj": [0, 45]} for q in QS}

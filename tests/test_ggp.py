@@ -690,6 +690,21 @@ def test_fj_order_holds_plain_values_that_order_as_the_label_fields():
     assert len({label.rho for label in labels}) == len(catalog)
 
 
+def test_only_a_symplectic_side_holds_an_fj_order_key():
+    """Only Fourier-Jacobi pairs read a side's ``order``, so a side of an
+    odd or even orthogonal label holds no key and a symplectic side holds
+    its label's ``_fj_order``; each label varies both slots here."""
+    run = _VariantRun(TowerContext(PLUS))
+    for group in (sp(2), o_odd(2, PLUS), o_odd(2, MINUS), o_even(2, PLUS), o_even(2, MINUS)):
+        labels = list(enumerate_labels(group, PLUS))
+        sides = [side for label in labels for side in run.sides(label, (None, None), (0, 1))]
+        assert len(sides) > len(labels)
+        if group.family is GroupFamily.SP:
+            assert all(side.order == ggp._fj_order(side.label) for side in sides)
+        else:
+            assert all(side.order is None for side in sides)
+
+
 def _families_by_key(run: _VariantRun, max_rank: int):
     """Each open family of a sweep on ``run``, with the memo key and group that
     :meth:`_VariantRun.groups` gives it: ``(left, right, case, key, group)``,
@@ -767,7 +782,8 @@ def test_profile_rows_profile_each_side_list(eps, bits):
                     for side in variants
                 )
                 assert interned.setdefault(facts, profile) == profile
-                assert all(side.order == ggp._fj_order(side.label) for side in variants)
+                fj = case is FOURIER_JACOBI
+                assert all(side.order == (ggp._fj_order(side.label) if fj else None) for side in variants)
                 unipotent.update(fact[2] for fact in facts)
         universes[case].add(id(run.profile_row(rights, 1, case)[0]))
     assert len(universes[BESSEL]) == len(universes[FOURIER_JACOBI]) == 1

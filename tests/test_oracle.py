@@ -167,21 +167,32 @@ def test_fiber_to_sp_equals_full_layer_filter():
 
 
 @pytest.mark.parametrize("max_rank", [5, 10])
-def test_verify_f1_reads_no_layer_above_its_rank(max_rank, monkeypatch):
-    """The sweep budget counts the layers of rank <= max_rank, and the
-    fiber scan builds its partners without reading any other."""
-    ranks = []
-    layer = core._defect_layer
+def test_verify_f1_reads_no_layer(max_rank, monkeypatch):
+    """The sweep streams its sources, each defect layer of rank <= max_rank
+    once, and neither it nor the fiber scan reads a kept layer."""
+
+    def must_not_run(*args):
+        raise AssertionError("the f1 sweep read a kept layer")
+
+    for module in (core, theta, oracle):
+        for name in ("_defect_layer", "enumerate_symbols"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, must_not_run)
+    streamed = []
+    layer_symbols = core._layer_symbols
 
     def spy(rank, defect):
-        ranks.append(rank)
-        return layer(rank, defect)
+        streamed.append((rank, defect))
+        return layer_symbols(rank, defect)
 
-    for module in (core, theta):
-        if hasattr(module, "_defect_layer"):
-            monkeypatch.setattr(module, "_defect_layer", spy)
+    monkeypatch.setattr(oracle, "_layer_symbols", spy)
     assert verify_f1(max_rank).passed
-    assert max(ranks) == max_rank
+    assert streamed == [
+        (rank, defect)
+        for rank in range(max_rank + 1)
+        for family in SymbolFamily
+        for defect in core.admissible_defects(rank, family)
+    ]
 
 
 def test_scan_bound_formula():
@@ -510,7 +521,7 @@ def test_a_bound_that_is_not_an_int_is_refused_before_building(verify, name, bad
 
 
 def test_a_passing_f1_sweep_does_only_its_per_check_work(monkeypatch):
-    """A cold ``verify_f1(5)`` builds its 248 layer symbols and two symbols
+    """A cold ``verify_f1(5)`` builds its 248 source symbols and two symbols
     per check, the lift and the one fiber partner; one ``FirstOccurrence``
     per check; one scan bound per source; and no failure text."""
     from thetasym import catalog, oracle
@@ -547,10 +558,17 @@ def test_every_check_is_recorded_without_a_closure():
 
 
 def test_sweep_bound_is_on_the_sum_of_its_layers(monkeypatch):
+    """The f1 sweep keeps no layer, yet is bounded on the same sum as the
+    counts sweep, which keeps every layer it builds."""
     assert _sweep_size(22) <= MAX_LAYER_SYMBOLS < _sweep_size(23)
     core._check_sweep(22)  # counts only; a rank-22 sweep is not run here
+    with monkeypatch.context() as patch:
+        forbid_layer_builds(patch)
+        with pytest.raises(ValueError, match=f"the rank <= 23 sweep has {_sweep_size(23)} symbols"):
+            verify_f1(23)
     monkeypatch.setattr(core, "MAX_LAYER_SYMBOLS", _sweep_size(3))
-    assert verify_counts(3).passed
+    assert verify_counts(3).passed and verify_f1(3).passed
     forbid_layer_builds(monkeypatch)
-    with pytest.raises(ValueError, match=f"sweep has {_sweep_size(4)} symbols"):
-        verify_counts(4)
+    for verify in (verify_counts, verify_f1):
+        with pytest.raises(ValueError, match=f"sweep has {_sweep_size(4)} symbols"):
+            verify(4)
